@@ -44,6 +44,8 @@ from ancover.classalgebra import (
     CoverageReport,
     class_size,
     frobenius_count,
+    product_counts,
+    power_counts,
     covers,
     is_covered_by,
     covering_number,

@@ -12,8 +12,17 @@ hooks h_1 > ... > h_m of its partition, where the values are
 The sign bookkeeping is anchored to the class labeling of
 :mod:`ancover.permutations`: the "+" constituent is the one taking the
 ``+sqrt`` value on the "+" class (the class of the consecutive-fill
-representative).  Everything is exact: rationals plus one radicand per
-value, with the radicand kept squarefree.
+representative).
+
+A :class:`CharacterTable` stores integers only: twice the rational part
+of every cell, plus, for each split constituent, one squarefree radicand
+d and the integer coefficients of sqrt(d) on its two hook classes.  It is
+built straight from MN values; :class:`AlgebraicValue` cells are derived
+on demand.  Every build runs quick checks (degrees, and column
+orthogonality across each split class pair), every load runs them and
+exact row and column orthogonality, all in integer arithmetic with the
+sqrt(d) parts required to cancel.  A failed check raises
+:class:`TableCheckFailed`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ancover.combinatorics import (
     LimitExceeded,
@@ -31,7 +41,12 @@ from ancover.combinatorics import (
     frobenius_symbol,
     transpose,
 )
-from ancover.permutations import ClassLabel, an_class_labels, an_class_size
+from ancover.permutations import (
+    ClassLabel,
+    an_class_labels,
+    an_class_size,
+    inverse_label,
+)
 
 DEFAULT_TABLE_LIMIT = 16
 
@@ -139,22 +154,6 @@ class AlgebraicValue:
         if self.is_rational():
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-class RadicandAccumulator:
-    """Exact sum of algebraic values living in different quadratic fields."""
-
-    def __init__(self):
-        self.rational = Fraction(0)
-        self.irrational: dict[int, Fraction] = {}
-
-    def add(self, v: AlgebraicValue) -> None:
-        self.rational += v.a
-        if v.b:
-            self.irrational[v.d] = self.irrational.get(v.d, Fraction(0)) + v.b
-
-    def residues(self) -> dict[int, Fraction]:
-        return {d: c for d, c in self.irrational.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +277,33 @@ def an_character_value(chi: IrreducibleLabel, cls: ClassLabel) -> AlgebraicValue
         raise ValueError(f"degree mismatch: {chi.n} vs {cls.n}")
     if not chi.is_split():
         return AlgebraicValue(mn_value(chi.partition, cls.cycle_type))
-    hooks = frobenius_symbol(chi.partition).diagonal_hooks()
-    if cls.cycle_type.parts != hooks:
+    d, hook = _hook_cells(chi, [cls])
+    if not hook:
         return AlgebraicValue(Fraction(mn_value(chi.partition, cls.cycle_type), 2))
-    n, m = chi.n, len(hooks)
-    eps = -1 if ((n - m) // 2) % 2 else 1
-    radicand = eps * math.prod(hooks)
-    b_sign = 1 if chi.sign == cls.sign else -1
-    return AlgebraicValue(Fraction(eps, 2), Fraction(b_sign, 2), radicand)
+    a2, b = hook[0]
+    return AlgebraicValue(Fraction(a2, 2), Fraction(b, 2), d)
 
 
 # ---------------------------------------------------------------------------
 # Tables
 
 
+class TableCheckFailed(ArithmeticError):
+    """An exactness check on a character table failed."""
+
+
 class CharacterTable:
-    """Complete exact A_n character table with deterministic labeling."""
+    """Complete exact A_n character table with deterministic labeling.
+
+    The table is stored as integers.  ``rows[i][j]`` is twice the rational
+    part of chi_i on class j, and ``surds[i] = (d, {j: b})`` holds the
+    irrational part of row i, if it has one: chi_i(class j) equals
+    ``(rows[i][j] + b * sqrt(d)) / 2`` with d squarefree and not 1.  Only
+    split constituents have surds, on the two classes of their
+    diagonal-hook type.  ``columns`` is the transpose of ``rows`` (both
+    tuples, so they cannot drift apart), and ``inverse_index[j]`` the
+    column of the class of inverses of class j.
+    """
 
     def __init__(
         self,
@@ -301,81 +311,127 @@ class CharacterTable:
         classes: list[ClassLabel],
         class_sizes: list[int],
         irreducibles: list[IrreducibleLabel],
-        values: list[list[AlgebraicValue]],
+        rows: list[list[int]],
+        surds: dict[int, tuple[int, dict[int, int]]],
     ):
         self.n = n
         self.classes = list(classes)
         self.class_sizes = list(class_sizes)
         self.irreducibles = list(irreducibles)
-        self.values = values
+        self.rows = [tuple(row) for row in rows]
+        self.surds = surds
+        self.columns = list(zip(*self.rows))
         self.group_order = math.factorial(n) // 2 if n >= 2 else 1
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         self._irr_index = {x: i for i, x in enumerate(self.irreducibles)}
+        self.inverse_index = [self._class_index[inverse_label(c)] for c in self.classes]
 
     def class_index(self, cls: ClassLabel) -> int:
         return self._class_index[cls]
 
+    def _value_at(self, i: int, j: int) -> AlgebraicValue:
+        d, coefs = self.surds.get(i, (1, {}))
+        return AlgebraicValue(Fraction(self.rows[i][j], 2), Fraction(coefs.get(j, 0), 2), d)
+
+    @property
+    def values(self) -> list[list[AlgebraicValue]]:
+        """Every cell as an AlgebraicValue, derived from the integers."""
+        k = len(self.classes)
+        return [[self._value_at(i, j) for j in range(k)] for i in range(len(self.rows))]
+
     def value(self, chi: IrreducibleLabel, cls: ClassLabel) -> AlgebraicValue:
-        return self.values[self._irr_index[chi]][self._class_index[cls]]
+        return self._value_at(self._irr_index[chi], self._class_index[cls])
 
     def degrees(self) -> list[int]:
         identity = ClassLabel(Partition([1] * self.n))
         j = self._class_index[identity]
-        return [int(row[j].as_fraction()) for row in self.values]
+        return [row[j] // 2 for row in self.rows]
 
-    def column_inner(self, i: int, j: int) -> RadicandAccumulator:
-        acc = RadicandAccumulator()
-        for row in self.values:
-            acc.add(row[i] * row[j].conjugate())
-        return acc
+    def _column_inner(self, i: int, j: int) -> tuple[int, dict[int, int]]:
+        """4 * sum_chi chi(i) * conj(chi(j)), as its rational part and the
+        nonzero sqrt(d) coefficients by radicand."""
+        total = sum(map(mul, self.columns[i], self.columns[j]))
+        residues: dict[int, int] = {}
+        for r, (d, coefs) in self.surds.items():
+            bi, bj = coefs.get(i, 0), coefs.get(j, 0)
+            if bi or bj:
+                sigma = -1 if d < 0 else 1  # conj(sqrt(d)) = sigma * sqrt(d)
+                total += bi * bj * sigma * d
+                residues[d] = residues.get(d, 0) + self.rows[r][i] * bj * sigma + bi * self.rows[r][j]
+        return total, {d: c for d, c in residues.items() if c}
+
+    def _row_inner(self, r: int, s: int) -> tuple[int, dict[int, int]]:
+        """4 * sum_g |g| chi_r(g) * conj(chi_s(g)), split as in _column_inner."""
+        total = sum(map(mul, map(mul, self.class_sizes, self.rows[r]), self.rows[s]))
+        dr, cr = self.surds.get(r, (1, {}))
+        ds, cs = self.surds.get(s, (1, {}))
+        sigma = -1 if ds < 0 else 1
+        residues: dict[int, int] = {}
+        for j in cr.keys() | cs.keys():
+            br, bs = cr.get(j, 0), cs.get(j, 0)
+            size = self.class_sizes[j]
+            if br and bs:
+                if dr != ds:
+                    raise TableCheckFailed(f"rows {r}, {s} mix radicands {dr} and {ds}")
+                total += size * br * bs * sigma * ds
+            residues[ds] = residues.get(ds, 0) + size * self.rows[r][j] * bs * sigma
+            residues[dr] = residues.get(dr, 0) + size * br * self.rows[s][j]
+        return total, {d: c for d, c in residues.items() if c}
+
+    def _check_columns(self, i: int, j: int) -> None:
+        total, residues = self._column_inner(i, j)
+        if residues:
+            raise TableCheckFailed(
+                f"irrational residue in column pair {self.classes[i]},{self.classes[j]}: {residues}"
+            )
+        expect = 4 * self.group_order // self.class_sizes[i] if i == j else 0
+        if total != expect:
+            raise TableCheckFailed(
+                f"column orthogonality fails at {self.classes[i]},{self.classes[j]}:"
+                f" {Fraction(total, 4)} != {Fraction(expect, 4)}"
+            )
 
     def verify_orthogonality(self) -> None:
-        """Exact row and column orthogonality; raises AssertionError on failure."""
+        """Exact row and column orthogonality; raises TableCheckFailed on failure."""
         k = len(self.classes)
         for i in range(k):
             for j in range(i, k):
-                acc = self.column_inner(i, j)
-                assert not acc.residues(), (
-                    f"irrational residue in column pair {i},{j}: {acc.residues()}"
-                )
-                expect = (
-                    Fraction(self.group_order, self.class_sizes[i]) if i == j else 0
-                )
-                assert acc.rational == expect, (
-                    f"column orthogonality fails at {self.classes[i]},{self.classes[j]}:"
-                    f" {acc.rational} != {expect}"
-                )
-        for r in range(len(self.irreducibles)):
-            for s in range(r, len(self.irreducibles)):
-                acc = RadicandAccumulator()
-                for idx in range(k):
-                    term = self.values[r][idx] * self.values[s][idx].conjugate()
-                    acc.add(term * AlgebraicValue(self.class_sizes[idx]))
-                assert not acc.residues(), (
-                    f"irrational residue in row pair {r},{s}"
-                )
-                expect = Fraction(self.group_order) if r == s else 0
-                assert acc.rational == expect, (
-                    f"row orthogonality fails at {self.irreducibles[r]},"
-                    f"{self.irreducibles[s]}: {acc.rational} != {expect}"
-                )
+                self._check_columns(i, j)
+        for r in range(len(self.rows)):
+            for s in range(r, len(self.rows)):
+                total, residues = self._row_inner(r, s)
+                if residues:
+                    raise TableCheckFailed(f"irrational residue in row pair {r},{s}")
+                expect = 4 * self.group_order if r == s else 0
+                if total != expect:
+                    raise TableCheckFailed(
+                        f"row orthogonality fails at {self.irreducibles[r]},"
+                        f"{self.irreducibles[s]}: {Fraction(total, 4)} != {Fraction(expect, 4)}"
+                    )
 
     def verify_split_pair_sums(self) -> None:
         """Each split pair must sum to the restricted parent character."""
         for chi in self.irreducibles:
             if chi.sign != "+":
                 continue
-            partner = IrreducibleLabel(chi.partition, "-")
-            for cls in self.classes:
-                total = self.value(chi, cls) + self.value(partner, cls)
-                parent = AlgebraicValue(mn_value(chi.partition, cls.cycle_type))
-                assert total == parent, (
-                    f"split pair sum fails for {chi.partition.text()} at {cls}"
-                )
+            p = self._irr_index[chi]
+            m = self._irr_index[IrreducibleLabel(chi.partition, "-")]
+            dp, cp = self.surds.get(p, (1, {}))
+            dm, cm = self.surds.get(m, (1, {}))
+            for j, cls in enumerate(self.classes):
+                parent = 2 * mn_value(chi.partition, cls.cycle_type)
+                bp, bm = cp.get(j, 0), cm.get(j, 0)
+                surds_cancel = bp == -bm and (bp == 0 or dp == dm)
+                if self.rows[p][j] + self.rows[m][j] != parent or not surds_cancel:
+                    raise TableCheckFailed(
+                        f"split pair sum fails for {chi.partition.text()} at {cls}"
+                    )
 
     def _quick_checks(self) -> None:
-        assert len(self.classes) == len(self.irreducibles), "class/irreducible count"
-        assert sum(d * d for d in self.degrees()) == self.group_order
+        if len(self.classes) != len(self.irreducibles):
+            raise TableCheckFailed("class/irreducible count")
+        if sum(d * d for d in self.degrees()) != self.group_order:
+            raise TableCheckFailed("squared degrees do not sum to the group order")
         # Column orthogonality across each split class pair: this is the
         # check that pins the constituent/class pairing.
         for idx, cls in enumerate(self.classes):
@@ -383,18 +439,18 @@ class CharacterTable:
                 continue
             jdx = self._class_index[ClassLabel(cls.cycle_type, "-")]
             for i, j in ((idx, jdx), (idx, idx), (jdx, jdx)):
-                acc = self.column_inner(i, j)
-                assert not acc.residues(), f"residue at split block {cls}"
-                expect = Fraction(self.group_order, self.class_sizes[i]) if i == j else 0
-                assert acc.rational == expect, f"split block orthogonality at {cls}"
+                self._check_columns(i, j)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def enc(v: AlgebraicValue) -> list[int]:
-            a2, b2 = 2 * v.a, 2 * v.b
-            return [a2.numerator, a2.denominator, b2.numerator, b2.denominator, v.d]
-
+        """Cells are [2a, 1, 2b, 1, d] for the value a + b*sqrt(d)."""
+        values = []
+        for i, row in enumerate(self.rows):
+            d, coefs = self.surds.get(i, (1, {}))
+            values.append(
+                [[a2, 1, coefs[j], 1, d] if j in coefs else [a2, 1, 0, 1, 1] for j, a2 in enumerate(row)]
+            )
         return {
             "schema": 1,
             "kind": "an-character-table",
@@ -402,7 +458,7 @@ class CharacterTable:
             "classes": [c.text() for c in self.classes],
             "class_sizes": list(self.class_sizes),
             "irreducibles": [x.text() for x in self.irreducibles],
-            "values": [[enc(v) for v in row] for row in self.values],
+            "values": values,
         }
 
     def dump(self, path: str) -> None:
@@ -412,21 +468,68 @@ class CharacterTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CharacterTable":
+        """Rebuild a table from :meth:`to_json_dict` output and validate it.
+
+        Labels and class sizes must be those of A_n, every cell must be
+        half-integral, irrational parts may only use the squarefree
+        radicand of a split row, and the quick checks and exact
+        orthogonality must pass; otherwise raises ValueError.
+        """
         if data.get("schema") != 1 or data.get("kind") != "an-character-table":
             raise ValueError("not a version-1 character table file")
-        from ancover.permutations import parse_class_label
-
-        def dec(item: list[int]) -> AlgebraicValue:
-            a2n, a2d, b2n, b2d, d = item
-            return AlgebraicValue(Fraction(a2n, a2d) / 2, Fraction(b2n, b2d) / 2, d)
-
-        return cls(
-            data["n"],
-            [parse_class_label(s) for s in data["classes"]],
-            list(data["class_sizes"]),
-            [parse_irreducible_label(s) for s in data["irreducibles"]],
-            [[dec(item) for item in row] for row in data["values"]],
-        )
+        n = data.get("n")
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"bad degree n = {n!r}")
+        classes = an_class_labels(n)
+        sizes = [an_class_size(c) for c in classes]
+        irreducibles = irreducible_labels(n)
+        if data.get("classes") != [c.text() for c in classes]:
+            raise ValueError(f"class labels are not those of A_{n}")
+        if data.get("class_sizes") != sizes:
+            raise ValueError(f"class sizes are not those of A_{n}")
+        if data.get("irreducibles") != [x.text() for x in irreducibles]:
+            raise ValueError(f"irreducible labels are not those of A_{n}")
+        values = data.get("values")
+        k = len(classes)
+        if not isinstance(values, list) or len(values) != k or any(
+            not isinstance(row, list) or len(row) != k for row in values
+        ):
+            raise ValueError(f"values must be a {k} x {k} array")
+        rows: list[list[int]] = []
+        surds: dict[int, tuple[int, dict[int, int]]] = {}
+        for i, row in enumerate(values):
+            chi = irreducibles[i]
+            radicand, hook = _hook_cells(chi, classes) if chi.is_split() else (1, {})
+            ints: list[int] = []
+            coefs: dict[int, int] = {}
+            for j, item in enumerate(row):
+                try:
+                    a2n, a2d, b2n, b2d, d = item
+                    a2, b2 = Fraction(a2n, a2d), Fraction(b2n, b2d)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(f"cell ({i}, {j}) is malformed: {item!r}") from exc
+                if a2.denominator != 1 or b2.denominator != 1:
+                    raise ValueError(f"cell ({i}, {j}) is not half-integral")
+                ints.append(int(a2))
+                if b2:
+                    if d != radicand:
+                        raise ValueError(f"cell ({i}, {j}) has radicand {d!r}, not {radicand}")
+                    coefs[j] = int(b2)
+            # The hook cells fix which constituent of a split pair is "+".
+            if not coefs.keys() <= hook.keys() or any(
+                (ints[j], coefs.get(j, 0)) != cell for j, cell in hook.items()
+            ):
+                raise ValueError(f"row {chi} has wrong values on the split hook classes")
+            if coefs:
+                surds[i] = (radicand, coefs)
+            rows.append(ints)
+        table = cls(n, classes, sizes, irreducibles, rows, surds)
+        try:
+            table._quick_checks()
+            table.verify_orthogonality()
+        except TableCheckFailed as exc:
+            raise ValueError(f"not an exact A_{n} character table: {exc}") from exc
+        return table
 
     @classmethod
     def load(cls, path: str) -> "CharacterTable":
@@ -435,6 +538,47 @@ class CharacterTable:
 
 
 _TABLE_CACHE: dict[int, CharacterTable] = {}
+
+
+def _hook_cells(
+    chi: IrreducibleLabel, classes: list[ClassLabel]
+) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(d, {j: (2a, b)}) for a split constituent chi: its value on each
+    class j of its diagonal-hook type is (2a + b*sqrt(d)) / 2, with b = 0
+    when d = 1."""
+    hooks = frobenius_symbol(chi.partition).diagonal_hooks()
+    eps = -1 if ((chi.n - len(hooks)) // 2) % 2 else 1
+    s, d = _squarefree_split(eps * math.prod(hooks))
+    cells: dict[int, tuple[int, int]] = {}
+    for j, cls in enumerate(classes):
+        if cls.cycle_type.parts == hooks:
+            b = s if chi.sign == cls.sign else -s
+            cells[j] = (eps + b, 0) if d == 1 else (eps, b)
+    return d, cells
+
+
+def _integer_rows(
+    classes: list[ClassLabel], irreducibles: list[IrreducibleLabel]
+) -> tuple[list[list[int]], dict[int, tuple[int, dict[int, int]]]]:
+    """Rows and surds of the A_n table, straight from MN values."""
+    types = [c.cycle_type.parts for c in classes]
+    rows: list[list[int]] = []
+    surds: dict[int, tuple[int, dict[int, int]]] = {}
+    for i, chi in enumerate(irreducibles):
+        lam = chi.partition.parts
+        if not chi.is_split():
+            rows.append([2 * _mn(lam, t) for t in types])
+            continue
+        # A split constituent is half its parent off the hook classes.
+        row = [_mn(lam, t) for t in types]
+        d, hook = _hook_cells(chi, classes)
+        for j, (a2, _) in hook.items():
+            row[j] = a2
+        coefs = {j: b for j, (_, b) in hook.items() if b}
+        if coefs:
+            surds[i] = (d, coefs)
+        rows.append(row)
+    return rows, surds
 
 
 def an_character_table(n: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> CharacterTable:
@@ -449,8 +593,8 @@ def an_character_table(n: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> Character
     classes = an_class_labels(n)
     sizes = [an_class_size(c) for c in classes]
     irreducibles = irreducible_labels(n)
-    values = [[an_character_value(chi, cls) for cls in classes] for chi in irreducibles]
-    table = CharacterTable(n, classes, sizes, irreducibles, values)
+    rows, surds = _integer_rows(classes, irreducibles)
+    table = CharacterTable(n, classes, sizes, irreducibles, rows, surds)
     table._quick_checks()
     _TABLE_CACHE[n] = table
     return table

@@ -1,28 +1,36 @@
 """Frobenius triple counts, class-product coverage, covering numbers.
 
-The count of factorizations g = cd with c in C and d in D is the usual
-character sum |C||D|/|A_n| * sum_chi chi(C) chi(D) chi(g^-1) / chi(1).
-Each summand lives in a single quadratic field, so the sum is accumulated
-per radicand; a nonzero irrational residue would mean a table bug and is
-raised, never rounded away.
+Two exact integer primitives answer every class-product question, both
+read from the integer table of :mod:`ancover.characters`.  With
+N(C, D, g) the number of pairs (c, d) in C x D with cd = g, and N_m(g)
+the number of m-tuples from C with product g:
+
+    N(C, D, g) = |C||D|/|G| * sum_chi chi(C) chi(D) chi(g^-1) / chi(1)
+    N_m(g)     = |C|^m/|G| * sum_chi chi(C)^m chi(g^-1) / chi(1)^(m-1)
+
+(the m-fold formula; Arad & Herzog (eds.), *Products of Conjugacy Classes
+in Groups*, LNM 1112).  :func:`product_counts` and :func:`power_counts`
+weigh each character once, by chi(C) chi(D) |G|/chi(1) or by
+chi(C)^m (|G|/chi(1))^(m-1), and then take one integer column sum per
+target class.  Weights and sums live in Z[sqrt(d)] for the radicand d of
+each split constituent; the sqrt(d) parts must cancel in every sum, and
+every count must come out a nonnegative integer.  Otherwise
+:class:`IrrationalResidue` is raised: nothing is rounded.
+:func:`frobenius_count` is the same sum for one target, and
+:func:`covering_number` the least m with every N_m(g) > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from ancover.characters import (
-    AlgebraicValue,
-    CharacterTable,
-    RadicandAccumulator,
-    an_character_table,
-)
+from ancover.characters import CharacterTable, an_character_table
 from ancover.combinatorics import Partition
 from ancover.permutations import (
     ClassLabel,
     an_class_size,
-    inverse_label,
     splits_in_an,
 )
 
@@ -32,7 +40,7 @@ class IrrationalResidue(ArithmeticError):
 
 
 class NotGenerating(RuntimeError):
-    """Class closure stabilized without reaching the whole group."""
+    """No power of the class up to the limit covers the whole group."""
 
 
 def class_size(n: int, cls: ClassLabel) -> int:
@@ -40,6 +48,95 @@ def class_size(n: int, cls: ClassLabel) -> int:
     if cls.n != n:
         raise ValueError(f"label is for n = {cls.n}, not {n}")
     return an_class_size(cls)
+
+
+# Weights are (rational, surd): w_chi = rational[i] + surd[i] * sqrt(d_i),
+# with surd holding only the split rows where it is nonzero.
+Weights = tuple[list[int], dict[int, int]]
+
+
+def _order_over_degree(table: CharacterTable) -> list[int]:
+    """|G| / chi(1) for every row; an integer, since chi(1) divides |G|."""
+    j = table.class_index(_identity_label(table.n))
+    return [2 * table.group_order // row[j] for row in table.rows]
+
+
+def _pair_weights(table: CharacterTable, ci: int, di: int) -> Weights:
+    """w_chi = 2chi(C) * 2chi(D) * |G|/chi(1)."""
+    q = _order_over_degree(table)
+    x, y = table.columns[ci], table.columns[di]
+    rational = list(map(mul, map(mul, x, y), q))
+    surd: dict[int, int] = {}
+    for i, (d, coefs) in table.surds.items():
+        x1, y1 = coefs.get(ci, 0), coefs.get(di, 0)
+        if x1 or y1:
+            rational[i] += x1 * y1 * d * q[i]
+            surd[i] = (x[i] * y1 + x1 * y[i]) * q[i]
+    return rational, surd
+
+
+def _power_weights(table: CharacterTable, ci: int, m: int) -> Weights:
+    """w_chi = (2chi(C))^m * (|G|/chi(1))^(m-1)."""
+    q = _order_over_degree(table)
+    x = table.columns[ci]
+    rational = [v**m * w ** (m - 1) for v, w in zip(x, q)]
+    surd: dict[int, int] = {}
+    for i, (d, coefs) in table.surds.items():
+        x1 = coefs.get(ci, 0)
+        if x1:
+            a, b = 1, 0
+            for _ in range(m):
+                a, b = a * x[i] + b * x1 * d, a * x1 + b * x[i]
+            scale = q[i] ** (m - 1)
+            rational[i], surd[i] = a * scale, b * scale
+    return rational, surd
+
+
+def _class_sums(
+    table: CharacterTable, weights: Weights, targets: list[int], what: str
+) -> list[int]:
+    """sum_chi w_chi * 2chi(t) for each target column t, exactly.
+
+    Raises IrrationalResidue unless the sqrt(d) parts cancel for every
+    radicand d and every target.
+    """
+    rational, surd = weights
+    cols = table.columns
+    sums = [sum(map(mul, rational, cols[t])) for t in targets]
+    position = {t: p for p, t in enumerate(targets)}
+    residues: dict[int, list[int]] = {}
+    for i, (d, coefs) in table.surds.items():
+        w0, w1 = rational[i], surd.get(i, 0)
+        res = residues.setdefault(d, [0] * len(targets))
+        if w1:
+            row = table.rows[i]
+            res[:] = [r + w1 * row[t] for r, t in zip(res, targets)]
+        for j, z1 in coefs.items():
+            p = position.get(j)
+            if p is not None:
+                sums[p] += w1 * z1 * d
+                res[p] += w0 * z1
+    bad = {d: [c for c in res if c] for d, res in residues.items() if any(res)}
+    if bad:
+        raise IrrationalResidue(f"irrational residue {bad} for {what}")
+    return sums
+
+
+def _exact_count(numerator: int, denominator: int, what: str, target: ClassLabel | None = None) -> int:
+    count, rest = divmod(numerator, denominator)
+    if rest or count < 0:
+        where = what if target is None else f"{what} -> {target}"
+        raise IrrationalResidue(
+            f"count {Fraction(numerator, denominator)} for {where} is not a nonnegative integer"
+        )
+    return count
+
+
+def _table_for(labels: tuple[ClassLabel, ...], table: CharacterTable | None) -> CharacterTable:
+    n = labels[0].n
+    if any(x.n != n for x in labels):
+        raise ValueError("labels must share one degree")
+    return an_character_table(n) if table is None else table
 
 
 def frobenius_count(
@@ -51,38 +148,42 @@ def frobenius_count(
 ) -> int:
     """Exact number of pairs (c, d) in C x D with c d equal to a fixed
     representative of g."""
-    n = C.n
-    if D.n != n or g.n != n:
-        raise ValueError("labels must share one degree")
-    if table is None:
-        table = an_character_table(n)
+    table = _table_for((C, D, g), table)
+    ci, di = table.class_index(C), table.class_index(D)
+    what = f"({C}, {D}, {g})"
+    target = table.inverse_index[table.class_index(g)]
+    (total,) = _class_sums(table, _pair_weights(table, ci, di), [target], what)
+    scale = table.class_sizes[ci] * table.class_sizes[di]
+    return _exact_count(scale * total, 8 * table.group_order**2, what)
+
+
+def product_counts(
+    C: ClassLabel, D: ClassLabel, *, table: CharacterTable | None = None
+) -> dict[ClassLabel, int]:
+    """N(C, D, E) for every class E, in table order, from one pass."""
+    table = _table_for((C, D), table)
+    ci, di = table.class_index(C), table.class_index(D)
+    what = f"({C}, {D})"
+    sums = _class_sums(table, _pair_weights(table, ci, di), table.inverse_index, what)
+    scale = table.class_sizes[ci] * table.class_sizes[di]
+    den = 8 * table.group_order**2
+    return {E: _exact_count(scale * s, den, what, E) for E, s in zip(table.classes, sums)}
+
+
+def power_counts(
+    C: ClassLabel, m: int, *, table: CharacterTable | None = None
+) -> dict[ClassLabel, int]:
+    """N_m(E): the number of m-tuples from C with product a fixed element
+    of E, for every class E, by the m-fold formula."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    table = _table_for((C,), table)
     ci = table.class_index(C)
-    di = table.class_index(D)
-    gi = table.class_index(inverse_label(g))
-    idx1 = table.class_index(_identity_label(n))
-    acc = RadicandAccumulator()
-    for row in table.values:
-        x, y, z = row[ci], row[di], row[gi]
-        deg = int(row[idx1].a)
-        if x.b == 0 and y.b == 0 and z.b == 0:
-            acc.rational += x.a * y.a * z.a / deg
-            continue
-        term = x * y * z
-        acc.add(term * AlgebraicValue(Fraction(1, deg)))
-    residues = acc.residues()
-    if residues:
-        raise IrrationalResidue(
-            f"irrational residue {residues} for ({C}, {D}, {g})"
-        )
-    total = (
-        Fraction(an_class_size(C) * an_class_size(D), table.group_order)
-        * acc.rational
-    )
-    if total.denominator != 1 or total < 0:
-        raise IrrationalResidue(
-            f"count {total} for ({C}, {D}, {g}) is not a nonnegative integer"
-        )
-    return int(total)
+    what = f"{C}^{m}"
+    sums = _class_sums(table, _power_weights(table, ci, m), table.inverse_index, what)
+    scale = table.class_sizes[ci] ** m
+    den = 2 ** (m + 1) * table.group_order**m
+    return {E: _exact_count(scale * s, den, what, E) for E, s in zip(table.classes, sums)}
 
 
 def _identity_label(n: int) -> ClassLabel:
@@ -119,16 +220,9 @@ class CoverageReport:
 
 def covers(C: ClassLabel, D: ClassLabel, *, table: CharacterTable | None = None) -> CoverageReport:
     """List every nontrivial class with zero Frobenius count from (C, D)."""
-    n = C.n
-    if table is None:
-        table = an_character_table(n)
-    identity = _identity_label(n)
-    missing = [
-        g
-        for g in table.classes
-        if g != identity and frobenius_count(C, D, g, table=table) == 0
-    ]
-    return CoverageReport(n, C, D, missing)
+    identity = _identity_label(C.n)
+    counts = product_counts(C, D, table=table)
+    return CoverageReport(C.n, C, D, [g for g, c in counts.items() if c == 0 and g != identity])
 
 
 def labels_of_type(lam: Partition) -> list[ClassLabel]:
@@ -149,46 +243,14 @@ def is_covered_by(lam: Partition, g: ClassLabel, *, table: CharacterTable | None
     )
 
 
-_SUPPORT_CACHE: dict[tuple[ClassLabel, ClassLabel], frozenset[ClassLabel]] = {}
-
-
-def product_support(
-    A: ClassLabel, C: ClassLabel, *, table: CharacterTable | None = None
-) -> frozenset[ClassLabel]:
-    """Classes represented in the product set A*C."""
-    key = (A, C)
-    cached = _SUPPORT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if table is None:
-        table = an_character_table(A.n)
-    out = frozenset(
-        E for E in table.classes if frobenius_count(A, C, E, table=table) > 0
-    )
-    _SUPPORT_CACHE[key] = out
-    return out
-
-
 def covering_number(C: ClassLabel, *, table: CharacterTable | None = None, max_power: int = 20) -> int:
-    """Least k with C^k equal to all of A_n, by class-support closure."""
+    """Least m with C^m equal to all of A_n: every N_m(g) > 0."""
     n = C.n
     if n < 5:
         raise ValueError("covering numbers are computed for simple A_n (n >= 5)")
     if C.cycle_type.parts == tuple([1] * n):
         raise ValueError("the identity class does not generate")
-    if table is None:
-        table = an_character_table(n)
-    everything = frozenset(table.classes)
-    support: frozenset[ClassLabel] = frozenset([C])
-    k = 1
-    while support != everything:
-        if k >= max_power:
-            raise NotGenerating(f"no cover within {max_power} powers")
-        new_support: set[ClassLabel] = set()
-        for A in support:
-            new_support |= product_support(A, C, table=table)
-        if frozenset(new_support) == support:
-            raise NotGenerating(f"support of {C} powers stabilized at {len(support)}")
-        support = frozenset(new_support)
-        k += 1
-    return k
+    for m in range(1, max_power + 1):
+        if all(power_counts(C, m, table=table).values()):
+            return m
+    raise NotGenerating(f"no cover of A_{n} by {C} within {max_power} powers")

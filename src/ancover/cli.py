@@ -137,14 +137,11 @@ def suite_gleason(ns=(7, 9, 11, 13), **_) -> list[tuple[str, bool, str]]:
             items.append((f"gleason n={n}", False, "needs odd n >= 7"))
             continue
         table = an_character_table(n)
-        identity = ClassLabel(Partition([1] * n))
-        misses = []
-        for C, D in ncycle_pairs(n):
-            for E in table.classes:
-                if E == identity:
-                    continue
-                if frobenius_count(C, D, E, table=table) == 0:
-                    misses.append((C, D, E))
+        misses = [
+            (C, D, E)
+            for C, D in ncycle_pairs(n)
+            for E in covers(C, D, table=table).uncovered
+        ]
         ok = not misses
         detail = "all nontrivial classes hit" if ok else f"missed: {misses[:3]}"
         items.append((f"gleason n={n}", ok, detail))
@@ -633,9 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return args.fn(cfg)
+        return args.fn(RunConfig.from_args(args))
     except (ValueError, Infeasible, NotCoverable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

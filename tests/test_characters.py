@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +214,85 @@ def test_all_labels_have_values():
         for cls in t.classes:
             v = t.value(chi, cls)
             assert v.b == 0 or cls.is_split()
+
+
+def test_table_checks_fail_loudly_under_python_O():
+    # A copy of the A_6 table with one cell changed, in a split row and a
+    # split class column, checked by an interpreter that strips asserts.
+    code = (
+        "from ancover.characters import CharacterTable, TableCheckFailed, an_character_table\n"
+        "t = an_character_table(6)\n"
+        "i = next(r for r, x in enumerate(t.irreducibles) if x.is_split())\n"
+        "j = next(c for c, x in enumerate(t.classes) if x.sign == '+')\n"
+        "rows = [list(row) for row in t.rows]\n"
+        "rows[i][j] += 2\n"
+        "bad = CharacterTable(6, t.classes, t.class_sizes, t.irreducibles, rows, t.surds)\n"
+        "for check in (bad.verify_orthogonality, bad.verify_split_pair_sums, bad._quick_checks):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except TableCheckFailed:\n"
+        "        continue\n"
+        "    raise SystemExit(check.__name__ + ' passed a corrupted table')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_load_rejects_every_single_cell_edit():
+    data = an_character_table(7).to_json_dict()
+    text = json.dumps(data)
+    CharacterTable.from_json_dict(json.loads(text))  # the unedited file loads
+    k = len(data["classes"])
+    for i in range(k):
+        for j in range(k):
+            edited = json.loads(text)
+            edited["values"][i][j][0] += 1
+            with pytest.raises(ValueError):
+                CharacterTable.from_json_dict(edited)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["classes"].reverse(),
+        lambda d: d["class_sizes"].__setitem__(0, 2),
+        lambda d: d["irreducibles"].pop(),
+        lambda d: d["values"].pop(),
+        lambda d: d["values"][0][0].__setitem__(1, 3),  # not half-integral
+        lambda d: d["values"][0][0].__setitem__(1, 0),
+        lambda d: d["values"][0].__setitem__(0, "x"),
+        lambda d: d.__setitem__("n", "7"),
+    ],
+)
+def test_load_rejects_malformed_files(edit):
+    data = an_character_table(7).to_json_dict()
+    edit(data)
+    with pytest.raises(ValueError):
+        CharacterTable.from_json_dict(data)
+
+
+def test_load_rejects_wrong_radicands():
+    data = an_character_table(5).to_json_dict()
+    cell = next(c for row in data["values"] for c in row if c[2])
+    cell[4] *= 4  # sqrt(4d) is 2*sqrt(d): same value, radicand not squarefree
+    with pytest.raises(ValueError, match="radicand"):
+        CharacterTable.from_json_dict(data)
+    data = an_character_table(5).to_json_dict()
+    data["values"][0][0][2] = 2  # the trivial character is rational
+    with pytest.raises(ValueError):
+        CharacterTable.from_json_dict(data)
+
+
+def test_load_rejects_swapped_split_constituents():
+    # Swapping the rows of a split pair keeps orthogonality but breaks the
+    # convention that the "+" constituent takes +sqrt on the "+" class.
+    data = an_character_table(5).to_json_dict()
+    i = data["irreducibles"].index("3,1,1:+")
+    j = data["irreducibles"].index("3,1,1:-")
+    data["values"][i], data["values"][j] = data["values"][j], data["values"][i]
+    with pytest.raises(ValueError, match="split hook classes"):
+        CharacterTable.from_json_dict(data)

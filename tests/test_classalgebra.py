@@ -3,17 +3,20 @@ import random
 import pytest
 
 from ancover.characters import an_character_table
+from ancover.characters import CharacterTable
 from ancover.classalgebra import (
+    IrrationalResidue,
     class_size,
     covering_number,
     covers,
     frobenius_count,
     is_covered_by,
     labels_of_type,
-    product_support,
+    power_counts,
+    product_counts,
 )
 from ancover.combinatorics import Partition
-from ancover.oracle import brute_frobenius
+from ancover.oracle import brute_frobenius, brute_product_labels
 from ancover.permutations import (
     an_class_labels,
     an_class_size,
@@ -142,7 +145,118 @@ def test_covering_number_rejects_identity():
 def test_product_support_unions_to_consistency():
     table = an_character_table(6)
     C = _lbl("5,1:+")
-    supp = product_support(C, C, table=table)
+    supp = {E for E, count in product_counts(C, C, table=table).items() if count}
     assert _lbl("1x6") in supp  # kappa even: the class is real
     everything = set(table.classes)
     assert supp <= everything
+
+
+def _sampled_pairs(rng, table, count):
+    return [(rng.choice(table.classes), rng.choice(table.classes)) for _ in range(count)]
+
+
+def test_product_counts_match_frobenius_count():
+    for n in (5, 6, 7):
+        table = an_character_table(n)
+        for C in table.classes:
+            for D in table.classes:
+                counts = product_counts(C, D, table=table)
+                assert list(counts) == table.classes
+                for E in table.classes:
+                    assert counts[E] == frobenius_count(C, D, E, table=table)
+    rng = random.Random(12)
+    for n in range(12, 17):
+        table = an_character_table(n)
+        for C, D in _sampled_pairs(rng, table, 6):
+            counts = product_counts(C, D, table=table)
+            for E in rng.sample(table.classes, 8):
+                assert counts[E] == frobenius_count(C, D, E, table=table)
+
+
+def test_product_counts_sum_and_symmetry_large_n():
+    rng = random.Random(13)
+    for n in range(12, 17):
+        table = an_character_table(n)
+        for C, D in _sampled_pairs(rng, table, 8):
+            counts = product_counts(C, D, table=table)
+            total = sum(counts[E] * an_class_size(E) for E in table.classes)
+            assert total == an_class_size(C) * an_class_size(D)
+            assert product_counts(D, C, table=table) == counts
+
+
+def test_power_counts_square_is_product_counts():
+    rng = random.Random(14)
+    for n in (5, 7, 9, 12, 16):
+        table = an_character_table(n)
+        for C in rng.sample(table.classes, min(6, len(table.classes))):
+            assert power_counts(C, 2, table=table) == product_counts(C, C, table=table)
+    C = _lbl("5:+")
+    assert power_counts(C, 1) == {E: int(E == C) for E in an_class_labels(5)}
+    with pytest.raises(ValueError):
+        power_counts(C, 0)
+
+
+def _closure_covering_number(C, classes, support_of):
+    """Reference: iterate the class support of C, C^2, ... to everything."""
+    everything = set(classes)
+    support = {C}
+    k = 1
+    while support != everything:
+        new = set().union(*(support_of(A, C) for A in support))
+        assert new != support, f"support of {C} powers stabilized"
+        support = new
+        k += 1
+    return k
+
+
+def test_covering_numbers_match_support_closure():
+    for n in (8, 9, 10):
+        table = an_character_table(n)
+        cache = {}
+
+        def support_of(A, C):
+            if (A, C) not in cache:
+                cache[A, C] = {
+                    E for E in table.classes if frobenius_count(A, C, E, table=table) > 0
+                }
+            return cache[A, C]
+
+        for C in table.classes:
+            if C.cycle_type.ones() == n:
+                continue
+            expect = _closure_covering_number(C, table.classes, support_of)
+            assert covering_number(C, table=table) == expect, (n, C)
+
+
+def test_covering_numbers_match_brute_force_closure():
+    for n in (5, 6, 7):
+        cache = {}
+
+        def support_of(A, C):
+            if (A, C) not in cache:
+                cache[A, C] = brute_product_labels(A, C)
+            return cache[A, C]
+
+        for C in an_class_labels(n):
+            if C.cycle_type.ones() == n:
+                continue
+            expect = _closure_covering_number(C, an_class_labels(n), support_of)
+            assert covering_number(C) == expect, (n, C)
+
+
+def test_flipped_irrational_cell_raises():
+    good = an_character_table(5)
+    i, (d, coefs) = next(iter(good.surds.items()))
+    j = next(iter(coefs))
+    flipped = dict(coefs)
+    flipped[j] = -flipped[j]
+    surds = dict(good.surds)
+    surds[i] = (d, flipped)
+    bad = CharacterTable(
+        5, good.classes, good.class_sizes, good.irreducibles, good.rows, surds
+    )
+    C = good.classes[j]
+    with pytest.raises(IrrationalResidue, match="irrational residue"):
+        product_counts(C, _lbl("1x5"), table=bad)
+    with pytest.raises(IrrationalResidue):
+        power_counts(C, 2, table=bad)

@@ -78,6 +78,12 @@ def test_verify_gleason(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_malformed_n_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "gleason", "--n", "7-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["verify", "nonsense"])
