@@ -6,7 +6,7 @@ reproducing the desk-scale refinement of Gleason's theorem.
 """
 
 from ancover import Partition, an_character_table, frobenius_count
-from ancover.cli import ncycle_pairs
+from ancover.suites import ncycle_pairs
 from ancover.permutations import ClassLabel
 
 for n in (7, 9, 11, 13):

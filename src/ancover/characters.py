@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 
 from ancover.combinatorics import (
@@ -46,6 +47,7 @@ from ancover.permutations import (
     an_class_labels,
     an_class_size,
     inverse_label,
+    iter_an_class_labels,
 )
 
 DEFAULT_TABLE_LIMIT = 16
@@ -480,11 +482,9 @@ class CharacterTable:
         n = data.get("n")
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"bad degree n = {n!r}")
-        classes = an_class_labels(n)
+        classes = _listed_class_labels(data.get("classes"), n)
         sizes = [an_class_size(c) for c in classes]
         irreducibles = irreducible_labels(n)
-        if data.get("classes") != [c.text() for c in classes]:
-            raise ValueError(f"class labels are not those of A_{n}")
         if data.get("class_sizes") != sizes:
             raise ValueError(f"class sizes are not those of A_{n}")
         if data.get("irreducibles") != [x.text() for x in irreducibles]:
@@ -535,6 +535,24 @@ class CharacterTable:
     def load(cls, path: str) -> "CharacterTable":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _listed_class_labels(texts, n: int) -> list[ClassLabel]:
+    """The A_n class labels, provided texts lists exactly their texts.
+
+    Labels are made one at a time and the first mismatch raises
+    ValueError, so a file that declares a large n is rejected without
+    enumerating the classes of A_n.
+    """
+    labels: list[ClassLabel] = []
+    if isinstance(texts, list):
+        for text, label in zip_longest(texts, iter_an_class_labels(n)):
+            if label is None or text != label.text():
+                break
+            labels.append(label)
+        else:
+            return labels
+    raise ValueError(f"class labels are not those of A_{n}")
 
 
 _TABLE_CACHE: dict[int, CharacterTable] = {}

@@ -23,8 +23,6 @@ factors back with one long cycle through the stripped points.
 
 from __future__ import annotations
 
-import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,8 +47,14 @@ from ancover.permutations import (
 )
 
 
-class SearchFailed(RuntimeError):
-    """An exhaustive sequence search found no admissible pair."""
+class VerificationFailed(ArithmeticError):
+    """A constructed witness or factorization fails one of its invariants."""
+
+
+def _check(ok: bool, what: str) -> None:
+    """Raise VerificationFailed unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise VerificationFailed(what)
 
 
 class HypothesisViolated(ValueError):
@@ -184,69 +188,19 @@ class ValidSequence:
         return Permutation.from_cycles(n, [self.terms])
 
 
-# Sequences for the even-length pieces; products against (1..len) have the
-# shrunken shape, and each pair is intertwined by an odd resequencing map.
-_EVEN_SEQUENCES: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...] | None]] = {
+# Tabulated sequences: each product against (1..len) has the shrunken
+# shape, and each pair is intertwined by an odd resequencing map.  The
+# odd-length pairs are the first such pair in lexicographic order; a test
+# re-derives them by exhaustive search.
+_SEQUENCES: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...] | None]] = {
     (4, (2, 2)): ((4, 1, 2, 3), None),
-    (8, (2, 2, 2, 2)): ((8, 1, 2, 7, 4, 5, 6, 3), (8, 1, 3, 5, 6, 2, 7, 4)),
+    (5, (5,)): ((5, 1, 2, 3, 4), (5, 2, 4, 1, 3)),
     (6, (4, 2)): ((6, 1, 2, 4, 5, 3), (6, 1, 3, 4, 5, 2)),
+    (7, (3, 1, 1, 1, 1)): ((7, 1, 6, 5, 4, 3, 2), (7, 2, 1, 6, 5, 4, 3)),
+    (8, (2, 2, 2, 2)): ((8, 1, 2, 7, 4, 5, 6, 3), (8, 1, 3, 5, 6, 2, 7, 4)),
     (8, (4, 4)): ((8, 1, 2, 4, 7, 5, 3, 6), (8, 1, 2, 5, 7, 3, 6, 4)),
+    (9, (3, 3, 3)): ((9, 1, 2, 3, 4, 8, 6, 7, 5), (9, 1, 2, 3, 5, 7, 4, 8, 6)),
 }
-
-_SEARCH_SHAPES = {
-    (5, (5,)),
-    (7, (3, 1, 1, 1, 1)),
-    (9, (3, 3, 3)),
-}
-
-_SEQUENCE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
-
-
-def _product_type(length: int, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle type of (1..length) * (word), as a sorted tuple."""
-    nxt = [0] * (length + 1)
-    for i, x in enumerate(word):
-        y = word[(i + 1) % length]
-        nxt[x] = y
-    seen = [False] * (length + 1)
-    out = []
-    for start in range(1, length + 1):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            y = nxt[x]
-            x = y + 1 if y < length else 1
-        out.append(size)
-    out.sort(reverse=True)
-    return tuple(out)
-
-
-def _word_map_parity(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-    """Parity of the permutation sending s to t position by position."""
-    images = [0] * len(s)
-    for a, b in zip(s, t):
-        images[a - 1] = b
-    return Permutation(images).parity()
-
-
-def _search_opposite(length: int, shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    first: tuple[int, ...] | None = None
-    for tail in itertools.permutations(range(1, length)):
-        word = (length,) + tail
-        if _product_type(length, word) != shape:
-            continue
-        if first is None:
-            first = word
-            continue
-        if _word_map_parity(first, word) == 1:
-            return first, word
-    raise SearchFailed(
-        f"no opposite valid sequences of length {length} with product shape {shape}"
-    )
 
 
 def find_opposite_valid_sequences(
@@ -255,54 +209,13 @@ def find_opposite_valid_sequences(
     """Valid sequences on [1, length] whose product with (1..length) has
     the given shape; the two are intertwined by an odd resequencing map.
 
-    Even lengths use the fixed tabulated pairs; odd lengths (5, 7, 9) are
-    found once by exhaustive search and cached.  The 2,2 piece has no
-    opposite partner.
+    The pairs are tabulated; the 2,2 piece has no opposite partner.
     """
     key = (length, tuple(shape.parts))
-    if key in _SEQUENCE_CACHE:
-        s, t = _SEQUENCE_CACHE[key]
-        return ValidSequence(s), ValidSequence(t) if t else None
-    if key in _EVEN_SEQUENCES:
-        s, t = _EVEN_SEQUENCES[key]
-    elif key in _SEARCH_SHAPES:
-        s, t = _search_opposite(length, key[1])
-    else:
+    if key not in _SEQUENCES:
         raise ValueError(f"unsupported (length, shape) pair {key}")
-    _SEQUENCE_CACHE[key] = (s, t)
+    s, t = _SEQUENCES[key]
     return ValidSequence(s), ValidSequence(t) if t else None
-
-
-def load_sequence_cache(path: str) -> None:
-    """Merge a version-1 sequence cache file into the in-memory cache."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != 1:
-        raise ValueError("unsupported sequence cache version")
-    for key, val in data["sequences"].items():
-        length_s, _, shape_s = key.partition("|")
-        shape = tuple(int(x) for x in shape_s.split(",")) if shape_s else ()
-        s, t = val
-        _SEQUENCE_CACHE[(int(length_s), shape)] = (
-            tuple(s),
-            tuple(t) if t else None,
-        )
-
-
-def save_sequence_cache(path: str) -> None:
-    data = {
-        "schema": 1,
-        "sequences": {
-            f"{length}|{','.join(str(x) for x in shape)}": [
-                list(s),
-                list(t) if t else None,
-            ]
-            for (length, shape), (s, t) in sorted(_SEQUENCE_CACHE.items())
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +300,19 @@ class WitnessPair:
     seed: int | None = None
 
     def verify(self) -> None:
-        assert cycle_type(self.gamma) == self.lam, "gamma type"
-        assert cycle_type(self.delta) == self.lam, "delta type"
-        assert cycle_type(self.delta_bar) == self.lam, "delta_bar type"
-        assert cycle_type(self.gamma * self.delta) == self.mu, "product type"
-        assert cycle_type(self.gamma * self.delta_bar) == self.mu, "bar product type"
+        """Raise VerificationFailed unless every stated invariant holds."""
+        _check(cycle_type(self.gamma) == self.lam, "gamma type")
+        _check(cycle_type(self.delta) == self.lam, "delta type")
+        _check(cycle_type(self.delta_bar) == self.lam, "delta_bar type")
+        _check(cycle_type(self.gamma * self.delta) == self.mu, "product type")
+        _check(cycle_type(self.gamma * self.delta_bar) == self.mu, "bar product type")
         expected = sum(max(0, p // 2 - 2) for p in self.mu.parts)
-        assert len(self.rebuild_log) == expected, "rebuild count"
-        assert len(self.rebuild_log_bar) == expected, "bar rebuild count"
+        _check(len(self.rebuild_log) == expected, "rebuild count")
+        _check(len(self.rebuild_log_bar) == expected, "bar rebuild count")
         if splits_in_an(self.lam):
-            assert an_class_of(self.delta) != an_class_of(self.delta_bar), (
-                "delta and delta_bar must land in the two split classes"
+            _check(
+                an_class_of(self.delta) != an_class_of(self.delta_bar),
+                "delta and delta_bar must land in the two split classes",
             )
 
     def to_json_dict(self) -> dict:
@@ -447,12 +362,12 @@ def _grow_targets(
         orbits: list[frozenset[int]] = []
         while points:
             orb = orbit_of(product, min(points))
-            assert orb <= set(range(off + iv.a, off + iv.b + 1))
+            _check(orb <= set(range(off + iv.a, off + iv.b + 1)), "orbit leaves its subinterval")
             points -= orb
             orbits.append(orb)
         grow = sorted((o for o in orbits if len(o) >= 4), key=min)
         big.sort(reverse=True)
-        assert len(grow) >= len(big), "missing seed orbits"
+        _check(len(grow) >= len(big), "missing seed orbits")
         for orb, part in zip(grow, big):
             targets.append((orb, part))
     return targets
@@ -792,6 +707,6 @@ def cover_with_ncycles(
         c = (inv * c) * sigma
         d = (inv * d) * sigma
 
-    assert c * d == g, "lifted factorization must reproduce g"
-    assert an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match"
+    _check(c * d == g, "lifted factorization must reproduce g")
+    _check(an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match")
     return c, d

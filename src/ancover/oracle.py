@@ -10,7 +10,6 @@ n = 9 stays cheap on memory.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from ancover.combinatorics import LimitExceeded, Partition
@@ -57,21 +56,11 @@ def permutations_of_type(mu: Partition) -> Iterator[Permutation]:
     yield from rec(frozenset(range(1, n + 1)), mu.parts, [])
 
 
-@dataclass
-class ClassEnumeration:
-    label: ClassLabel
-    elements: Iterator[Permutation]
-
-
 def iter_class(label: ClassLabel, *, limit: int = ORACLE_LIMIT) -> Iterator[Permutation]:
     _check_limit(label.n, limit)
     for g in permutations_of_type(label.cycle_type):
         if label.sign is None or an_class_of(g) == label:
             yield g
-
-
-def enumerate_class(label: ClassLabel, *, limit: int = ORACLE_LIMIT) -> ClassEnumeration:
-    return ClassEnumeration(label, iter_class(label, limit=limit))
 
 
 def brute_frobenius(

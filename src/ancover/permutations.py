@@ -255,18 +255,21 @@ def parse_class_label(text: str) -> ClassLabel:
     return ClassLabel(p, sign if sign else None)
 
 
-def an_class_labels(n: int) -> list[ClassLabel]:
-    """All A_n class labels, in a fixed deterministic order."""
-    labels: list[ClassLabel] = []
+def iter_an_class_labels(n: int) -> Iterator[ClassLabel]:
+    """All A_n class labels, in a fixed deterministic order, one at a time."""
     for p in enumerate_partitions(n):
         if not p.is_even_type():
             continue
         if splits_in_an(p):
-            labels.append(ClassLabel(p, "+"))
-            labels.append(ClassLabel(p, "-"))
+            yield ClassLabel(p, "+")
+            yield ClassLabel(p, "-")
         else:
-            labels.append(ClassLabel(p))
-    return labels
+            yield ClassLabel(p)
+
+
+def an_class_labels(n: int) -> list[ClassLabel]:
+    """All A_n class labels, in a fixed deterministic order."""
+    return list(iter_an_class_labels(n))
 
 
 def class_representative(label: ClassLabel) -> Permutation:

@@ -1,0 +1,289 @@
+"""Batch verification suites behind ``ancover verify``.
+
+Each ``suite_*`` returns (name, passed, detail) items, and
+:func:`split_coverage_report` returns report lines and whether brute
+force agrees; the acceptance tests call these directly.  The gleason,
+prop24, split-coverage and exhaustive oracle-equiv loops ask the
+class-product kernel (:func:`~ancover.classalgebra.product_counts` or
+:func:`~ancover.classalgebra.covers`) once per class pair and read every
+target class from that answer; the brute-force oracle checks the answers
+where it reaches (n <= 9).
+"""
+
+from __future__ import annotations
+
+import random
+
+from ancover.bounds import (
+    e_profile,
+    hook_bound,
+    prop24_certificate,
+    prop24_monotone_decreasing,
+)
+from ancover.characters import CharacterTable, an_character_table, hook_size, mn_value
+from ancover.classalgebra import covering_number, covers, frobenius_count, product_counts
+from ancover.combinatorics import Partition, enumerate_partitions
+from ancover.constructor import construct_witnesses
+from ancover.oracle import ORACLE_LIMIT, brute_contains, brute_frobenius
+from ancover.permutations import ClassLabel, Permutation, class_representative
+
+
+def ncycle_pairs(n: int) -> list[tuple[ClassLabel, ClassLabel]]:
+    plus = ClassLabel(Partition((n,)), "+")
+    minus = ClassLabel(Partition((n,)), "-")
+    return [(plus, plus), (plus, minus), (minus, minus)]
+
+
+def suite_gleason(ns=(7, 9, 11, 13), **_) -> list[tuple[str, bool, str]]:
+    """Products of two n-cycle classes hit every nontrivial class."""
+    items = []
+    for n in sorted(ns):
+        if n % 2 == 0 or n < 7:
+            items.append((f"gleason n={n}", False, "needs odd n >= 7"))
+            continue
+        table = an_character_table(n)
+        misses = [
+            (C, D, E)
+            for C, D in ncycle_pairs(n)
+            for E in covers(C, D, table=table).uncovered
+        ]
+        ok = not misses
+        detail = "all nontrivial classes hit" if ok else f"missed: {misses[:3]}"
+        items.append((f"gleason n={n}", ok, detail))
+    return items
+
+
+def suite_ancn(ns=(5, 7, 9, 11, 13), **_) -> list[tuple[str, bool, str]]:
+    """Covering numbers of n-cycle classes: 2 iff n = 1 mod 4 and n >= 7."""
+    items = []
+    for n in sorted(ns):
+        expected = 2 if (n % 4 == 1 and n >= 7) else 3
+        table = an_character_table(n)
+        values = {
+            covering_number(ClassLabel(Partition((n,)), s), table=table) for s in "+-"
+        }
+        ok = values == {expected}
+        items.append((f"ancn n={n}", ok, f"cn = {sorted(values)}, expected {expected}"))
+    return items
+
+
+def _few_fix_classes(table: CharacterTable) -> list[ClassLabel]:
+    identity = ClassLabel(Partition([1] * table.n))
+    return [
+        E
+        for E in table.classes
+        if E != identity and E.cycle_type.ones() <= 1
+    ]
+
+
+def suite_prop24(ns=(5, 7, 9, 11), **_) -> list[tuple[str, bool, str]]:
+    """Classes with at most one fixed point are covered by the n-cycle
+    type, except exactly the 2,2,1 class of A_5; brute force confirms the
+    n = 5 and n = 7 findings."""
+    items = []
+    exception = Partition((2, 2, 1))
+    for n in sorted(ns):
+        table = an_character_table(n)
+        pairs = ncycle_pairs(n)
+        counts = [product_counts(C, D, table=table) for C, D in pairs]
+        targets = _few_fix_classes(table)
+        bad = []
+        for E in targets:
+            covered = all(c[E] > 0 for c in counts)
+            expect = not (n == 5 and E.cycle_type == exception)
+            if covered != expect:
+                bad.append((E, covered))
+        ok = not bad
+        items.append(
+            (f"prop24 n={n}", ok, "matches the known exception set" if ok else f"{bad}")
+        )
+        if n in (5, 7):
+            confirmed = all(
+                (c[E] > 0) == brute_contains(C, D, class_representative(E))
+                for (C, D), c in zip(pairs, counts)
+                for E in targets
+            )
+            items.append(
+                (f"prop24 oracle n={n}", confirmed, "brute force agrees")
+            )
+    return items
+
+
+def random_construction_instance(rng: random.Random) -> tuple[Partition, Partition]:
+    """Seeded (lam, mu): lam distinct odd parts, k <= 4, n <= 60,
+    mu an even type with at least 8k+9 fixed points."""
+    while True:
+        k = rng.randint(1, 4)
+        odds = list(range(3, 31, 2))
+        parts = sorted(rng.sample(odds, k), reverse=True)
+        n = sum(parts)
+        if not (8 * k + 13 <= n <= 60):
+            continue
+        lam = Partition(parts)
+        budget = n - (8 * k + 9)
+        support = rng.randint(4, min(budget, 24))
+        mu_parts: list[int] = []
+        remaining = support
+        while remaining >= 2:
+            p = rng.randint(2, min(9, remaining))
+            if remaining - p == 1:
+                continue
+            mu_parts.append(p)
+            remaining -= p
+        mu_parts += [1] * (n - sum(mu_parts))
+        mu = Partition(sorted(mu_parts, reverse=True))
+        if not mu.is_even_type() or mu.ones() == n:
+            continue
+        if mu.ones() < 8 * k + 9:
+            continue
+        return lam, mu
+
+
+def suite_construction(trials=200, seed=42, **_) -> list[tuple[str, bool, str]]:
+    """Seeded random witness constructions, every invariant verified."""
+    rng = random.Random(seed)
+    failures = 0
+    done = 0
+    first_err = ""
+    for i in range(trials):
+        lam, mu = random_construction_instance(rng)
+        try:
+            pair = construct_witnesses(lam, mu, seed=seed + i)
+            pair.verify()
+        except Exception as exc:  # any failure is a suite failure
+            failures += 1
+            if not first_err:
+                first_err = f"lam={lam.text()} mu={mu.text()}: {exc}"
+        done += 1
+    ok = failures == 0
+    detail = f"{done - failures}/{done} verified" + (f"; first: {first_err}" if first_err else "")
+    return [(f"construction trials={trials} seed={seed}", ok, detail)]
+
+
+def suite_oracle_equiv(seed=42, trials=500, **_) -> list[tuple[str, bool, str]]:
+    """Class-product counts vs brute force: every triple for n = 5..7,
+    seeded random triples for n = 8, 9."""
+    items = []
+    for n in (5, 6, 7):
+        table = an_character_table(n)
+        labels = table.classes
+        bad = 0
+        for C in labels:
+            for D in labels:
+                counts = product_counts(C, D, table=table)
+                for E in labels:
+                    if counts[E] != brute_frobenius(C, D, class_representative(E)):
+                        bad += 1
+        items.append(
+            (f"oracle-equiv n={n} exhaustive", bad == 0, f"{len(labels) ** 3} triples")
+        )
+    rng = random.Random(seed)
+    for n in (8, 9):
+        table = an_character_table(n)
+        labels = table.classes
+        bad = 0
+        for _ in range(trials):
+            C, D, E = (rng.choice(labels) for _ in range(3))
+            f = frobenius_count(C, D, E, table=table)
+            b = brute_frobenius(C, D, class_representative(E))
+            if f != b:
+                bad += 1
+        items.append(
+            (f"oracle-equiv n={n} sampled", bad == 0, f"{trials} random triples")
+        )
+    return items
+
+
+def suite_bounds(seed=42, trials=10**4, **_) -> list[tuple[str, bool, str]]:
+    """Certificates: the almost-derangement clauses on odd [13, 201],
+    hook-bound dominance for n <= 13, and the short-orbit inequality on
+    random permutations."""
+    items = []
+    ok = True
+    for n in range(13, 202, 2):
+        if not prop24_certificate(n).all_ok():
+            ok = False
+    items.append(("prop24 odd n in [13,201]", ok, "all clauses exact"))
+    items.append(
+        (
+            "prop24 weakly decreasing",
+            prop24_monotone_decreasing(13, 201),
+            "clause values compared exactly",
+        )
+    )
+
+    dom_ok = True
+    for n in range(2, 14):
+        hooks = [Partition((n - j,) + (1,) * j) for j in range(n)]
+        for mu in enumerate_partitions(n):
+            if mu.ones() > 1:
+                continue
+            for lam in hooks:
+                k = hook_size(lam)
+                if abs(mn_value(lam, mu)) > hook_bound(n, k):
+                    dom_ok = False
+    items.append(("hook bound dominance n<=13", dom_ok, "exhaustive table scan"))
+
+    rng = random.Random(seed)
+    profile_ok = True
+    hyp_hits = 0
+    for _ in range(trials):
+        n = rng.randint(10, 200)
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        prof = e_profile(Permutation(images))
+        for M in (3, 5, 10):
+            if prof.satisfies_short_orbit_hypothesis(M):
+                hyp_hits += 1
+                if not prof.check_short_orbit_bound(M):
+                    profile_ok = False
+    items.append(
+        (
+            f"orbit-profile bound trials={trials}",
+            profile_ok,
+            f"{hyp_hits} (permutation, M) hypothesis hits",
+        )
+    )
+    return items
+
+
+# The suites that return (name, passed, detail) items, in CLI order.
+SUITES = {
+    "gleason": suite_gleason,
+    "ancn": suite_ancn,
+    "prop24": suite_prop24,
+    "construction": suite_construction,
+    "oracle-equiv": suite_oracle_equiv,
+    "bounds": suite_bounds,
+}
+
+
+def split_coverage_report(ns=tuple(range(8, 17)), **_) -> tuple[list[str], bool]:
+    """For each n, the split-class pairs whose product misses a
+    nontrivial class (report only); brute force must agree at n <= 9."""
+    lines: list[str] = []
+    agree = True
+    for n in sorted(ns):
+        table = an_character_table(n)
+        nontrivial = [E for E in table.classes if E.cycle_type.ones() != n]
+        split_types = sorted(
+            {c.cycle_type.parts for c in table.classes if c.is_split()}, reverse=True
+        )
+        for t in split_types:
+            p = Partition(t)
+            labels = [ClassLabel(p, "+"), ClassLabel(p, "-")]
+            for i, C in enumerate(labels):
+                for D in labels[i:]:
+                    report = covers(C, D, table=table)
+                    if report.covered:
+                        lines.append(f"n={n} {C} * {D}: covers all nontrivial classes")
+                    else:
+                        missing = ",".join(str(e) for e in report.uncovered)
+                        lines.append(f"n={n} {C} * {D}: misses {missing}")
+                    if n <= ORACLE_LIMIT:
+                        for E in nontrivial:
+                            if brute_contains(C, D, class_representative(E)) != (
+                                E not in report.uncovered
+                            ):
+                                agree = False
+    return lines, agree

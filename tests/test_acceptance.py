@@ -11,7 +11,7 @@ from fractions import Fraction
 from ancover.bounds import abs_value_le_surd, min_split_degree_report
 from ancover.characters import an_character_table
 from ancover.classalgebra import covering_number, covers, frobenius_count
-from ancover.cli import (
+from ancover.suites import (
     split_coverage_report,
     suite_bounds,
     suite_construction,
@@ -123,7 +123,7 @@ def test_criterion_5_constructor_end_to_end():
 
 
 def test_criterion_6_oracle_equivalence():
-    items = suite_oracle_equiv(seed=42, samples=500)
+    items = suite_oracle_equiv(seed=42, trials=500)
     _report("criterion 6", items)
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -273,6 +274,16 @@ def test_load_rejects_malformed_files(edit):
     edit(data)
     with pytest.raises(ValueError):
         CharacterTable.from_json_dict(data)
+
+
+def test_load_rejects_large_declared_degree_quickly():
+    # The class labels are compared one at a time, so a file declaring a
+    # large n is rejected without enumerating the classes of A_n.
+    data = {"schema": 1, "kind": "an-character-table", "n": 45, "classes": []}
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="class labels"):
+        CharacterTable.from_json_dict(data)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_load_rejects_wrong_radicands():

@@ -78,6 +78,31 @@ def test_verify_gleason(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_prop24_output(capsys):
+    code, out, _ = run(capsys, "verify", "prop24", "--n", "5,7")
+    assert code == 0
+    assert out == (
+        "PASS prop24 n=5: matches the known exception set\n"
+        "PASS prop24 oracle n=5: brute force agrees\n"
+        "PASS prop24 n=7: matches the known exception set\n"
+        "PASS prop24 oracle n=7: brute force agrees\n"
+    )
+
+
+def test_verify_split_coverage_report_output(capsys):
+    code, out, _ = run(capsys, "verify", "split-coverage-report", "--n", "8")
+    assert code == 0
+    assert out == (
+        "n=8 7,1:+ * 7,1:+: covers all nontrivial classes\n"
+        "n=8 7,1:+ * 7,1:-: covers all nontrivial classes\n"
+        "n=8 7,1:- * 7,1:-: covers all nontrivial classes\n"
+        "n=8 5,3:+ * 5,3:+: covers all nontrivial classes\n"
+        "n=8 5,3:+ * 5,3:-: misses 2,2,2,2\n"
+        "n=8 5,3:- * 5,3:-: covers all nontrivial classes\n"
+        "oracle agreement: pass\n"
+    )
+
+
 def test_verify_malformed_n_exits_2(capsys):
     code, out, err = run(capsys, "verify", "gleason", "--n", "7-")
     assert code == 2 and out == ""

@@ -1,4 +1,9 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +19,9 @@ from ancover.constructor import (
     cover_with_ncycles,
     find_opposite_valid_sequences,
     greedy_pack,
-    load_sequence_cache,
     orbit_of,
     packing_cycle,
     rebuild,
-    save_sequence_cache,
 )
 from ancover.permutations import (
     ClassLabel,
@@ -118,13 +121,29 @@ def test_unsupported_shape_rejected():
         find_opposite_valid_sequences(6, Partition((6,)))
 
 
-def test_sequence_cache_round_trip(tmp_path):
-    find_opposite_valid_sequences(9, Partition((3, 3, 3)))
-    path = tmp_path / "seq.json"
-    save_sequence_cache(str(path))
-    load_sequence_cache(str(path))
-    s, sbar = find_opposite_valid_sequences(9, Partition((3, 3, 3)))
-    assert s.terms[0] == 9 and sbar is not None
+@pytest.mark.parametrize(
+    "length,shape", [(5, (5,)), (7, (3, 1, 1, 1, 1)), (9, (3, 3, 3))]
+)
+def test_odd_sequence_pairs_rederived_by_search(length, shape):
+    # Exhaustive search: the first valid sequence of the shape, then the
+    # first later one that an odd resequencing map intertwines with it.
+    host = cyc(length, tuple(range(1, length + 1)))
+    first = found = None
+    for tail in itertools.permutations(range(1, length)):
+        word = (length,) + tail
+        if cycle_type(host * cyc(length, word)).parts != shape:
+            continue
+        if first is None:
+            first = word
+            continue
+        images = [0] * length
+        for a, b in zip(first, word):
+            images[a - 1] = b
+        if Permutation(images).parity() == 1:
+            found = word
+            break
+    s, sbar = find_opposite_valid_sequences(length, Partition(shape))
+    assert (s.terms, sbar.terms) == (first, found)
 
 
 def test_valid_sequence_validation():
@@ -283,6 +302,31 @@ def test_witness_json_record():
     assert data["lambda"] == "25,11,7"
     assert parse_permutation(data["gamma"], n=43) == pair.gamma
     assert len(data["rebuild_log"]) == 2
+
+
+def test_bogus_witness_fails_verification_under_optimize():
+    # Identity permutations pass no invariant; the check must not vanish
+    # under python -O the way an assert would.
+    code = (
+        "from ancover.combinatorics import Partition\n"
+        "from ancover.constructor import VerificationFailed, WitnessPair\n"
+        "from ancover.permutations import ClassLabel, Permutation\n"
+        "e = Permutation.identity(9)\n"
+        "label = ClassLabel(Partition([1] * 9))\n"
+        "pair = WitnessPair(Partition((5, 3, 1)), Partition((3, 3, 1, 1, 1)),\n"
+        "                   e, e, e, label, label, (), (), ())\n"
+        "try:\n"
+        "    pair.verify()\n"
+        "except VerificationFailed:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('verify() passed a bogus witness pair')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # -- n-cycle coverage ---------------------------------------------------------

@@ -5,7 +5,6 @@ from ancover.oracle import (
     brute_an_conjugate,
     brute_frobenius,
     brute_product_labels,
-    enumerate_class,
     iter_class,
     permutations_of_type,
 )
@@ -30,8 +29,7 @@ def test_permutations_of_type_counts():
 def test_enumerate_class_counts():
     for n in (5, 6, 7, 8):
         for label in an_class_labels(n):
-            stream = enumerate_class(label)
-            count = sum(1 for _ in stream.elements)
+            count = sum(1 for _ in iter_class(label))
             assert count == an_class_size(label)
 
 
