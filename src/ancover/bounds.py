@@ -124,11 +124,12 @@ class EProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.counts) == self.n
-        assert self.counts[-1] == self.n, "every point has an orbit"
-        assert all(a <= b for a, b in zip(self.counts, self.counts[1:])), (
-            "counts must be nondecreasing (each e_i is nonnegative)"
-        )
+        if len(self.counts) != self.n:
+            raise ValueError(f"need {self.n} cumulative counts, got {len(self.counts)}")
+        if self.counts[-1] != self.n:
+            raise ValueError("every point has an orbit")
+        if any(a > b for a, b in zip(self.counts, self.counts[1:])):
+            raise ValueError("counts must be nondecreasing (each e_i is nonnegative)")
 
     def e_float(self) -> list[float]:
         """Floating-point rendering of e_1..e_n, for display only."""

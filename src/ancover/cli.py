@@ -87,7 +87,9 @@ def cmd_verify(args) -> int:
         payload = {"schema": 1, "suite": args.suite, "lines": lines, "oracle_agrees": agree}
         _emit(payload, lines + [f"oracle agreement: {'pass' if agree else 'FAIL'}"], args.json)
         return 0 if agree else 1
-    kwargs = {"seed": args.seed, "trials": args.trials}
+    kwargs = {"seed": args.seed}
+    if args.trials is not None:
+        kwargs["trials"] = args.trials
     if ns:
         kwargs["ns"] = ns
     items = SUITES[args.suite](**kwargs)
@@ -203,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=[*SUITES, "split-coverage-report"])
     p.add_argument("--n", help="list like 7,9,11 or range like 8-16")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument(
+        "--trials",
+        type=int,
+        help="random trials; default: each suite's own (construction 200, "
+        "oracle-equiv 500, bounds 10000)",
+    )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--table", metavar="CSV", help="bounds suite: write clause values")
     p.add_argument("--json", action="store_true")

@@ -84,13 +84,18 @@ class Partition:
         if s in ("", "-"):
             return cls(())
         parts: list[int] = []
+        total = 0
         for tok in s.split(","):
-            tok = tok.strip()
-            if "x" in tok:
-                size, _, count = tok.partition("x")
-                parts.extend([int(size)] * int(count))
-            else:
-                parts.append(int(tok))
+            size, x, count = tok.strip().partition("x")
+            size, count = int(size), int(count) if x else 1
+            if count < 0:
+                raise ValueError(f"negative repeat count in {tok.strip()!r}")
+            # Bound the size before building the parts, so a huge count
+            # fails fast; a nonpositive part (rejected below) counts as 1.
+            total += max(size, 1) * count
+            if total > MAX_PART_SUM:
+                raise ValueError(f"partition size exceeds limit {MAX_PART_SUM}")
+            parts.extend([size] * count)
         return cls(sorted(parts, reverse=True))
 
     def __str__(self) -> str:
@@ -295,9 +300,8 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
         pieces.append(TypedSubpartition(SubpartitionKind.SINGLE_FIXED_POINT, Partition((1,))))
 
     pieces.sort(key=lambda s: (int(s.kind), tuple(-p for p in s.parts.parts)))
-    assert sorted(itertools.chain(*(s.parts.parts for s in pieces)), reverse=True) == list(
-        mu.parts
-    )
+    if sorted(itertools.chain(*(s.parts.parts for s in pieces)), reverse=True) != list(mu.parts):
+        raise AssertionError(f"pieces do not reassemble {mu.text()}: {pieces}")
     return pieces
 
 

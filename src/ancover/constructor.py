@@ -336,10 +336,6 @@ class WitnessPair:
         }
 
 
-def _demand_length(piece: TypedSubpartition) -> int:
-    return SUBINTERVAL_LENGTH[piece.kind]
-
-
 def _grow_targets(
     pieces: Sequence[TypedSubpartition],
     plans: Sequence[PackingPlan],
@@ -441,11 +437,11 @@ def construct_witnesses(
     if not pivotable:
         return _construct_two_twos_case(lam, mu, gamma, offsets, embeddings, seed)
 
-    demands = [_demand_length(p) for p in nontrivial]
+    demands = [SUBINTERVAL_LENGTH[p.kind] for p in nontrivial]
     plans = greedy_pack(lam.parts, demands)
 
     seqs: list[tuple[ValidSequence, ValidSequence | None]] = [
-        find_opposite_valid_sequences(_demand_length(p), phi(p)) for p in nontrivial
+        find_opposite_valid_sequences(SUBINTERVAL_LENGTH[p.kind], phi(p)) for p in nontrivial
     ]
     pivot = next(i for i, p in enumerate(nontrivial) if p.kind != SubpartitionKind.TWO_TWOS)
 
@@ -522,6 +518,7 @@ def _construct_two_twos_case(
             f"type {mu.text()} needs the long-cycle fallback, unavailable at n = {n}"
         )
     gamma1 = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
+    m_cycle = Partition((m,))
     rng = random.Random(seed)
     found: dict[str | None, Permutation] = {}
     want_both = splits_in_an(lam)
@@ -534,7 +531,7 @@ def _construct_two_twos_case(
         pts = rng.sample(range(1, m + 1), 4)
         h = Permutation.from_cycles(m, [(pts[0], pts[1]), (pts[2], pts[3])])
         d1 = gamma1.inverse() * h
-        if tuple(sorted((len(c) for c in d1.cycles(include_fixed=True)), reverse=True)) != (m,):
+        if cycle_type(d1) != m_cycle:
             continue
         word1 = d1.cycles()[0]
         # other hosts contribute inverse cycles so the product fixes them
@@ -691,7 +688,8 @@ def cover_with_ncycles(
         w = random_even_permutation(m, rng)
         cand = (w * rep) * w.inverse()
         d_cand = cand.inverse() * h_small
-        if len(d_cand.cycles()) == 1 and len(d_cand.cycles()[0]) == m:
+        d_cycles = d_cand.cycles()
+        if len(d_cycles) == 1 and len(d_cycles[0]) == m:
             if an_class_of(d_cand) == base_d:
                 c_small, d_small = cand, d_cand
                 break

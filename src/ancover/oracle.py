@@ -63,6 +63,11 @@ def iter_class(label: ClassLabel, *, limit: int = ORACLE_LIMIT) -> Iterator[Perm
             yield g
 
 
+def _in_class(h: Permutation, label: ClassLabel) -> bool:
+    """Whether h lies in the A_n class named by label."""
+    return cycle_type(h) == label.cycle_type and (label.sign is None or an_class_of(h) == label)
+
+
 def brute_frobenius(
     C: ClassLabel, D: ClassLabel, g: Permutation, *, limit: int = ORACLE_LIMIT
 ) -> int:
@@ -75,35 +80,17 @@ def brute_frobenius(
     if D.n != n or g.n != n:
         raise ValueError("degree mismatch")
     _check_limit(n, limit)
-    count = 0
     if an_class_size(C) <= an_class_size(D):
-        target = D
-        for c in iter_class(C, limit=limit):
-            h = c.inverse() * g
-            if cycle_type(h) == target.cycle_type and (
-                target.sign is None or an_class_of(h) == target
-            ):
-                count += 1
+        source, target, cofactor = C, D, lambda c: c.inverse() * g
     else:
-        target = C
-        for d in iter_class(D, limit=limit):
-            h = g * d.inverse()
-            if cycle_type(h) == target.cycle_type and (
-                target.sign is None or an_class_of(h) == target
-            ):
-                count += 1
-    return count
+        source, target, cofactor = D, C, lambda d: g * d.inverse()
+    return sum(1 for x in iter_class(source, limit=limit) if _in_class(cofactor(x), target))
 
 
 def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation, *, limit: int = ORACLE_LIMIT) -> bool:
     """Whether g is in the product set CD (early-exit scan)."""
-    n = C.n
-    _check_limit(n, limit)
-    for c in iter_class(C, limit=limit):
-        h = c.inverse() * g
-        if cycle_type(h) == D.cycle_type and (D.sign is None or an_class_of(h) == D):
-            return True
-    return False
+    _check_limit(C.n, limit)
+    return any(_in_class(c.inverse() * g, D) for c in iter_class(C, limit=limit))
 
 
 def brute_product_labels(

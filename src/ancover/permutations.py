@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ancover.combinatorics import (
     Partition,
@@ -97,41 +97,17 @@ class Permutation:
 
     def cycles(self, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, longest first."""
-        seen = [False] * self.n
-        out: list[tuple[int, ...]] = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = self(x)
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        out.sort(key=lambda c: (-len(c), c[0]))
+        out = [tuple(c) for c in _walk(self.images) if include_fixed or len(c) > 1]
+        out.sort(key=len, reverse=True)  # stable: ties stay ordered by minimum
         return out
 
     def cycle_type(self) -> Partition:
         return cycle_type(self)
 
     def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        seen = [False] * self.n
-        transpositions = 0
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            x = start
-            while not seen[x - 1]:
-                seen[x - 1] = True
-                length += 1
-                x = self(x)
-            transpositions += length - 1
-        return transpositions % 2
+        """0 for even, 1 for odd: a product of c cycles (fixed points
+        included) is a product of n - c transpositions."""
+        return (self.n - len(_walk(self.images))) % 2
 
     def is_even(self) -> bool:
         return self.parity() == 0
@@ -155,14 +131,6 @@ class Permutation:
         return self.format_cycles()
 
 
-def multiply(a: Permutation, b: Permutation) -> Permutation:
-    return a * b
-
-
-def inverse(g: Permutation) -> Permutation:
-    return g.inverse()
-
-
 def conjugate(g: Permutation, s: Permutation) -> Permutation:
     """s g s^-1."""
     if g.n != s.n:
@@ -170,17 +138,30 @@ def conjugate(g: Permutation, s: Permutation) -> Permutation:
     return s * g * s.inverse()
 
 
-def parity(g: Permutation) -> int:
-    return g.parity()
+def _walk(images: Sequence[int]) -> list[list[int]]:
+    """Every cycle of the permutation with these images, fixed points
+    included, each starting at its least point, in order of that point."""
+    seen = [False] * (len(images) + 1)
+    out: list[list[int]] = []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        cyc = [start]
+        x = images[start - 1]
+        while x != start:
+            seen[x] = True
+            cyc.append(x)
+            x = images[x - 1]
+        out.append(cyc)
+    return out
 
 
-def fix_count(g: Permutation) -> int:
-    return g.fix_count()
+def _type_of_walk(walk: list[list[int]]) -> Partition:
+    return Partition(sorted(map(len, walk), reverse=True))
 
 
 def cycle_type(g: Permutation) -> Partition:
-    lengths = sorted((len(c) for c in g.cycles(include_fixed=True)), reverse=True)
-    return Partition(lengths)
+    return _type_of_walk(_walk(g.images))
 
 
 def embed(g: Permutation, n: int) -> Permutation:
@@ -300,23 +281,19 @@ def an_class_of(g: Permutation) -> ClassLabel:
     For a split cycle type the sign is the parity of the canonical
     conjugator aligning g's cycles (longest first, each written from its
     minimum) with the consecutive-fill representative: even means "+".
-    The conjugator's parity does not depend on the rotation chosen for
-    each cycle because all cycle lengths are odd.
+    That conjugator is the inverse of the aligned word read as a list of
+    images, so both have the same parity.  The parity does not depend on
+    the rotation chosen for each cycle because all cycle lengths are odd.
     """
-    if not g.is_even():
+    walk = _walk(g.images)
+    if (g.n - len(walk)) % 2:
         raise OddPermutation(f"{g} is not in A_{g.n}")
-    t = cycle_type(g)
+    t = _type_of_walk(walk)
     if not splits_in_an(t):
         return ClassLabel(t)
-    word: list[int] = []
-    for cyc in g.cycles(include_fixed=True):
-        word.extend(cyc)
-    # s maps g's aligned word to 1..n, so s g s^-1 is the "+" representative.
-    images = [0] * g.n
-    for target, source in enumerate(word, start=1):
-        images[source - 1] = target
-    s = Permutation(images)
-    return ClassLabel(t, "+" if s.is_even() else "-")
+    walk.sort(key=len, reverse=True)
+    word = [x for cyc in walk for x in cyc]
+    return ClassLabel(t, "-" if (g.n - len(_walk(word))) % 2 else "+")
 
 
 def kappa(g: Permutation) -> int:
@@ -335,9 +312,10 @@ def is_real_in_an(g: Permutation) -> bool:
     even elements are always real because their A_n class is a full S_n
     class.
     """
-    if not g.is_even():
+    walk = _walk(g.images)
+    if (g.n - len(walk)) % 2:
         raise OddPermutation(f"{g} is not in A_{g.n}")
-    t = cycle_type(g)
+    t = _type_of_walk(walk)
     if not splits_in_an(t):
         return True
     return kappa_of_type(t) % 2 == 0
@@ -377,12 +355,8 @@ def random_even_permutation(n: int, rng) -> Permutation:
     return g
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
 def all_even_permutations(n: int) -> Iterator[Permutation]:
-    for g in all_permutations(n):
+    for images in itertools.permutations(range(1, n + 1)):
+        g = Permutation(images)
         if g.is_even():
             yield g

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,25 @@ def test_e_profile_extremes():
     prof = e_profile(Permutation.from_cycles(7, [tuple(range(1, 8))]))
     assert prof.counts[:6] == (0, 0, 0, 0, 0, 0)
     assert prof.E_fraction() == Fraction(1, 7)
+
+
+def test_e_profile_rejects_bad_counts_under_optimize():
+    # The counts checks must not vanish under python -O the way asserts do.
+    code = (
+        "from ancover.bounds import EProfile\n"
+        "for n, counts in [(3, (2, 1, 3)), (3, (1, 3)), (3, (0, 1, 2))]:\n"
+        "    try:\n"
+        "        EProfile(n, counts)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'EProfile accepted {counts}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_e_profile_defining_property():

@@ -150,3 +150,15 @@ def test_bounds_suite_with_csv(capsys, tmp_path):
     assert header == "n,hook_sum,cube_term,mixed_term"
     assert rows[0].startswith("13,")
     assert len(rows) == len(range(13, 202, 2))
+
+
+def test_bounds_suite_defaults_to_its_own_trials(capsys):
+    code, out, _ = run(capsys, "verify", "bounds")
+    assert code == 0
+    assert "orbit-profile bound trials=10000" in out
+
+
+def test_oversized_repeat_label_exits_2(capsys):
+    code, out, err = run(capsys, "cn", "5", "1x1000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

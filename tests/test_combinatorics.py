@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -44,6 +45,18 @@ def test_partition_text_round_trip():
     assert Partition.from_text("9,4,2,2,1x26").ones() == 26
     assert Partition((5, 3, 1)).text() == "5,3,1"
     assert Partition(()).text() == "-"
+
+
+def test_partition_text_rejects_oversized_repeat_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds limit"):
+        Partition.from_text("1x1000000000000")
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="exceeds limit"):
+        Partition.from_text("5,1x9996")
+    assert Partition.from_text("5,1x9995").n == 10**4
+    with pytest.raises(ValueError, match="negative repeat count"):
+        Partition.from_text("5,1x-3")
 
 
 def test_transpose_examples():

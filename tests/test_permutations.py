@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ancover.combinatorics import Partition
 from ancover.oracle import brute_an_conjugate, iter_class
@@ -223,3 +224,75 @@ def test_class_size_matches_enumeration():
     for n in (5, 6):
         for label in an_class_labels(n):
             assert sum(1 for _ in iter_class(label)) == an_class_size(label)
+
+
+# --- Properties of the cycle walk, each checked against a first-principles
+# --- computation rather than the code under test.
+
+
+def _inversion_parity(images) -> int:
+    n = len(images)
+    return sum(images[i] > images[j] for i in range(n) for j in range(i + 1, n)) % 2
+
+
+def _even_images(images: list[int]) -> list[int]:
+    """The images themselves, or with the first two swapped if odd."""
+    if _inversion_parity(images):
+        images[0], images[1] = images[1], images[0]
+    return images
+
+
+@st.composite
+def permutations(draw, max_n=40):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return Permutation(draw(st.permutations(range(1, n + 1))))
+
+
+@st.composite
+def split_type_permutations(draw, max_n=40):
+    """Random elements of a split type: distinct odd cycle lengths."""
+    lengths = draw(st.sets(st.sampled_from(range(1, max_n + 1, 2)), min_size=1))
+    while sum(lengths) > max_n:
+        lengths.remove(max(lengths))
+    n = sum(lengths)
+    points = draw(st.permutations(range(1, n + 1)))
+    cycles, start = [], 0
+    for length in lengths:
+        cycles.append(points[start : start + length])
+        start += length
+    return Permutation.from_cycles(n, cycles)
+
+
+@given(permutations())
+def test_parity_is_inversion_parity(g):
+    assert g.parity() == _inversion_parity(g.images)
+    assert g.is_even() == (_inversion_parity(g.images) == 0)
+
+
+@given(permutations())
+def test_cycles_partition_the_points(g):
+    cycles = g.cycles(include_fixed=True)
+    assert sorted(x for c in cycles for x in c) == list(range(1, g.n + 1))
+    for c in cycles:
+        assert c[0] == min(c)
+        assert [g(x) for x in c] == list(c[1:] + c[:1])
+    assert [(-len(c), c[0]) for c in cycles] == sorted((-len(c), c[0]) for c in cycles)
+    assert g.cycles() == [c for c in cycles if len(c) > 1]
+    assert cycle_type(g).parts == tuple(sorted(map(len, cycles), reverse=True))
+
+
+@given(st.one_of(permutations(), split_type_permutations()), st.data())
+def test_an_class_of_under_conjugation(g, data):
+    if g.n < 2:
+        return
+    g = Permutation(_even_images(list(g.images)))
+    s = data.draw(st.permutations(range(1, g.n + 1)))
+    # s g s^-1 sends s(x) to s(g(x)).
+    h = [0] * g.n
+    for x in range(1, g.n + 1):
+        h[s[x - 1] - 1] = s[g(x) - 1]
+    label, conj = an_class_of(g), an_class_of(Permutation(h))
+    if _inversion_parity(s) == 0 or label.sign is None:
+        assert conj == label
+    else:
+        assert conj.cycle_type == label.cycle_type and conj.sign != label.sign
