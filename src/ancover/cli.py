@@ -33,6 +33,8 @@ def _parse_ns(text: str) -> tuple[int, ...]:
         tok = tok.strip()
         if "-" in tok[1:]:
             lo, _, hi = tok.partition("-")
+            if int(lo) > int(hi):
+                raise ValueError(f"empty range {tok!r}: {lo} > {hi}")
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(tok))

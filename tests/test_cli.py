@@ -16,6 +16,9 @@ def test_parse_ns():
     assert _parse_ns("7,9,11") == (7, 9, 11)
     assert _parse_ns("8-11") == (8, 9, 10, 11)
     assert _parse_ns("5,8-10") == (5, 8, 9, 10)
+    assert _parse_ns("7-7") == (7,)
+    with pytest.raises(ValueError):
+        _parse_ns("5-3")
 
 
 def test_frob_command(capsys):
@@ -105,6 +108,14 @@ def test_verify_split_coverage_report_output(capsys):
 
 def test_verify_malformed_n_exits_2(capsys):
     code, out, err = run(capsys, "verify", "gleason", "--n", "7-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_reversed_n_range_exits_2(capsys):
+    # A reversed range is a usage error, not an empty list that would run
+    # the suite at its default degrees.
+    code, out, err = run(capsys, "verify", "gleason", "--n", "5-3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ancover.combinatorics import LimitExceeded, Partition
@@ -63,6 +65,15 @@ def test_brute_frobenius_a5_exception():
     assert brute_frobenius(parse_class_label("5:+"), parse_class_label("5:-"), g) > 0
 
 
+def test_brute_frobenius_on_a_non_real_class():
+    # 5,3:+ is not real in A_8 and is smaller than 3,2,2,1, so the first call
+    # enumerates D and the second C.  A cofactor that dropped an inverse
+    # would count pairs with 5,3:- instead: 60, not 140.
+    C, D = parse_class_label("3,2,2,1"), parse_class_label("5,3:+")
+    g = class_representative(D)
+    assert brute_frobenius(C, D, g) == brute_frobenius(D, C, g) == 140
+
+
 def test_brute_product_labels():
     C = parse_class_label("5:+")
     labels = brute_product_labels(C, C)
@@ -79,3 +90,73 @@ def test_brute_an_conjugate():
     assert not brute_an_conjugate(g, h)
     s = Permutation.from_cycles(5, [(1, 2, 3)])
     assert brute_an_conjugate(g, conjugate(g, s))
+
+
+def test_oracle_does_not_use_the_class_labelling(monkeypatch):
+    # Give split types the wrong sign in the labelling under test; the
+    # oracle must still enumerate and count the right classes.
+    import ancover.oracle
+    import ancover.permutations
+
+    real = ancover.permutations.an_class_of
+
+    def flipped(g):
+        label = real(g)
+        if label.sign is None:
+            return label
+        return ClassLabel(label.cycle_type, "-" if label.sign == "+" else "+")
+
+    monkeypatch.setattr(ancover.permutations, "an_class_of", flipped)
+    monkeypatch.setattr(ancover.oracle, "an_class_of", flipped, raising=False)
+    plus, minus = parse_class_label("5:+"), parse_class_label("5:-")
+    elems = list(iter_class(plus))
+    assert len(elems) == 12 and class_representative(plus) in elems
+    g = Permutation.from_cycles(5, [(1, 2), (3, 4)])
+    assert brute_frobenius(plus, plus, g) == 0
+    assert brute_frobenius(plus, minus, g) > 0
+
+
+def _orbit_classes(n):
+    """The A_n classes as sets of image tuples, by an orbit search from each
+    class representative under conjugation by the 3-cycles (1,2,k), which
+    generate A_n.  Uses no class labelling beyond the representatives."""
+    gens = [Permutation.from_cycles(n, [(1, 2, k)]).images for k in range(3, n + 1)]
+    classes = {}
+    for label in an_class_labels(n):
+        rep = class_representative(label).images
+        orbit, frontier = {rep}, [rep]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = [0] * n
+                for i in range(n):
+                    y[s[i] - 1] = s[x[i] - 1]  # s x s^-1
+                y = tuple(y)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        classes[label] = orbit
+    return classes
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_oracle_matches_definition_level_counts(n):
+    # n = 7 adds the first non-real classes (7:+ inverts to 7:-).
+    classes = _orbit_classes(n)
+    union = set().union(*classes.values())
+    assert len(union) == sum(len(c) for c in classes.values()) == math.factorial(n) // 2
+    for label, members in classes.items():
+        assert {h.images for h in iter_class(label)} == members
+    inverses = {c: tuple(sorted(range(1, n + 1), key=lambda i: c[i - 1])) for c in union}
+    triples = 0
+    for C, c_members in classes.items():
+        for D, d_members in classes.items():
+            for E in classes:
+                g = class_representative(E).images
+                # c d = g  <=>  d = c^-1 g
+                direct = sum(
+                    1 for c in c_members if tuple(inverses[c][y - 1] for y in g) in d_members
+                )
+                assert brute_frobenius(C, D, class_representative(E)) == direct, (C, D, E)
+                triples += 1
+    assert triples == {5: 125, 6: 343, 7: 729}[n]
