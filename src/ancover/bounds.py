@@ -371,7 +371,8 @@ def amgm_report(n: int, *, limit: int = 40) -> AmGmReport:
             all_bounded = False
         if m * (m + 1) // 2 > n or m * m >= 2 * n:
             counts_ok = False
-    assert best_p is not None
+    if best_p is None:  # (n,) is a distinct-part partition of every n >= 1
+        raise RuntimeError(f"no distinct-part partition of {n}")
     return AmGmReport(n, best, best_p, all_bounded, counts_ok)
 
 

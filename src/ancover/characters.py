@@ -1,12 +1,19 @@
 """Exact irreducible character values of S_n and A_n.
 
-Values of S_n characters come from the Murnaghan-Nakayama rule, run on
-first-column hook lengths (beta sets) with memoization.  A_n irreducibles
-are restrictions: one per transpose-pair of partitions, and a pair of
-constituents for each self-conjugate partition.  Each constituent pair is
-rational except on the two classes whose cycle type equals the diagonal
-hooks h_1 > ... > h_m of its partition, where the values are
-``(eps +- sqrt(eps * h_1 * ... * h_m)) / 2`` with
+Values of S_n characters come from the Murnaghan-Nakayama rule, a whole
+column at a time: the column of a cycle type mu holds chi_lam(mu) for
+every lam of n, keyed by the beta set of lam on an n-bead abacus (a
+bitmask).  It is the column of mu without its largest part r, with every
+r-rim hook added: a hook is one bead moved from b to an empty b + r,
+signed by the parity of the beads strictly between.  Types that share a
+suffix share its column; suffix columns live only while one build or one
+:func:`mn_values` call runs, and nothing is cached at module level.
+
+A_n irreducibles are restrictions: one per transpose-pair of partitions,
+and a pair of constituents for each self-conjugate partition.  Each
+constituent pair is rational except on the two classes whose cycle type
+equals the diagonal hooks h_1 > ... > h_m of its partition, where the
+values are ``(eps +- sqrt(eps * h_1 * ... * h_m)) / 2`` with
 ``eps = (-1)^((n - m) / 2)``.
 
 The sign bookkeeping is anchored to the class labeling of
@@ -31,9 +38,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from ancover.combinatorics import (
     LimitExceeded,
@@ -162,36 +169,70 @@ class AlgebraicValue:
 # Murnaghan-Nakayama rule
 
 
-@lru_cache(maxsize=None)
-def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """chi_lam evaluated on cycle type mu, parts of mu removed in order."""
-    if not mu:
-        return 1
-    r = mu[0]
-    rest = mu[1:]
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        c = b - r
-        if c < 0 or c in bset:
-            continue
-        leg = sum(1 for x in beta if c < x < b)
-        newbeta = sorted((bset - {b}) | {c}, reverse=True)
-        lam2 = tuple(
-            x - (k - 1 - i) for i, x in enumerate(newbeta) if x - (k - 1 - i) > 0
-        )
-        term = _mn(lam2, rest)
-        total += -term if leg % 2 else term
-    return total
+def _abacus(lam: tuple[int, ...], beads: int) -> int:
+    """The beta set of lam on an abacus of the given number of beads, as a
+    bitmask: part i sits at position lam_i + beads - 1 - i, and the zero
+    parts fill positions 0 .. beads - len(lam) - 1."""
+    mask = (1 << (beads - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + beads - 1 - i)
+    return mask
+
+
+def _add_rim_hooks(column: dict[int, int], r: int) -> dict[int, int]:
+    """The column of (r,) + rest from the column of rest, both keyed by
+    abacus bitmask with zero values left out.
+
+    Adding an r-rim hook to a diagram moves one bead b up to an empty
+    b + r; its sign is the parity of the beads strictly between.
+    """
+    out: dict[int, int] = {}
+    between = (1 << (r - 1)) - 1
+    for mask, value in column.items():
+        movable = mask & ~(mask >> r)
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            moved = mask ^ bit ^ (bit << r)
+            odd = ((mask >> bit.bit_length()) & between).bit_count() & 1
+            out[moved] = out.get(moved, 0) + (-value if odd else value)
+    return {mask: value for mask, value in out.items() if value}
+
+
+def _mn_columns(
+    n: int, types: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """(mu, {_abacus(lam, n): chi_lam(mu)}) for every cycle type mu of n in
+    types (parts in descending order), with the zero values left out.
+
+    Each mu has its largest part removed first, so its column extends the
+    column of its suffix mu[1:].  Types are visited in the order of their
+    reversed parts, which makes the types sharing a suffix consecutive:
+    every suffix column is computed once and kept only while a later type
+    still extends it.
+    """
+    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {_abacus((), n): 1})]
+    for mu in sorted(types, key=lambda t: t[::-1]):
+        rev = mu[::-1]
+        while stack[-1][0] != rev[: len(stack[-1][0])]:
+            stack.pop()
+        for k in range(len(stack[-1][0]), len(rev)):
+            stack.append((rev[: k + 1], _add_rim_hooks(stack[-1][1], rev[k])))
+        yield mu, stack[-1][1]
+
+
+def mn_values(lams: Sequence[Partition], mu: Partition) -> list[int]:
+    """Exact S_n character values chi_lam(mu) for each lam, from one column."""
+    for lam in lams:
+        if lam.n != mu.n:
+            raise ValueError(f"|lam| = {lam.n} but |mu| = {mu.n}")
+    ((_, column),) = _mn_columns(mu.n, [tuple(sorted(mu.parts, reverse=True))])
+    return [column.get(_abacus(lam.parts, mu.n), 0) for lam in lams]
 
 
 def mn_value(lam: Partition, mu: Partition) -> int:
     """Exact S_n character value chi_lam on the class of cycle type mu."""
-    if lam.n != mu.n:
-        raise ValueError(f"|lam| = {lam.n} but |mu| = {mu.n}")
-    return _mn(lam.parts, tuple(sorted(mu.parts, reverse=True)))
+    return mn_values([lam], mu)[0]
 
 
 def degree(lam: Partition) -> int:
@@ -413,21 +454,31 @@ class CharacterTable:
 
     def verify_split_pair_sums(self) -> None:
         """Each split pair must sum to the restricted parent character."""
-        for chi in self.irreducibles:
-            if chi.sign != "+":
-                continue
-            p = self._irr_index[chi]
-            m = self._irr_index[IrreducibleLabel(chi.partition, "-")]
-            dp, cp = self.surds.get(p, (1, {}))
-            dm, cm = self.surds.get(m, (1, {}))
-            for j, cls in enumerate(self.classes):
-                parent = 2 * mn_value(chi.partition, cls.cycle_type)
-                bp, bm = cp.get(j, 0), cm.get(j, 0)
-                surds_cancel = bp == -bm and (bp == 0 or dp == dm)
-                if self.rows[p][j] + self.rows[m][j] != parent or not surds_cancel:
-                    raise TableCheckFailed(
-                        f"split pair sum fails for {chi.partition.text()} at {cls}"
-                    )
+        pairs = [
+            (
+                self._irr_index[chi],
+                self._irr_index[IrreducibleLabel(chi.partition, "-")],
+                _abacus(chi.partition.parts, self.n),
+                chi,
+            )
+            for chi in self.irreducibles
+            if chi.sign == "+"
+        ]
+        by_type: dict[tuple[int, ...], list[int]] = {}
+        for j, cls in enumerate(self.classes):
+            by_type.setdefault(cls.cycle_type.parts, []).append(j)
+        for mu, column in _mn_columns(self.n, by_type):
+            for p, m, mask, chi in pairs:
+                parent = 2 * column.get(mask, 0)
+                dp, cp = self.surds.get(p, (1, {}))
+                dm, cm = self.surds.get(m, (1, {}))
+                for j in by_type[mu]:
+                    bp, bm = cp.get(j, 0), cm.get(j, 0)
+                    surds_cancel = bp == -bm and (bp == 0 or dp == dm)
+                    if self.rows[p][j] + self.rows[m][j] != parent or not surds_cancel:
+                        raise TableCheckFailed(
+                            f"split pair sum fails for {chi.partition.text()} at {self.classes[j]}"
+                        )
 
     def _quick_checks(self) -> None:
         if len(self.classes) != len(self.irreducibles):
@@ -576,26 +627,29 @@ def _hook_cells(
 
 
 def _integer_rows(
-    classes: list[ClassLabel], irreducibles: list[IrreducibleLabel]
+    n: int, classes: list[ClassLabel], irreducibles: list[IrreducibleLabel]
 ) -> tuple[list[list[int]], dict[int, tuple[int, dict[int, int]]]]:
-    """Rows and surds of the A_n table, straight from MN values."""
+    """Rows and surds of the A_n table, read from one MN column per even
+    cycle type."""
+    masks = [_abacus(chi.partition.parts, n) for chi in irreducibles]
+    # A split constituent is half its parent off the hook classes.
+    scales = [1 if chi.is_split() else 2 for chi in irreducibles]
     types = [c.cycle_type.parts for c in classes]
-    rows: list[list[int]] = []
+    columns = {
+        mu: [s * column.get(m, 0) for m, s in zip(masks, scales)]
+        for mu, column in _mn_columns(n, set(types))
+    }
+    rows = [list(row) for row in zip(*(columns[t] for t in types))]
     surds: dict[int, tuple[int, dict[int, int]]] = {}
     for i, chi in enumerate(irreducibles):
-        lam = chi.partition.parts
         if not chi.is_split():
-            rows.append([2 * _mn(lam, t) for t in types])
             continue
-        # A split constituent is half its parent off the hook classes.
-        row = [_mn(lam, t) for t in types]
         d, hook = _hook_cells(chi, classes)
         for j, (a2, _) in hook.items():
-            row[j] = a2
+            rows[i][j] = a2
         coefs = {j: b for j, (_, b) in hook.items() if b}
         if coefs:
             surds[i] = (d, coefs)
-        rows.append(row)
     return rows, surds
 
 
@@ -611,7 +665,7 @@ def an_character_table(n: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> Character
     classes = an_class_labels(n)
     sizes = [an_class_size(c) for c in classes]
     irreducibles = irreducible_labels(n)
-    rows, surds = _integer_rows(classes, irreducibles)
+    rows, surds = _integer_rows(n, classes, irreducibles)
     table = CharacterTable(n, classes, sizes, irreducibles, rows, surds)
     table._quick_checks()
     _TABLE_CACHE[n] = table

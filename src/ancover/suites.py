@@ -20,7 +20,7 @@ from ancover.bounds import (
     prop24_certificate,
     prop24_monotone_decreasing,
 )
-from ancover.characters import CharacterTable, an_character_table, hook_size, mn_value
+from ancover.characters import CharacterTable, an_character_table, hook_size, mn_values
 from ancover.classalgebra import covering_number, covers, frobenius_count, product_counts
 from ancover.combinatorics import Partition, enumerate_partitions
 from ancover.constructor import construct_witnesses
@@ -218,9 +218,8 @@ def suite_bounds(seed=42, trials=10**4, **_) -> list[tuple[str, bool, str]]:
         for mu in enumerate_partitions(n):
             if mu.ones() > 1:
                 continue
-            for lam in hooks:
-                k = hook_size(lam)
-                if abs(mn_value(lam, mu)) > hook_bound(n, k):
+            for lam, value in zip(hooks, mn_values(hooks, mu)):
+                if abs(value) > hook_bound(n, hook_size(lam)):
                     dom_ok = False
     items.append(("hook bound dominance n<=13", dom_ok, "exhaustive table scan"))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -21,12 +22,13 @@ from ancover.characters import (
     hook_size,
     irreducible_labels,
     mn_value,
+    mn_values,
     parse_irreducible_label,
 )
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
 from ancover.permutations import ClassLabel
 
-from oracles import sn_character_table_oracle
+from oracles import mn_cellwise, sn_character_table_oracle
 
 
 # -- AlgebraicValue -----------------------------------------------------------
@@ -73,6 +75,18 @@ def test_mn_matches_independent_oracle():
                 assert mn_value(lam, mu) == oracle[(lam.parts, mu.parts)]
 
 
+def test_mn_matches_cellwise_recursion():
+    # Every cell up to n = 14, odd cycle types included: one whole column
+    # per call against the per-cell beta-set recursion.
+    for n in range(1, 15):
+        parts = list(enumerate_partitions(n))
+        for mu in parts:
+            expected = [mn_cellwise(lam.parts, mu.parts) for lam in parts]
+            assert mn_values(parts, mu) == expected, mu
+            for lam, value in zip(parts, expected):
+                assert mn_value(lam, mu) == value, (lam, mu)
+
+
 def test_mn_frozen_values():
     assert mn_value(Partition((2, 2)), Partition((2, 1, 1))) == 0
     assert mn_value(Partition((5,)), Partition((3, 1, 1))) == 1
@@ -93,6 +107,8 @@ def test_mn_on_ncycle_hooks_only():
 def test_mn_size_mismatch():
     with pytest.raises(ValueError):
         mn_value(Partition((3,)), Partition((2,)))
+    with pytest.raises(ValueError):
+        mn_values([Partition((2,)), Partition((3,))], Partition((2,)))
 
 
 def test_mn_transpose_sign_twist():
@@ -170,6 +186,32 @@ def test_orthogonality_and_split_sums_small():
         t = an_character_table(n)
         t.verify_orthogonality()
         t.verify_split_pair_sums()
+
+
+@pytest.mark.parametrize("n", range(14, 19))
+def test_exact_checks_past_the_default_limit(n):
+    t = an_character_table(n, limit=n)
+    t.verify_orthogonality()
+    t.verify_split_pair_sums()
+
+
+# sha256 of json.dumps(an_character_table(n).to_json_dict(), sort_keys=True),
+# as built by the per-cell recursion before the column-wise rule replaced it.
+TABLE_DIGESTS = {
+    10: "eec523bb0ed61a869a88e95093cb9194c11af53e7b6621f19eae9de4dd4839c0",
+    11: "37acf215f45bb24c26bff803ea0752c101ef975e5cf5cc16eb15fcd91354c563",
+    12: "b4e84c546b718ffc08822470f8a03949f2a0ec3123c9be0b398b3ba3f0bb0a6c",
+    13: "f449a30c2c5cdeee93f7a89293141f40abc4047833dbcf6befe933f887f2569a",
+    14: "ec671fa09555b3fb9c407b8425b9099ee998f05431d6e703f53823f0fcb78d20",
+    15: "c7ed599d76b8c156d2679e33ccb6702913068d32d3e9bdaa00d9da2f97eb1231",
+    16: "ba681d7b153b4438b52d8b041caaacbe37c746cde2ed02c00f46b43f9f8fbefc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_table_digests_are_pinned(n):
+    text = json.dumps(an_character_table(n).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 def test_split_degree_halves():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ancover.characters import an_character_table
 from ancover.characters import CharacterTable
@@ -194,6 +195,37 @@ def test_power_counts_square_is_product_counts():
     assert power_counts(C, 1) == {E: int(E == C) for E in an_class_labels(5)}
     with pytest.raises(ValueError):
         power_counts(C, 0)
+
+
+@st.composite
+def class_pairs(draw):
+    """A table at random n in 5..16 and two of its classes."""
+    table = an_character_table(draw(st.integers(5, 16)))
+    C = draw(st.sampled_from(table.classes))
+    D = draw(st.sampled_from(table.classes))
+    return table, C, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_pairs(), st.data())
+def test_class_product_identities(pair, data):
+    table, C, D = pair
+    counts = product_counts(C, D, table=table)
+    sizes = an_class_size(C) * an_class_size(D)
+    assert sum(an_class_size(E) * c for E, c in counts.items()) == sizes
+    assert product_counts(D, C, table=table) == counts
+    # |E| N(C, D, E) = |C| N(E, D^-1, C): both sides count the triples
+    # (c, d, e) in C x D x E with c d = e.
+    E = data.draw(st.sampled_from(table.classes))
+    back = product_counts(E, inverse_label(D), table=table)
+    assert an_class_size(E) * counts[E] == an_class_size(C) * back[C]
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_pairs())
+def test_square_counts_are_self_products(pair):
+    table, C, _ = pair
+    assert power_counts(C, 2, table=table) == product_counts(C, C, table=table)
 
 
 def _closure_covering_number(C, classes, support_of):
