@@ -18,6 +18,7 @@ from ancover.combinatorics import (
     is_split_type,
     decompose_subpartitions,
     phi,
+    shrink_part,
     enumerate_partitions,
 )
 from ancover.permutations import (

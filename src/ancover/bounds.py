@@ -25,6 +25,8 @@ from ancover.combinatorics import (
 )
 from ancover.permutations import Permutation
 
+REPORT_LIMIT = 40  # largest n of the exhaustive reports
+
 
 class EvenOrSmallN(ValueError):
     """The certificate is defined for odd n >= 7 only."""
@@ -352,10 +354,10 @@ class AmGmReport:
         }
 
 
-def amgm_report(n: int, *, limit: int = 40) -> AmGmReport:
+def amgm_report(n: int) -> AmGmReport:
     """Exhaust distinct-part partitions of n; verify the mean bound."""
-    if n > limit:
-        raise LimitExceeded(f"n = {n} exceeds the exhaustive limit {limit}")
+    if n > REPORT_LIMIT:
+        raise LimitExceeded(f"n = {n} exceeds the exhaustive limit {REPORT_LIMIT}")
     if n < 1:
         raise ValueError("need n >= 1")
     best = 0
@@ -416,13 +418,13 @@ class SplitDegreeReport:
         }
 
 
-def min_split_degree_report(n: int, *, limit: int = 40) -> SplitDegreeReport:
+def min_split_degree_report(n: int) -> SplitDegreeReport:
     """Minimum degree of a split A_n irreducible, with the proof's
     comparison quantities and the arm-factorial divisibility check."""
     from ancover.characters import degree
 
-    if n > limit:
-        raise LimitExceeded(f"n = {n} exceeds the report limit {limit}")
+    if n > REPORT_LIMIT:
+        raise LimitExceeded(f"n = {n} exceeds the report limit {REPORT_LIMIT}")
     if n < 2:
         raise ValueError("need n >= 2")
     entries = []

@@ -34,6 +34,8 @@ from ancover.permutations import (
     splits_in_an,
 )
 
+MAX_COVERING_POWER = 20  # covering_number gives up past this power
+
 
 class IrrationalResidue(ArithmeticError):
     """Irrational parts of a Frobenius sum failed to cancel."""
@@ -243,14 +245,14 @@ def is_covered_by(lam: Partition, g: ClassLabel, *, table: CharacterTable | None
     )
 
 
-def covering_number(C: ClassLabel, *, table: CharacterTable | None = None, max_power: int = 20) -> int:
+def covering_number(C: ClassLabel, *, table: CharacterTable | None = None) -> int:
     """Least m with C^m equal to all of A_n: every N_m(g) > 0."""
     n = C.n
     if n < 5:
         raise ValueError("covering numbers are computed for simple A_n (n >= 5)")
     if C.cycle_type.parts == tuple([1] * n):
         raise ValueError("the identity class does not generate")
-    for m in range(1, max_power + 1):
+    for m in range(1, MAX_COVERING_POWER + 1):
         if all(power_counts(C, m, table=table).values()):
             return m
-    raise NotGenerating(f"no cover of A_{n} by {C} within {max_power} powers")
+    raise NotGenerating(f"no cover of A_{n} by {C} within {MAX_COVERING_POWER} powers")

@@ -15,7 +15,7 @@ import sys
 from ancover.bounds import prop24_certificate
 from ancover.characters import DEFAULT_TABLE_LIMIT, an_character_table
 from ancover.classalgebra import covering_number, covers, frobenius_count
-from ancover.combinatorics import Partition
+from ancover.combinatorics import MAX_PART_SUM, Partition
 from ancover.constructor import (
     NotCoverable,
     SearchBudgetExceeded,
@@ -27,17 +27,21 @@ from ancover.suites import SUITES, split_coverage_report
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
-    """Parse "7,9,11" or ranges like "13-21" (inclusive)."""
+    """Parse "7,9,11" or ranges like "13-21" (inclusive).
+
+    Every n is a partition size, so a value above MAX_PART_SUM raises
+    ValueError before any range is built.
+    """
     out: list[int] = []
     for tok in text.split(","):
         tok = tok.strip()
-        if "-" in tok[1:]:
-            lo, _, hi = tok.partition("-")
-            if int(lo) > int(hi):
-                raise ValueError(f"empty range {tok!r}: {lo} > {hi}")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(tok))
+        lo, _, hi = tok.partition("-") if "-" in tok[1:] else (tok, "", tok)
+        lo, hi = int(lo), int(hi)
+        if max(lo, hi) > MAX_PART_SUM:
+            raise ValueError(f"n = {max(lo, hi)} exceeds limit {MAX_PART_SUM}")
+        if lo > hi:
+            raise ValueError(f"empty range {tok!r}: {lo} > {hi}")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 

@@ -2,10 +2,15 @@
 
 A partition plays two roles here: as a cycle type it names conjugacy
 classes, and as a diagram it names irreducible characters.  This module
-also implements the eight-way decomposition of a target cycle type into
-"subpartitions" and the shrinking map ``phi`` used by the constructive
-witness pipeline: every part of size 6 or more is replaced by an element
-of {4, 5} of the same parity, to be grown back later two points at a time.
+also states the one shrink rule of the constructive witness pipeline,
+:func:`shrink_part`: every part of size 6 or more becomes the element of
+{4, 5} with its parity, to be grown back later two points at a time.  A
+target cycle type is broken into eight kinds of "subpartitions", and the
+table ``SHRUNKEN_SHAPE`` gives the shrunken shape of each kind.  The rest
+derives from the two: a piece is of a kind iff its parts shrink to that
+kind's shape, ``phi`` reads the table, a piece packs into a subinterval
+of length ``phi(piece).n``, and a part p grows back in
+``(p - shrink_part(p)) // 2`` steps.
 """
 
 from __future__ import annotations
@@ -156,6 +161,12 @@ def is_split_type(p: Partition) -> bool:
     return all(part % 2 == 1 for part in p.parts) and len(set(p.parts)) == len(p.parts)
 
 
+def shrink_part(p: int) -> int:
+    """The shrink rule: a part of 6 or more becomes the element of {4, 5}
+    with its parity, to be grown back later two points at a time."""
+    return 4 + p % 2 if p >= 6 else p
+
+
 class SubpartitionKind(IntEnum):
     """The eight shapes a target cycle type is broken into."""
 
@@ -169,46 +180,19 @@ class SubpartitionKind(IntEnum):
     EVEN_PAIR = 8  # m1 >= m2 even >= 4
 
 
-# Length of the subinterval a piece of each kind packs into.
-SUBINTERVAL_LENGTH = {
-    SubpartitionKind.THREE_WITH_FOUR_ONES: 7,
-    SubpartitionKind.THREE_THREES: 9,
-    SubpartitionKind.ODD_PART: 5,
-    SubpartitionKind.TWO_TWOS: 4,
-    SubpartitionKind.FOUR_TWOS: 8,
-    SubpartitionKind.TWO_WITH_EVEN: 6,
-    SubpartitionKind.EVEN_PAIR: 8,
+# The shrunken shape of each kind: a piece is of kind k iff shrink_part
+# maps its parts onto SHRUNKEN_SHAPE[k].  A lone fixed point shrinks away
+# to the empty shape, as it needs no subinterval.
+SHRUNKEN_SHAPE = {
+    SubpartitionKind.SINGLE_FIXED_POINT: (),
+    SubpartitionKind.THREE_WITH_FOUR_ONES: (3, 1, 1, 1, 1),
+    SubpartitionKind.THREE_THREES: (3, 3, 3),
+    SubpartitionKind.ODD_PART: (5,),
+    SubpartitionKind.TWO_TWOS: (2, 2),
+    SubpartitionKind.FOUR_TWOS: (2, 2, 2, 2),
+    SubpartitionKind.TWO_WITH_EVEN: (4, 2),
+    SubpartitionKind.EVEN_PAIR: (4, 4),
 }
-
-
-def _kind_template_ok(kind: SubpartitionKind, parts: tuple[int, ...]) -> bool:
-    if kind == SubpartitionKind.SINGLE_FIXED_POINT:
-        return parts == (1,)
-    if kind == SubpartitionKind.THREE_WITH_FOUR_ONES:
-        return parts == (3, 1, 1, 1, 1)
-    if kind == SubpartitionKind.THREE_THREES:
-        return parts == (3, 3, 3)
-    if kind == SubpartitionKind.ODD_PART:
-        return len(parts) == 1 and parts[0] >= 5 and parts[0] % 2 == 1
-    if kind == SubpartitionKind.TWO_TWOS:
-        return parts == (2, 2)
-    if kind == SubpartitionKind.FOUR_TWOS:
-        return parts == (2, 2, 2, 2)
-    if kind == SubpartitionKind.TWO_WITH_EVEN:
-        return (
-            len(parts) == 2
-            and parts[1] == 2
-            and parts[0] >= 4
-            and parts[0] % 2 == 0
-        )
-    if kind == SubpartitionKind.EVEN_PAIR:
-        return (
-            len(parts) == 2
-            and parts[0] >= parts[1] >= 4
-            and parts[0] % 2 == 0
-            and parts[1] % 2 == 0
-        )
-    return False
 
 
 @dataclass(frozen=True)
@@ -217,7 +201,8 @@ class TypedSubpartition:
     parts: Partition
 
     def __post_init__(self):
-        if not _kind_template_ok(self.kind, self.parts.parts):
+        shape = SHRUNKEN_SHAPE.get(self.kind)
+        if shape is None or tuple(map(shrink_part, self.parts.parts)) != (shape or (1,)):
             raise ValueError(
                 f"parts {self.parts.text()} do not match kind {int(self.kind)}"
             )
@@ -251,11 +236,15 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
     even_big = sorted((p for p in mu.parts if p >= 4 and p % 2 == 0), reverse=True)
 
     pieces: list[TypedSubpartition] = []
+
+    def add(kind: SubpartitionKind, *parts: int) -> None:
+        pieces.append(TypedSubpartition(kind, Partition(parts)))
+
     for m in odd_big:
-        pieces.append(TypedSubpartition(SubpartitionKind.ODD_PART, Partition((m,))))
+        add(SubpartitionKind.ODD_PART, m)
 
     for _ in range(threes // 3):
-        pieces.append(TypedSubpartition(SubpartitionKind.THREE_THREES, Partition((3, 3, 3))))
+        add(SubpartitionKind.THREE_THREES, 3, 3, 3)
     leftover_threes = threes % 3
     if 4 * leftover_threes > ones:
         raise Infeasible(
@@ -263,41 +252,29 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
             f"fixed points but only {ones} are available"
         )
     for _ in range(leftover_threes):
-        pieces.append(
-            TypedSubpartition(
-                SubpartitionKind.THREE_WITH_FOUR_ONES, Partition((3, 1, 1, 1, 1))
-            )
-        )
+        add(SubpartitionKind.THREE_WITH_FOUR_ONES, 3, 1, 1, 1, 1)
         ones -= 4
 
-    i = 0
-    while i + 1 < len(even_big):
-        pieces.append(
-            TypedSubpartition(
-                SubpartitionKind.EVEN_PAIR, Partition((even_big[i], even_big[i + 1]))
-            )
-        )
-        i += 2
-    if i < len(even_big):
+    for i in range(0, len(even_big) - 1, 2):
+        add(SubpartitionKind.EVEN_PAIR, even_big[i], even_big[i + 1])
+    if len(even_big) % 2:
         # Parity of the even-part count is even for an even cycle type, so
         # an unpaired leftover guarantees an available 2-part.
         if twos == 0:
             raise Infeasible("an unpaired even part needs a 2-part companion")
-        pieces.append(
-            TypedSubpartition(SubpartitionKind.TWO_WITH_EVEN, Partition((even_big[i], 2)))
-        )
+        add(SubpartitionKind.TWO_WITH_EVEN, even_big[-1], 2)
         twos -= 1
 
     for _ in range(twos // 4):
-        pieces.append(TypedSubpartition(SubpartitionKind.FOUR_TWOS, Partition((2, 2, 2, 2))))
+        add(SubpartitionKind.FOUR_TWOS, 2, 2, 2, 2)
     rem = twos % 4
     if rem == 2:
-        pieces.append(TypedSubpartition(SubpartitionKind.TWO_TWOS, Partition((2, 2))))
+        add(SubpartitionKind.TWO_TWOS, 2, 2)
     elif rem:
         raise Infeasible("odd number of leftover 2-parts")
 
     for _ in range(ones):
-        pieces.append(TypedSubpartition(SubpartitionKind.SINGLE_FIXED_POINT, Partition((1,))))
+        add(SubpartitionKind.SINGLE_FIXED_POINT, 1)
 
     pieces.sort(key=lambda s: (int(s.kind), tuple(-p for p in s.parts.parts)))
     if sorted(itertools.chain(*(s.parts.parts for s in pieces)), reverse=True) != list(mu.parts):
@@ -305,27 +282,9 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
     return pieces
 
 
-_PHI_FIXED = {
-    SubpartitionKind.THREE_WITH_FOUR_ONES,
-    SubpartitionKind.THREE_THREES,
-    SubpartitionKind.TWO_TWOS,
-    SubpartitionKind.FOUR_TWOS,
-}
-
-
 def phi(s: TypedSubpartition) -> Partition:
-    """Shrink a piece: parts >= 6 become the same-parity element of {4, 5}."""
-    if s.kind == SubpartitionKind.SINGLE_FIXED_POINT:
-        return Partition(())
-    if s.kind in _PHI_FIXED:
-        return s.parts
-    if s.kind == SubpartitionKind.ODD_PART:
-        return Partition((5,))
-    if s.kind == SubpartitionKind.TWO_WITH_EVEN:
-        return Partition((4, 2))
-    if s.kind == SubpartitionKind.EVEN_PAIR:
-        return Partition((4, 4))
-    raise ValueError(f"unknown kind {s.kind}")
+    """Shrink a piece: the shrunken shape of its kind."""
+    return Partition(SHRUNKEN_SHAPE[s.kind])
 
 
 def centralizer_order(p: Partition) -> int:
@@ -338,7 +297,7 @@ def centralizer_order(p: Partition) -> int:
     return z
 
 
-def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in descending lexicographic order."""
     if n < 0:
         return
@@ -355,7 +314,7 @@ def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Par
             yield from rec(remaining - p, p, prefix)
             prefix.pop()
 
-    for parts in rec(n, max_part if max_part is not None else n, []):
+    for parts in rec(n, n, []):
         yield Partition(parts)
 
 

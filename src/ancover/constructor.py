@@ -7,13 +7,14 @@ and delta_bar conjugate by an odd permutation.  When lam has distinct odd
 parts the two products therefore witness membership of the mu class in
 both C*C and C*D for the two A_n classes C, D of type lam.
 
-The pipeline: break mu into typed subpartitions, shrink each part of size
-6 or more to 4 or 5 (same parity), pack the shrunken pieces into the
-cycles of gamma as right-justified subintervals, realize each piece by a
-"valid sequence" whose product against the host cycle has the shrunken
-shape, then grow the shrunken orbits back two points at a time by
-conjugating delta with transpositions that consume pairs of fixed points
-from the free space.
+The pipeline: break mu into typed subpartitions, shrink them by the one
+rule :func:`~ancover.combinatorics.shrink_part` (a part of 6 or more
+becomes 4 or 5, same parity), pack each shrunken shape ``phi(piece)``
+into a cycle of gamma as a right-justified subinterval of its size,
+realize it by a "valid sequence" whose product against the host cycle
+has that shape, then grow each part p back in ``(p - shrink_part(p)) // 2``
+steps of two points, conjugating delta with transpositions that consume
+pairs of fixed points from the free space.
 
 Separately, :func:`cover_with_ncycles` factors a given even permutation
 into two n-cycles from requested classes, by stripping fixed points down
@@ -30,11 +31,10 @@ from typing import Sequence
 from ancover.combinatorics import (
     Infeasible,
     Partition,
-    SUBINTERVAL_LENGTH,
-    SubpartitionKind,
     TypedSubpartition,
     decompose_subpartitions,
     phi,
+    shrink_part,
 )
 from ancover.permutations import (
     ClassLabel,
@@ -188,18 +188,18 @@ class ValidSequence:
         return Permutation.from_cycles(n, [self.terms])
 
 
-# Tabulated sequences: each product against (1..len) has the shrunken
-# shape, and each pair is intertwined by an odd resequencing map.  The
-# odd-length pairs are the first such pair in lexicographic order; a test
-# re-derives them by exhaustive search.
-_SEQUENCES: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...] | None]] = {
-    (4, (2, 2)): ((4, 1, 2, 3), None),
-    (5, (5,)): ((5, 1, 2, 3, 4), (5, 2, 4, 1, 3)),
-    (6, (4, 2)): ((6, 1, 2, 4, 5, 3), (6, 1, 3, 4, 5, 2)),
-    (7, (3, 1, 1, 1, 1)): ((7, 1, 6, 5, 4, 3, 2), (7, 2, 1, 6, 5, 4, 3)),
-    (8, (2, 2, 2, 2)): ((8, 1, 2, 7, 4, 5, 6, 3), (8, 1, 3, 5, 6, 2, 7, 4)),
-    (8, (4, 4)): ((8, 1, 2, 4, 7, 5, 3, 6), (8, 1, 2, 5, 7, 3, 6, 4)),
-    (9, (3, 3, 3)): ((9, 1, 2, 3, 4, 8, 6, 7, 5), (9, 1, 2, 3, 5, 7, 4, 8, 6)),
+# Tabulated sequences on [1, shape.n], keyed by shrunken shape: each
+# product against (1..n) has the shape, and each pair is intertwined by an
+# odd resequencing map.  The odd-length pairs are the first such pair in
+# lexicographic order; a test re-derives them by exhaustive search.
+_SEQUENCES: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...] | None]] = {
+    (2, 2): ((4, 1, 2, 3), None),
+    (5,): ((5, 1, 2, 3, 4), (5, 2, 4, 1, 3)),
+    (4, 2): ((6, 1, 2, 4, 5, 3), (6, 1, 3, 4, 5, 2)),
+    (3, 1, 1, 1, 1): ((7, 1, 6, 5, 4, 3, 2), (7, 2, 1, 6, 5, 4, 3)),
+    (2, 2, 2, 2): ((8, 1, 2, 7, 4, 5, 6, 3), (8, 1, 3, 5, 6, 2, 7, 4)),
+    (4, 4): ((8, 1, 2, 4, 7, 5, 3, 6), (8, 1, 2, 5, 7, 3, 6, 4)),
+    (3, 3, 3): ((9, 1, 2, 3, 4, 8, 6, 7, 5), (9, 1, 2, 3, 5, 7, 4, 8, 6)),
 }
 
 
@@ -211,10 +211,9 @@ def find_opposite_valid_sequences(
 
     The pairs are tabulated; the 2,2 piece has no opposite partner.
     """
-    key = (length, tuple(shape.parts))
-    if key not in _SEQUENCES:
-        raise ValueError(f"unsupported (length, shape) pair {key}")
-    s, t = _SEQUENCES[key]
+    if length != shape.n or shape.parts not in _SEQUENCES:
+        raise ValueError(f"unsupported (length, shape) pair {(length, shape.parts)}")
+    s, t = _SEQUENCES[shape.parts]
     return ValidSequence(s), ValidSequence(t) if t else None
 
 
@@ -306,7 +305,7 @@ class WitnessPair:
         _check(cycle_type(self.delta_bar) == self.lam, "delta_bar type")
         _check(cycle_type(self.gamma * self.delta) == self.mu, "product type")
         _check(cycle_type(self.gamma * self.delta_bar) == self.mu, "bar product type")
-        expected = sum(max(0, p // 2 - 2) for p in self.mu.parts)
+        expected = sum(p - shrink_part(p) for p in self.mu.parts) // 2
         _check(len(self.rebuild_log) == expected, "rebuild count")
         _check(len(self.rebuild_log_bar) == expected, "bar rebuild count")
         if splits_in_an(self.lam):
@@ -349,7 +348,7 @@ def _grow_targets(
             placed[di] = (plan.host_index, iv)
     targets: list[tuple[frozenset[int], int]] = []
     for di, piece in enumerate(pieces):
-        big = [p for p in piece.parts.parts if p >= 6]
+        big = [p for p in piece.parts.parts if shrink_part(p) != p]
         if not big:
             continue
         host, iv = placed[di]
@@ -432,18 +431,15 @@ def construct_witnesses(
         n, [tuple(range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1)) for j in range(k)]
     )
 
-    nontrivial = [p for p in pieces if p.kind != SubpartitionKind.SINGLE_FIXED_POINT]
-    pivotable = [p for p in nontrivial if p.kind != SubpartitionKind.TWO_TWOS]
-    if not pivotable:
+    # A lone fixed point shrinks to the empty shape and packs nowhere.
+    nontrivial = [p for p in pieces if phi(p).parts]
+    shapes = [phi(p) for p in nontrivial]
+    seqs = [find_opposite_valid_sequences(shape.n, shape) for shape in shapes]
+    # Only 2,2 has no opposite sequence; with nothing else it falls back.
+    pivot = next((i for i, (_, sbar) in enumerate(seqs) if sbar is not None), None)
+    if pivot is None:
         return _construct_two_twos_case(lam, mu, gamma, offsets, embeddings, seed)
-
-    demands = [SUBINTERVAL_LENGTH[p.kind] for p in nontrivial]
-    plans = greedy_pack(lam.parts, demands)
-
-    seqs: list[tuple[ValidSequence, ValidSequence | None]] = [
-        find_opposite_valid_sequences(SUBINTERVAL_LENGTH[p.kind], phi(p)) for p in nontrivial
-    ]
-    pivot = next(i for i, p in enumerate(nontrivial) if p.kind != SubpartitionKind.TWO_TWOS)
+    plans = greedy_pack(lam.parts, [shape.n for shape in shapes])
 
     def build_delta(use_bar_at: int | None) -> Permutation:
         words: list[tuple[int, ...]] = []
@@ -473,7 +469,7 @@ def construct_witnesses(
         off = offsets[plan.host_index]
         pool.extend(off + y for y in range(2, free.b) if y % 2 == 0)
 
-    needed = sum(max(0, p // 2 - 2) for p in mu.parts)
+    needed = sum(p - shrink_part(p) for p in mu.parts) // 2
     if len(pool) < needed:
         raise Infeasible(
             f"free space supplies {len(pool)} growth pairs but {needed} are needed"

@@ -111,9 +111,9 @@ def _member(h: Sequence[int], parts: tuple[int, ...], sign: str | None) -> bool:
     return even == (sign == "+")
 
 
-def _class_images(label: ClassLabel, limit: int) -> Iterator[Images]:
+def _class_images(label: ClassLabel) -> Iterator[Images]:
     """The image tuples of the elements of the labelled A_n class."""
-    _check_limit(label.n, limit)
+    _check_limit(label.n, ORACLE_LIMIT)
     parts = label.cycle_type.parts
     stream = _images_of_type(parts, label.n)
     if label.sign is None:
@@ -133,14 +133,12 @@ def permutations_of_type(mu: Partition) -> Iterator[Permutation]:
     return map(Permutation, _images_of_type(mu.parts, mu.n))
 
 
-def iter_class(label: ClassLabel, *, limit: int = ORACLE_LIMIT) -> Iterator[Permutation]:
+def iter_class(label: ClassLabel) -> Iterator[Permutation]:
     """Stream the elements of the labelled A_n class."""
-    return map(Permutation, _class_images(label, limit))
+    return map(Permutation, _class_images(label))
 
 
-def brute_frobenius(
-    C: ClassLabel, D: ClassLabel, g: Permutation, *, limit: int = ORACLE_LIMIT
-) -> int:
+def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
     """|{(c, d) in C x D : c d = g}| by direct enumeration.
 
     Enumerates whichever of C, D is smaller: c determines d = c^-1 g and
@@ -154,19 +152,19 @@ def brute_frobenius(
         target = D
         cofactors = (
             tuple(ci[y - 1] for y in gi)
-            for ci in map(_inverse, _class_images(C, limit))
+            for ci in map(_inverse, _class_images(C))
         )
     else:
         target = C
         cofactors = (
             tuple(gi[x - 1] for x in di)
-            for di in map(_inverse, _class_images(D, limit))
+            for di in map(_inverse, _class_images(D))
         )
     parts, sign = target.cycle_type.parts, target.sign
     return sum(1 for h in cofactors if _member(h, parts, sign))
 
 
-def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation, *, limit: int = ORACLE_LIMIT) -> bool:
+def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation) -> bool:
     """Whether g is in the product set CD (early-exit scan)."""
     if D.n != C.n or g.n != C.n:
         raise ValueError("degree mismatch")
@@ -174,20 +172,18 @@ def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation, *, limit: int =
     parts, sign = D.cycle_type.parts, D.sign
     return any(
         _member(tuple(ci[y - 1] for y in gi), parts, sign)
-        for ci in map(_inverse, _class_images(C, limit))
+        for ci in map(_inverse, _class_images(C))
     )
 
 
-def brute_product_labels(
-    C: ClassLabel, D: ClassLabel, *, limit: int = ORACLE_LIMIT
-) -> set[ClassLabel]:
+def brute_product_labels(C: ClassLabel, D: ClassLabel) -> set[ClassLabel]:
     """Exact set of classes represented in CD."""
     from ancover.permutations import an_class_labels, class_representative
 
-    _check_limit(C.n, limit)
+    _check_limit(C.n, ORACLE_LIMIT)
     out: set[ClassLabel] = set()
     for E in an_class_labels(C.n):
-        if brute_contains(C, D, class_representative(E), limit=limit):
+        if brute_contains(C, D, class_representative(E)):
             out.add(E)
     return out
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ancover.combinatorics import (
+    MAX_PART_SUM,
+    LimitExceeded,
     Partition,
     centralizer_order,
     enumerate_partitions,
@@ -171,8 +173,19 @@ def embed(g: Permutation, n: int) -> Permutation:
     return Permutation(tuple(g.images) + tuple(range(g.n + 1, n + 1)))
 
 
+def _check_degree(n: int) -> None:
+    if n > MAX_PART_SUM:
+        raise LimitExceeded(f"degree {n} exceeds limit {MAX_PART_SUM}")
+
+
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
-    """Parse "2 3 4 5 1" (image list) or "(1,2,3)(4,5)" (cycles)."""
+    """Parse "2 3 4 5 1" (image list) or "(1,2,3)(4,5)" (cycles).
+
+    A degree above MAX_PART_SUM raises LimitExceeded before any images
+    are built.
+    """
+    if n is not None:
+        _check_degree(n)
     text = text.strip()
     if text.startswith("("):
         cycles: list[list[int]] = []
@@ -188,6 +201,7 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             cycles.append(cyc)
             maxpt = max(maxpt, max(cyc))
         degree = n if n is not None else maxpt
+        _check_degree(degree)
         return Permutation.from_cycles(degree, cycles)
     images = [int(t) for t in text.replace(",", " ").split()]
     g = Permutation(images)

@@ -9,6 +9,12 @@ up to n = 6 or so.
 recursing over the first-column hook lengths (beta set) of lam.  It
 shares no code with the column-wise rule of :mod:`ancover.characters`
 and checks it on every cell up to n = 14.
+
+:func:`kind_template_ok`, :func:`reference_phi` and :data:`SUBINTERVAL_LENGTH`
+state the witness pipeline's eight piece kinds case by case: which parts
+each kind admits, its shrunken shape and the length of the subinterval it
+packs into.  The package derives all three from ``shrink_part`` and
+``SHRUNKEN_SHAPE``; the tests check that the two statements agree.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from ancover.combinatorics import Partition, centralizer_order, enumerate_partitions
+from ancover.combinatorics import (
+    Partition,
+    SubpartitionKind,
+    centralizer_order,
+    enumerate_partitions,
+)
 
 
 def _assignments(cycle_lens: tuple[int, ...], caps: tuple[int, ...]) -> int:
@@ -93,3 +104,69 @@ def mn_cellwise(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         term = mn_cellwise(lam2, rest)
         total += -term if leg % 2 else term
     return total
+
+
+def kind_template_ok(kind: SubpartitionKind, parts: tuple[int, ...]) -> bool:
+    """Whether a piece with these parts is of this kind, case by case."""
+    if kind == SubpartitionKind.SINGLE_FIXED_POINT:
+        return parts == (1,)
+    if kind == SubpartitionKind.THREE_WITH_FOUR_ONES:
+        return parts == (3, 1, 1, 1, 1)
+    if kind == SubpartitionKind.THREE_THREES:
+        return parts == (3, 3, 3)
+    if kind == SubpartitionKind.ODD_PART:
+        return len(parts) == 1 and parts[0] >= 5 and parts[0] % 2 == 1
+    if kind == SubpartitionKind.TWO_TWOS:
+        return parts == (2, 2)
+    if kind == SubpartitionKind.FOUR_TWOS:
+        return parts == (2, 2, 2, 2)
+    if kind == SubpartitionKind.TWO_WITH_EVEN:
+        return (
+            len(parts) == 2
+            and parts[1] == 2
+            and parts[0] >= 4
+            and parts[0] % 2 == 0
+        )
+    if kind == SubpartitionKind.EVEN_PAIR:
+        return (
+            len(parts) == 2
+            and parts[0] >= parts[1] >= 4
+            and parts[0] % 2 == 0
+            and parts[1] % 2 == 0
+        )
+    return False
+
+
+_PHI_FIXED = {
+    SubpartitionKind.THREE_WITH_FOUR_ONES,
+    SubpartitionKind.THREE_THREES,
+    SubpartitionKind.TWO_TWOS,
+    SubpartitionKind.FOUR_TWOS,
+}
+
+
+def reference_phi(kind: SubpartitionKind, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The shrunken shape of a piece, case by case."""
+    if kind == SubpartitionKind.SINGLE_FIXED_POINT:
+        return ()
+    if kind in _PHI_FIXED:
+        return parts
+    if kind == SubpartitionKind.ODD_PART:
+        return (5,)
+    if kind == SubpartitionKind.TWO_WITH_EVEN:
+        return (4, 2)
+    if kind == SubpartitionKind.EVEN_PAIR:
+        return (4, 4)
+    raise ValueError(f"unknown kind {kind}")
+
+
+# Length of the subinterval a piece of each kind packs into.
+SUBINTERVAL_LENGTH = {
+    SubpartitionKind.THREE_WITH_FOUR_ONES: 7,
+    SubpartitionKind.THREE_THREES: 9,
+    SubpartitionKind.ODD_PART: 5,
+    SubpartitionKind.TWO_TWOS: 4,
+    SubpartitionKind.FOUR_TWOS: 8,
+    SubpartitionKind.TWO_WITH_EVEN: 6,
+    SubpartitionKind.EVEN_PAIR: 8,
+}

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ancover.characters import CharacterTable, an_character_table
 from ancover.cli import _parse_ns, build_parser, main
+from ancover.combinatorics import LimitExceeded
+from ancover.permutations import parse_permutation
 
 
 def run(capsys, *argv):
@@ -19,6 +22,14 @@ def test_parse_ns():
     assert _parse_ns("7-7") == (7,)
     with pytest.raises(ValueError):
         _parse_ns("5-3")
+
+
+def test_parse_ns_rejects_values_above_the_partition_size_limit():
+    assert len(_parse_ns("1-10000")) == 10000
+    with pytest.raises(ValueError, match="exceeds limit"):
+        _parse_ns("1-20000")
+    with pytest.raises(ValueError, match="exceeds limit"):
+        _parse_ns("7,10001")
 
 
 def test_frob_command(capsys):
@@ -173,3 +184,80 @@ def test_oversized_repeat_label_exits_2(capsys):
     code, out, err = run(capsys, "cn", "5", "1x1000000000000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_parse_permutation_rejects_degree_above_limit():
+    assert parse_permutation("(1,2)", n=10000).n == 10000
+    with pytest.raises(LimitExceeded):
+        parse_permutation("(1,2)", n=10001)
+    with pytest.raises(LimitExceeded):
+        parse_permutation("(1,1000000000)")
+    with pytest.raises(LimitExceeded):
+        parse_permutation("2 1", n=10001)
+
+
+def test_huge_ncycles_degree_exits_2(capsys):
+    # Without the cap the run below would exhaust memory; fail fast instead.
+    with pytest.raises(LimitExceeded):
+        parse_permutation("(1,2)", n=10001)
+    code, out, err = run(capsys, "ncycles", "1000000001", "(1,2)(3,4)", "9:+", "9:-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_huge_verify_range_exits_2(capsys):
+    # Without the cap the run below would exhaust memory; fail fast instead.
+    with pytest.raises(ValueError):
+        _parse_ns("1-20000")
+    code, out, err = run(capsys, "verify", "gleason", "--n", "1-1000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _fuzz_main(capsys, argv):
+    """Run main; it must end in 0, 1 or 2, and a returned 2 prints exactly
+    one error line.  argparse's own usage errors exit with SystemExit(2)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        capsys.readouterr()
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Arbitrary text, plus text over the alphabet of labels, --n lists and
+# permutations, which reaches past the first int() more often.
+_TEXT = st.one_of(st.text(max_size=20), st.text(alphabet="0123456789,-:x+ ()", max_size=14))
+_FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ
+@given(_TEXT)
+def test_fuzz_verify_n(capsys, text):
+    _fuzz_main(capsys, ["verify", "gleason", f"--n={text}"])
+
+
+@_FUZZ
+@given(_TEXT)
+def test_fuzz_cn_label(capsys, text):
+    _fuzz_main(capsys, ["cn", "9", text])
+
+
+@_FUZZ
+@given(st.lists(_TEXT, min_size=3, max_size=3))
+def test_fuzz_frob_labels(capsys, texts):
+    _fuzz_main(capsys, ["frob", "7", *texts])
+
+
+@_FUZZ
+@given(_TEXT)
+def test_fuzz_ncycles_permutation(capsys, text):
+    _fuzz_main(capsys, ["ncycles", "7", text, "7:+", "7:-", "--budget", "2000"])

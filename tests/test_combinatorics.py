@@ -17,8 +17,10 @@ from ancover.combinatorics import (
     partition_from_diagonal_hooks,
     phi,
     self_conjugate_partitions,
+    shrink_part,
     transpose,
 )
+from oracles import SUBINTERVAL_LENGTH, kind_template_ok, reference_phi
 
 
 @st.composite
@@ -207,3 +209,30 @@ def test_phi_replacement_rule():
                 else:
                     expected.append(m)
             assert rebuilt == sorted(expected, reverse=True)
+
+
+def test_shrink_part():
+    assert [shrink_part(p) for p in range(1, 12)] == [1, 2, 3, 4, 5, 4, 5, 4, 5, 4, 5]
+
+
+@pytest.mark.parametrize("kind", list(SubpartitionKind))
+def test_kinds_derived_from_shrink_rule_match_case_by_case_statement(kind):
+    # Every partition of 1..24 with at most 5 parts: the kind accepts
+    # exactly what the case-by-case template accepts, and phi and the
+    # subinterval length phi(p).n agree with the case-by-case tables.
+    accepted = 0
+    for n in range(1, 25):
+        for p in enumerate_partitions(n):
+            if len(p) > 5:
+                continue
+            try:
+                piece = TypedSubpartition(kind, p)
+            except ValueError:
+                assert not kind_template_ok(kind, p.parts), p
+                continue
+            assert kind_template_ok(kind, p.parts), p
+            accepted += 1
+            image = phi(piece)
+            assert image.parts == reference_phi(kind, p.parts)
+            assert image.n == SUBINTERVAL_LENGTH.get(kind, 0)
+    assert accepted >= 1

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -32,6 +34,7 @@ from ancover.permutations import (
     parse_permutation,
     random_even_permutation,
 )
+from ancover.suites import random_construction_instance
 
 
 def cyc(n, *cycles):
@@ -293,6 +296,31 @@ def test_construct_witnesses_best_effort():
         construct_witnesses(lam, mu)
     pair = construct_witnesses(lam, mu, strict=False)
     pair.verify()
+
+
+# sha256 of the sorted-key JSON list of witness records below; any change
+# to a witness (permutations, logs, labels) changes it.
+WITNESS_DIGEST = "e25e50e14637729e19fa728b72c68afa602893c46877eb9808d101b32e4fc429"
+
+
+def test_witnesses_match_pinned_digest():
+    rng = random.Random(5)
+    records = [
+        construct_witnesses(*random_construction_instance(rng)).to_json_dict()
+        for _ in range(200)
+    ]
+    for lam, mu, strict in [
+        ("25,11,7", "9,1x34", True),  # the README example
+        ("21", "2,2,1x17", True),  # 2,2 fallback, split lam
+        ("21,8", "2,2,1x25", True),  # 2,2 fallback, non-split lam
+        ("9,5", "5,1x9", False),  # below the strict fixed-point bound
+    ]:
+        pair = construct_witnesses(
+            Partition.from_text(lam), Partition.from_text(mu), strict=strict
+        )
+        records.append(pair.to_json_dict())
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == WITNESS_DIGEST
 
 
 def test_witness_json_record():

@@ -49,7 +49,7 @@ def test_enumerate_class_no_duplicates():
 
 def test_limit_enforced():
     with pytest.raises(LimitExceeded):
-        list(iter_class(ClassLabel(Partition((9, 1)), "+"), limit=9))
+        list(iter_class(ClassLabel(Partition((9, 1)), "+")))
 
 
 def test_brute_frobenius_identity():
