@@ -267,6 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Python 3.11's argparse hands a value given as "--" after a "--"
+        # separator ("cn 9 -- --"), or as "--n=--", on as an empty list.
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise ValueError(f"argument {name}: expected one value")
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

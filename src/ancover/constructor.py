@@ -19,7 +19,11 @@ pairs of fixed points from the free space.
 Separately, :func:`cover_with_ncycles` factors a given even permutation
 into two n-cycles from requested classes, by stripping fixed points down
 to a small base case, solving it by seeded random search, and lifting the
-factors back with one long cycle through the stripped points.
+factors back with one long cycle through the stripped points.  The signs
+of the base classes come from a parity rule (the c-lift keeps the split
+sign; the d-lift through r stripped points flips it iff r = 2 (mod 4)),
+and outside the search a call makes a fixed number of O(n) passes over
+image lists, whatever the degree.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from ancover.combinatorics import (
 from ancover.permutations import (
     ClassLabel,
     Permutation,
+    _walk,
     an_class_of,
     class_representative,
     cycle_type,
-    random_even_permutation,
     splits_in_an,
 )
 
@@ -513,7 +517,7 @@ def _construct_two_twos_case(
         raise OnlyTrivialKinds(
             f"type {mu.text()} needs the long-cycle fallback, unavailable at n = {n}"
         )
-    gamma1 = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
+    gamma1_inv = Permutation.from_cycles(m, [tuple(range(1, m + 1))]).inverse()
     m_cycle = Partition((m,))
     rng = random.Random(seed)
     found: dict[str | None, Permutation] = {}
@@ -526,7 +530,7 @@ def _construct_two_twos_case(
     for _ in range(budget):
         pts = rng.sample(range(1, m + 1), 4)
         h = Permutation.from_cycles(m, [(pts[0], pts[1]), (pts[2], pts[3])])
-        d1 = gamma1.inverse() * h
+        d1 = gamma1_inv * h
         if cycle_type(d1) != m_cycle:
             continue
         word1 = d1.cycles()[0]
@@ -568,40 +572,28 @@ def _construct_two_twos_case(
 # n-cycle coverage of a concrete element
 
 
-def _rotate_to_end(word: tuple[int, ...], point: int) -> tuple[int, ...]:
-    i = word.index(point)
-    return word[i + 1 :] + word[: i + 1]
+def _cycle_images(word: Sequence[int]) -> list[int]:
+    """Image list of the cycle (word) through every point 1..len(word)."""
+    images = [0] * len(word)
+    prev = word[-1]
+    for x in word:
+        images[prev - 1] = x
+        prev = x
+    return images
 
 
-def _rotate_to_start(word: tuple[int, ...], point: int) -> tuple[int, ...]:
-    i = word.index(point)
-    return word[i:] + word[:i]
+def _d_lift_flips_sign(r: int) -> bool:
+    """Whether lifting d through r = n - m stripped points flips the split
+    sign of its m-cycle class; lifting c never does.
 
-
-def _ncycle_lift_c(cword: tuple[int, ...], m: int, n: int) -> Permutation:
-    """(c_1..c_{m-1}, m) becomes (c_1..c_{m-1}, m, m+1, ..., n)."""
-    return Permutation.from_cycles(n, [_rotate_to_end(cword, m) + tuple(range(m + 1, n + 1))])
-
-
-def _ncycle_lift_d(dword: tuple[int, ...], m: int, n: int) -> Permutation:
-    """(m, d_1..d_{m-1}) becomes (n, n-1, ..., m, d_1, ..., d_{m-1})."""
-    return Permutation.from_cycles(
-        n, [tuple(range(n, m, -1)) + _rotate_to_start(dword, m)]
-    )
-
-
-def _lift_sign_maps(m: int, n: int) -> tuple[dict[str, str], dict[str, str]]:
-    """How the split sign of an m-cycle transfers through each lift."""
-    map_c: dict[str, str] = {}
-    map_d: dict[str, str] = {}
-    for s in ("+", "-"):
-        rep = class_representative(ClassLabel(Partition((m,)), s))
-        word = rep.cycles()[0]
-        map_c[s] = an_class_of(_ncycle_lift_c(word, m, n)).sign
-        map_d[s] = an_class_of(_ncycle_lift_d(word, m, n)).sign
-    if set(map_c.values()) != {"+", "-"} or set(map_d.values()) != {"+", "-"}:
-        raise RuntimeError("cycle lifting failed to separate the split classes")
-    return map_c, map_d
+    An n-cycle's sign is the parity of its word read as a list of images,
+    and rotating a word of odd length is an even permutation.  The c-lift
+    appends m+1, ..., n to a rotation of c's word, adding no inversion.
+    The d-lift puts n, n-1, ..., m+1 before a rotation of d's word, adding
+    C(r,2) + r*m inversions; with r even and m odd that is odd iff
+    r = 2 (mod 4).
+    """
+    return r % 4 == 2
 
 
 def cover_with_ncycles(
@@ -614,10 +606,23 @@ def cover_with_ncycles(
 ) -> tuple[Permutation, Permutation]:
     """n-cycles c in C and d in D with c*d = g, for odd n >= 5.
 
-    Strips an even number of fixed points (or reduces to degree 7 or 5
-    for nearly trivial g), solves the residue by seeded random search
-    over C with the cofactor membership-tested, and lifts both factors
-    back through the stripped points with one long run each.
+    Strips an even number r of fixed points (or reduces to degree 7 or 5
+    for nearly trivial g) by an even relabelling that ranks the moved
+    points first, solves the residue at degree m = n - r by seeded random
+    search over the base class of C with the cofactor membership-tested,
+    and lifts both factors back through the stripped points with one long
+    run each: c's word gets m+1, ..., n after m, d's gets n, n-1, ..., m+1
+    before m.
+
+    The base classes follow a parity rule (:func:`_d_lift_flips_sign`):
+    the c-lift keeps the split sign and the d-lift flips it iff
+    r = 2 (mod 4).  The final checks of c*d == g and of both labels
+    re-verify the rule on every call.
+
+    Outside the search a call makes a fixed number of O(n) passes over
+    image lists whatever the degree: one walk of g, the relabelling, the
+    two lifted words and the final checks.  It builds three Permutations
+    of degree n (c, d and c*d); the search runs on lists of degree m.
     """
     from ancover.characters import DEFAULT_TABLE_LIMIT
     from ancover.classalgebra import frobenius_count
@@ -625,9 +630,12 @@ def cover_with_ncycles(
     n = g.n
     if n < 5 or n % 2 == 0:
         raise ValueError("defined for odd n >= 5")
-    if not g.is_even():
+    walk = _walk(g.images)
+    if (n - len(walk)) % 2:
         raise ValueError("g must be even")
-    if g.fix_count() == n:
+    fixed = [cyc[0] for cyc in walk if len(cyc) == 1]
+    k = len(fixed)
+    if k == n:
         raise ValueError("g must be nontrivial")
     ncycle = Partition((n,))
     if C.cycle_type != ncycle or D.cycle_type != ncycle or C.n != n or D.n != n:
@@ -637,7 +645,6 @@ def cover_with_ncycles(
         if frobenius_count(C, D, an_class_of(g)) == 0:
             raise NotCoverable(f"{an_class_of(g)} is not in {C} * {D}")
 
-    k = g.fix_count()
     if k <= n - 6:
         r = 2 * (k // 2)
     elif k in (n - 4, n - 5):
@@ -647,59 +654,57 @@ def cover_with_ncycles(
     r = max(r, 0)  # the residual reductions only strip points when n > 7
     m = n - r
 
+    # order[i] is the point of rank i + 1: moved points, then fixed ones.
+    # Its inversions pair each moved x with the x - 1 - i fixed points
+    # below it; when their number is odd, swapping two stripped ranks
+    # makes the relabelling even, so that it keeps every A_n class.
     if r == 0:
-        sigma = Permutation.identity(n)
-        h_small = g
+        order = list(range(1, n + 1))
     else:
-        moved = sorted(g.support())
-        fixed = sorted(set(range(1, n + 1)) - set(moved))
-        order = moved + fixed
-        images = [0] * n
-        for rank, point in enumerate(order, start=1):
-            images[point - 1] = rank
-        sigma = Permutation(images)
-        if not sigma.is_even():
-            tau = Permutation.from_cycles(n, [(m + 1, m + 2)])
-            sigma = tau * sigma
-        h = (sigma * g) * sigma.inverse()
-        h_small = Permutation(h.images[:m])
+        order = sorted(x for cyc in walk if len(cyc) > 1 for x in cyc)
+        odd = sum(x - 1 - i for i, x in enumerate(order)) % 2
+        order += fixed
+        if odd:
+            order[m], order[m + 1] = order[m + 1], order[m]
+    rank = {x: i for i, x in enumerate(order[:m], start=1)}
+    h_small = [rank[g.images[x - 1]] for x in order[:m]]
 
-    if r > 0:
-        map_c, map_d = _lift_sign_maps(m, n)
-    else:
-        map_c = map_d = {"+": "+", "-": "-"}
-    base_c = ClassLabel(Partition((m,)), next(s for s in "+-" if map_c[s] == C.sign))
-    base_d = ClassLabel(Partition((m,)), next(s for s in "+-" if map_d[s] == D.sign))
+    flip = {"+": "-", "-": "+"}
+    base_c = ClassLabel(Partition((m,)), C.sign)
+    base_d = ClassLabel(Partition((m,)), flip[D.sign] if _d_lift_flips_sign(r) else D.sign)
 
     if m <= DEFAULT_TABLE_LIMIT:
-        if frobenius_count(base_c, base_d, an_class_of(h_small)) == 0:
-            raise NotCoverable(
-                f"base case {an_class_of(h_small)} is not in {base_c} * {base_d}"
-            )
+        h_label = an_class_of(Permutation(h_small))
+        if frobenius_count(base_c, base_d, h_label) == 0:
+            raise NotCoverable(f"base case {h_label} is not in {base_c} * {base_d}")
 
     rng = random.Random(seed)
-    rep = class_representative(base_c)
-    c_small = d_small = None
-    for trial in range(budget):
-        w = random_even_permutation(m, rng)
-        cand = (w * rep) * w.inverse()
-        d_cand = cand.inverse() * h_small
-        d_cycles = d_cand.cycles()
-        if len(d_cycles) == 1 and len(d_cycles[0]) == m:
-            if an_class_of(d_cand) == base_d:
-                c_small, d_small = cand, d_cand
-                break
-    if c_small is None:
+    rep_word = class_representative(base_c).cycles()[0]
+    for _ in range(budget):
+        # w = random_even_permutation(m, rng) as a list of images
+        w = list(range(1, m + 1))
+        rng.shuffle(w)
+        if (m - len(_walk(w))) % 2:
+            w[0], w[1] = w[1], w[0]
+        # the candidate w rep w^-1 is the cycle (w(a) for a in rep's word)
+        c_word = [w[a - 1] for a in rep_word]
+        c_inv = _cycle_images(c_word[::-1])
+        d_small = [c_inv[y - 1] for y in h_small]
+        d_cycles = _walk(d_small)
+        if len(d_cycles) == 1 and an_class_of(Permutation(d_small)) == base_d:
+            break
+    else:
         raise SearchBudgetExceeded(seed, budget)
 
-    if r == 0:
-        c, d = c_small, d_small
-    else:
-        c = _ncycle_lift_c(c_small.cycles()[0], m, n)
-        d = _ncycle_lift_d(d_small.cycles()[0], m, n)
-        inv = sigma.inverse()
-        c = (inv * c) * sigma
-        d = (inv * d) * sigma
+    # (c_1..c_{m-1}, m) becomes (c_1..c_{m-1}, m, m+1, ..., n) and
+    # (m, d_1..d_{m-1}) becomes (n, n-1, ..., m, d_1, ..., d_{m-1}); both
+    # words are then read through the relabelling.
+    d_word = d_cycles[0]
+    i, j = c_word.index(m), d_word.index(m)
+    lift_c = c_word[i + 1 :] + c_word[: i + 1] + list(range(m + 1, n + 1))
+    lift_d = list(range(n, m, -1)) + d_word[j:] + d_word[:j]
+    c = Permutation(_cycle_images([order[y - 1] for y in lift_c]))
+    d = Permutation(_cycle_images([order[y - 1] for y in lift_d]))
 
     _check(c * d == g, "lifted factorization must reproduce g")
     _check(an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match")

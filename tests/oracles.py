@@ -15,6 +15,11 @@ state the witness pipeline's eight piece kinds case by case: which parts
 each kind admits, its shrunken shape and the length of the subinterval it
 packs into.  The package derives all three from ``shrink_part`` and
 ``SHRUNKEN_SHAPE``; the tests check that the two statements agree.
+
+:func:`lift_sign_maps` lifts the two split m-cycle representatives to
+degree n explicitly, as :func:`~ancover.constructor.cover_with_ncycles`
+lifts its factors, and reads the signs off with ``an_class_of``.  The
+package gets them from a parity rule instead; a test checks the two.
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ from ancover.combinatorics import (
     SubpartitionKind,
     centralizer_order,
     enumerate_partitions,
+)
+from ancover.permutations import (
+    ClassLabel,
+    Permutation,
+    an_class_of,
+    class_representative,
 )
 
 
@@ -170,3 +181,37 @@ SUBINTERVAL_LENGTH = {
     SubpartitionKind.TWO_WITH_EVEN: 6,
     SubpartitionKind.EVEN_PAIR: 8,
 }
+
+
+def _rotate_to_end(word: tuple[int, ...], point: int) -> tuple[int, ...]:
+    i = word.index(point)
+    return word[i + 1 :] + word[: i + 1]
+
+
+def _rotate_to_start(word: tuple[int, ...], point: int) -> tuple[int, ...]:
+    i = word.index(point)
+    return word[i:] + word[:i]
+
+
+def ncycle_lift_c(cword: tuple[int, ...], m: int, n: int) -> Permutation:
+    """(c_1..c_{m-1}, m) becomes (c_1..c_{m-1}, m, m+1, ..., n)."""
+    return Permutation.from_cycles(n, [_rotate_to_end(cword, m) + tuple(range(m + 1, n + 1))])
+
+
+def ncycle_lift_d(dword: tuple[int, ...], m: int, n: int) -> Permutation:
+    """(m, d_1..d_{m-1}) becomes (n, n-1, ..., m, d_1, ..., d_{m-1})."""
+    return Permutation.from_cycles(
+        n, [tuple(range(n, m, -1)) + _rotate_to_start(dword, m)]
+    )
+
+
+def lift_sign_maps(m: int, n: int) -> tuple[dict[str, str], dict[str, str]]:
+    """How the split sign of an m-cycle transfers through each lift."""
+    map_c: dict[str, str] = {}
+    map_d: dict[str, str] = {}
+    for s in ("+", "-"):
+        rep = class_representative(ClassLabel(Partition((m,)), s))
+        word = rep.cycles()[0]
+        map_c[s] = an_class_of(ncycle_lift_c(word, m, n)).sign
+        map_d[s] = an_class_of(ncycle_lift_d(word, m, n)).sign
+    return map_c, map_d

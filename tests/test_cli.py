@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ancover.characters import CharacterTable, an_character_table
 from ancover.cli import _parse_ns, build_parser, main
@@ -205,6 +205,23 @@ def test_huge_ncycles_degree_exits_2(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cn", "9", "--", "--"],
+        ["frob", "7", "--", "--", "--", "--"],
+        ["ncycles", "7", "--", "--", "7:+", "7:-"],
+        ["verify", "gleason", "--n=--"],
+    ],
+)
+def test_separator_as_a_value_exits_2(capsys, argv):
+    # argparse turns a value given as "--" after a "--" separator, or as
+    # "--n=--", into an empty list
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_huge_verify_range_exits_2(capsys):
     # Without the cap the run below would exhaust memory; fail fast instead.
     with pytest.raises(ValueError):
@@ -247,8 +264,10 @@ def test_fuzz_verify_n(capsys, text):
 
 @_FUZZ
 @given(_TEXT)
+@example("--")
 def test_fuzz_cn_label(capsys, text):
     _fuzz_main(capsys, ["cn", "9", text])
+    _fuzz_main(capsys, ["cn", "9", "--", text])
 
 
 @_FUZZ

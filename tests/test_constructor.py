@@ -17,6 +17,7 @@ from ancover.constructor import (
     OnlyTrivialKinds,
     PackingPlan,
     ValidSequence,
+    _d_lift_flips_sign,
     construct_witnesses,
     cover_with_ncycles,
     find_opposite_valid_sequences,
@@ -35,6 +36,7 @@ from ancover.permutations import (
     random_even_permutation,
 )
 from ancover.suites import random_construction_instance
+from oracles import lift_sign_maps
 
 
 def cyc(n, *cycles):
@@ -409,9 +411,105 @@ def test_cover_with_ncycles_rejects_bad_input():
         cover_with_ncycles(Permutation.identity(7), parse_class_label("7:+"), parse_class_label("7:+"))
 
 
+def test_lift_sign_rule_matches_explicit_lifts():
+    for m in range(5, 40, 2):
+        for r in range(2, 39, 2):
+            map_c, map_d = lift_sign_maps(m, m + r)
+            assert map_c == {"+": "+", "-": "-"}, (m, r)
+            flips = map_d == {"+": "-", "-": "+"}
+            assert flips or map_d == {"+": "+", "-": "-"}, (m, r)
+            assert flips == _d_lift_flips_sign(r), (m, r)
+
+
+def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypatch):
+    """Outside the search a call makes a fixed number of O(n) passes: the
+    degree-n Permutations it builds do not grow with n."""
+    counts = []
+    for n in (501, 1001):
+        g = cyc(n, (3, n - 40, 77), (5, 11), (n, 200))
+        C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
+        built = []
+        init = Permutation.__init__
+
+        def counting_init(self, images, init=init, built=built):
+            init(self, images)
+            built.append(len(self.images))
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        c, d = cover_with_ncycles(g, C, D, seed=4)
+        monkeypatch.undo()
+        assert c * d == g
+        counts.append(built.count(n))
+    assert counts == [3, 3]
+
+
 def test_cover_with_ncycles_deterministic():
     g = cyc(9, (1, 2), (3, 4))
     C, D = parse_class_label("9:+"), parse_class_label("9:-")
     a = cover_with_ncycles(g, C, D, seed=17)
     b = cover_with_ncycles(g, C, D, seed=17)
     assert a == b
+
+
+def _random_even_on(points, n, rng):
+    """A nontrivial even permutation of degree n moving only these points."""
+    while True:
+        images = list(range(1, n + 1))
+        shuffled = rng.sample(points, len(points))
+        for x, y in zip(points, shuffled):
+            images[x - 1] = y
+        g = Permutation(images)
+        if not g.is_even():
+            a, b = points[0], points[1]
+            images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
+            g = Permutation(images)
+        if g != Permutation.identity(n):
+            return g
+
+
+def _ncycle_records():
+    """cover_with_ncycles on dense g (a random even permutation of all n
+    points) and on sparse g (moving 3..9 points), every sign pair, two
+    seeds each; one dense call only at n = 1001, whose search is O(n^2)."""
+    rng = random.Random(8)
+    records = []
+    for n in (5, 7, 9, 11, 21, 51, 101, 1001):
+        for dense in (True, False):
+            pairs = list(itertools.product("+-", repeat=2))
+            repeats = 2
+            if dense and n == 1001:
+                pairs, repeats = pairs[1:2], 1
+            for sc, sd in pairs:
+                for _ in range(repeats):
+                    points = (
+                        list(range(1, n + 1))
+                        if dense
+                        else rng.sample(range(1, n + 1), rng.randint(3, min(9, n)))
+                    )
+                    g = _random_even_on(points, n, rng)
+                    C = ClassLabel(Partition((n,)), sc)
+                    D = ClassLabel(Partition((n,)), sd)
+                    seed = rng.randrange(1000)
+                    try:
+                        c, d = cover_with_ncycles(g, C, D, seed=seed)
+                    except NotCoverable:
+                        records.append([g.images, sc, sd, seed, "NotCoverable"])
+                        continue
+                    records.append([g.images, sc, sd, seed, c.images, d.images])
+    g = cyc(5, (1, 2), (3, 4))
+    try:
+        cover_with_ncycles(g, parse_class_label("5:+"), parse_class_label("5:+"), seed=1)
+    except NotCoverable:
+        records.append([g.images, "+", "+", 1, "NotCoverable"])
+    return records
+
+
+# sha256 of the JSON of _ncycle_records(); any change to a factor changes it.
+NCYCLE_DIGEST = "bc7e8e5dc51fa28ce088591e067f50872e763cfb23920aca9194c0b014b03693"
+
+
+def test_cover_with_ncycles_matches_pinned_digest():
+    records = _ncycle_records()
+    assert records[-1][-1] == "NotCoverable"
+    blob = json.dumps(records).encode()
+    assert hashlib.sha256(blob).hexdigest() == NCYCLE_DIGEST
