@@ -22,6 +22,7 @@ from ancover.constructor import (
     construct_witnesses,
     cover_with_ncycles,
 )
+from ancover.oracle import ORACLE_LIMIT
 from ancover.permutations import ClassLabel, parse_class_label, parse_permutation
 from ancover.suites import SUITES, split_coverage_report
 
@@ -88,11 +89,17 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     ns = _parse_ns(args.n) if args.n else ()
+    if args.trials is not None and args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.suite == "split-coverage-report":
         lines, agree = split_coverage_report(**({"ns": ns} if ns else {}))
         payload = {"schema": 1, "suite": args.suite, "lines": lines, "oracle_agrees": agree}
-        _emit(payload, lines + [f"oracle agreement: {'pass' if agree else 'FAIL'}"], args.json)
-        return 0 if agree else 1
+        if agree is None:
+            verdict = f"not checked (all n > {ORACLE_LIMIT})"
+        else:
+            verdict = "pass" if agree else "FAIL"
+        _emit(payload, lines + [f"oracle agreement: {verdict}"], args.json)
+        return 1 if agree is False else 0
     kwargs = {"seed": args.seed}
     if args.trials is not None:
         kwargs["trials"] = args.trials

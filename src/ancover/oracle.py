@@ -3,13 +3,20 @@
 Everything here works by enumeration of actual permutations, independent
 of the character machinery and of the A_n class labelling in
 :mod:`ancover.permutations`, and exists to validate them.  Internally a
-permutation is its plain tuple of images: classes are streamed as such
-tuples, products are tuple comprehensions, and class membership is one
+permutation is its plain tuple of images, and class membership is one
 cycle walk of the oracle's own, read from the definition of the ``+``
 class.  Validated :class:`Permutation` objects are built only where a
-public function returns them.  Nothing is materialized or cached, so the
-ceiling of n = 9 stays cheap on memory.  The one exception to full
-enumeration is :func:`brute_an_conjugate` above n = 7 (see there).
+public function returns them.
+
+One backtracking search, :func:`_search`, enumerates every permutation
+of a cycle type.  Classes are that search with a sign test at each leaf.
+Pair counts run it over the smaller factor class and build the cofactor
+alongside, dropping a branch as soon as the cofactor's partial cycles
+leave the target type, so the cost follows the branches that can still
+succeed rather than the size of the smaller class.  Nothing is
+materialized or cached, so the ceiling of n = 9 stays cheap on memory.
+The one exception to full enumeration is :func:`brute_an_conjugate`
+above n = 7 (see there).
 """
 
 from __future__ import annotations
@@ -29,42 +36,106 @@ ORACLE_LIMIT = 9
 
 Images = tuple[int, ...]
 
+Cofactor = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
 
 def _check_limit(n: int, limit: int) -> None:
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds the oracle limit {limit}")
 
 
-def _images_of_type(parts: Sequence[int], n: int) -> Iterator[Images]:
-    """Stream the image tuples of all permutations of {1..n} whose cycle
-    lengths are parts (weakly decreasing), with no duplicates.
+def _search(
+    parts: Sequence[int], n: int, cofactor: Cofactor | None = None
+) -> Iterator[tuple[Images, Images | None]]:
+    """Yield (p, q) for every permutation p of {1..n} with cycle lengths
+    parts, as image tuples, once each.
 
-    One images list is filled in place.  The smallest unplaced point
-    always leads the next cycle, so each permutation appears exactly once,
-    and every branch writes whole cycles, so each tuple is a bijection.
+    p is built one value at a time: the least unused point leads the next
+    cycle, whose length is one of p's unused parts, and the cycle's other
+    points follow in increasing order of choice, so each permutation is
+    reached by exactly one branch.  Without a cofactor, q is None.
+
+    With cofactor (u, v, target), u and v indexed from 1, each value
+    p(a) = b also fixes q(u[b]) = v[a], so the values of q are set one by
+    one and every leaf has all of them.  The partial q is kept as chains:
+    ``head`` maps the end of each chain to its start, ``tail`` the start
+    to its end, and ``size`` the start to the number of points, all undone
+    on backtrack.
+    A branch is dropped when the new value closes a q-cycle whose length
+    has no unused part left in target, or joins a chain longer than every
+    unused part.  Only the leaves with q of exactly type target remain.
     """
-    images = list(range(1, n + 1))
+    p = [0] * (n + 1)
+    q = [0] * (n + 1)
+    free = [True] * (n + 1)
+    todo = [0] * (n + 1)
+    for x in parts:
+        todo[x] += 1
+    kinds = sorted(set(parts), reverse=True)
+    if cofactor is not None:
+        u, v, target = cofactor
+        head = list(range(n + 1))
+        tail = list(range(n + 1))
+        size = [1] * (n + 1)
+        left = [0] * (n + 1)
+        for x in target:
+            left[x] += 1
+        top = max(target)
 
-    def rec(free: list[int], lengths: list[int]) -> Iterator[Images]:
-        if not lengths or lengths[0] == 1:
-            # Only fixed points remain; they map to themselves.
-            for x in free:
-                images[x - 1] = x
-            yield tuple(images)
+    def place(lead: int, a: int, k: int) -> Iterator[tuple[Images, Images | None]]:
+        # Choose p(a): a further point of the cycle led by lead while
+        # k > 0 are still to come, else lead itself, closing the cycle.
+        nonlocal top
+        choices = [b for b in range(lead + 1, n + 1) if free[b]] if k else (lead,)
+        for b in choices:
+            p[a] = b
+            if cofactor is not None:
+                x, y = u[b], v[a]
+                s = head[x]
+                if s == y:
+                    closed = size[y]
+                    if not left[closed]:
+                        continue
+                    left[closed] -= 1
+                    was_top = top
+                    while top and not left[top]:
+                        top -= 1
+                else:
+                    closed = 0
+                    e = tail[y]
+                    joined = size[s] + size[y]
+                    if joined > top:
+                        continue
+                    tail[s], head[e], size[s] = e, s, joined
+                q[x] = y
+            if k:
+                free[b] = False
+                yield from place(lead, b, k - 1)
+                free[b] = True
+            else:
+                yield from new_cycle(lead + 1)
+            if cofactor is not None:
+                if closed:
+                    left[closed] += 1
+                    top = was_top
+                else:
+                    tail[s], head[e], size[s] = x, y, joined - size[y]
+
+    def new_cycle(lead: int) -> Iterator[tuple[Images, Images | None]]:
+        while lead <= n and not free[lead]:
+            lead += 1
+        if lead > n:
+            yield tuple(p[1:]), None if cofactor is None else tuple(q[1:])
             return
-        lead, rest = free[0], free[1:]
-        for length in sorted(set(lengths), reverse=True):
-            remaining = list(lengths)
-            remaining.remove(length)
-            for tail in itertools.permutations(rest, length - 1):
-                a = lead
-                for b in tail:
-                    images[a - 1] = b
-                    a = b
-                images[a - 1] = lead
-                yield from rec([x for x in rest if x not in tail], remaining)
+        free[lead] = False
+        for length in kinds:
+            if todo[length]:
+                todo[length] -= 1
+                yield from place(lead, lead, length - 1)
+                todo[length] += 1
+        free[lead] = True
 
-    yield from rec(list(range(1, n + 1)), list(parts))
+    return new_cycle(1)
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:
@@ -111,16 +182,6 @@ def _member(h: Sequence[int], parts: tuple[int, ...], sign: str | None) -> bool:
     return even == (sign == "+")
 
 
-def _class_images(label: ClassLabel) -> Iterator[Images]:
-    """The image tuples of the elements of the labelled A_n class."""
-    _check_limit(label.n, ORACLE_LIMIT)
-    parts = label.cycle_type.parts
-    stream = _images_of_type(parts, label.n)
-    if label.sign is None:
-        return stream
-    return (h for h in stream if _member(h, parts, label.sign))
-
-
 def _inverse(p: Sequence[int]) -> list[int]:
     inv = [0] * len(p)
     for i, y in enumerate(p, 1):
@@ -128,52 +189,71 @@ def _inverse(p: Sequence[int]) -> list[int]:
     return inv
 
 
+def _in_class(h: Sequence[int], label: ClassLabel) -> bool:
+    """Whether h, known to be of label's cycle type, has label's sign."""
+    return label.sign is None or _member(h, label.cycle_type.parts, label.sign)
+
+
 def permutations_of_type(mu: Partition) -> Iterator[Permutation]:
     """Stream all permutations of {1..n} with cycle type mu, no duplicates."""
-    return map(Permutation, _images_of_type(mu.parts, mu.n))
+    return (Permutation(p) for p, _ in _search(mu.parts, mu.n))
 
 
 def iter_class(label: ClassLabel) -> Iterator[Permutation]:
     """Stream the elements of the labelled A_n class."""
-    return map(Permutation, _class_images(label))
+    _check_limit(label.n, ORACLE_LIMIT)
+    return (
+        Permutation(p)
+        for p, _ in _search(label.cycle_type.parts, label.n)
+        if _in_class(p, label)
+    )
 
 
-def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
-    """|{(c, d) in C x D : c d = g}| by direct enumeration.
+def _factorizations(C: ClassLabel, D: ClassLabel, g: Permutation) -> Iterator[None]:
+    """Yield once for each (c, d) in C x D with c d = g.
 
-    Enumerates whichever of C, D is smaller: c determines d = c^-1 g and
-    vice versa.
+    The search enumerates p in the smaller of C, D and builds its
+    cofactor q alongside: q = p^-1 g, so q(g^-1(b)) = a, when p is in C;
+    q = g p^-1, so q(b) = g(a), when p is in D.  Leaves have both cycle
+    types right, and the split signs of both factors are then tested.
     """
     n = C.n
     if D.n != n or g.n != n:
         raise ValueError("degree mismatch")
-    gi = g.images
+    _check_limit(n, ORACLE_LIMIT)
+    same = range(n + 1)
     if an_class_size(C) <= an_class_size(D):
-        target = D
-        cofactors = (
-            tuple(ci[y - 1] for y in gi)
-            for ci in map(_inverse, _class_images(C))
-        )
+        P, Q = C, D
+        cofactor = ([0, *_inverse(g.images)], same, Q.cycle_type.parts)
     else:
-        target = C
-        cofactors = (
-            tuple(gi[x - 1] for x in di)
-            for di in map(_inverse, _class_images(D))
-        )
-    parts, sign = target.cycle_type.parts, target.sign
-    return sum(1 for h in cofactors if _member(h, parts, sign))
+        P, Q = D, C
+        cofactor = (same, (0, *g.images), Q.cycle_type.parts)
+    return (
+        None
+        for p, q in _search(P.cycle_type.parts, n, cofactor)
+        if _in_class(p, P) and _in_class(q, Q)
+    )
+
+
+def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
+    """|{(c, d) in C x D : c d = g}| by an exhaustive pruned search.
+
+    c determines d = c^-1 g and vice versa, so the search enumerates the
+    smaller class and builds the cofactor value by value (see
+    :func:`_search`).  Dropping a branch loses no pair: values are only
+    ever added, so a closed cofactor cycle stays closed and an open chain
+    only grows, and the unused parts of the target type only shrink.  A
+    closed cycle whose length has no unused part, or a chain longer than
+    every unused part, therefore stays impossible in every completion.
+    Each remaining leaf is one candidate pair with both cycle types
+    right, counted once both split signs pass.
+    """
+    return sum(1 for _ in _factorizations(C, D, g))
 
 
 def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation) -> bool:
-    """Whether g is in the product set CD (early-exit scan)."""
-    if D.n != C.n or g.n != C.n:
-        raise ValueError("degree mismatch")
-    gi = g.images
-    parts, sign = D.cycle_type.parts, D.sign
-    return any(
-        _member(tuple(ci[y - 1] for y in gi), parts, sign)
-        for ci in map(_inverse, _class_images(C))
-    )
+    """Whether g is in the product set CD (stops at the first pair)."""
+    return any(True for _ in _factorizations(C, D, g))
 
 
 def brute_product_labels(C: ClassLabel, D: ClassLabel) -> set[ClassLabel]:

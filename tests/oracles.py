@@ -20,13 +20,20 @@ packs into.  The package derives all three from ``shrink_part`` and
 degree n explicitly, as :func:`~ancover.constructor.cover_with_ncycles`
 lifts its factors, and reads the signs off with ``an_class_of``.  The
 package gets them from a parity rule instead; a test checks the two.
+
+:func:`stream_frobenius` is the brute-force pair count as a plain scan:
+it streams every element of the smaller class and tests the cofactor of
+each with the oracle's class test.  :mod:`ancover.oracle` counts the same
+pairs by a pruned search; the tests check the two on many triples.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
 from ancover.combinatorics import (
     Partition,
@@ -34,10 +41,12 @@ from ancover.combinatorics import (
     centralizer_order,
     enumerate_partitions,
 )
+from ancover.oracle import _member
 from ancover.permutations import (
     ClassLabel,
     Permutation,
     an_class_of,
+    an_class_size,
     class_representative,
 )
 
@@ -215,3 +224,57 @@ def lift_sign_maps(m: int, n: int) -> tuple[dict[str, str], dict[str, str]]:
         map_c[s] = an_class_of(ncycle_lift_c(word, m, n)).sign
         map_d[s] = an_class_of(ncycle_lift_d(word, m, n)).sign
     return map_c, map_d
+
+
+def images_of_type(parts: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """Stream the image tuples of all permutations of {1..n} whose cycle
+    lengths are parts (weakly decreasing), with no duplicates: the least
+    unplaced point leads each cycle, its other points in every order."""
+    images = list(range(1, n + 1))
+
+    def rec(free: list[int], lengths: list[int]) -> Iterator[tuple[int, ...]]:
+        if not lengths or lengths[0] == 1:
+            for x in free:
+                images[x - 1] = x
+            yield tuple(images)
+            return
+        lead, rest = free[0], free[1:]
+        for length in sorted(set(lengths), reverse=True):
+            remaining = list(lengths)
+            remaining.remove(length)
+            for tail in itertools.permutations(rest, length - 1):
+                a = lead
+                for b in tail:
+                    images[a - 1] = b
+                    a = b
+                images[a - 1] = lead
+                yield from rec([x for x in rest if x not in tail], remaining)
+
+    yield from rec(list(range(1, n + 1)), list(parts))
+
+
+def _inverse(p: tuple[int, ...]) -> list[int]:
+    inv = [0] * len(p)
+    for i, y in enumerate(p, 1):
+        inv[y - 1] = i
+    return inv
+
+
+def stream_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
+    """|{(c, d) in C x D : c d = g}|: stream every element p of the smaller
+    class and test its cofactor (d = p^-1 g, or c = g p^-1) for the other."""
+    gi = g.images
+    p_in_c = an_class_size(C) <= an_class_size(D)
+    small, other = (C, D) if p_in_c else (D, C)
+    parts = small.cycle_type.parts
+    count = 0
+    for p in images_of_type(parts, small.n):
+        if not _member(p, parts, small.sign):
+            continue
+        pi = _inverse(p)
+        if p_in_c:
+            h = tuple(pi[y - 1] for y in gi)
+        else:
+            h = tuple(gi[x - 1] for x in pi)
+        count += _member(h, other.cycle_type.parts, other.sign)
+    return count

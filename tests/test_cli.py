@@ -117,6 +117,25 @@ def test_verify_split_coverage_report_output(capsys):
     )
 
 
+def test_verify_split_coverage_report_beyond_the_oracle_says_not_checked(capsys):
+    code, out, _ = run(capsys, "verify", "split-coverage-report", "--n", "10")
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle agreement: not checked (all n > 9)"
+    code, out, _ = run(capsys, "verify", "split-coverage-report", "--n", "10", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle_agrees"] is None and payload["lines"]
+
+
+@pytest.mark.parametrize("suite", ["oracle-equiv", "construction", "bounds", "gleason"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_nonpositive_trials_exits_2(capsys, suite, trials):
+    # A suite run on no trials would print a vacuous PASS.
+    code, out, err = run(capsys, "verify", suite, "--trials", trials)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_malformed_n_exits_2(capsys):
     code, out, err = run(capsys, "verify", "gleason", "--n", "7-")
     assert code == 2 and out == ""

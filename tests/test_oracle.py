@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
 from ancover.combinatorics import LimitExceeded, Partition
+from ancover.combinatorics import enumerate_partitions
 from ancover.oracle import (
     brute_an_conjugate,
+    brute_contains,
     brute_frobenius,
     brute_product_labels,
     iter_class,
@@ -19,6 +22,7 @@ from ancover.permutations import (
     conjugate,
     parse_class_label,
 )
+from oracles import images_of_type, stream_frobenius
 
 
 def test_permutations_of_type_counts():
@@ -50,6 +54,25 @@ def test_enumerate_class_no_duplicates():
 def test_limit_enforced():
     with pytest.raises(LimitExceeded):
         list(iter_class(ClassLabel(Partition((9, 1)), "+")))
+
+
+def test_pair_queries_refuse_n_10_before_searching(monkeypatch):
+    # A faster search must not lift ORACLE_LIMIT: the refusal comes first,
+    # and no search is started.
+    import ancover.oracle
+
+    def no_search(*args):
+        raise AssertionError("searched past the oracle limit")
+
+    monkeypatch.setattr(ancover.oracle, "_search", no_search)
+    C, D = parse_class_label("9,1:+"), parse_class_label("3,3,3,1")
+    g = class_representative(parse_class_label("5,5"))
+    with pytest.raises(LimitExceeded):
+        brute_frobenius(C, D, g)
+    with pytest.raises(LimitExceeded):
+        brute_contains(C, D, g)
+    with pytest.raises(LimitExceeded):
+        brute_product_labels(C, D)
 
 
 def test_brute_frobenius_identity():
@@ -160,3 +183,64 @@ def test_oracle_matches_definition_level_counts(n):
                 assert brute_frobenius(C, D, class_representative(E)) == direct, (C, D, E)
                 triples += 1
     assert triples == {5: 125, 6: 343, 7: 729}[n]
+
+
+def _check_against_stream(C, D, g):
+    count = brute_frobenius(C, D, g)
+    assert count == stream_frobenius(C, D, g), (C, D, g)
+    assert brute_contains(C, D, g) == (count > 0), (C, D, g)
+
+
+def test_search_enumerates_types_as_the_stream_does():
+    for n in range(1, 8):
+        for mu in enumerate_partitions(n):
+            expected = list(images_of_type(mu.parts, n))
+            assert [h.images for h in permutations_of_type(mu)] == expected
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_search_matches_stream_count_on_every_triple(n):
+    labels = an_class_labels(n)
+    for E in labels:
+        g = class_representative(E)
+        for C in labels:
+            for D in labels:
+                _check_against_stream(C, D, g)
+
+
+@pytest.mark.parametrize("n, trials", [(8, 40), (9, 12)])
+def test_search_matches_stream_count_sampled(n, trials):
+    # Each pair runs in both orders, so the search enumerates C for one and
+    # D for the other unless the classes have the same size.
+    rng = random.Random(n)
+    labels = an_class_labels(n)
+    for _ in range(trials):
+        C, D, E = (rng.choice(labels) for _ in range(3))
+        g = class_representative(E)
+        _check_against_stream(C, D, g)
+        _check_against_stream(D, C, g)
+
+
+@pytest.mark.parametrize(
+    "c, d, e",
+    [
+        # Classes above the benchmark's size caps at n = 9.
+        ("9:+", "6,2,1", "4,3,2"),
+        ("4,3,2", "9:-", "9:+"),
+        ("6,2,1", "4,3,2", "5,3,1:-"),
+        ("9:+", "9:+", "3,3,3"),
+        # 5,3:+ is not real in A_8; it is the smaller class against 3,2,2,1.
+        ("5,3:+", "3,2,2,1", "5,3:+"),
+        ("3,2,2,1", "5,3:+", "5,3:-"),
+        ("5,3:+", "5,3:+", "2,2,2,2"),
+    ],
+)
+def test_search_matches_stream_count_on_large_and_non_real_classes(c, d, e):
+    C, D, E = (parse_class_label(t) for t in (c, d, e))
+    rng = random.Random(f"{c} {d} {e}")
+    # A random element of the S_n class of E, not only its representative.
+    s = list(range(1, E.n + 1))
+    rng.shuffle(s)
+    g = conjugate(class_representative(E), Permutation(s))
+    _check_against_stream(C, D, g)
+    _check_against_stream(D, C, g)
