@@ -9,6 +9,7 @@ live in :mod:`ancover.suites`.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -87,26 +88,42 @@ def cmd_table(args) -> int:
     return 0
 
 
+# The verify options that set a suite parameter of the same meaning.  A
+# suite takes the options whose parameters it has; --seed is taken by
+# every suite, and the ones without a seed parameter are deterministic.
+_SUITE_OPTIONS = {"ns": "--n", "trials": "--trials"}
+
+
 def cmd_verify(args) -> int:
-    ns = _parse_ns(args.n) if args.n else ()
+    ns = _parse_ns(args.n) if args.n is not None else None
     if args.trials is not None and args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
-    if args.suite == "split-coverage-report":
-        lines, agree = split_coverage_report(**({"ns": ns} if ns else {}))
+    report = args.suite == "split-coverage-report"
+    suite = split_coverage_report if report else SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
+    given = {"ns": ns, "trials": args.trials}
+    kwargs = {name: value for name, value in given.items() if value is not None}
+    untaken = [_SUITE_OPTIONS[name] for name in kwargs if name not in takes]
+    if args.table is not None and args.suite != "bounds":
+        untaken.append("--table")
+    if untaken:
+        raise ValueError(f"verify {args.suite} takes no {', '.join(untaken)}")
+    if "seed" in takes:
+        kwargs["seed"] = args.seed
+    if report:
+        lines, agree = suite(**kwargs)
         payload = {"schema": 1, "suite": args.suite, "lines": lines, "oracle_agrees": agree}
         if agree is None:
-            verdict = f"not checked (all n > {ORACLE_LIMIT})"
+            if any(n <= ORACLE_LIMIT for n in ns):
+                verdict = f"not checked (no split type at n <= {ORACLE_LIMIT})"
+            else:
+                verdict = f"not checked (all n > {ORACLE_LIMIT})"
         else:
             verdict = "pass" if agree else "FAIL"
         _emit(payload, lines + [f"oracle agreement: {verdict}"], args.json)
         return 1 if agree is False else 0
-    kwargs = {"seed": args.seed}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if ns:
-        kwargs["ns"] = ns
-    items = SUITES[args.suite](**kwargs)
-    if args.suite == "bounds" and args.table:
+    items = suite(**kwargs)
+    if args.table:
         with open(args.table, "w") as fh:
             fh.write("n,hook_sum,cube_term,mixed_term\n")
             for n in range(13, 202, 2):
@@ -217,14 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=[*SUITES, "split-coverage-report"])
-    p.add_argument("--n", help="list like 7,9,11 or range like 8-16")
+    p.add_argument(
+        "--n",
+        help="list like 7,9,11 or range like 8-16 (gleason, ancn, prop24, "
+        "split-coverage-report)",
+    )
     p.add_argument(
         "--trials",
         type=int,
         help="random trials; default: each suite's own (construction 200, "
         "oracle-equiv 500, bounds 10000)",
     )
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument(
+        "--seed", type=int, default=42, help="seed of the construction, "
+        "oracle-equiv and bounds suites; the others are deterministic",
+    )
     p.add_argument("--table", metavar="CSV", help="bounds suite: write clause values")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

@@ -3,26 +3,28 @@
 Everything here works by enumeration of actual permutations, independent
 of the character machinery and of the A_n class labelling in
 :mod:`ancover.permutations`, and exists to validate them.  Internally a
-permutation is its plain tuple of images, and class membership is one
-cycle walk of the oracle's own, read from the definition of the ``+``
+permutation is its plain list of images, and the split sign of a class is
+one cycle walk of the oracle's own, read from the definition of the ``+``
 class.  Validated :class:`Permutation` objects are built only where a
 public function returns them.
 
 One backtracking search, :func:`_search`, enumerates every permutation
-of a cycle type.  Classes are that search with a sign test at each leaf.
-Pair counts run it over the smaller factor class and build the cofactor
-alongside, dropping a branch as soon as the cofactor's partial cycles
-leave the target type, so the cost follows the branches that can still
-succeed rather than the size of the smaller class.  Nothing is
-materialized or cached, so the ceiling of n = 9 stays cheap on memory.
-The one exception to full enumeration is :func:`brute_an_conjugate`
-above n = 7 (see there).
+of a cycle type and hands each to a leaf callback, which can stop it.
+Classes are that search with a sign test at each leaf.  Pair counts run
+it over the smaller factor class and build the cofactor alongside,
+dropping a branch as soon as the cofactor's partial cycles leave the
+target type, so the cost follows the branches that can still succeed
+rather than the size of the smaller class.  Counts and membership tests
+materialize and cache nothing; :func:`iter_class` and
+:func:`permutations_of_type` collect their elements into a list, at most
+45360 of them at the ceiling of n = 9.  The one exception to full
+enumeration is :func:`brute_an_conjugate` above n = 7 (see there).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ancover.combinatorics import LimitExceeded, Partition
 from ancover.permutations import (
@@ -34,9 +36,10 @@ from ancover.permutations import (
 
 ORACLE_LIMIT = 9
 
-Images = tuple[int, ...]
-
 Cofactor = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+# leaf(p, q, word) -> whether to stop; see _search.
+Leaf = Callable[[list[int], list[int] | None, list[int]], bool]
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -45,34 +48,46 @@ def _check_limit(n: int, limit: int) -> None:
 
 
 def _search(
-    parts: Sequence[int], n: int, cofactor: Cofactor | None = None
-) -> Iterator[tuple[Images, Images | None]]:
-    """Yield (p, q) for every permutation p of {1..n} with cycle lengths
-    parts, as image tuples, once each.
+    parts: Sequence[int], n: int, leaf: Leaf, cofactor: Cofactor | None = None
+) -> bool:
+    """Call leaf(p, q, word) once for every permutation p of {1..n} with
+    cycle lengths parts; stop as soon as a call returns True, and return
+    whether one did.
 
     p is built one value at a time: the least unused point leads the next
     cycle, whose length is one of p's unused parts, and the cycle's other
     points follow in increasing order of choice, so each permutation is
-    reached by exactly one branch.  Without a cofactor, q is None.
+    reached by exactly one branch.  The leaf gets the search's own lists,
+    live, indexed from 1 (entry 0 is unused); one that keeps p must copy
+    it.  p holds the images.  word holds the points of p's cycles, each
+    from its least point, longest cycle first: the search writes each
+    placed point into its slot, the cycle of length L after the slots of
+    every longer part.  When the parts are distinct, as they are whenever
+    the type splits, word is the word of :func:`_sign_matches`.
 
-    With cofactor (u, v, target), u and v indexed from 1, each value
-    p(a) = b also fixes q(u[b]) = v[a], so the values of q are set one by
-    one and every leaf has all of them.  The partial q is kept as chains:
-    ``head`` maps the end of each chain to its start, ``tail`` the start
-    to its end, and ``size`` the start to the number of points, all undone
-    on backtrack.
+    Without a cofactor, q is None.  With cofactor (u, v, target), u and v
+    indexed from 1, each value p(a) = b also fixes q(u[b]) = v[a], so the
+    values of q are set one by one and every leaf has all of them.  The
+    partial q is kept as chains: ``head`` maps the end of each chain to
+    its start, ``tail`` the start to its end, and ``size`` the start to
+    the number of points, all undone on backtrack.
     A branch is dropped when the new value closes a q-cycle whose length
     has no unused part left in target, or joins a chain longer than every
     unused part.  Only the leaves with q of exactly type target remain.
     """
     p = [0] * (n + 1)
-    q = [0] * (n + 1)
+    q = None if cofactor is None else [0] * (n + 1)
+    word = [0] * (n + 1)
     free = [True] * (n + 1)
     todo = [0] * (n + 1)
     for x in parts:
         todo[x] += 1
     kinds = sorted(set(parts), reverse=True)
-    if cofactor is not None:
+    first_slot = [0] * (n + 1)
+    for x in kinds:
+        first_slot[x] = 1 + sum(y for y in parts if y > x)
+    pair = cofactor is not None
+    if pair:
         u, v, target = cofactor
         head = list(range(n + 1))
         tail = list(range(n + 1))
@@ -82,18 +97,24 @@ def _search(
             left[x] += 1
         top = max(target)
 
-    def place(lead: int, a: int, k: int) -> Iterator[tuple[Images, Images | None]]:
-        # Choose p(a): a further point of the cycle led by lead while
-        # k > 0 are still to come, else lead itself, closing the cycle.
+    def place(lead: int, a: int, k: int, slot: int) -> bool:
+        # Choose p(a): a further point of the cycle led by lead, written to
+        # word[slot], while k > 0 are still to come, else lead itself,
+        # closing the cycle.
         nonlocal top
         choices = [b for b in range(lead + 1, n + 1) if free[b]] if k else (lead,)
+        if pair:
+            # q(u[b]) = y for every choice b.  y has no preimage under q
+            # yet, so it starts a chain, which the loop leaves as it was.
+            y = v[a]
+            e = tail[y]
+            sy = size[y]
         for b in choices:
-            p[a] = b
-            if cofactor is not None:
-                x, y = u[b], v[a]
+            if pair:
+                x = u[b]
                 s = head[x]
                 if s == y:
-                    closed = size[y]
+                    closed = sy
                     if not left[closed]:
                         continue
                     left[closed] -= 1
@@ -102,38 +123,43 @@ def _search(
                         top -= 1
                 else:
                     closed = 0
-                    e = tail[y]
-                    joined = size[s] + size[y]
+                    joined = size[s] + sy
                     if joined > top:
                         continue
                     tail[s], head[e], size[s] = e, s, joined
                 q[x] = y
+            p[a] = b
             if k:
+                word[slot] = b
                 free[b] = False
-                yield from place(lead, b, k - 1)
+                if place(lead, b, k - 1, slot + 1):
+                    return True
                 free[b] = True
-            else:
-                yield from new_cycle(lead + 1)
-            if cofactor is not None:
+            elif new_cycle(lead + 1):
+                return True
+            if pair:
                 if closed:
                     left[closed] += 1
                     top = was_top
                 else:
-                    tail[s], head[e], size[s] = x, y, joined - size[y]
+                    tail[s], head[e], size[s] = x, y, joined - sy
+        return False
 
-    def new_cycle(lead: int) -> Iterator[tuple[Images, Images | None]]:
+    def new_cycle(lead: int) -> bool:
         while lead <= n and not free[lead]:
             lead += 1
         if lead > n:
-            yield tuple(p[1:]), None if cofactor is None else tuple(q[1:])
-            return
+            return leaf(p, q, word)
         free[lead] = False
         for length in kinds:
             if todo[length]:
                 todo[length] -= 1
-                yield from place(lead, lead, length - 1)
+                word[first_slot[length]] = lead
+                if place(lead, lead, length - 1, first_slot[length] + 1):
+                    return True
                 todo[length] += 1
         free[lead] = True
+        return False
 
     return new_cycle(1)
 
@@ -160,26 +186,42 @@ def _lengths(cycles: list[list[int]]) -> tuple[int, ...]:
     return tuple(sorted(map(len, cycles), reverse=True))
 
 
-def _member(h: Sequence[int], parts: tuple[int, ...], sign: str | None) -> bool:
-    """Whether the permutation with images h lies in the A_n class of
-    cycle type parts and the given sign (None for a non-split type).
+def _sign_matches(word: Sequence[int], sign: str | None) -> bool:
+    """Whether a permutation h of a split type, given by word, lies in the
+    A_n class of that type with this sign (True for sign None).
 
-    The "+" class of a split type holds the consecutive-fill representative
-    r (longest cycle first), so h is in it iff an even permutation
-    conjugates r to h.  The word of h's cycles, longest first, read as a
-    list of images is one such conjugator; any other differs from it by an
-    element of r's centralizer, a product of cycles of odd length, so all
-    have the parity of that word.
+    word[1..n] lists the points of h's cycles, longest cycle first.  The
+    "+" class of a split type holds the consecutive-fill representative r
+    (longest cycle first), so h is in it iff an even permutation
+    conjugates r to h.  word read as a list of images is one such
+    conjugator; any other differs from it by an element of r's
+    centralizer, a product of cycles of odd length, so all have the parity
+    of word, which one walk of word gives.
     """
-    cycles = _cycles(h)
-    if _lengths(cycles) != parts:
-        return False
     if sign is None:
         return True
+    n = len(word) - 1
+    seen = [False] * (n + 1)
+    cycles = 0
+    for start in range(1, n + 1):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = word[x]
+    return ((n - cycles) % 2 == 0) == (sign == "+")
+
+
+def _has_class(q: Sequence[int], parts: tuple[int, ...], sign: str | None) -> bool:
+    """Whether the permutation with images q[1..n] has cycle lengths parts
+    and lies in the class of that type with this sign: one walk of q gives
+    its cycles, and their word, longest first, gives the sign."""
+    cycles = _cycles(q[1:])
+    if _lengths(cycles) != parts:
+        return False
     cycles.sort(key=len, reverse=True)
-    word = [x for cyc in cycles for x in cyc]
-    even = (len(word) - len(_cycles(word))) % 2 == 0
-    return even == (sign == "+")
+    return _sign_matches([0, *itertools.chain.from_iterable(cycles)], sign)
 
 
 def _inverse(p: Sequence[int]) -> list[int]:
@@ -189,33 +231,42 @@ def _inverse(p: Sequence[int]) -> list[int]:
     return inv
 
 
-def _in_class(h: Sequence[int], label: ClassLabel) -> bool:
-    """Whether h, known to be of label's cycle type, has label's sign."""
-    return label.sign is None or _member(h, label.cycle_type.parts, label.sign)
+def _elements(parts: tuple[int, ...], n: int, sign: str | None) -> Iterator[Permutation]:
+    """The permutations of {1..n} with cycle lengths parts, in search
+    order; for a split type with a sign, only those of that class."""
+    _check_limit(n, ORACLE_LIMIT)
+    out: list[Permutation] = []
+
+    def leaf(p: list[int], q: None, word: list[int]) -> bool:
+        if _sign_matches(word, sign):
+            out.append(Permutation(p[1:]))
+        return False
+
+    _search(parts, n, leaf)
+    return iter(out)
 
 
 def permutations_of_type(mu: Partition) -> Iterator[Permutation]:
-    """Stream all permutations of {1..n} with cycle type mu, no duplicates."""
-    return (Permutation(p) for p, _ in _search(mu.parts, mu.n))
+    """All permutations of {1..n} with cycle type mu, no duplicates."""
+    return _elements(mu.parts, mu.n, None)
 
 
 def iter_class(label: ClassLabel) -> Iterator[Permutation]:
-    """Stream the elements of the labelled A_n class."""
-    _check_limit(label.n, ORACLE_LIMIT)
-    return (
-        Permutation(p)
-        for p, _ in _search(label.cycle_type.parts, label.n)
-        if _in_class(p, label)
-    )
+    """The elements of the labelled A_n class."""
+    return _elements(label.cycle_type.parts, label.n, label.sign)
 
 
-def _factorizations(C: ClassLabel, D: ClassLabel, g: Permutation) -> Iterator[None]:
-    """Yield once for each (c, d) in C x D with c d = g.
+def _factor_search(
+    C: ClassLabel, D: ClassLabel, g: Permutation, found: Callable[[], bool]
+) -> bool:
+    """Call found() once for each (c, d) in C x D with c d = g; stop as
+    soon as a call returns True, and return whether one did.
 
     The search enumerates p in the smaller of C, D and builds its
     cofactor q alongside: q = p^-1 g, so q(g^-1(b)) = a, when p is in C;
     q = g p^-1, so q(b) = g(a), when p is in D.  Leaves have both cycle
-    types right, and the split signs of both factors are then tested.
+    types right; p's split sign is read from the search's word and q's
+    from one walk of q, and a leaf is a pair once both pass.
     """
     n = C.n
     if D.n != n or g.n != n:
@@ -228,11 +279,16 @@ def _factorizations(C: ClassLabel, D: ClassLabel, g: Permutation) -> Iterator[No
     else:
         P, Q = D, C
         cofactor = (same, (0, *g.images), Q.cycle_type.parts)
-    return (
-        None
-        for p, q in _search(P.cycle_type.parts, n, cofactor)
-        if _in_class(p, P) and _in_class(q, Q)
-    )
+    p_sign, q_sign, q_parts = P.sign, Q.sign, Q.cycle_type.parts
+
+    def leaf(p: list[int], q: list[int], word: list[int]) -> bool:
+        if not _sign_matches(word, p_sign):
+            return False
+        if q_sign is not None and not _has_class(q, q_parts, q_sign):
+            return False
+        return found()
+
+    return _search(P.cycle_type.parts, n, leaf, cofactor)
 
 
 def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
@@ -246,14 +302,22 @@ def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
     closed cycle whose length has no unused part, or a chain longer than
     every unused part, therefore stays impossible in every completion.
     Each remaining leaf is one candidate pair with both cycle types
-    right, counted once both split signs pass.
+    right, counted once both split signs pass (see :func:`_factor_search`).
     """
-    return sum(1 for _ in _factorizations(C, D, g))
+    count = 0
+
+    def found() -> bool:
+        nonlocal count
+        count += 1
+        return False
+
+    _factor_search(C, D, g, found)
+    return count
 
 
 def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation) -> bool:
     """Whether g is in the product set CD (stops at the first pair)."""
-    return any(True for _ in _factorizations(C, D, g))
+    return _factor_search(C, D, g, lambda: True)
 
 
 def brute_product_labels(C: ClassLabel, D: ClassLabel) -> set[ClassLabel]:

@@ -22,9 +22,11 @@ lifts its factors, and reads the signs off with ``an_class_of``.  The
 package gets them from a parity rule instead; a test checks the two.
 
 :func:`stream_frobenius` is the brute-force pair count as a plain scan:
-it streams every element of the smaller class and tests the cofactor of
-each with the oracle's class test.  :mod:`ancover.oracle` counts the same
-pairs by a pruned search; the tests check the two on many triples.
+it streams every element of the smaller class and tests each element and
+its cofactor with :func:`_member`, a class test that walks each split
+permutation twice.  :mod:`ancover.oracle` counts the same pairs by a
+pruned search and reads split signs from the words its search holds; the
+tests check the two on many triples.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ancover.combinatorics import (
     Partition,
@@ -41,7 +43,7 @@ from ancover.combinatorics import (
     centralizer_order,
     enumerate_partitions,
 )
-from ancover.oracle import _member
+from ancover.oracle import _cycles, _lengths
 from ancover.permutations import (
     ClassLabel,
     Permutation,
@@ -251,6 +253,28 @@ def images_of_type(parts: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
                 yield from rec([x for x in rest if x not in tail], remaining)
 
     yield from rec(list(range(1, n + 1)), list(parts))
+
+
+def _member(h: Sequence[int], parts: tuple[int, ...], sign: str | None) -> bool:
+    """Whether the permutation with images h lies in the A_n class of
+    cycle type parts and the given sign (None for a non-split type).
+
+    The "+" class of a split type holds the consecutive-fill representative
+    r (longest cycle first), so h is in it iff an even permutation
+    conjugates r to h.  The word of h's cycles, longest first, read as a
+    list of images is one such conjugator; any other differs from it by an
+    element of r's centralizer, a product of cycles of odd length, so all
+    have the parity of that word.
+    """
+    cycles = _cycles(h)
+    if _lengths(cycles) != parts:
+        return False
+    if sign is None:
+        return True
+    cycles.sort(key=len, reverse=True)
+    word = [x for cyc in cycles for x in cyc]
+    even = (len(word) - len(_cycles(word))) % 2 == 0
+    return even == (sign == "+")
 
 
 def _inverse(p: tuple[int, ...]) -> list[int]:

@@ -127,6 +127,45 @@ def test_verify_split_coverage_report_beyond_the_oracle_says_not_checked(capsys)
     assert payload["oracle_agrees"] is None and payload["lines"]
 
 
+def test_verify_split_coverage_report_without_split_types_says_not_checked(capsys):
+    # n = 2 has no split type, so brute force compares nothing.
+    code, out, _ = run(capsys, "verify", "split-coverage-report", "--n", "2")
+    assert code == 0
+    assert out == "oracle agreement: not checked (no split type at n <= 9)\n"
+    code, out, _ = run(capsys, "verify", "split-coverage-report", "--n", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": 1,
+        "suite": "split-coverage-report",
+        "lines": [],
+        "oracle_agrees": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gleason", "--n", "7", "--trials", "5"], "--trials"),
+        (["construction", "--n", "7"], "--n"),
+        (["oracle-equiv", "--n", "5"], "--n"),
+        (["bounds", "--n", "13"], "--n"),
+        (["ancn", "--n", "5", "--trials", "2"], "--trials"),
+        (["prop24", "--n", "5", "--trials", "2"], "--trials"),
+        (["split-coverage-report", "--n", "8", "--trials", "2"], "--trials"),
+        (["gleason", "--n", "7", "--table", "{csv}"], "--table"),
+        (["construction", "--table", "{csv}"], "--table"),
+        (["split-coverage-report", "--n", "8", "--table", "{csv}"], "--table"),
+    ],
+)
+def test_verify_option_the_suite_does_not_take_exits_2(capsys, tmp_path, argv, option):
+    csv = tmp_path / "clauses.csv"
+    argv = [a.format(csv=csv) for a in argv]
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[0]} takes no {option}\n"
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("suite", ["oracle-equiv", "construction", "bounds", "gleason"])
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_verify_nonpositive_trials_exits_2(capsys, suite, trials):

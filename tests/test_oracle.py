@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from ancover.combinatorics import LimitExceeded, Partition
 from ancover.combinatorics import enumerate_partitions
 from ancover.oracle import (
+    _has_class,
+    _search,
     brute_an_conjugate,
     brute_contains,
     brute_frobenius,
@@ -22,7 +25,7 @@ from ancover.permutations import (
     conjugate,
     parse_class_label,
 )
-from oracles import images_of_type, stream_frobenius
+from oracles import _member, images_of_type, stream_frobenius
 
 
 def test_permutations_of_type_counts():
@@ -73,6 +76,45 @@ def test_pair_queries_refuse_n_10_before_searching(monkeypatch):
         brute_contains(C, D, g)
     with pytest.raises(LimitExceeded):
         brute_product_labels(C, D)
+
+
+def test_permutations_of_type_refuses_n_10():
+    # It returns a list's iterator, so n = 10 would hold 9! permutations.
+    with pytest.raises(LimitExceeded):
+        permutations_of_type(Partition((10,)))
+
+
+@pytest.mark.parametrize("paired", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 7, 20])
+def test_search_stops_at_the_first_true_leaf(paired, k):
+    # With the cofactor of g = 1 enumerated from C, q = p^-1 has p's type,
+    # so both searches reach all 20 permutations of type 3,1,1.
+    parts, n = (3, 1, 1), 5
+    same = range(n + 1)
+    cofactor = (same, same, parts) if paired else None
+    calls = []
+
+    def leaf(p, q, word):
+        calls.append(p[1:])
+        return len(calls) == k
+
+    assert _search(parts, n, leaf, cofactor) is True
+    assert len(calls) == k
+    calls.clear()
+    assert _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor) is False
+    assert len(calls) == 20 == len(set(map(tuple, calls)))
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_cofactor_class_test_matches_the_reference_on_all_of_s_n(n):
+    # In a pair search the cuts already give every leaf's cofactor the
+    # target type, so only a direct call reaches the type check here.
+    split = [label for label in an_class_labels(n) if label.is_split()]
+    assert split
+    for h in itertools.permutations(range(1, n + 1)):
+        for label in split:
+            parts = label.cycle_type.parts
+            assert _has_class([0, *h], parts, label.sign) == _member(h, parts, label.sign)
 
 
 def test_brute_frobenius_identity():
