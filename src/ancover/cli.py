@@ -89,9 +89,9 @@ def cmd_table(args) -> int:
 
 
 # The verify options that set a suite parameter of the same meaning.  A
-# suite takes the options whose parameters it has; --seed is taken by
-# every suite, and the ones without a seed parameter are deterministic.
-_SUITE_OPTIONS = {"ns": "--n", "trials": "--trials"}
+# suite takes the options whose parameters it has; the suites without a
+# seed parameter are deterministic.
+_SUITE_OPTIONS = {"ns": "--n", "trials": "--trials", "seed": "--seed"}
 
 
 def cmd_verify(args) -> int:
@@ -101,15 +101,13 @@ def cmd_verify(args) -> int:
     report = args.suite == "split-coverage-report"
     suite = split_coverage_report if report else SUITES[args.suite]
     takes = inspect.signature(suite).parameters
-    given = {"ns": ns, "trials": args.trials}
+    given = {"ns": ns, "trials": args.trials, "seed": args.seed}
     kwargs = {name: value for name, value in given.items() if value is not None}
     untaken = [_SUITE_OPTIONS[name] for name in kwargs if name not in takes]
     if args.table is not None and args.suite != "bounds":
         untaken.append("--table")
     if untaken:
         raise ValueError(f"verify {args.suite} takes no {', '.join(untaken)}")
-    if "seed" in takes:
-        kwargs["seed"] = args.seed
     if report:
         lines, agree = suite(**kwargs)
         payload = {"schema": 1, "suite": args.suite, "lines": lines, "oracle_agrees": agree}
@@ -246,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-equiv 500, bounds 10000)",
     )
     p.add_argument(
-        "--seed", type=int, default=42, help="seed of the construction, "
-        "oracle-equiv and bounds suites; the others are deterministic",
+        "--seed", type=int, help="seed of the construction, oracle-equiv and "
+        "bounds suites (default 42); the others are deterministic",
     )
     p.add_argument("--table", metavar="CSV", help="bounds suite: write clause values")
     p.add_argument("--json", action="store_true")

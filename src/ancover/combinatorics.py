@@ -38,7 +38,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(int, parts))
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
@@ -212,6 +212,11 @@ class TypedSubpartition:
         return self.parts.n
 
 
+# Frozen, so every lone fixed point of a decomposition can share them.
+_FIXED_POINT = TypedSubpartition(SubpartitionKind.SINGLE_FIXED_POINT, Partition((1,)))
+_SHAPES = {kind: Partition(shape) for kind, shape in SHRUNKEN_SHAPE.items()}
+
+
 def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
     """Break an even cycle type into typed pieces.
 
@@ -273,10 +278,9 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
     elif rem:
         raise Infeasible("odd number of leftover 2-parts")
 
-    for _ in range(ones):
-        add(SubpartitionKind.SINGLE_FIXED_POINT, 1)
-
+    # Kind 1 sorts first, and its pieces are all one shared piece.
     pieces.sort(key=lambda s: (int(s.kind), tuple(-p for p in s.parts.parts)))
+    pieces[:0] = [_FIXED_POINT] * ones
     if sorted(itertools.chain(*(s.parts.parts for s in pieces)), reverse=True) != list(mu.parts):
         raise AssertionError(f"pieces do not reassemble {mu.text()}: {pieces}")
     return pieces
@@ -284,7 +288,7 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
 
 def phi(s: TypedSubpartition) -> Partition:
     """Shrink a piece: the shrunken shape of its kind."""
-    return Partition(SHRUNKEN_SHAPE[s.kind])
+    return _SHAPES[s.kind]
 
 
 def centralizer_order(p: Partition) -> int:

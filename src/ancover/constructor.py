@@ -24,6 +24,11 @@ of the base classes come from a parity rule (the c-lift keeps the split
 sign; the d-lift through r stripped points flips it iff r = 2 (mod 4)),
 and outside the search a call makes a fixed number of O(n) passes over
 image lists, whatever the degree.
+
+Neither builds throwaway permutations.  A search trial is an image list:
+parities are count-only walks, the cofactor's orbit of 1 decides whether
+it is a full cycle, and only a full cycle is walked whole and labelled.
+A rebuild reads the product point by point and relabels once.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from ancover.combinatorics import (
 )
 from ancover.permutations import (
     ClassLabel,
+    DegreeMismatch,
     Permutation,
+    _cycle_count,
     _walk,
     an_class_of,
     class_representative,
@@ -225,9 +232,9 @@ def find_opposite_valid_sequences(
 # Packing cycles and rebuilding
 
 
-def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
-    """The host-length cycle juxtaposing the sequences, then the free
-    space in decreasing order."""
+def packing_word(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> list[int]:
+    """The word juxtaposing the sequences, then the free space in
+    decreasing order: one cycle through every point of the host."""
     if len(sequences) != len(plan.subintervals):
         raise ValueError("one sequence per subinterval")
     word: list[int] = []
@@ -238,7 +245,12 @@ def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Perm
     free = plan.free
     if free is not None:
         word.extend(range(free.b, free.a - 1, -1))
-    return Permutation.from_cycles(plan.host_length, [word])
+    return word
+
+
+def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
+    """The host-length cycle of :func:`packing_word`."""
+    return Permutation.from_cycles(plan.host_length, [packing_word(plan, sequences)])
 
 
 def orbit_of(p: Permutation, x: int) -> frozenset[int]:
@@ -265,15 +277,24 @@ def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutati
         raise HypothesisViolated("a", f"delta fixes x = {x}")
     if delta(y) == y:
         raise HypothesisViolated("a", f"delta fixes y = {y}")
-    prod = gamma * delta
-    if gamma(x) not in orbit_of(prod, x):
+    if delta.n != gamma.n:
+        raise DegreeMismatch(f"degree {gamma.n} vs {delta.n}")
+    g, d = (0, *gamma.images), (0, *delta.images)  # the product is g[d[z]]
+    z = g[d[x]]
+    while z != x and z != g[x]:
+        z = g[d[z]]
+    if z != g[x]:
         raise HypothesisViolated("b", f"gamma({x}) leaves the product orbit of {x}")
-    if prod(y) != y:
+    if g[d[y]] != y:
         raise HypothesisViolated("c", f"product moves y = {y}")
-    if prod(gamma(y)) != gamma(y):
-        raise HypothesisViolated("c", f"product moves gamma(y) = {gamma(y)}")
-    eps = Permutation.from_cycles(delta.n, [(x, y)])
-    return eps * delta * eps
+    if g[d[g[y]]] != g[y]:
+        raise HypothesisViolated("c", f"product moves gamma(y) = {g[y]}")
+    # (x y) delta (x y): swap the values x and y, then their positions
+    images = list(delta.images)
+    i, j = images.index(x), images.index(y)
+    images[i], images[j] = y, x
+    images[x - 1], images[y - 1] = images[y - 1], images[x - 1]
+    return Permutation(images)
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +467,15 @@ def construct_witnesses(
     plans = greedy_pack(lam.parts, [shape.n for shape in shapes])
 
     def build_delta(use_bar_at: int | None) -> Permutation:
-        words: list[tuple[int, ...]] = []
+        words: list[list[int]] = []
         for plan in plans:
             local: list[ValidSequence] = []
             for iv, di in zip(plan.subintervals, plan.demands):
                 s, sbar = seqs[di]
                 chosen = sbar if (di == use_bar_at and sbar is not None) else s
                 local.append(chosen.shifted(iv.a - 1))
-            cyc = packing_cycle(plan, local)
             off = offsets[plan.host_index]
-            words.extend(
-                tuple(p + off for p in w) for w in cyc.cycles(include_fixed=False)
-            )
+            words.append([p + off for p in packing_word(plan, local)])
         return Permutation.from_cycles(n, words)
 
     delta0 = build_delta(None)
@@ -517,8 +535,7 @@ def _construct_two_twos_case(
         raise OnlyTrivialKinds(
             f"type {mu.text()} needs the long-cycle fallback, unavailable at n = {n}"
         )
-    gamma1_inv = Permutation.from_cycles(m, [tuple(range(1, m + 1))]).inverse()
-    m_cycle = Partition((m,))
+    gamma1_inv = [m, *range(1, m)]  # images of (1..m)^-1
     rng = random.Random(seed)
     found: dict[str | None, Permutation] = {}
     want_both = splits_in_an(lam)
@@ -529,11 +546,13 @@ def _construct_two_twos_case(
     ]
     for _ in range(budget):
         pts = rng.sample(range(1, m + 1), 4)
-        h = Permutation.from_cycles(m, [(pts[0], pts[1]), (pts[2], pts[3])])
-        d1 = gamma1_inv * h
-        if cycle_type(d1) != m_cycle:
+        # d1 = gamma1^-1 * (pts[0], pts[1])(pts[2], pts[3]), as images
+        a, b, c, e = (p - 1 for p in pts)
+        d1 = gamma1_inv[:]
+        d1[a], d1[b], d1[c], d1[e] = d1[b], d1[a], d1[e], d1[c]
+        if not _is_full_cycle(d1):
             continue
-        word1 = d1.cycles()[0]
+        word1 = _walk(d1)[0]
         # other hosts contribute inverse cycles so the product fixes them
         words = [word1] + [tuple(reversed(w)) for w in other_words]
         delta = Permutation.from_cycles(n, words)
@@ -546,11 +565,7 @@ def _construct_two_twos_case(
         raise Infeasible(
             f"no long-cycle cofactor for {mu.text()} within {budget} samples"
         )
-    if want_both:
-        delta = found["+"]
-        delta_bar = found["-"]
-    else:
-        delta = delta_bar = next(iter(found.values()))
+    delta, delta_bar = (found["+"], found["-"]) if want_both else (found[None],) * 2
     pair = WitnessPair(
         lam,
         mu,
@@ -580,6 +595,16 @@ def _cycle_images(word: Sequence[int]) -> list[int]:
         images[prev - 1] = x
         prev = x
     return images
+
+
+def _is_full_cycle(images: Sequence[int]) -> bool:
+    """Whether these images form one cycle through every point; only the
+    orbit of 1 is walked."""
+    x, length = images[0], 1
+    while x != 1:
+        x = images[x - 1]
+        length += 1
+    return length == len(images)
 
 
 def _d_lift_flips_sign(r: int) -> bool:
@@ -620,9 +645,12 @@ def cover_with_ncycles(
     re-verify the rule on every call.
 
     Outside the search a call makes a fixed number of O(n) passes over
-    image lists whatever the degree: one walk of g, the relabelling, the
-    two lifted words and the final checks.  It builds three Permutations
-    of degree n (c, d and c*d); the search runs on lists of degree m.
+    image lists whatever the degree: one splitting g's fixed points from
+    its moved ones, the relabelling, the two lifted words and the final
+    checks; g's parity is counted on its degree-m residue.  It builds
+    three Permutations of degree n (c, d and c*d).  The search runs on
+    lists of degree m; a trial walks the orbit of 1 under the cofactor,
+    and only a full cycle is walked whole and labelled.
     """
     from ancover.characters import DEFAULT_TABLE_LIMIT
     from ancover.classalgebra import frobenius_count
@@ -630,20 +658,13 @@ def cover_with_ncycles(
     n = g.n
     if n < 5 or n % 2 == 0:
         raise ValueError("defined for odd n >= 5")
-    walk = _walk(g.images)
-    if (n - len(walk)) % 2:
-        raise ValueError("g must be even")
-    fixed = [cyc[0] for cyc in walk if len(cyc) == 1]
+    points: tuple[list[int], list[int]] = ([], [])  # fixed, moved
+    for x, y in enumerate(g.images, 1):
+        points[x != y].append(x)
+    fixed, moved = points
     k = len(fixed)
     if k == n:
         raise ValueError("g must be nontrivial")
-    ncycle = Partition((n,))
-    if C.cycle_type != ncycle or D.cycle_type != ncycle or C.n != n or D.n != n:
-        raise ValueError("C and D must be n-cycle classes of matching degree")
-
-    if n <= DEFAULT_TABLE_LIMIT:
-        if frobenius_count(C, D, an_class_of(g)) == 0:
-            raise NotCoverable(f"{an_class_of(g)} is not in {C} * {D}")
 
     if k <= n - 6:
         r = 2 * (k // 2)
@@ -661,13 +682,20 @@ def cover_with_ncycles(
     if r == 0:
         order = list(range(1, n + 1))
     else:
-        order = sorted(x for cyc in walk if len(cyc) > 1 for x in cyc)
-        odd = sum(x - 1 - i for i, x in enumerate(order)) % 2
-        order += fixed
+        odd = sum(x - 1 - i for i, x in enumerate(moved)) % 2
+        order = moved + fixed
         if odd:
             order[m], order[m + 1] = order[m + 1], order[m]
     rank = {x: i for i, x in enumerate(order[:m], start=1)}
     h_small = [rank[g.images[x - 1]] for x in order[:m]]
+    if (m - _cycle_count(h_small)) % 2:
+        raise ValueError("g must be even")
+    ncycle = Partition((n,))
+    if C.cycle_type != ncycle or D.cycle_type != ncycle or C.n != n or D.n != n:
+        raise ValueError("C and D must be n-cycle classes of matching degree")
+    if n <= DEFAULT_TABLE_LIMIT:
+        if frobenius_count(C, D, an_class_of(g)) == 0:
+            raise NotCoverable(f"{an_class_of(g)} is not in {C} * {D}")
 
     flip = {"+": "-", "-": "+"}
     base_c = ClassLabel(Partition((m,)), C.sign)
@@ -684,27 +712,28 @@ def cover_with_ncycles(
         # w = random_even_permutation(m, rng) as a list of images
         w = list(range(1, m + 1))
         rng.shuffle(w)
-        if (m - len(_walk(w))) % 2:
+        if (m - _cycle_count(w)) % 2:
             w[0], w[1] = w[1], w[0]
         # the candidate w rep w^-1 is the cycle (w(a) for a in rep's word)
         c_word = [w[a - 1] for a in rep_word]
         c_inv = _cycle_images(c_word[::-1])
         d_small = [c_inv[y - 1] for y in h_small]
-        d_cycles = _walk(d_small)
-        if len(d_cycles) == 1 and an_class_of(Permutation(d_small)) == base_d:
+        if _is_full_cycle(d_small) and an_class_of(Permutation(d_small)) == base_d:
             break
     else:
         raise SearchBudgetExceeded(seed, budget)
 
     # (c_1..c_{m-1}, m) becomes (c_1..c_{m-1}, m, m+1, ..., n) and
     # (m, d_1..d_{m-1}) becomes (n, n-1, ..., m, d_1, ..., d_{m-1}); both
-    # words are then read through the relabelling.
-    d_word = d_cycles[0]
+    # words are read through the relabelling, which sends the stripped
+    # ranks m+1, ..., n to order[m:].
+    d_word = _walk(d_small)[0]
     i, j = c_word.index(m), d_word.index(m)
-    lift_c = c_word[i + 1 :] + c_word[: i + 1] + list(range(m + 1, n + 1))
-    lift_d = list(range(n, m, -1)) + d_word[j:] + d_word[:j]
-    c = Permutation(_cycle_images([order[y - 1] for y in lift_c]))
-    d = Permutation(_cycle_images([order[y - 1] for y in lift_d]))
+    stripped = order[m:]
+    lift_c = [order[y - 1] for y in c_word[i + 1 :] + c_word[: i + 1]] + stripped
+    lift_d = stripped[::-1] + [order[y - 1] for y in d_word[j:] + d_word[:j]]
+    c = Permutation(_cycle_images(lift_c))
+    d = Permutation(_cycle_images(lift_d))
 
     _check(c * d == g, "lifted factorization must reproduce g")
     _check(an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match")

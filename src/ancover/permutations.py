@@ -3,7 +3,9 @@
 Products compose right to left: ``(a * b)(x) == a(b(x))``.  Degrees are
 explicit; operations on mismatched degrees raise instead of embedding
 silently, and :func:`embed` pads with fixed points when an embedding is
-wanted.
+wanted.  Every Permutation goes through the one validating constructor.
+``_walk`` builds the cycles; ``_cycle_count`` takes the same walk without
+building anything, for parities and split signs.
 
 An A_n class is named by its cycle type plus an optional sign.  A sign is
 present exactly when the type has pairwise distinct odd parts (the split
@@ -15,7 +17,6 @@ this convention is what anchors the irrational character values in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -53,9 +54,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(x) for x in images)
+        images = tuple(map(int, images))
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        # n distinct integers between 1 and n are exactly 1..n
+        if n and (min(images) != 1 or max(images) != n or len(set(images)) != n):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
@@ -68,13 +70,17 @@ class Permutation:
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for cyc in cycles:
-            cyc = [int(x) for x in cyc]
-            for x in cyc:
-                if not 1 <= x <= n:
-                    raise ValueError(f"point {x} out of range 1..{n}")
-                if x in seen:
-                    raise ValueError(f"point {x} appears in two cycles")
-                seen.add(x)
+            cyc = list(map(int, cyc))
+            points = set(cyc)
+            bad = cyc and (min(cyc) < 1 or max(cyc) > n)
+            if bad or len(points) < len(cyc) or not points.isdisjoint(seen):
+                for x in cyc:  # name the first offending point
+                    if not 1 <= x <= n:
+                        raise ValueError(f"point {x} out of range 1..{n}")
+                    if x in seen:
+                        raise ValueError(f"point {x} appears in two cycles")
+                    seen.add(x)
+            seen |= points
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a - 1] = b
         return cls(images)
@@ -89,7 +95,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise DegreeMismatch(f"degree {self.n} vs {other.n}")
-        return Permutation(self.images[y - 1] for y in other.images)
+        images = (0, *self.images)
+        return Permutation([images[y] for y in other.images])
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -109,7 +116,7 @@ class Permutation:
     def parity(self) -> int:
         """0 for even, 1 for odd: a product of c cycles (fixed points
         included) is a product of n - c transpositions."""
-        return (self.n - len(_walk(self.images))) % 2
+        return (self.n - _cycle_count(self.images)) % 2
 
     def is_even(self) -> bool:
         return self.parity() == 0
@@ -143,19 +150,40 @@ def conjugate(g: Permutation, s: Permutation) -> Permutation:
 def _walk(images: Sequence[int]) -> list[list[int]]:
     """Every cycle of the permutation with these images, fixed points
     included, each starting at its least point, in order of that point."""
-    seen = [False] * (len(images) + 1)
+    img = (0, *images)
+    seen = [False] * len(img)
     out: list[list[int]] = []
-    for start in range(1, len(images) + 1):
+    for start in range(1, len(img)):
         if seen[start]:
             continue
+        x = img[start]
+        if x == start:
+            out.append([start])
+            continue
         cyc = [start]
-        x = images[start - 1]
         while x != start:
             seen[x] = True
             cyc.append(x)
-            x = images[x - 1]
+            x = img[x]
         out.append(cyc)
     return out
+
+
+def _cycle_count(images: Sequence[int]) -> int:
+    """Number of cycles, fixed points included: the walk of :func:`_walk`
+    without building any cycle."""
+    img = (0, *images)
+    seen = [False] * len(img)
+    count = 0
+    for start in range(1, len(img)):
+        if seen[start]:
+            continue
+        count += 1
+        x = img[start]
+        while x != start:
+            seen[x] = True
+            x = img[x]
+    return count
 
 
 def _type_of_walk(walk: list[list[int]]) -> Partition:
@@ -307,7 +335,7 @@ def an_class_of(g: Permutation) -> ClassLabel:
         return ClassLabel(t)
     walk.sort(key=len, reverse=True)
     word = [x for cyc in walk for x in cyc]
-    return ClassLabel(t, "-" if (g.n - len(_walk(word))) % 2 else "+")
+    return ClassLabel(t, "-" if (g.n - _cycle_count(word)) % 2 else "+")
 
 
 def kappa(g: Permutation) -> int:
@@ -326,13 +354,8 @@ def is_real_in_an(g: Permutation) -> bool:
     even elements are always real because their A_n class is a full S_n
     class.
     """
-    walk = _walk(g.images)
-    if (g.n - len(walk)) % 2:
-        raise OddPermutation(f"{g} is not in A_{g.n}")
-    t = _type_of_walk(walk)
-    if not splits_in_an(t):
-        return True
-    return kappa_of_type(t) % 2 == 0
+    label = an_class_of(g)
+    return not label.is_split() or kappa_of_type(label.cycle_type) % 2 == 0
 
 
 def an_class_size(label: ClassLabel) -> int:
@@ -367,10 +390,3 @@ def random_even_permutation(n: int, rng) -> Permutation:
         imgs[0], imgs[1] = imgs[1], imgs[0]
         g = Permutation(imgs)
     return g
-
-
-def all_even_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, n + 1)):
-        g = Permutation(images)
-        if g.is_even():
-            yield g

@@ -27,11 +27,26 @@ its cofactor with :func:`_member`, a class test that walks each split
 permutation twice.  :mod:`ancover.oracle` counts the same pairs by a
 pruned search and reads split signs from the words its search holds; the
 tests check the two on many triples.
+
+:func:`reference_images`, :func:`reference_from_cycles`,
+:func:`reference_walk` and :func:`reference_an_class_of` are the
+permutation kernel as first written: a bijection check by sorting, a
+point-by-point cycle check, and a walk that builds every cycle and is run
+again in full for a parity.  The package validates with sets and counts
+cycles without building them; the tests check that both accept, reject
+and label the same inputs.  :func:`all_even_permutations` enumerates A_n
+for the exhaustive tests.
+
+:func:`two_twos_deltas` is the 2,2 fallback's trial loop as first
+written, with a Permutation built for every trial; the package forms each
+trial as swaps on an image list, and a test checks that both pick the
+same witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -50,6 +65,8 @@ from ancover.permutations import (
     an_class_of,
     an_class_size,
     class_representative,
+    cycle_type,
+    splits_in_an,
 )
 
 
@@ -302,3 +319,110 @@ def stream_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
             h = tuple(gi[x - 1] for x in pi)
         count += _member(h, other.cycle_type.parts, other.sign)
     return count
+
+
+def all_even_permutations(n: int) -> Iterator[Permutation]:
+    for images in itertools.permutations(range(1, n + 1)):
+        g = Permutation(images)
+        if g.is_even():
+            yield g
+
+
+def reference_images(images: Sequence[int]) -> tuple[int, ...]:
+    """The images, checked to be a bijection of 1..n by sorting."""
+    images = tuple(int(x) for x in images)
+    n = len(images)
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"not a bijection of 1..{n}: {images}")
+    return images
+
+
+def reference_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Images of a product of disjoint cycles, checked point by point."""
+    images = list(range(1, n + 1))
+    seen: set[int] = set()
+    for cyc in cycles:
+        cyc = [int(x) for x in cyc]
+        for x in cyc:
+            if not 1 <= x <= n:
+                raise ValueError(f"point {x} out of range 1..{n}")
+            if x in seen:
+                raise ValueError(f"point {x} appears in two cycles")
+            seen.add(x)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a - 1] = b
+    return reference_images(images)
+
+
+def reference_walk(images: Sequence[int]) -> list[list[int]]:
+    """Every cycle, fixed points included, each from its least point."""
+    seen = [False] * (len(images) + 1)
+    out: list[list[int]] = []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        cyc = [start]
+        x = images[start - 1]
+        while x != start:
+            seen[x] = True
+            cyc.append(x)
+            x = images[x - 1]
+        out.append(cyc)
+    return out
+
+
+def reference_parity(images: Sequence[int]) -> int:
+    return (len(images) - len(reference_walk(images))) % 2
+
+
+def reference_cycle_type(images: Sequence[int]) -> Partition:
+    return Partition(sorted(map(len, reference_walk(images)), reverse=True))
+
+
+def reference_an_class_of(images: Sequence[int]) -> ClassLabel:
+    """A_n label of an even permutation: the split sign is the parity of
+    its cycles' word, longest first, read as a list of images."""
+    n = len(images)
+    walk = reference_walk(images)
+    if (n - len(walk)) % 2:
+        raise ValueError("odd permutation")
+    t = Partition(sorted(map(len, walk), reverse=True))
+    if not splits_in_an(t):
+        return ClassLabel(t)
+    walk.sort(key=len, reverse=True)
+    word = [x for cyc in walk for x in cyc]
+    return ClassLabel(t, "-" if (n - len(reference_walk(word))) % 2 else "+")
+
+
+def two_twos_deltas(lam: Partition, seed: int) -> tuple[Permutation, Permutation]:
+    """(delta, delta_bar) of the 2,2 fallback for mu = 2,2,1^(n-4): seeded
+    trials h = (a, b)(c, e) on the largest cycle of gamma until
+    gamma1^-1 * h is a full cycle, one per split class of lam (or the first
+    when lam does not split), the other cycles of gamma inverted."""
+    n, m = lam.n, lam.parts[0]
+    offsets = [sum(lam.parts[:j]) for j in range(len(lam.parts))]
+    gamma1_inv = Permutation.from_cycles(m, [tuple(range(1, m + 1))]).inverse()
+    m_cycle = Partition((m,))
+    rng = random.Random(seed)
+    found: dict[str | None, Permutation] = {}
+    want_both = splits_in_an(lam)
+    other_words = [
+        tuple(range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1))
+        for j in range(1, len(lam.parts))
+    ]
+    for _ in range(200_000):
+        pts = rng.sample(range(1, m + 1), 4)
+        h = Permutation.from_cycles(m, [(pts[0], pts[1]), (pts[2], pts[3])])
+        d1 = gamma1_inv * h
+        if cycle_type(d1) != m_cycle:
+            continue
+        words = [d1.cycles()[0]] + [tuple(reversed(w)) for w in other_words]
+        delta = Permutation.from_cycles(n, words)
+        found.setdefault(an_class_of(delta).sign if want_both else None, delta)
+        if len(found) == (2 if want_both else 1):
+            break
+    else:
+        raise AssertionError("no long-cycle cofactor within the budget")
+    if want_both:
+        return found["+"], found["-"]
+    return found[None], found[None]

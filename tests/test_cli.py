@@ -196,12 +196,22 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 
 def test_verify_json_deterministic(capsys):
-    code1, out1, _ = run(capsys, "verify", "ancn", "--n", "5,7", "--json", "--seed", "9")
-    code2, out2, _ = run(capsys, "verify", "ancn", "--n", "5,7", "--json", "--seed", "9")
+    args = ("verify", "construction", "--trials", "5", "--json", "--seed", "9")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
     data = json.loads(out1)
     assert data["passed"] is True
+    assert "seed=9" in data["items"][0]["name"]
+
+
+def test_verify_seed_rejected_by_unseeded_suites(capsys):
+    code, out, err = run(capsys, "verify", "ancn", "--seed", "3")
+    assert code == 2 and out == ""
+    assert err == "error: verify ancn takes no --seed\n"
+    code, _, err = run(capsys, "verify", "split-coverage-report", "--n", "8", "--seed", "3")
+    assert code == 2 and "takes no --seed" in err
 
 
 def test_witness_json_deterministic(capsys):

@@ -36,7 +36,7 @@ from ancover.permutations import (
     random_even_permutation,
 )
 from ancover.suites import random_construction_instance
-from oracles import lift_sign_maps
+from oracles import lift_sign_maps, two_twos_deltas
 
 
 def cyc(n, *cycles):
@@ -283,6 +283,16 @@ def test_construct_witnesses_two_twos_fallback():
     pair = construct_witnesses(Partition((21, 8)), Partition.from_text("2,2,1x25"))
     pair.verify()
     assert pair.delta == pair.delta_bar
+
+
+@pytest.mark.parametrize("lam,mu", [("21", "2,2,1x17"), ("21,8", "2,2,1x25")])
+def test_two_twos_search_matches_permutation_trials(lam, mu):
+    # The split case, then the non-split one: the image-list trials pick
+    # the same witnesses as a Permutation built for every trial.
+    lam, mu = Partition.from_text(lam), Partition.from_text(mu)
+    for seed in range(20):
+        pair = construct_witnesses(lam, mu, seed=seed)
+        assert (pair.delta, pair.delta_bar) == two_twos_deltas(lam, seed)
 
 
 def test_two_twos_fallback_needs_room():

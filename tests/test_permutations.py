@@ -10,7 +10,6 @@ from ancover.permutations import (
     DegreeMismatch,
     OddPermutation,
     Permutation,
-    all_even_permutations,
     an_class_labels,
     an_class_of,
     an_class_size,
@@ -26,6 +25,14 @@ from ancover.permutations import (
     random_even_permutation,
     random_permutation,
     splits_in_an,
+)
+from oracles import (
+    all_even_permutations,
+    reference_an_class_of,
+    reference_cycle_type,
+    reference_from_cycles,
+    reference_images,
+    reference_parity,
 )
 
 
@@ -296,3 +303,85 @@ def test_an_class_of_under_conjugation(g, data):
         assert conj == label
     else:
         assert conj.cycle_type == label.cycle_type and conj.sign != label.sign
+
+
+# --- The kernel against the reference code it replaced (tests/oracles.py).
+
+
+def _outcome(build, *args):
+    """The images built, or the message of the ValueError raised."""
+    try:
+        out = build(*args)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return "builds", tuple(getattr(out, "images", out))
+
+
+# Arbitrary small ints: duplicates, 0, n + 1, negatives and the empty list.
+_int_lists = st.lists(st.integers(min_value=-3, max_value=12), max_size=10)
+
+
+@st.composite
+def _near_permutations(draw):
+    """Images of a permutation of 1..n, one of them replaced by anything
+    from -2 to n + 1: mostly a duplicate beside the least and greatest
+    points 1 and n."""
+    images = list(draw(st.permutations(range(1, draw(st.integers(1, 9)) + 1))))
+    images[draw(st.integers(0, len(images) - 1))] = draw(st.integers(-2, len(images) + 1))
+    return images
+
+
+@given(st.one_of(_int_lists, _near_permutations(), permutations(max_n=9).map(lambda g: g.images)))
+def test_constructor_raises_as_reference(images):
+    assert _outcome(Permutation, images) == _outcome(reference_images, images)
+
+
+@st.composite
+def _near_cycles(draw):
+    """(n, cycles) from a split-type element, one point replaced by
+    anything from -1 to n + 1."""
+    g = draw(split_type_permutations(max_n=9))
+    cycles = [list(c) for c in g.cycles(include_fixed=True)]
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(cycles))
+        c[draw(st.integers(0, len(c) - 1))] = draw(st.integers(-1, g.n + 1))
+    return g.n, cycles
+
+
+@given(
+    st.one_of(
+        st.tuples(
+            st.integers(min_value=-1, max_value=9),
+            st.lists(st.lists(st.integers(min_value=-2, max_value=10), max_size=5), max_size=4),
+        ),
+        _near_cycles(),
+    )
+)
+def test_from_cycles_raises_as_reference(case):
+    n, cycles = case
+    assert _outcome(Permutation.from_cycles, n, cycles) == _outcome(
+        reference_from_cycles, n, cycles
+    )
+
+
+def _split_elements(n, rng):
+    """Random elements of split types of degree n."""
+    if n <= 9:
+        types = [l.cycle_type for l in an_class_labels(n) if l.sign == "+"]
+    else:
+        types = [Partition((n,)), Partition((n - 4, 3, 1))]
+    for t in types:
+        s = random_permutation(n, rng)
+        yield conjugate(class_representative(ClassLabel(t, "+")), s)
+
+
+def test_kernel_agrees_with_reference():
+    rng = random.Random(12)
+    for n in [*range(1, 10), 51, 1001]:
+        for _ in range(20 if n <= 51 else 4):
+            h = random_permutation(n, rng)
+            assert h.parity() == reference_parity(h.images)
+            for g in (random_even_permutation(n, rng), *_split_elements(n, rng)):
+                assert g.parity() == reference_parity(g.images) == 0
+                assert cycle_type(g) == reference_cycle_type(g.images)
+                assert an_class_of(g) == reference_an_class_of(g.images)
