@@ -29,7 +29,6 @@ from ancover.permutations import (
     an_class_of,
     an_class_labels,
     kappa,
-    is_real_in_an,
 )
 from ancover.characters import (
     AlgebraicValue,
@@ -48,7 +47,6 @@ from ancover.classalgebra import (
     product_counts,
     power_counts,
     covers,
-    is_covered_by,
     covering_number,
 )
 from ancover.constructor import (
@@ -56,20 +54,29 @@ from ancover.constructor import (
     PackingPlan,
     ValidSequence,
     WitnessPair,
-    greedy_pack,
-    find_opposite_valid_sequences,
-    packing_cycle,
-    rebuild,
     construct_witnesses,
     cover_with_ncycles,
 )
-from ancover.bounds import (
-    EProfile,
-    e_profile,
-    hook_bound,
-    prop24_certificate,
-    amgm_report,
-    min_split_degree_report,
-)
 
 __version__ = "0.1.0"
+
+# Names of ancover.bounds, imported on first access so that importing the
+# package does not load that module.
+_BOUNDS_NAMES = frozenset(
+    {
+        "EProfile",
+        "e_profile",
+        "hook_bound",
+        "prop24_certificate",
+        "amgm_report",
+        "min_split_degree_report",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _BOUNDS_NAMES:
+        from ancover import bounds
+
+        return getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

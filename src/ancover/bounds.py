@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ancover.characters import AlgebraicValue, _squarefree_split
+from ancover.characters import _squarefree_split
 from ancover.combinatorics import (
     LimitExceeded,
     Partition,
@@ -81,31 +81,6 @@ def surd_sign(terms: Sequence[tuple[Fraction, int]]) -> int:
         prec *= 2
         if prec > 1 << 16:
             raise ArithmeticError("surd refinement failed to separate from zero")
-
-
-def surd_le(terms_left: Sequence[tuple[Fraction, int]], terms_right: Sequence[tuple[Fraction, int]]) -> bool:
-    diff = list(terms_left) + [(-Fraction(q), d) for q, d in terms_right]
-    return surd_sign(diff) <= 0
-
-
-def algebraic_value_terms(v: AlgebraicValue) -> list[tuple[Fraction, int]]:
-    if v.d < 0:
-        raise ValueError(f"{v} is not real")
-    return [(v.a, 1), (v.b, v.d)]
-
-
-def abs_value_le_surd(v: AlgebraicValue, bound: Sequence[tuple[Fraction, int]]) -> bool:
-    """|v| <= bound, for a possibly complex exact value and a real bound.
-
-    Compares |v|^2 against bound^2; the bound must be a two-term surd
-    u + w*sqrt(d) with u, w >= 0.
-    """
-    (u, _), (w, d) = bound
-    if u < 0 or w < 0:
-        raise ValueError("bound must be nonnegative")
-    bound_sq = [(u * u + w * w * d, 1), (2 * u * w, d)]
-    vsq = v.norm_squared()
-    return surd_le(algebraic_value_terms(vsq), bound_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -309,11 +309,6 @@ def irreducible_labels(n: int) -> list[IrreducibleLabel]:
     return labels
 
 
-def an_degree(chi: IrreducibleLabel) -> int:
-    d = degree(chi.partition)
-    return d // 2 if chi.is_split() else d
-
-
 def an_character_value(chi: IrreducibleLabel, cls: ClassLabel) -> AlgebraicValue:
     """Exact value of an A_n irreducible on a labeled class."""
     if chi.n != cls.n:

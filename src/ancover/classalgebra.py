@@ -28,11 +28,7 @@ from operator import mul
 
 from ancover.characters import CharacterTable, an_character_table
 from ancover.combinatorics import Partition
-from ancover.permutations import (
-    ClassLabel,
-    an_class_size,
-    splits_in_an,
-)
+from ancover.permutations import ClassLabel, an_class_size
 
 MAX_COVERING_POWER = 20  # covering_number gives up past this power
 
@@ -225,24 +221,6 @@ def covers(C: ClassLabel, D: ClassLabel, *, table: CharacterTable | None = None)
     identity = _identity_label(C.n)
     counts = product_counts(C, D, table=table)
     return CoverageReport(C.n, C, D, [g for g, c in counts.items() if c == 0 and g != identity])
-
-
-def labels_of_type(lam: Partition) -> list[ClassLabel]:
-    if splits_in_an(lam):
-        return [ClassLabel(lam, "+"), ClassLabel(lam, "-")]
-    return [ClassLabel(lam)]
-
-
-def is_covered_by(lam: Partition, g: ClassLabel, *, table: CharacterTable | None = None) -> bool:
-    """Whether g lies in CD for every pair of classes C, D of cycle type lam."""
-    if not lam.is_even_type():
-        raise ValueError(f"{lam.text()} is not an even cycle type")
-    if table is None:
-        table = an_character_table(lam.n)
-    labels = labels_of_type(lam)
-    return all(
-        frobenius_count(C, D, g, table=table) > 0 for C in labels for D in labels
-    )
 
 
 def covering_number(C: ClassLabel, *, table: CharacterTable | None = None) -> int:

@@ -294,7 +294,7 @@ def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutati
     i, j = images.index(x), images.index(y)
     images[i], images[j] = y, x
     images[x - 1], images[y - 1] = images[y - 1], images[x - 1]
-    return Permutation(images)
+    return Permutation._from_ints(images)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +324,19 @@ class WitnessPair:
     seed: int | None = None
 
     def verify(self) -> None:
-        """Raise VerificationFailed unless every stated invariant holds."""
-        _check(cycle_type(self.gamma) == self.lam, "gamma type")
-        _check(cycle_type(self.delta) == self.lam, "delta type")
-        _check(cycle_type(self.delta_bar) == self.lam, "delta_bar type")
-        _check(cycle_type(self.gamma * self.delta) == self.mu, "product type")
-        _check(cycle_type(self.gamma * self.delta_bar) == self.mu, "bar product type")
-        expected = sum(p - shrink_part(p) for p in self.mu.parts) // 2
-        _check(len(self.rebuild_log) == expected, "rebuild count")
-        _check(len(self.rebuild_log_bar) == expected, "bar rebuild count")
-        if splits_in_an(self.lam):
-            _check(
-                an_class_of(self.delta) != an_class_of(self.delta_bar),
-                "delta and delta_bar must land in the two split classes",
-            )
+        """Raise VerificationFailed unless every stated invariant holds,
+        the stored product labels included."""
+        label, label_bar = _product_labels(
+            self.lam,
+            self.mu,
+            self.gamma,
+            self.delta,
+            self.delta_bar,
+            self.rebuild_log,
+            self.rebuild_log_bar,
+        )
+        _check(label == self.product_label, "product label")
+        _check(label_bar == self.product_label_bar, "bar product label")
 
     def to_json_dict(self) -> dict:
         return {
@@ -358,6 +357,36 @@ class WitnessPair:
             "rebuild_log_bar": [list(s) for s in self.rebuild_log_bar],
             "seed": self.seed,
         }
+
+
+def _product_labels(
+    lam: Partition,
+    mu: Partition,
+    gamma: Permutation,
+    delta: Permutation,
+    delta_bar: Permutation,
+    log: Sequence[tuple[int, int]],
+    log_bar: Sequence[tuple[int, int]],
+) -> tuple[ClassLabel, ClassLabel]:
+    """The A_n classes of gamma*delta and gamma*delta_bar, after checking
+    every invariant a WitnessPair states; each product is formed once and
+    its type read from the walk that labels it."""
+    _check(cycle_type(gamma) == lam, "gamma type")
+    _check(cycle_type(delta) == lam, "delta type")
+    _check(cycle_type(delta_bar) == lam, "delta_bar type")
+    # equal types make both products even, so both have A_n labels
+    label, label_bar = an_class_of(gamma * delta), an_class_of(gamma * delta_bar)
+    _check(label.cycle_type == mu, "product type")
+    _check(label_bar.cycle_type == mu, "bar product type")
+    expected = sum(p - shrink_part(p) for p in mu.parts) // 2
+    _check(len(log) == expected, "rebuild count")
+    _check(len(log_bar) == expected, "bar rebuild count")
+    if splits_in_an(lam):
+        _check(
+            an_class_of(delta) != an_class_of(delta_bar),
+            "delta and delta_bar must land in the two split classes",
+        )
+    return label, label_bar
 
 
 def _grow_targets(
@@ -502,21 +531,10 @@ def construct_witnesses(
     targets_bar = _grow_targets(nontrivial, plans, offsets, gamma * delta_bar0)
     delta_bar, log_bar = _run_rebuilds(gamma, delta_bar0, targets_bar, pool)
 
-    pair = WitnessPair(
-        lam,
-        mu,
-        gamma,
-        delta,
-        delta_bar,
-        an_class_of(gamma * delta),
-        an_class_of(gamma * delta_bar),
-        embeddings,
-        tuple(log),
-        tuple(log_bar),
-        seed,
+    labels = _product_labels(lam, mu, gamma, delta, delta_bar, log, log_bar)
+    return WitnessPair(
+        lam, mu, gamma, delta, delta_bar, *labels, embeddings, tuple(log), tuple(log_bar), seed
     )
-    pair.verify()
-    return pair
 
 
 def _construct_two_twos_case(
@@ -566,21 +584,8 @@ def _construct_two_twos_case(
             f"no long-cycle cofactor for {mu.text()} within {budget} samples"
         )
     delta, delta_bar = (found["+"], found["-"]) if want_both else (found[None],) * 2
-    pair = WitnessPair(
-        lam,
-        mu,
-        gamma,
-        delta,
-        delta_bar,
-        an_class_of(gamma * delta),
-        an_class_of(gamma * delta_bar),
-        embeddings,
-        (),
-        (),
-        seed,
-    )
-    pair.verify()
-    return pair
+    labels = _product_labels(lam, mu, gamma, delta, delta_bar, (), ())
+    return WitnessPair(lam, mu, gamma, delta, delta_bar, *labels, embeddings, (), (), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +653,8 @@ def cover_with_ncycles(
     image lists whatever the degree: one splitting g's fixed points from
     its moved ones, the relabelling, the two lifted words and the final
     checks; g's parity is counted on its degree-m residue.  It builds
-    three Permutations of degree n (c, d and c*d).  The search runs on
+    two Permutations of degree n, c and d; c*d is compared with g as an
+    image list and never built.  The search runs on
     lists of degree m; a trial walks the orbit of 1 under the cofactor,
     and only a full cycle is walked whole and labelled.
     """
@@ -702,7 +708,7 @@ def cover_with_ncycles(
     base_d = ClassLabel(Partition((m,)), flip[D.sign] if _d_lift_flips_sign(r) else D.sign)
 
     if m <= DEFAULT_TABLE_LIMIT:
-        h_label = an_class_of(Permutation(h_small))
+        h_label = an_class_of(Permutation._from_ints(h_small))
         if frobenius_count(base_c, base_d, h_label) == 0:
             raise NotCoverable(f"base case {h_label} is not in {base_c} * {base_d}")
 
@@ -718,7 +724,7 @@ def cover_with_ncycles(
         c_word = [w[a - 1] for a in rep_word]
         c_inv = _cycle_images(c_word[::-1])
         d_small = [c_inv[y - 1] for y in h_small]
-        if _is_full_cycle(d_small) and an_class_of(Permutation(d_small)) == base_d:
+        if _is_full_cycle(d_small) and an_class_of(Permutation._from_ints(d_small)) == base_d:
             break
     else:
         raise SearchBudgetExceeded(seed, budget)
@@ -732,9 +738,13 @@ def cover_with_ncycles(
     stripped = order[m:]
     lift_c = [order[y - 1] for y in c_word[i + 1 :] + c_word[: i + 1]] + stripped
     lift_d = stripped[::-1] + [order[y - 1] for y in d_word[j:] + d_word[:j]]
-    c = Permutation(_cycle_images(lift_c))
-    d = Permutation(_cycle_images(lift_d))
+    c = Permutation._from_ints(_cycle_images(lift_c))
+    d = Permutation._from_ints(_cycle_images(lift_d))
 
-    _check(c * d == g, "lifted factorization must reproduce g")
+    # c*d == g, compared as image lists without building c*d
+    c_img = (0, *c.images)
+    _check(
+        [c_img[y] for y in d.images] == [*g.images], "lifted factorization must reproduce g"
+    )
     _check(an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match")
     return c, d

@@ -3,7 +3,11 @@
 Products compose right to left: ``(a * b)(x) == a(b(x))``.  Degrees are
 explicit; operations on mismatched degrees raise instead of embedding
 silently, and :func:`embed` pads with fixed points when an embedding is
-wanted.  Every Permutation goes through the one validating constructor.
+wanted.  Every Permutation passes the one bijection check,
+:func:`_bijection`, behind two entry points: ``Permutation(...)`` first
+converts each image with ``int()``, for outside input, and
+``Permutation._from_ints`` skips that pass for images the package built
+from ints itself.
 ``_walk`` builds the cycles; ``_cycle_count`` takes the same walk without
 building anything, for parities and split signs.
 
@@ -47,6 +51,15 @@ def splits_in_an(p: Partition) -> bool:
     return p.n >= 2 and is_split_type(p)
 
 
+def _bijection(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The images, checked to be a bijection of 1..n."""
+    n = len(images)
+    # n distinct integers between 1 and n are exactly 1..n
+    if n and (min(images) != 1 or max(images) != n or len(set(images)) != n):
+        raise ValueError(f"not a bijection of 1..{n}: {images}")
+    return images
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..n}, stored as the tuple of images of 1..n."""
@@ -54,16 +67,19 @@ class Permutation:
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(map(int, images))
-        n = len(images)
-        # n distinct integers between 1 and n are exactly 1..n
-        if n and (min(images) != 1 or max(images) != n or len(set(images)) != n):
-            raise ValueError(f"not a bijection of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", _bijection(tuple(map(int, images))))
+
+    @classmethod
+    def _from_ints(cls, images: Iterable[int]) -> "Permutation":
+        """``Permutation(images)`` for images that are already ints: the
+        same check, without the ``int()`` pass."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", _bijection(tuple(images)))
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._from_ints(range(1, n + 1))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
@@ -83,7 +99,7 @@ class Permutation:
             seen |= points
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a - 1] = b
-        return cls(images)
+        return cls._from_ints(images)
 
     @property
     def n(self) -> int:
@@ -96,13 +112,13 @@ class Permutation:
         if self.n != other.n:
             raise DegreeMismatch(f"degree {self.n} vs {other.n}")
         images = (0, *self.images)
-        return Permutation([images[y] for y in other.images])
+        return Permutation._from_ints([images[y] for y in other.images])
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, y in enumerate(self.images):
             inv[y - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._from_ints(inv)
 
     def cycles(self, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, longest first."""
@@ -198,7 +214,7 @@ def embed(g: Permutation, n: int) -> Permutation:
     """View g in a larger degree, the new points fixed."""
     if n < g.n:
         raise DegreeMismatch(f"cannot embed degree {g.n} into {n}")
-    return Permutation(tuple(g.images) + tuple(range(g.n + 1, n + 1)))
+    return Permutation._from_ints(g.images + tuple(range(g.n + 1, n + 1)))
 
 
 def _check_degree(n: int) -> None:
@@ -347,17 +363,6 @@ def kappa_of_type(t: Partition) -> int:
     return sum(1 for p in t.parts if p % 4 == 3)
 
 
-def is_real_in_an(g: Permutation) -> bool:
-    """Whether g and g^-1 are conjugate in A_n.
-
-    Split-type elements are real exactly when kappa is even.  Non-split
-    even elements are always real because their A_n class is a full S_n
-    class.
-    """
-    label = an_class_of(g)
-    return not label.is_split() or kappa_of_type(label.cycle_type) % 2 == 0
-
-
 def an_class_size(label: ClassLabel) -> int:
     """Size of the labeled A_n class (split classes are half S_n classes)."""
     n = label.n
@@ -380,7 +385,7 @@ def random_permutation(n: int, rng) -> Permutation:
     """Uniform random permutation from an externally seeded Random."""
     images = list(range(1, n + 1))
     rng.shuffle(images)
-    return Permutation(images)
+    return Permutation._from_ints(images)
 
 
 def random_even_permutation(n: int, rng) -> Permutation:
@@ -388,5 +393,5 @@ def random_even_permutation(n: int, rng) -> Permutation:
     if g.parity() == 1:
         imgs = list(g.images)
         imgs[0], imgs[1] = imgs[1], imgs[0]
-        g = Permutation(imgs)
+        g = Permutation._from_ints(imgs)
     return g

@@ -41,6 +41,11 @@ for the exhaustive tests.
 written, with a Permutation built for every trial; the package forms each
 trial as swaps on an image list, and a test checks that both pick the
 same witnesses.
+
+:func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
+:func:`labels_of_type`, :func:`is_covered_by` and :func:`is_real_in_an`
+are small statements about degrees, surd bounds, coverage by a cycle type
+and reality; only tests call them.
 """
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ from ancover.combinatorics import (
     centralizer_order,
     enumerate_partitions,
 )
+from ancover.bounds import surd_sign
+from ancover.characters import (
+    AlgebraicValue,
+    CharacterTable,
+    IrreducibleLabel,
+    an_character_table,
+    degree,
+)
+from ancover.classalgebra import frobenius_count
 from ancover.oracle import _cycles, _lengths
 from ancover.permutations import (
     ClassLabel,
@@ -66,6 +80,7 @@ from ancover.permutations import (
     an_class_size,
     class_representative,
     cycle_type,
+    kappa_of_type,
     splits_in_an,
 )
 
@@ -426,3 +441,58 @@ def two_twos_deltas(lam: Partition, seed: int) -> tuple[Permutation, Permutation
     if want_both:
         return found["+"], found["-"]
     return found[None], found[None]
+
+
+def an_degree(chi: IrreducibleLabel) -> int:
+    d = degree(chi.partition)
+    return d // 2 if chi.is_split() else d
+
+
+def surd_le(terms_left: Sequence[tuple[Fraction, int]], terms_right: Sequence[tuple[Fraction, int]]) -> bool:
+    diff = list(terms_left) + [(-Fraction(q), d) for q, d in terms_right]
+    return surd_sign(diff) <= 0
+
+
+def abs_value_le_surd(v: AlgebraicValue, bound: Sequence[tuple[Fraction, int]]) -> bool:
+    """|v| <= bound, for a possibly complex exact value and a real bound.
+
+    Compares |v|^2 against bound^2; the bound must be a two-term surd
+    u + w*sqrt(d) with u, w >= 0.
+    """
+    (u, _), (w, d) = bound
+    if u < 0 or w < 0:
+        raise ValueError("bound must be nonnegative")
+    bound_sq = [(u * u + w * w * d, 1), (2 * u * w, d)]
+    vsq = v.norm_squared()
+    if vsq.d < 0:
+        raise ValueError(f"{vsq} is not real")
+    return surd_le([(vsq.a, 1), (vsq.b, vsq.d)], bound_sq)
+
+
+def labels_of_type(lam: Partition) -> list[ClassLabel]:
+    if splits_in_an(lam):
+        return [ClassLabel(lam, "+"), ClassLabel(lam, "-")]
+    return [ClassLabel(lam)]
+
+
+def is_covered_by(lam: Partition, g: ClassLabel, *, table: CharacterTable | None = None) -> bool:
+    """Whether g lies in CD for every pair of classes C, D of cycle type lam."""
+    if not lam.is_even_type():
+        raise ValueError(f"{lam.text()} is not an even cycle type")
+    if table is None:
+        table = an_character_table(lam.n)
+    labels = labels_of_type(lam)
+    return all(
+        frobenius_count(C, D, g, table=table) > 0 for C in labels for D in labels
+    )
+
+
+def is_real_in_an(g: Permutation) -> bool:
+    """Whether g and g^-1 are conjugate in A_n.
+
+    Split-type elements are real exactly when kappa is even.  Non-split
+    even elements are always real because their A_n class is a full S_n
+    class.
+    """
+    label = an_class_of(g)
+    return not label.is_split() or kappa_of_type(label.cycle_type) % 2 == 0

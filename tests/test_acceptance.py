@@ -8,7 +8,7 @@ cross-checks at n = 8, 9.
 import math
 from fractions import Fraction
 
-from ancover.bounds import abs_value_le_surd, min_split_degree_report
+from ancover.bounds import min_split_degree_report
 from ancover.characters import an_character_table
 from ancover.classalgebra import covering_number, covers, frobenius_count
 from ancover.suites import (
@@ -26,6 +26,7 @@ from ancover.permutations import (
     class_representative,
     kappa_of_type,
 )
+from oracles import abs_value_le_surd
 
 
 def _report(name: str, items) -> None:

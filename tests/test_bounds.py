@@ -10,19 +10,18 @@ import pytest
 
 from ancover.bounds import (
     EvenOrSmallN,
-    abs_value_le_surd,
     amgm_report,
     e_profile,
     hook_bound,
     min_split_degree_report,
     prop24_certificate,
     prop24_monotone_decreasing,
-    surd_le,
     surd_sign,
 )
 from ancover.characters import AlgebraicValue
 from ancover.combinatorics import LimitExceeded, Partition, enumerate_distinct_partitions
 from ancover.permutations import Permutation, random_permutation
+from oracles import abs_value_le_surd, surd_le
 
 
 def test_surd_sign_exact_cases():

@@ -17,7 +17,6 @@ from ancover.characters import (
     LimitExceeded,
     an_character_table,
     an_character_value,
-    an_degree,
     degree,
     hook_size,
     irreducible_labels,
@@ -28,7 +27,7 @@ from ancover.characters import (
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
 from ancover.permutations import ClassLabel
 
-from oracles import mn_cellwise, sn_character_table_oracle
+from oracles import an_degree, mn_cellwise, sn_character_table_oracle
 
 
 # -- AlgebraicValue -----------------------------------------------------------

@@ -11,8 +11,6 @@ from ancover.classalgebra import (
     covering_number,
     covers,
     frobenius_count,
-    is_covered_by,
-    labels_of_type,
     power_counts,
     product_counts,
 )
@@ -24,6 +22,7 @@ from ancover.permutations import (
     class_representative,
     inverse_label,
 )
+from oracles import is_covered_by, labels_of_type
 
 
 def _lbl(text):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ancover import permutations
 from ancover.combinatorics import Infeasible, Partition
 from ancover.constructor import (
     HypothesisViolated,
@@ -17,6 +19,7 @@ from ancover.constructor import (
     OnlyTrivialKinds,
     PackingPlan,
     ValidSequence,
+    VerificationFailed,
     _d_lift_flips_sign,
     construct_witnesses,
     cover_with_ncycles,
@@ -369,6 +372,56 @@ def test_bogus_witness_fails_verification_under_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def _mislabelled_pairs():
+    """Verified pairs with one stored product label replaced by the
+    opposite split class or by a class of another type."""
+    split = construct_witnesses(Partition((13,)), Partition((7, 5, 1)), strict=False)
+    plain = construct_witnesses(Partition((25, 11, 7)), Partition.from_text("9,1x34"))
+    for pair, other_type in [
+        (split, ClassLabel(Partition((3, 3, 3, 3, 1)))),
+        (plain, ClassLabel(Partition.from_text("3,3,2,2,1x33"))),
+    ]:
+        pair.verify()
+        for field in ("product_label", "product_label_bar"):
+            label = getattr(pair, field)
+            wrong = [other_type]
+            if label.is_split():
+                wrong.append(ClassLabel(label.cycle_type, "-" if label.sign == "+" else "+"))
+            for w in wrong:
+                yield dataclasses.replace(pair, **{field: w})
+
+
+def test_verify_checks_stored_product_labels():
+    tampered = list(_mislabelled_pairs())
+    assert len(tampered) == 6
+    for pair in tampered:
+        with pytest.raises(VerificationFailed, match="product label"):
+            pair.verify()
+
+
+def test_mislabelled_witness_fails_verification_under_optimize():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_constructor import _mislabelled_pairs\n"
+        "from ancover.constructor import VerificationFailed\n"
+        "missed = 0\n"
+        "for pair in _mislabelled_pairs():\n"
+        "    try:\n"
+        "        pair.verify()\n"
+        "        missed += 1\n"
+        "    except VerificationFailed:\n"
+        "        pass\n"
+        "raise SystemExit(f'verify() passed {missed} mislabelled pairs' if missed else 0)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # -- n-cycle coverage ---------------------------------------------------------
 
 
@@ -433,24 +486,27 @@ def test_lift_sign_rule_matches_explicit_lifts():
 
 def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypatch):
     """Outside the search a call makes a fixed number of O(n) passes: the
-    degree-n Permutations it builds do not grow with n."""
+    degree-n Permutations it builds do not grow with n.  Both entry points
+    of Permutation pass the one bijection check, so counting there counts
+    every Permutation built; c*d is compared with g as an image list, so
+    only c and d are built."""
     counts = []
     for n in (501, 1001):
         g = cyc(n, (3, n - 40, 77), (5, 11), (n, 200))
         C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
         built = []
-        init = Permutation.__init__
+        check = permutations._bijection
 
-        def counting_init(self, images, init=init, built=built):
-            init(self, images)
-            built.append(len(self.images))
+        def counting_check(images, check=check, built=built):
+            built.append(len(images))
+            return check(images)
 
-        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        monkeypatch.setattr(permutations, "_bijection", counting_check)
         c, d = cover_with_ncycles(g, C, D, seed=4)
         monkeypatch.undo()
         assert c * d == g
         counts.append(built.count(n))
-    assert counts == [3, 3]
+    assert counts == [2, 2]
 
 
 def test_cover_with_ncycles_deterministic():

@@ -18,7 +18,6 @@ from ancover.permutations import (
     cycle_type,
     embed,
     inverse_label,
-    is_real_in_an,
     kappa,
     parse_class_label,
     parse_permutation,
@@ -28,6 +27,7 @@ from ancover.permutations import (
 )
 from oracles import (
     all_even_permutations,
+    is_real_in_an,
     reference_an_class_of,
     reference_cycle_type,
     reference_from_cycles,
@@ -333,7 +333,17 @@ def _near_permutations(draw):
 
 @given(st.one_of(_int_lists, _near_permutations(), permutations(max_n=9).map(lambda g: g.images)))
 def test_constructor_raises_as_reference(images):
-    assert _outcome(Permutation, images) == _outcome(reference_images, images)
+    # Both entry points: on int lists _from_ints skips only the int() pass.
+    outcome = _outcome(Permutation, images)
+    assert outcome == _outcome(Permutation._from_ints, images) == _outcome(reference_images, images)
+
+
+def test_public_constructor_coerces_images():
+    g = Permutation(["2", "1"])
+    assert g.images == (2, 1) and all(type(x) is int for x in g.images)
+    assert g == Permutation._from_ints([2, 1])
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(["1", "1"])
 
 
 @st.composite
