@@ -241,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         help="random trials; default: each suite's own (construction 200, "
-        "oracle-equiv 500, bounds 10000)",
+        "bounds 10000)",
     )
     p.add_argument(
-        "--seed", type=int, help="seed of the construction, oracle-equiv and "
-        "bounds suites (default 42); the others are deterministic",
+        "--seed", type=int, help="seed of the construction and bounds suites "
+        "(default 42); the others are deterministic",
     )
     p.add_argument("--table", metavar="CSV", help="bounds suite: write clause values")
     p.add_argument("--json", action="store_true")

@@ -48,6 +48,7 @@ from ancover.combinatorics import (
 from ancover.permutations import (
     ClassLabel,
     DegreeMismatch,
+    OddPermutation,
     Permutation,
     _cycle_count,
     _walk,
@@ -59,7 +60,7 @@ from ancover.permutations import (
 
 
 class VerificationFailed(ArithmeticError):
-    """A constructed witness or factorization fails one of its invariants."""
+    """A witness, a factorization or a brute-force count fails an invariant."""
 
 
 def _check(ok: bool, what: str) -> None:
@@ -248,11 +249,6 @@ def packing_word(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> list[
     return word
 
 
-def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
-    """The host-length cycle of :func:`packing_word`."""
-    return Permutation.from_cycles(plan.host_length, [packing_word(plan, sequences)])
-
-
 def orbit_of(p: Permutation, x: int) -> frozenset[int]:
     out = {x}
     y = p(x)
@@ -359,6 +355,16 @@ class WitnessPair:
         }
 
 
+def _label_of_type(g: Permutation, lam: Partition, what: str) -> ClassLabel:
+    """The A_n label of g, after checking that g has the even type lam."""
+    try:
+        label = an_class_of(g)
+    except OddPermutation:
+        label = None
+    _check(label is not None and label.cycle_type == lam, what)
+    return label
+
+
 def _product_labels(
     lam: Partition,
     mu: Partition,
@@ -370,10 +376,16 @@ def _product_labels(
 ) -> tuple[ClassLabel, ClassLabel]:
     """The A_n classes of gamma*delta and gamma*delta_bar, after checking
     every invariant a WitnessPair states; each product is formed once and
-    its type read from the walk that labels it."""
+    its type read from the walk that labels it, as are the types of delta
+    and delta_bar when lam splits."""
     _check(cycle_type(gamma) == lam, "gamma type")
-    _check(cycle_type(delta) == lam, "delta type")
-    _check(cycle_type(delta_bar) == lam, "delta_bar type")
+    split = splits_in_an(lam)
+    if split:
+        delta_label = _label_of_type(delta, lam, "delta type")
+        delta_bar_label = _label_of_type(delta_bar, lam, "delta_bar type")
+    else:
+        _check(cycle_type(delta) == lam, "delta type")
+        _check(cycle_type(delta_bar) == lam, "delta_bar type")
     # equal types make both products even, so both have A_n labels
     label, label_bar = an_class_of(gamma * delta), an_class_of(gamma * delta_bar)
     _check(label.cycle_type == mu, "product type")
@@ -381,9 +393,9 @@ def _product_labels(
     expected = sum(p - shrink_part(p) for p in mu.parts) // 2
     _check(len(log) == expected, "rebuild count")
     _check(len(log_bar) == expected, "bar rebuild count")
-    if splits_in_an(lam):
+    if split:
         _check(
-            an_class_of(delta) != an_class_of(delta_bar),
+            delta_label != delta_bar_label,
             "delta and delta_bar must land in the two split classes",
         )
     return label, label_bar

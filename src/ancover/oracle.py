@@ -9,27 +9,30 @@ class.  Validated :class:`Permutation` objects are built only where a
 public function returns them.
 
 One backtracking search, :func:`_search`, enumerates every permutation
-of a cycle type and hands each to a leaf callback, which can stop it.
-Classes are that search with a sign test at each leaf.  Pair counts run
-it over the smaller factor class and build the cofactor alongside,
-dropping a branch as soon as the cofactor's partial cycles leave the
-target type, so the cost follows the branches that can still succeed
-rather than the size of the smaller class.  Counts and membership tests
-materialize and cache nothing; :func:`iter_class` and
-:func:`permutations_of_type` collect their elements into a list, at most
-45360 of them at the ceiling of n = 9.  The one exception to full
-enumeration is :func:`brute_an_conjugate` above n = 7 (see there).
+of a cycle type and hands each to a leaf callback.  Whole products C D
+come from one pass over the smaller class, each product with one fixed
+element of the other class binned by its own walk
+(:func:`brute_product_counts`, by the class equation).  Single pair
+counts (:func:`brute_frobenius`) run the search over the smaller factor
+class and build the cofactor alongside, dropping a branch as soon as the
+cofactor's partial cycles leave the target type, so the cost follows the
+branches that can still succeed rather than the size of the smaller
+class.  Counts materialize and cache nothing but their bins.  The one
+exception to full enumeration is :func:`brute_an_conjugate` above n = 7
+(see there).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ancover.combinatorics import LimitExceeded, Partition
+from ancover.constructor import VerificationFailed
 from ancover.permutations import (
     ClassLabel,
     Permutation,
+    an_class_labels,
     an_class_size,
     splits_in_an,
 )
@@ -38,8 +41,8 @@ ORACLE_LIMIT = 9
 
 Cofactor = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
-# leaf(p, q, word) -> whether to stop; see _search.
-Leaf = Callable[[list[int], list[int] | None, list[int]], bool]
+# leaf(p, q, word); see _search.
+Leaf = Callable[[list[int], list[int] | None, list[int]], None]
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -49,10 +52,9 @@ def _check_limit(n: int, limit: int) -> None:
 
 def _search(
     parts: Sequence[int], n: int, leaf: Leaf, cofactor: Cofactor | None = None
-) -> bool:
+) -> None:
     """Call leaf(p, q, word) once for every permutation p of {1..n} with
-    cycle lengths parts; stop as soon as a call returns True, and return
-    whether one did.
+    cycle lengths parts.
 
     p is built one value at a time: the least unused point leads the next
     cycle, whose length is one of p's unused parts, and the cycle's other
@@ -97,7 +99,7 @@ def _search(
             left[x] += 1
         top = max(target)
 
-    def place(lead: int, a: int, k: int, slot: int) -> bool:
+    def place(lead: int, a: int, k: int, slot: int) -> None:
         # Choose p(a): a further point of the cycle led by lead, written to
         # word[slot], while k > 0 are still to come, else lead itself,
         # closing the cycle.
@@ -132,36 +134,33 @@ def _search(
             if k:
                 word[slot] = b
                 free[b] = False
-                if place(lead, b, k - 1, slot + 1):
-                    return True
+                place(lead, b, k - 1, slot + 1)
                 free[b] = True
-            elif new_cycle(lead + 1):
-                return True
+            else:
+                new_cycle(lead + 1)
             if pair:
                 if closed:
                     left[closed] += 1
                     top = was_top
                 else:
                     tail[s], head[e], size[s] = x, y, joined - sy
-        return False
 
-    def new_cycle(lead: int) -> bool:
+    def new_cycle(lead: int) -> None:
         while lead <= n and not free[lead]:
             lead += 1
         if lead > n:
-            return leaf(p, q, word)
+            leaf(p, q, word)
+            return
         free[lead] = False
         for length in kinds:
             if todo[length]:
                 todo[length] -= 1
                 word[first_slot[length]] = lead
-                if place(lead, lead, length - 1, first_slot[length] + 1):
-                    return True
+                place(lead, lead, length - 1, first_slot[length] + 1)
                 todo[length] += 1
         free[lead] = True
-        return False
 
-    return new_cycle(1)
+    new_cycle(1)
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:
@@ -231,104 +230,103 @@ def _inverse(p: Sequence[int]) -> list[int]:
     return inv
 
 
-def _elements(parts: tuple[int, ...], n: int, sign: str | None) -> Iterator[Permutation]:
-    """The permutations of {1..n} with cycle lengths parts, in search
-    order; for a split type with a sign, only those of that class."""
-    _check_limit(n, ORACLE_LIMIT)
-    out: list[Permutation] = []
-
-    def leaf(p: list[int], q: None, word: list[int]) -> bool:
-        if _sign_matches(word, sign):
-            out.append(Permutation(p[1:]))
-        return False
-
-    _search(parts, n, leaf)
-    return iter(out)
-
-
-def permutations_of_type(mu: Partition) -> Iterator[Permutation]:
-    """All permutations of {1..n} with cycle type mu, no duplicates."""
-    return _elements(mu.parts, mu.n, None)
-
-
-def iter_class(label: ClassLabel) -> Iterator[Permutation]:
-    """The elements of the labelled A_n class."""
-    return _elements(label.cycle_type.parts, label.n, label.sign)
-
-
-def _factor_search(
-    C: ClassLabel, D: ClassLabel, g: Permutation, found: Callable[[], bool]
-) -> bool:
-    """Call found() once for each (c, d) in C x D with c d = g; stop as
-    soon as a call returns True, and return whether one did.
-
-    The search enumerates p in the smaller of C, D and builds its
-    cofactor q alongside: q = p^-1 g, so q(g^-1(b)) = a, when p is in C;
-    q = g p^-1, so q(b) = g(a), when p is in D.  Leaves have both cycle
-    types right; p's split sign is read from the search's word and q's
-    from one walk of q, and a leaf is a pair once both pass.
-    """
-    n = C.n
-    if D.n != n or g.n != n:
+def _by_size(C: ClassLabel, D: ClassLabel, *more) -> tuple[ClassLabel, ClassLabel]:
+    """(P, Q): P the smaller of C, D, to enumerate (C on a tie), Q the
+    other; after checking that all have one degree, within the limit."""
+    if any(x.n != C.n for x in (D, *more)):
         raise ValueError("degree mismatch")
-    _check_limit(n, ORACLE_LIMIT)
-    same = range(n + 1)
-    if an_class_size(C) <= an_class_size(D):
-        P, Q = C, D
-        cofactor = ([0, *_inverse(g.images)], same, Q.cycle_type.parts)
-    else:
-        P, Q = D, C
-        cofactor = (same, (0, *g.images), Q.cycle_type.parts)
-    p_sign, q_sign, q_parts = P.sign, Q.sign, Q.cycle_type.parts
-
-    def leaf(p: list[int], q: list[int], word: list[int]) -> bool:
-        if not _sign_matches(word, p_sign):
-            return False
-        if q_sign is not None and not _has_class(q, q_parts, q_sign):
-            return False
-        return found()
-
-    return _search(P.cycle_type.parts, n, leaf, cofactor)
+    _check_limit(C.n, ORACLE_LIMIT)
+    return (C, D) if an_class_size(C) <= an_class_size(D) else (D, C)
 
 
 def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
     """|{(c, d) in C x D : c d = g}| by an exhaustive pruned search.
 
-    c determines d = c^-1 g and vice versa, so the search enumerates the
-    smaller class and builds the cofactor value by value (see
-    :func:`_search`).  Dropping a branch loses no pair: values are only
-    ever added, so a closed cofactor cycle stays closed and an open chain
-    only grows, and the unused parts of the target type only shrink.  A
-    closed cycle whose length has no unused part, or a chain longer than
-    every unused part, therefore stays impossible in every completion.
-    Each remaining leaf is one candidate pair with both cycle types
-    right, counted once both split signs pass (see :func:`_factor_search`).
+    c determines d = c^-1 g and vice versa, so the search enumerates p in
+    the smaller class and builds its cofactor q value by value (see
+    :func:`_search`): q = p^-1 g, so q(g^-1(b)) = a, when p is in C;
+    q = g p^-1, so q(b) = g(a), when p is in D.  Dropping a branch loses
+    no pair: values are only ever added, so a closed cofactor cycle stays
+    closed and an open chain only grows, and the unused parts of the
+    target type only shrink.  A closed cycle whose length has no unused
+    part, or a chain longer than every unused part, therefore stays
+    impossible in every completion.  Each remaining leaf is one candidate
+    pair with both cycle types right; p's split sign is read from the
+    search's word and q's from one walk of q, and the pair counts once
+    both pass.
     """
+    P, Q = _by_size(C, D, g)
+    same = range(C.n + 1)
+    if P is C:
+        cofactor = ([0, *_inverse(g.images)], same, Q.cycle_type.parts)
+    else:
+        cofactor = (same, (0, *g.images), Q.cycle_type.parts)
+    p_sign, q_sign, q_parts = P.sign, Q.sign, Q.cycle_type.parts
     count = 0
 
-    def found() -> bool:
+    def leaf(p: list[int], q: list[int], word: list[int]) -> None:
         nonlocal count
-        count += 1
-        return False
+        if _sign_matches(word, p_sign) and (
+            q_sign is None or _has_class(q, q_parts, q_sign)
+        ):
+            count += 1
 
-    _factor_search(C, D, g, found)
+    _search(P.cycle_type.parts, C.n, leaf, cofactor)
     return count
 
 
-def brute_contains(C: ClassLabel, D: ClassLabel, g: Permutation) -> bool:
-    """Whether g is in the product set CD (stops at the first pair)."""
-    return _factor_search(C, D, g, lambda: True)
+def _representative(label: ClassLabel) -> list[int]:
+    """The images of one element of the labelled class, from the
+    definition of the "+" class: the word 1..n cut into cycles, longest
+    first, is the "+" element; for "-" the word has its first two points
+    swapped, an odd relabelling (see :func:`_sign_matches`)."""
+    word = list(range(1, label.n + 1))
+    if label.sign == "-":
+        word[:2] = 2, 1
+    images, start = [0] * label.n, 0
+    for length in label.cycle_type.parts:
+        cycle = word[start : start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b
+        start += length
+    return images
 
 
-def brute_product_labels(C: ClassLabel, D: ClassLabel) -> set[ClassLabel]:
-    """Exact set of classes represented in CD."""
-    from ancover.permutations import an_class_labels, class_representative
+def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
+    """N(C, D, E), the pair count of :func:`brute_frobenius` at an element
+    of E, for every A_n class E, from one pass over the smaller class.
 
-    _check_limit(C.n, ORACLE_LIMIT)
-    out: set[ClassLabel] = set()
-    for E in an_class_labels(C.n):
-        if brute_contains(C, D, class_representative(E)):
-            out.add(E)
+    Let P be the smaller of C, D, Q the other and r one element of Q.  By
+    the class equation |E| N(C, D, E) = |Q| #{p in P : p r in E}: both
+    count the pairs whose product lies in E, conjugation by A_n moves the
+    element of Q to r and fixes the classes of P and E, and p r and r p
+    are conjugate.  So one search over P, with each p r classified by one
+    walk and the split sign read from its cycles' word, bins every E at
+    once.  A bin whose |Q| * count is not a multiple of |E| raises
+    :class:`VerificationFailed`.
+    """
+    P, Q = _by_size(C, D)
+    r, p_sign = _representative(Q), P.sign
+    out = dict.fromkeys(an_class_labels(C.n), 0)
+    split = {E.cycle_type.parts for E in out if E.sign}
+    bins: dict[tuple[tuple[int, ...], bool], int] = {}
+
+    def leaf(p: list[int], q: None, word: list[int]) -> None:
+        if not _sign_matches(word, p_sign):
+            return
+        cycles = _cycles([p[y] for y in r])
+        cycles.sort(key=len, reverse=True)
+        parts = tuple(map(len, cycles))
+        key = (parts, parts in split and _sign_matches([0, *itertools.chain(*cycles)], "+"))
+        bins[key] = bins.get(key, 0) + 1
+
+    _search(P.cycle_type.parts, C.n, leaf)
+    label = {(E.cycle_type.parts, E.sign == "+"): E for E in out}
+    for key, count in bins.items():
+        E = label[key]
+        out[E], rest = divmod(an_class_size(Q) * count, an_class_size(E))
+        if rest:
+            raise VerificationFailed(f"|{Q}| * {count} is not a multiple of |{E}|")
     return out
 
 

@@ -4,12 +4,13 @@ Each ``suite_*`` returns (name, passed, detail) items, and
 :func:`split_coverage_report` returns report lines and whether brute
 force agrees (None when it compared nothing); the acceptance tests call
 these directly.  A suite's parameters are the ``verify`` options it
-takes.  The gleason, prop24, split-coverage and
-exhaustive oracle-equiv loops ask the class-product kernel
-(:func:`~ancover.classalgebra.product_counts` or
-:func:`~ancover.classalgebra.covers`) once per class pair and read every
-target class from that answer; the brute-force oracle checks the answers
-where it reaches (n <= 9).
+takes.  The gleason, prop24, split-coverage and oracle-equiv loops ask
+the class-product kernel (:func:`~ancover.classalgebra.product_counts`
+or :func:`~ancover.classalgebra.covers`) once per class pair and read
+every target class from that answer.  Where the brute-force oracle
+reaches (n <= 9) it checks those answers the same way: one
+:func:`~ancover.oracle.brute_product_counts` pass per pair gives the
+pair's count for every target class.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from ancover.bounds import (
     prop24_monotone_decreasing,
 )
 from ancover.characters import CharacterTable, an_character_table, hook_size, mn_values
-from ancover.classalgebra import covering_number, covers, frobenius_count, product_counts
+from ancover.classalgebra import covering_number, covers, product_counts
 from ancover.combinatorics import Partition, enumerate_partitions
 from ancover.constructor import construct_witnesses
-from ancover.oracle import ORACLE_LIMIT, brute_contains, brute_frobenius
-from ancover.permutations import ClassLabel, Permutation, class_representative
+from ancover.oracle import ORACLE_LIMIT, brute_product_counts
+from ancover.permutations import ClassLabel, Permutation
 
 
 def ncycle_pairs(n: int) -> list[tuple[ClassLabel, ClassLabel]]:
@@ -101,9 +102,7 @@ def suite_prop24(ns=(5, 7, 9, 11)) -> list[tuple[str, bool, str]]:
         )
         if n in (5, 7):
             confirmed = all(
-                (c[E] > 0) == brute_contains(C, D, class_representative(E))
-                for (C, D), c in zip(pairs, counts)
-                for E in targets
+                c == brute_product_counts(C, D) for (C, D), c in zip(pairs, counts)
             )
             items.append(
                 (f"prop24 oracle n={n}", confirmed, "brute force agrees")
@@ -162,36 +161,22 @@ def suite_construction(trials=200, seed=42) -> list[tuple[str, bool, str]]:
     return [(f"construction trials={trials} seed={seed}", ok, detail)]
 
 
-def suite_oracle_equiv(seed=42, trials=500) -> list[tuple[str, bool, str]]:
-    """Class-product counts vs brute force: every triple for n = 5..7,
-    seeded random triples for n = 8, 9."""
+def suite_oracle_equiv() -> list[tuple[str, bool, str]]:
+    """Class-product counts vs brute force on every triple for n = 5..9:
+    one oracle pass per unordered class pair, checked against the kernel
+    in both orders."""
     items = []
-    for n in (5, 6, 7):
+    for n in range(5, ORACLE_LIMIT + 1):
         table = an_character_table(n)
         labels = table.classes
         bad = 0
-        for C in labels:
-            for D in labels:
-                counts = product_counts(C, D, table=table)
-                for E in labels:
-                    if counts[E] != brute_frobenius(C, D, class_representative(E)):
-                        bad += 1
+        for i, C in enumerate(labels):
+            for D in labels[i:]:
+                brute = brute_product_counts(C, D)
+                bad += product_counts(C, D, table=table) != brute
+                bad += product_counts(D, C, table=table) != brute
         items.append(
             (f"oracle-equiv n={n} exhaustive", bad == 0, f"{len(labels) ** 3} triples")
-        )
-    rng = random.Random(seed)
-    for n in (8, 9):
-        table = an_character_table(n)
-        labels = table.classes
-        bad = 0
-        for _ in range(trials):
-            C, D, E = (rng.choice(labels) for _ in range(3))
-            f = frobenius_count(C, D, E, table=table)
-            b = brute_frobenius(C, D, class_representative(E))
-            if f != b:
-                bad += 1
-        items.append(
-            (f"oracle-equiv n={n} sampled", bad == 0, f"{trials} random triples")
         )
     return items
 
@@ -284,8 +269,8 @@ def split_coverage_report(ns=tuple(range(8, 17))) -> tuple[list[str], bool | Non
                         missing = ",".join(str(e) for e in report.uncovered)
                         lines.append(f"n={n} {C} * {D}: misses {missing}")
                     if n <= ORACLE_LIMIT:
+                        brute = brute_product_counts(C, D)
                         for E in nontrivial:
-                            brute = brute_contains(C, D, class_representative(E))
                             checked += 1
-                            mismatched += brute != (E not in report.uncovered)
+                            mismatched += (brute[E] > 0) != (E not in report.uncovered)
     return lines, (mismatched == 0 if checked else None)

@@ -21,6 +21,10 @@ degree n explicitly, as :func:`~ancover.constructor.cover_with_ncycles`
 lifts its factors, and reads the signs off with ``an_class_of``.  The
 package gets them from a parity rule instead; a test checks the two.
 
+:func:`permutations_of_type` and :func:`iter_class` enumerate a cycle
+type or an A_n class with the search of :mod:`ancover.oracle`, reading
+split signs from the word it fills, up to the oracle's limit of n = 9.
+
 :func:`stream_frobenius` is the brute-force pair count as a plain scan:
 it streams every element of the smaller class and tests each element and
 its cofactor with :func:`_member`, a class test that walks each split
@@ -43,20 +47,29 @@ trial as swaps on an image list, and a test checks that both pick the
 same witnesses.
 
 :func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
-:func:`labels_of_type`, :func:`is_covered_by` and :func:`is_real_in_an`
-are small statements about degrees, surd bounds, coverage by a cycle type
-and reality; only tests call them.
+:func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an` and
+:func:`packing_cycle` are small statements about degrees, surd bounds,
+coverage by a cycle type, reality and packing words; only tests call
+them.
+
+:func:`run_python` runs the interpreter in a subprocess on the package
+the tests imported, wherever that lives.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 from typing import Iterator, Sequence
 
+import ancover
 from ancover.combinatorics import (
     Partition,
     SubpartitionKind,
@@ -72,7 +85,15 @@ from ancover.characters import (
     degree,
 )
 from ancover.classalgebra import frobenius_count
-from ancover.oracle import _cycles, _lengths
+from ancover.constructor import PackingPlan, ValidSequence, packing_word
+from ancover.oracle import (
+    ORACLE_LIMIT,
+    _check_limit,
+    _cycles,
+    _lengths,
+    _search,
+    _sign_matches,
+)
 from ancover.permutations import (
     ClassLabel,
     Permutation,
@@ -496,3 +517,43 @@ def is_real_in_an(g: Permutation) -> bool:
     """
     label = an_class_of(g)
     return not label.is_split() or kappa_of_type(label.cycle_type) % 2 == 0
+
+
+def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
+    """The host-length cycle of :func:`~ancover.constructor.packing_word`."""
+    return Permutation.from_cycles(plan.host_length, [packing_word(plan, sequences)])
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter on args, capturing text output, with PYTHONPATH
+    set to the directory that holds the imported ``ancover`` package, so
+    that the subprocess runs the code under test."""
+    src = str(Path(ancover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+def _elements(parts: tuple[int, ...], n: int, sign: str | None) -> Iterator[Permutation]:
+    """The permutations of {1..n} with cycle lengths parts, in search
+    order; for a split type with a sign, only those of that class."""
+    _check_limit(n, ORACLE_LIMIT)
+    out: list[Permutation] = []
+
+    def leaf(p: list[int], q: None, word: list[int]) -> None:
+        if _sign_matches(word, sign):
+            out.append(Permutation(p[1:]))
+
+    _search(parts, n, leaf)
+    return iter(out)
+
+
+def permutations_of_type(mu: Partition) -> Iterator[Permutation]:
+    """All permutations of {1..n} with cycle type mu, no duplicates."""
+    return _elements(mu.parts, mu.n, None)
+
+
+def iter_class(label: ClassLabel) -> Iterator[Permutation]:
+    """The elements of the labelled A_n class."""
+    return _elements(label.cycle_type.parts, label.n, label.sign)

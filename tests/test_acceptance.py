@@ -124,7 +124,7 @@ def test_criterion_5_constructor_end_to_end():
 
 
 def test_criterion_6_oracle_equivalence():
-    items = suite_oracle_equiv(seed=42, trials=500)
+    items = suite_oracle_equiv()
     _report("criterion 6", items)
 
 

@@ -1,10 +1,6 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +17,7 @@ from ancover.bounds import (
 from ancover.characters import AlgebraicValue
 from ancover.combinatorics import LimitExceeded, Partition, enumerate_distinct_partitions
 from ancover.permutations import Permutation, random_permutation
-from oracles import abs_value_le_surd, surd_le
+from oracles import abs_value_le_surd, run_python, surd_le
 
 
 def test_surd_sign_exact_cases():
@@ -85,11 +81,7 @@ def test_e_profile_rejects_bad_counts_under_optimize():
         "        continue\n"
         "    raise SystemExit(f'EProfile accepted {counts}')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -1,12 +1,8 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +23,7 @@ from ancover.characters import (
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
 from ancover.permutations import ClassLabel
 
-from oracles import an_degree, mn_cellwise, sn_character_table_oracle
+from oracles import an_degree, mn_cellwise, run_python, sn_character_table_oracle
 
 
 # -- AlgebraicValue -----------------------------------------------------------
@@ -276,11 +272,7 @@ def test_table_checks_fail_loudly_under_python_O():
         "        continue\n"
         "    raise SystemExit(check.__name__ + ' passed a corrupted table')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -15,7 +15,7 @@ from ancover.classalgebra import (
     product_counts,
 )
 from ancover.combinatorics import Partition
-from ancover.oracle import brute_frobenius, brute_product_labels
+from ancover.oracle import brute_frobenius, brute_product_counts
 from ancover.permutations import (
     an_class_labels,
     an_class_size,
@@ -265,7 +265,8 @@ def test_covering_numbers_match_brute_force_closure():
 
         def support_of(A, C):
             if (A, C) not in cache:
-                cache[A, C] = brute_product_labels(A, C)
+                counts = brute_product_counts(A, C)
+                cache[A, C] = {E for E, count in counts.items() if count}
             return cache[A, C]
 
         for C in an_class_labels(n):

@@ -103,6 +103,18 @@ def test_verify_prop24_output(capsys):
     )
 
 
+def test_verify_oracle_equiv_output(capsys):
+    code, out, _ = run(capsys, "verify", "oracle-equiv")
+    assert code == 0
+    assert out == (
+        "PASS oracle-equiv n=5 exhaustive: 125 triples\n"
+        "PASS oracle-equiv n=6 exhaustive: 343 triples\n"
+        "PASS oracle-equiv n=7 exhaustive: 729 triples\n"
+        "PASS oracle-equiv n=8 exhaustive: 2744 triples\n"
+        "PASS oracle-equiv n=9 exhaustive: 5832 triples\n"
+    )
+
+
 def test_verify_split_coverage_report_output(capsys):
     code, out, _ = run(capsys, "verify", "split-coverage-report", "--n", "8")
     assert code == 0
@@ -155,6 +167,8 @@ def test_verify_split_coverage_report_without_split_types_says_not_checked(capsy
         (["gleason", "--n", "7", "--table", "{csv}"], "--table"),
         (["construction", "--table", "{csv}"], "--table"),
         (["split-coverage-report", "--n", "8", "--table", "{csv}"], "--table"),
+        (["oracle-equiv", "--trials", "5"], "--trials"),
+        (["oracle-equiv", "--seed", "1"], "--seed"),
     ],
 )
 def test_verify_option_the_suite_does_not_take_exits_2(capsys, tmp_path, argv, option):

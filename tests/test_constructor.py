@@ -2,10 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,12 +18,12 @@ from ancover.constructor import (
     ValidSequence,
     VerificationFailed,
     _d_lift_flips_sign,
+    _product_labels,
     construct_witnesses,
     cover_with_ncycles,
     find_opposite_valid_sequences,
     greedy_pack,
     orbit_of,
-    packing_cycle,
     rebuild,
 )
 from ancover.permutations import (
@@ -39,7 +36,7 @@ from ancover.permutations import (
     random_even_permutation,
 )
 from ancover.suites import random_construction_instance
-from oracles import lift_sign_maps, two_twos_deltas
+from oracles import lift_sign_maps, packing_cycle, run_python, two_twos_deltas
 
 
 def cyc(n, *cycles):
@@ -364,11 +361,7 @@ def test_bogus_witness_fails_verification_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit('verify() passed a bogus witness pair')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -389,6 +382,41 @@ def _mislabelled_pairs():
                 wrong.append(ClassLabel(label.cycle_type, "-" if label.sign == "+" else "+"))
             for w in wrong:
                 yield dataclasses.replace(pair, **{field: w})
+
+
+@pytest.mark.parametrize(
+    "lam, mu, strict",
+    [("13", "7,5,1", False), ("25,11,7", "9,1x34", True), ("21,21", "9,1x33", True)],
+)
+def test_product_labels_walk_each_permutation_once(monkeypatch, lam, mu, strict):
+    # gamma, delta, delta_bar and the two products: five walks, whether
+    # lam splits (13 and 25,11,7) or not (21,21).  When it splits, the
+    # labels of delta and delta_bar come from the walks that check their
+    # types, not from two more.
+    lam, mu = Partition.from_text(lam), Partition.from_text(mu)
+    pair = construct_witnesses(lam, mu, strict=strict)
+    real = permutations._walk
+    walks = []
+
+    def counted(images):
+        walks.append(len(images))
+        return real(images)
+
+    monkeypatch.setattr(permutations, "_walk", counted)
+    labels = _product_labels(
+        lam, mu, pair.gamma, pair.delta, pair.delta_bar,
+        pair.rebuild_log, pair.rebuild_log_bar,
+    )
+    assert labels == (pair.product_label, pair.product_label_bar)
+    assert len(walks) == 5
+
+
+def test_odd_delta_of_a_split_type_fails_as_a_type_check():
+    pair = construct_witnesses(Partition((13,)), Partition((7, 5, 1)), strict=False)
+    odd = Permutation.from_cycles(13, [(1, 2)])
+    for field in ("delta", "delta_bar"):
+        with pytest.raises(VerificationFailed, match=f"^{field} type$"):
+            dataclasses.replace(pair, **{field: odd}).verify()
 
 
 def test_verify_checks_stored_product_labels():
@@ -414,11 +442,7 @@ def test_mislabelled_witness_fails_verification_under_optimize():
         "        pass\n"
         "raise SystemExit(f'verify() passed {missed} mislabelled pairs' if missed else 0)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -1,9 +1,8 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -11,8 +10,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python(str(demo), timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr

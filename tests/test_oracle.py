@@ -1,20 +1,20 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from ancover.combinatorics import LimitExceeded, Partition
 from ancover.combinatorics import enumerate_partitions
+from ancover.classalgebra import product_counts
+from ancover.constructor import VerificationFailed
 from ancover.oracle import (
     _has_class,
     _search,
     brute_an_conjugate,
-    brute_contains,
     brute_frobenius,
-    brute_product_labels,
-    iter_class,
-    permutations_of_type,
+    brute_product_counts,
 )
 from ancover.permutations import (
     ClassLabel,
@@ -25,7 +25,14 @@ from ancover.permutations import (
     conjugate,
     parse_class_label,
 )
-from oracles import _member, images_of_type, stream_frobenius
+from oracles import (
+    _member,
+    images_of_type,
+    iter_class,
+    permutations_of_type,
+    run_python,
+    stream_frobenius,
+)
 
 
 def test_permutations_of_type_counts():
@@ -73,9 +80,7 @@ def test_pair_queries_refuse_n_10_before_searching(monkeypatch):
     with pytest.raises(LimitExceeded):
         brute_frobenius(C, D, g)
     with pytest.raises(LimitExceeded):
-        brute_contains(C, D, g)
-    with pytest.raises(LimitExceeded):
-        brute_product_labels(C, D)
+        brute_product_counts(C, D)
 
 
 def test_permutations_of_type_refuses_n_10():
@@ -85,23 +90,14 @@ def test_permutations_of_type_refuses_n_10():
 
 
 @pytest.mark.parametrize("paired", [False, True])
-@pytest.mark.parametrize("k", [1, 2, 7, 20])
-def test_search_stops_at_the_first_true_leaf(paired, k):
+def test_search_reaches_every_leaf_once(paired):
     # With the cofactor of g = 1 enumerated from C, q = p^-1 has p's type,
     # so both searches reach all 20 permutations of type 3,1,1.
     parts, n = (3, 1, 1), 5
     same = range(n + 1)
     cofactor = (same, same, parts) if paired else None
     calls = []
-
-    def leaf(p, q, word):
-        calls.append(p[1:])
-        return len(calls) == k
-
-    assert _search(parts, n, leaf, cofactor) is True
-    assert len(calls) == k
-    calls.clear()
-    assert _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor) is False
+    _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor)
     assert len(calls) == 20 == len(set(map(tuple, calls)))
 
 
@@ -139,13 +135,60 @@ def test_brute_frobenius_on_a_non_real_class():
     assert brute_frobenius(C, D, g) == brute_frobenius(D, C, g) == 140
 
 
+def _reached(C, D):
+    return {E for E, count in brute_product_counts(C, D).items() if count}
+
+
 def test_brute_product_labels():
     C = parse_class_label("5:+")
-    labels = brute_product_labels(C, C)
     everything = set(an_class_labels(5))
-    assert labels == everything - {parse_class_label("2,2,1")}
+    assert _reached(C, C) == everything - {parse_class_label("2,2,1")}
     identity = parse_class_label("1x5")
-    assert brute_product_labels(identity, identity) == {identity}
+    assert _reached(identity, identity) == {identity}
+    counts = brute_product_counts(identity, identity)
+    assert counts == {E: int(E == identity) for E in everything}
+
+
+def _counts_with_one_product_too_many():
+    """brute_product_counts(3,1,1, 3,1,1) with the search reaching the
+    3-cycle (3,4,5) twice.  Its product with the oracle's element (1,2,3)
+    is a 5-cycle, so the 5-cycle bin is one too large, and 20 * bin is no
+    longer a multiple of 12."""
+    import ancover.oracle
+
+    real = ancover.oracle._search
+
+    def one_more(parts, n, leaf, cofactor=None):
+        real(parts, n, leaf, cofactor)
+        leaf([0, 1, 2, 4, 5, 3], None, [0, 3, 4, 5, 1, 2])
+
+    ancover.oracle._search = one_more
+    try:
+        C = parse_class_label("3,1,1")
+        return brute_product_counts(C, C)
+    finally:
+        ancover.oracle._search = real
+
+
+def test_product_counts_raise_on_a_bin_that_is_not_a_multiple():
+    with pytest.raises(VerificationFailed, match="not a multiple"):
+        _counts_with_one_product_too_many()
+
+
+def test_product_counts_raise_on_a_bad_bin_under_optimize():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_oracle import _counts_with_one_product_too_many\n"
+        "from ancover.constructor import VerificationFailed\n"
+        "try:\n"
+        "    _counts_with_one_product_too_many()\n"
+        "except VerificationFailed:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('a bin that is not a multiple passed')\n"
+    )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_brute_an_conjugate():
@@ -158,27 +201,37 @@ def test_brute_an_conjugate():
 
 
 def test_oracle_does_not_use_the_class_labelling(monkeypatch):
-    # Give split types the wrong sign in the labelling under test; the
-    # oracle must still enumerate and count the right classes.
+    # Give split types the wrong sign in the labelling and in the class
+    # representatives under test; the oracle must still enumerate and
+    # count the right classes.
     import ancover.oracle
     import ancover.permutations
 
-    real = ancover.permutations.an_class_of
+    plus, minus = parse_class_label("5:+"), parse_class_label("5:-")
+    plus_rep = class_representative(plus)
+    expected = {D: product_counts(plus, D) for D in (plus, minus)}
+    assert expected[plus] != expected[minus]
 
-    def flipped(g):
-        label = real(g)
+    def flip(label):
         if label.sign is None:
             return label
         return ClassLabel(label.cycle_type, "-" if label.sign == "+" else "+")
 
-    monkeypatch.setattr(ancover.permutations, "an_class_of", flipped)
-    monkeypatch.setattr(ancover.oracle, "an_class_of", flipped, raising=False)
-    plus, minus = parse_class_label("5:+"), parse_class_label("5:-")
+    real_class_of = ancover.permutations.an_class_of
+    real_representative = ancover.permutations.class_representative
+    for name, poisoned in [
+        ("an_class_of", lambda g: flip(real_class_of(g))),
+        ("class_representative", lambda label: real_representative(flip(label))),
+    ]:
+        monkeypatch.setattr(ancover.permutations, name, poisoned)
+        monkeypatch.setattr(ancover.oracle, name, poisoned, raising=False)
     elems = list(iter_class(plus))
-    assert len(elems) == 12 and class_representative(plus) in elems
+    assert len(elems) == 12 and plus_rep in elems
     g = Permutation.from_cycles(5, [(1, 2), (3, 4)])
     assert brute_frobenius(plus, plus, g) == 0
     assert brute_frobenius(plus, minus, g) > 0
+    for D in (plus, minus):
+        assert brute_product_counts(plus, D) == brute_product_counts(D, plus) == expected[D]
 
 
 def _orbit_classes(n):
@@ -216,6 +269,7 @@ def test_oracle_matches_definition_level_counts(n):
     triples = 0
     for C, c_members in classes.items():
         for D, d_members in classes.items():
+            bins = brute_product_counts(C, D)
             for E in classes:
                 g = class_representative(E).images
                 # c d = g  <=>  d = c^-1 g
@@ -223,14 +277,13 @@ def test_oracle_matches_definition_level_counts(n):
                     1 for c in c_members if tuple(inverses[c][y - 1] for y in g) in d_members
                 )
                 assert brute_frobenius(C, D, class_representative(E)) == direct, (C, D, E)
+                assert bins[E] == direct, (C, D, E)
                 triples += 1
     assert triples == {5: 125, 6: 343, 7: 729}[n]
 
 
 def _check_against_stream(C, D, g):
-    count = brute_frobenius(C, D, g)
-    assert count == stream_frobenius(C, D, g), (C, D, g)
-    assert brute_contains(C, D, g) == (count > 0), (C, D, g)
+    assert brute_frobenius(C, D, g) == stream_frobenius(C, D, g), (C, D, g)
 
 
 def test_search_enumerates_types_as_the_stream_does():
@@ -286,3 +339,23 @@ def test_search_matches_stream_count_on_large_and_non_real_classes(c, d, e):
     g = conjugate(class_representative(E), Permutation(s))
     _check_against_stream(C, D, g)
     _check_against_stream(D, C, g)
+
+
+@pytest.mark.parametrize(
+    "c, d",
+    [
+        # 5,3:+ is not real in A_8; 7,1:- squared needs the "-" element.
+        ("5,3:+", "3,2,2,1"),
+        ("7,1:-", "7,1:-"),
+        # At n = 9 the smaller class comes second, then first.
+        ("5,3,1:-", "3,3,3"),
+        ("2,2,2,2,1", "9:+"),
+    ],
+)
+def test_product_counts_match_stream_count_at_n_8_and_9(c, d):
+    C, D = parse_class_label(c), parse_class_label(d)
+    bins = brute_product_counts(C, D)
+    assert bins == brute_product_counts(D, C)
+    assert list(bins) == an_class_labels(C.n)
+    for E, count in bins.items():
+        assert count == stream_frobenius(C, D, class_representative(E)), (C, D, E)

@@ -1,11 +1,11 @@
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import ancover
+from oracles import run_python
+
+SRC = Path(ancover.__file__).resolve().parents[1]
 
 
 def _exported_names() -> list[str]:
@@ -35,8 +35,7 @@ def test_import_loads_no_bounds_suites_or_cli():
         "        'is_covered_by', 'is_real_in_an') if hasattr(ancover, n)]\n"
         "print(json.dumps([loaded, missing, gone]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     loaded, missing, gone = json.loads(proc.stdout)
     assert loaded == []

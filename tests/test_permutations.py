@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ancover.combinatorics import Partition
-from ancover.oracle import brute_an_conjugate, iter_class
+from ancover.oracle import brute_an_conjugate
 from ancover.permutations import (
     ClassLabel,
     DegreeMismatch,
@@ -28,6 +28,8 @@ from ancover.permutations import (
 from oracles import (
     all_even_permutations,
     is_real_in_an,
+    iter_class,
+    permutations_of_type,
     reference_an_class_of,
     reference_cycle_type,
     reference_from_cycles,
@@ -128,8 +130,6 @@ def test_split_halves_exhaustive():
                 continue
             plus = ClassLabel(label.cycle_type, "+")
             seen = {"+": 0, "-": 0}
-            from ancover.oracle import permutations_of_type
-
             for g in permutations_of_type(label.cycle_type):
                 seen[an_class_of(g).sign] += 1
             assert seen["+"] == seen["-"] == an_class_size(plus)
