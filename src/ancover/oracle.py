@@ -9,7 +9,8 @@ class.  Validated :class:`Permutation` objects are built only where a
 public function returns them.
 
 One backtracking search, :func:`_search`, enumerates every permutation
-of a cycle type and hands each to a leaf callback.  Whole products C D
+of a cycle type and hands each to a leaf callback, which can stop it.
+Whole products C D
 come from one pass over the smaller class, each product with one fixed
 element of the other class binned by its own walk
 (:func:`brute_product_counts`, by the class equation).  Single pair
@@ -41,8 +42,8 @@ ORACLE_LIMIT = 9
 
 Cofactor = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
-# leaf(p, q, word); see _search.
-Leaf = Callable[[list[int], list[int] | None, list[int]], None]
+# leaf(p, q, word) -> whether to stop (None: go on); see _search.
+Leaf = Callable[[list[int], list[int] | None, list[int]], bool | None]
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -52,9 +53,10 @@ def _check_limit(n: int, limit: int) -> None:
 
 def _search(
     parts: Sequence[int], n: int, leaf: Leaf, cofactor: Cofactor | None = None
-) -> None:
+) -> bool:
     """Call leaf(p, q, word) once for every permutation p of {1..n} with
-    cycle lengths parts.
+    cycle lengths parts; stop as soon as a call returns a true value, and
+    return whether one did.
 
     p is built one value at a time: the least unused point leads the next
     cycle, whose length is one of p's unused parts, and the cycle's other
@@ -99,7 +101,7 @@ def _search(
             left[x] += 1
         top = max(target)
 
-    def place(lead: int, a: int, k: int, slot: int) -> None:
+    def place(lead: int, a: int, k: int, slot: int) -> bool:
         # Choose p(a): a further point of the cycle led by lead, written to
         # word[slot], while k > 0 are still to come, else lead itself,
         # closing the cycle.
@@ -134,33 +136,36 @@ def _search(
             if k:
                 word[slot] = b
                 free[b] = False
-                place(lead, b, k - 1, slot + 1)
+                if place(lead, b, k - 1, slot + 1):
+                    return True
                 free[b] = True
-            else:
-                new_cycle(lead + 1)
+            elif new_cycle(lead + 1):
+                return True
             if pair:
                 if closed:
                     left[closed] += 1
                     top = was_top
                 else:
                     tail[s], head[e], size[s] = x, y, joined - sy
+        return False
 
-    def new_cycle(lead: int) -> None:
+    def new_cycle(lead: int) -> bool:
         while lead <= n and not free[lead]:
             lead += 1
         if lead > n:
-            leaf(p, q, word)
-            return
+            return bool(leaf(p, q, word))
         free[lead] = False
         for length in kinds:
             if todo[length]:
                 todo[length] -= 1
                 word[first_slot[length]] = lead
-                place(lead, lead, length - 1, first_slot[length] + 1)
+                if place(lead, lead, length - 1, first_slot[length] + 1):
+                    return True
                 todo[length] += 1
         free[lead] = True
+        return False
 
-    new_cycle(1)
+    return new_cycle(1)
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:

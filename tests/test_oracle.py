@@ -90,14 +90,23 @@ def test_permutations_of_type_refuses_n_10():
 
 
 @pytest.mark.parametrize("paired", [False, True])
-def test_search_reaches_every_leaf_once(paired):
+@pytest.mark.parametrize("k", [1, 2, 7, 20])
+def test_search_stops_at_the_first_true_leaf(paired, k):
     # With the cofactor of g = 1 enumerated from C, q = p^-1 has p's type,
     # so both searches reach all 20 permutations of type 3,1,1.
     parts, n = (3, 1, 1), 5
     same = range(n + 1)
     cofactor = (same, same, parts) if paired else None
     calls = []
-    _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor)
+
+    def leaf(p, q, word):
+        calls.append(p[1:])
+        return len(calls) == k
+
+    assert _search(parts, n, leaf, cofactor) is True
+    assert len(calls) == k
+    calls.clear()
+    assert _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor) is False
     assert len(calls) == 20 == len(set(map(tuple, calls)))
 
 
@@ -161,6 +170,7 @@ def _counts_with_one_product_too_many():
     def one_more(parts, n, leaf, cofactor=None):
         real(parts, n, leaf, cofactor)
         leaf([0, 1, 2, 4, 5, 3], None, [0, 3, 4, 5, 1, 2])
+        return False
 
     ancover.oracle._search = one_more
     try:
