@@ -10,15 +10,18 @@ public function returns them.
 
 One backtracking search, :func:`_search`, enumerates every permutation
 of a cycle type and hands each to a leaf callback, which can stop it.
-Whole products C D
-come from one pass over the smaller class, each product with one fixed
-element of the other class binned by its own walk
-(:func:`brute_product_counts`, by the class equation).  Single pair
-counts (:func:`brute_frobenius`) run the search over the smaller factor
-class and build the cofactor alongside, dropping a branch as soon as the
-cofactor's partial cycles leave the target type, so the cost follows the
-branches that can still succeed rather than the size of the smaller
-class.  Counts materialize and cache nothing but their bins.  The one
+Both counts rest on the class equation: the pairs (c, d) in C x D with
+c d in E can be counted with any one element of C, D or E fixed.  Whole
+products C D come from one pass over the smaller class, each product
+with one fixed element of the other class binned by its own walk
+(:func:`brute_product_counts`).  Single pair counts
+(:func:`brute_frobenius`) fix an element of whichever of C, D and the
+class E of g has the largest cycle type, run the search over the smaller
+of the other two and build the third factor alongside, dropping a branch
+as soon as its partial cycles leave the target type, so the cost follows
+the branches that can still succeed rather than the size of the
+enumerated class.  Class sizes come from the oracle's own centralizer
+formula.  Counts materialize and cache nothing but their bins.  The one
 exception to full enumeration is :func:`brute_an_conjugate` above n = 7
 (see there).
 """
@@ -26,6 +29,7 @@ exception to full enumeration is :func:`brute_an_conjugate` above n = 7
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 from ancover.combinatorics import LimitExceeded, Partition
@@ -34,7 +38,6 @@ from ancover.permutations import (
     ClassLabel,
     Permutation,
     an_class_labels,
-    an_class_size,
     splits_in_an,
 )
 
@@ -70,11 +73,11 @@ def _search(
     the type splits, word is the word of :func:`_sign_matches`.
 
     Without a cofactor, q is None.  With cofactor (u, v, target), u and v
-    indexed from 1, each value p(a) = b also fixes q(u[b]) = v[a], so the
-    values of q are set one by one and every leaf has all of them.  The
-    partial q is kept as chains: ``head`` maps the end of each chain to
-    its start, ``tail`` the start to its end, and ``size`` the start to
-    the number of points, all undone on backtrack.
+    indexed from 1, each value p(a) = b also fixes q(u[b]) = v[a], so
+    q = v p^-1 u^-1, its values are set one by one and every leaf has all
+    of them.  The partial q is kept as chains: ``head`` maps the end of
+    each chain to its start, ``tail`` the start to its end, and ``size``
+    the start to the number of points, all undone on backtrack.
     A branch is dropped when the new value closes a q-cycle whose length
     has no unused part left in target, or joins a chain longer than every
     unused part.  Only the leaves with q of exactly type target remain.
@@ -217,14 +220,19 @@ def _sign_matches(word: Sequence[int], sign: str | None) -> bool:
     return ((n - cycles) % 2 == 0) == (sign == "+")
 
 
-def _has_class(q: Sequence[int], parts: tuple[int, ...], sign: str | None) -> bool:
-    """Whether the permutation with images q[1..n] has cycle lengths parts
-    and lies in the class of that type with this sign: one walk of q gives
-    its cycles, and their word, longest first, gives the sign."""
+def _has_class(
+    q: Sequence[int], parts: tuple[int, ...], sign: str | None, inverted: bool = False
+) -> bool:
+    """Whether the permutation with images q[1..n], or its inverse when
+    inverted, has cycle lengths parts and lies in the class of that type
+    with this sign: one walk of q gives its cycles, each read backwards a
+    cycle of q^-1, and their word, longest first, gives the sign."""
     cycles = _cycles(q[1:])
     if _lengths(cycles) != parts:
         return False
     cycles.sort(key=len, reverse=True)
+    if inverted:
+        cycles = [cycle[::-1] for cycle in cycles]
     return _sign_matches([0, *itertools.chain.from_iterable(cycles)], sign)
 
 
@@ -235,49 +243,47 @@ def _inverse(p: Sequence[int]) -> list[int]:
     return inv
 
 
-def _by_size(C: ClassLabel, D: ClassLabel, *more) -> tuple[ClassLabel, ClassLabel]:
-    """(P, Q): P the smaller of C, D, to enumerate (C on a tie), Q the
-    other; after checking that all have one degree, within the limit."""
-    if any(x.n != C.n for x in (D, *more)):
+def _check_degrees(C: ClassLabel, *more) -> None:
+    """Check that C and more have one degree, within the oracle limit."""
+    if any(x.n != C.n for x in more):
         raise ValueError("degree mismatch")
     _check_limit(C.n, ORACLE_LIMIT)
-    return (C, D) if an_class_size(C) <= an_class_size(D) else (D, C)
 
 
-def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
-    """|{(c, d) in C x D : c d = g}| by an exhaustive pruned search.
+def _type_size(parts: Sequence[int]) -> int:
+    """The number of permutations with these cycle lengths: n! over the
+    order of their S_n centralizer, the product of k^m m! over the parts
+    k of multiplicity m."""
+    z = 1
+    for k in set(parts):
+        m = parts.count(k)
+        z *= k**m * math.factorial(m)
+    return math.factorial(sum(parts)) // z
 
-    c determines d = c^-1 g and vice versa, so the search enumerates p in
-    the smaller class and builds its cofactor q value by value (see
-    :func:`_search`): q = p^-1 g, so q(g^-1(b)) = a, when p is in C;
-    q = g p^-1, so q(b) = g(a), when p is in D.  Dropping a branch loses
-    no pair: values are only ever added, so a closed cofactor cycle stays
-    closed and an open chain only grows, and the unused parts of the
-    target type only shrink.  A closed cycle whose length has no unused
-    part, or a chain longer than every unused part, therefore stays
-    impossible in every completion.  Each remaining leaf is one candidate
-    pair with both cycle types right; p's split sign is read from the
-    search's word and q's from one walk of q, and the pair counts once
-    both pass.
-    """
-    P, Q = _by_size(C, D, g)
-    same = range(C.n + 1)
-    if P is C:
-        cofactor = ([0, *_inverse(g.images)], same, Q.cycle_type.parts)
-    else:
-        cofactor = (same, (0, *g.images), Q.cycle_type.parts)
-    p_sign, q_sign, q_parts = P.sign, Q.sign, Q.cycle_type.parts
-    count = 0
 
-    def leaf(p: list[int], q: list[int], word: list[int]) -> None:
-        nonlocal count
-        if _sign_matches(word, p_sign) and (
-            q_sign is None or _has_class(q, q_parts, q_sign)
-        ):
-            count += 1
+def _size(label: ClassLabel) -> int:
+    """|label|: its S_n type, halved when the type splits into two
+    classes of A_n (the label then has a sign)."""
+    size = _type_size(label.cycle_type.parts)
+    return size // 2 if label.sign else size
 
-    _search(P.cycle_type.parts, C.n, leaf, cofactor)
-    return count
+
+def _class_of(images: Sequence[int]) -> ClassLabel | None:
+    """The A_n class of the permutation with these images by one walk, or
+    None when it is odd.  Its S_n class splits when its centralizer lies
+    in A_n, that is when no part is even and no two parts are equal (for
+    n >= 2; S_1 = A_1), and the sign is then read as in
+    :func:`_sign_matches`."""
+    cycles = _cycles(images)
+    n = len(images)
+    if (n - len(cycles)) % 2:
+        return None
+    cycles.sort(key=len, reverse=True)
+    parts = tuple(map(len, cycles))
+    sign = None
+    if n >= 2 and len(set(parts)) == len(parts) and all(k % 2 for k in parts):
+        sign = "+" if _sign_matches([0, *itertools.chain(*cycles)], "+") else "-"
+    return ClassLabel(Partition(parts), sign)
 
 
 def _representative(label: ClassLabel) -> list[int]:
@@ -297,6 +303,82 @@ def _representative(label: ClassLabel) -> list[int]:
     return images
 
 
+def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
+    """|{(c, d) in C x D : c d = g}| by an exhaustive pruned search.
+
+    0 when g is odd, as C D lies in A_n.  Otherwise g lies in a class E,
+    read by the oracle's own walk, and by the class equation
+    |E| N = |C| #{d in D : c0 d in E} = |D| #{c in C : c d0 in E} for
+    any c0 in C and d0 in D, while fixing g counts the N pairs directly.
+    So the search fixes one element of the class of the largest S_n type
+    among C, D, E (E on a tie, then C) and enumerates the smaller of the
+    other two (see :func:`_fixed_count`).
+    """
+    _check_degrees(C, D, g)
+    E = _class_of(g.images)
+    if E is None:
+        return 0
+    triple = (C, D, E)
+    types = [_type_size(X.cycle_type.parts) for X in triple]
+    fixed = max((2, 0, 1), key=types.__getitem__)
+    a, b = (i for i in (0, 1, 2) if i != fixed)
+    enumerated = a if _size(triple[a]) <= _size(triple[b]) else b
+    return _fixed_count(triple, g.images, fixed, enumerated)
+
+
+def _fixed_count(
+    triple: tuple[ClassLabel, ClassLabel, ClassLabel],
+    g: Sequence[int],
+    fixed: int,
+    enumerated: int,
+) -> int:
+    """N(C, D, E) at g, an element of E, for triple (C, D, E): the search
+    enumerates triple[enumerated] with one element x of triple[fixed]
+    fixed (g itself for E, else the :func:`_representative`).
+
+    Each p determines the element of the third class by c d = e, and the
+    search builds q = v p^-1 u^-1 alongside (see :func:`_search`): that
+    element when g is fixed, its inverse when x is in C or D (the rows
+    below).  Inversion keeps the cycle type, so the cuts are the same,
+    but the split sign is read from q^-1, whose class can be the other
+    one.  Dropping a branch loses no pair: values are only ever added, so
+    a closed cycle of q stays closed and an open chain only grows, and
+    the unused parts of the target type only shrink.  A leaf counts when
+    p's split sign, read from the search's word, and the third element's,
+    read from one walk of q, both pass.  With F the fixed class the count
+    is |F| * leaves / |E|; a remainder raises :class:`VerificationFailed`.
+    """
+    n = len(g)
+    x = g if fixed == 2 else _representative(triple[fixed])
+    x, x_inv, same = [0, *x], [0, *_inverse(x)], range(n + 1)
+    u, v = {
+        (2, 0): (x_inv, same),  # p = c: q = p^-1 g = d
+        (2, 1): (same, x),  # p = d: q = g p^-1 = c
+        (0, 1): (x, same),  # p = d: q = p^-1 c0^-1 = (c0 d)^-1 = e^-1
+        (0, 2): (x_inv, same),  # p = e: q = p^-1 c0 = (c0^-1 e)^-1 = d^-1
+        (1, 0): (same, x_inv),  # p = c: q = d0^-1 p^-1 = (c d0)^-1 = e^-1
+        (1, 2): (same, x),  # p = e: q = d0 p^-1 = (e d0^-1)^-1 = c^-1
+    }[fixed, enumerated]
+    P, Q = triple[enumerated], triple[3 - fixed - enumerated]
+    p_sign, q_sign, q_parts = P.sign, Q.sign, Q.cycle_type.parts
+    inverted = fixed != 2
+    count = 0
+
+    def leaf(p: list[int], q: list[int], word: list[int]) -> None:
+        nonlocal count
+        if _sign_matches(word, p_sign) and (
+            q_sign is None or _has_class(q, q_parts, q_sign, inverted)
+        ):
+            count += 1
+
+    _search(P.cycle_type.parts, n, leaf, (u, v, q_parts))
+    F, E = triple[fixed], triple[2]
+    out, rest = divmod(_size(F) * count, _size(E))
+    if rest:
+        raise VerificationFailed(f"|{F}| * {count} is not a multiple of |{E}|")
+    return out
+
+
 def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
     """N(C, D, E), the pair count of :func:`brute_frobenius` at an element
     of E, for every A_n class E, from one pass over the smaller class.
@@ -310,7 +392,8 @@ def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
     once.  A bin whose |Q| * count is not a multiple of |E| raises
     :class:`VerificationFailed`.
     """
-    P, Q = _by_size(C, D)
+    _check_degrees(C, D)
+    P, Q = (C, D) if _size(C) <= _size(D) else (D, C)
     r, p_sign = _representative(Q), P.sign
     out = dict.fromkeys(an_class_labels(C.n), 0)
     split = {E.cycle_type.parts for E in out if E.sign}
@@ -329,7 +412,7 @@ def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
     label = {(E.cycle_type.parts, E.sign == "+"): E for E in out}
     for key, count in bins.items():
         E = label[key]
-        out[E], rest = divmod(an_class_size(Q) * count, an_class_size(E))
+        out[E], rest = divmod(_size(Q) * count, _size(E))
         if rest:
             raise VerificationFailed(f"|{Q}| * {count} is not a multiple of |{E}|")
     return out

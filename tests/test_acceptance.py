@@ -16,7 +16,6 @@ from ancover.suites import (
     suite_bounds,
     suite_construction,
     suite_gleason,
-    suite_oracle_equiv,
     suite_prop24,
 )
 from ancover.combinatorics import Partition, frobenius_symbol
@@ -123,9 +122,8 @@ def test_criterion_5_constructor_end_to_end():
     _report("criterion 5", items)
 
 
-def test_criterion_6_oracle_equivalence():
-    items = suite_oracle_equiv()
-    _report("criterion 6", items)
+def test_criterion_6_oracle_equivalence(oracle_equiv_items):
+    _report("criterion 6", oracle_equiv_items)
 
 
 def test_criterion_7_character_table_integrity():

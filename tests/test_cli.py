@@ -7,6 +7,7 @@ from ancover.characters import CharacterTable, an_character_table
 from ancover.cli import _parse_ns, build_parser, main
 from ancover.combinatorics import LimitExceeded
 from ancover.permutations import parse_permutation
+from ancover.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -103,7 +104,10 @@ def test_verify_prop24_output(capsys):
     )
 
 
-def test_verify_oracle_equiv_output(capsys):
+def test_verify_oracle_equiv_output(capsys, monkeypatch, oracle_equiv_items):
+    # The suite's real items, from the session's one run of it (see
+    # conftest.py), reach the command through its SUITES entry.
+    monkeypatch.setitem(SUITES, "oracle-equiv", lambda: oracle_equiv_items)
     code, out, _ = run(capsys, "verify", "oracle-equiv")
     assert code == 0
     assert out == (

@@ -10,6 +10,7 @@ from ancover.combinatorics import enumerate_partitions
 from ancover.classalgebra import product_counts
 from ancover.constructor import VerificationFailed
 from ancover.oracle import (
+    _fixed_count,
     _has_class,
     _search,
     brute_an_conjugate,
@@ -212,8 +213,8 @@ def test_brute_an_conjugate():
 
 def test_oracle_does_not_use_the_class_labelling(monkeypatch):
     # Give split types the wrong sign in the labelling and in the class
-    # representatives under test; the oracle must still enumerate and
-    # count the right classes.
+    # representatives under test, and every class the wrong size; the
+    # oracle must still enumerate and count the right classes.
     import ancover.oracle
     import ancover.permutations
 
@@ -229,17 +230,22 @@ def test_oracle_does_not_use_the_class_labelling(monkeypatch):
 
     real_class_of = ancover.permutations.an_class_of
     real_representative = ancover.permutations.class_representative
+    real_size = ancover.permutations.an_class_size
     for name, poisoned in [
         ("an_class_of", lambda g: flip(real_class_of(g))),
         ("class_representative", lambda label: real_representative(flip(label))),
+        ("an_class_size", lambda label: 2 * real_size(label) + 1),
     ]:
         monkeypatch.setattr(ancover.permutations, name, poisoned)
         monkeypatch.setattr(ancover.oracle, name, poisoned, raising=False)
     elems = list(iter_class(plus))
     assert len(elems) == 12 and plus_rep in elems
+    # g of type 2,2,1 (15 elements) fixes an element of the first class,
+    # so these two counts are |5:+| * leaves / |2,2,1|.
     g = Permutation.from_cycles(5, [(1, 2), (3, 4)])
-    assert brute_frobenius(plus, plus, g) == 0
-    assert brute_frobenius(plus, minus, g) > 0
+    two_twos = parse_class_label("2,2,1")
+    assert brute_frobenius(plus, plus, g) == expected[plus][two_twos] == 0
+    assert brute_frobenius(plus, minus, g) == expected[minus][two_twos] == 4
     for D in (plus, minus):
         assert brute_product_counts(plus, D) == brute_product_counts(D, plus) == expected[D]
 
@@ -290,6 +296,112 @@ def test_oracle_matches_definition_level_counts(n):
                 assert bins[E] == direct, (C, D, E)
                 triples += 1
     assert triples == {5: 125, 6: 343, 7: 729}[n]
+
+
+# (fixed, enumerated) as indices into (C, D, E).
+ORIENTATIONS = list(itertools.permutations(range(3), 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_every_orientation_matches_definition_level_counts(n):
+    # Each (fixed, enumerated) choice of classes among (C, D, E), with g a
+    # random S_n conjugate of E's representative, and of a split E also one
+    # by a conjugator of the other parity, so g's class, read from the
+    # orbits, runs over both classes of a split pair.
+    classes = _orbit_classes(n)
+    class_of = {h: label for label, members in classes.items() for h in members}
+    inverses = {c: tuple(sorted(range(1, n + 1), key=lambda i: c[i - 1])) for c in class_of}
+    rng = random.Random(f"orientations {n}")
+    targets = []
+    for E in classes:
+        s = list(range(1, n + 1))
+        rng.shuffle(s)
+        targets.append(conjugate(class_representative(E), Permutation(s)))
+        if E.is_split():
+            s[:2] = s[1], s[0]
+            targets.append(conjugate(class_representative(E), Permutation(s)))
+    assert {class_of[g.images] for g in targets} == set(classes)
+    for g in targets:
+        E = class_of[g.images]
+        for C, c_members in classes.items():
+            # c d = g  <=>  d = c^-1 g
+            cofactors = [tuple(inverses[c][y - 1] for y in g.images) for c in c_members]
+            for D, d_members in classes.items():
+                direct = sum(d in d_members for d in cofactors)
+                got = [_fixed_count((C, D, E), g.images, *o) for o in ORIENTATIONS]
+                assert got == [direct] * 6, (C, D, E)
+                assert brute_frobenius(C, D, g) == direct, (C, D, E)
+
+
+def test_odd_g_gives_zero_without_a_search(monkeypatch):
+    import ancover.oracle
+
+    def no_search(*args):
+        raise AssertionError("searched for a product equal to an odd g")
+
+    monkeypatch.setattr(ancover.oracle, "_search", no_search)
+    labels = an_class_labels(6)
+    for g in (
+        Permutation.from_cycles(6, [(1, 2)]),
+        Permutation.from_cycles(6, [(1, 2, 3, 4)]),
+        Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)]),
+    ):
+        assert not g.is_even()
+        for C in labels:
+            for D in labels:
+                assert brute_frobenius(C, D, g) == 0
+
+
+def _frobenius_with_one_leaf_too_many():
+    """brute_frobenius(3,1,1, 3,1,1, (1 2)(3 4)) with the search calling
+    its last leaf twice.  The 2,2,1 class of g (15 elements) is the
+    smallest type, so an element of C (20 elements) is fixed and E is
+    enumerated; with the cofactor's class unsplit every leaf counts, and
+    20 * (leaves + 1) is no longer a multiple of 15."""
+    import ancover.oracle
+
+    real = ancover.oracle._search
+
+    def one_more(parts, n, leaf, cofactor=None):
+        last = []
+
+        def keep(p, q, word):
+            last[:] = [list(p), list(q), list(word)]
+            return leaf(p, q, word)
+
+        real(parts, n, keep, cofactor)
+        leaf(*last)
+        return False
+
+    ancover.oracle._search = one_more
+    try:
+        C = parse_class_label("3,1,1")
+        return brute_frobenius(C, C, Permutation.from_cycles(5, [(1, 2), (3, 4)]))
+    finally:
+        ancover.oracle._search = real
+
+
+def test_pair_count_raises_on_a_count_that_is_not_a_multiple():
+    C = parse_class_label("3,1,1")
+    assert brute_frobenius(C, C, Permutation.from_cycles(5, [(1, 2), (3, 4)])) > 0
+    with pytest.raises(VerificationFailed, match="not a multiple"):
+        _frobenius_with_one_leaf_too_many()
+
+
+def test_pair_count_raises_on_a_bad_count_under_optimize():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_oracle import _frobenius_with_one_leaf_too_many\n"
+        "from ancover.constructor import VerificationFailed\n"
+        "try:\n"
+        "    _frobenius_with_one_leaf_too_many()\n"
+        "except VerificationFailed:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('a count that is not a multiple passed')\n"
+    )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _check_against_stream(C, D, g):
