@@ -42,7 +42,6 @@ from ancover.characters import (
 )
 from ancover.classalgebra import (
     CoverageReport,
-    class_size,
     frobenius_count,
     product_counts,
     power_counts,

@@ -291,11 +291,6 @@ class IrreducibleLabel:
         return self.text()
 
 
-def parse_irreducible_label(text: str) -> IrreducibleLabel:
-    body, _, sign = text.strip().partition(":")
-    return IrreducibleLabel(Partition.from_text(body), sign if sign else None)
-
-
 def irreducible_labels(n: int) -> list[IrreducibleLabel]:
     """A_n irreducible labels: one per transpose pair, two per self-conjugate."""
     labels: list[IrreducibleLabel] = []

@@ -28,7 +28,7 @@ from operator import mul
 
 from ancover.characters import CharacterTable, an_character_table
 from ancover.combinatorics import Partition
-from ancover.permutations import ClassLabel, an_class_size
+from ancover.permutations import ClassLabel
 
 MAX_COVERING_POWER = 20  # covering_number gives up past this power
 
@@ -39,13 +39,6 @@ class IrrationalResidue(ArithmeticError):
 
 class NotGenerating(RuntimeError):
     """No power of the class up to the limit covers the whole group."""
-
-
-def class_size(n: int, cls: ClassLabel) -> int:
-    """Number of elements in the labeled A_n class."""
-    if cls.n != n:
-        raise ValueError(f"label is for n = {cls.n}, not {n}")
-    return an_class_size(cls)
 
 
 # Weights are (rational, surd): w_chi = rational[i] + surd[i] * sqrt(d_i),

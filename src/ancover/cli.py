@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 a verification failed, 2 usage or limit errors.
-Output is plain text by default and JSON with --json; identical command
-and seed produce byte-identical output.  The suites behind ``verify``
-live in :mod:`ancover.suites`.
+Exit codes: 0 success, 1 a verification failed, 2 usage or limit errors
+and output paths that cannot be written.  Output is plain text by
+default and JSON with --json; identical command and seed produce
+byte-identical output.  The suites behind ``verify`` live in
+:mod:`ancover.suites`.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def main(argv=None) -> int:
             if isinstance(value, list):
                 raise ValueError(f"argument {name}: expected one value")
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -651,10 +651,11 @@ def cover_with_ncycles(
     Strips an even number r of fixed points (or reduces to degree 7 or 5
     for nearly trivial g) by an even relabelling that ranks the moved
     points first, solves the residue at degree m = n - r by seeded random
-    search over the base class of C with the cofactor membership-tested,
-    and lifts both factors back through the stripped points with one long
-    run each: c's word gets m+1, ..., n after m, d's gets n, n-1, ..., m+1
-    before m.
+    search over the base class of C with the cofactor membership-tested
+    (at most budget trials; a budget below 1 raises ValueError), and
+    lifts both factors back through the stripped points with one long
+    run each: c's word gets m+1, ..., n after m, d's gets n, n-1, ...,
+    m+1 before m.
 
     The base classes follow a parity rule (:func:`_d_lift_flips_sign`):
     the c-lift keeps the split sign and the d-lift flips it iff
@@ -673,6 +674,8 @@ def cover_with_ncycles(
     from ancover.characters import DEFAULT_TABLE_LIMIT
     from ancover.classalgebra import frobenius_count
 
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     n = g.n
     if n < 5 or n % 2 == 0:
         raise ValueError("defined for odd n >= 5")

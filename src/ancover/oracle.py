@@ -21,9 +21,12 @@ of the other two and build the third factor alongside, dropping a branch
 as soon as its partial cycles leave the target type, so the cost follows
 the branches that can still succeed rather than the size of the
 enumerated class.  Class sizes come from the oracle's own centralizer
-formula.  Counts materialize and cache nothing but their bins.  The one
-exception to full enumeration is :func:`brute_an_conjugate` above n = 7
-(see there).
+formula.  Counts materialize and cache nothing but their bins.
+
+The oracle counts; it does not decide whether two given permutations are
+A_n-conjugate.  The tests check the class labelling against a separate
+definition-level reference, the orbit of a permutation under conjugation
+by the 3-cycles (1,2,k), which generate A_n (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ from typing import Callable, Sequence
 
 from ancover.combinatorics import LimitExceeded, Partition
 from ancover.constructor import VerificationFailed
-from ancover.permutations import (
-    ClassLabel,
-    Permutation,
-    an_class_labels,
-    splits_in_an,
-)
+from ancover.permutations import ClassLabel, Permutation, an_class_labels
 
 ORACLE_LIMIT = 9
 
@@ -47,11 +45,6 @@ Cofactor = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 # leaf(p, q, word) -> whether to stop (None: go on); see _search.
 Leaf = Callable[[list[int], list[int] | None, list[int]], bool | None]
-
-
-def _check_limit(n: int, limit: int) -> None:
-    if n > limit:
-        raise LimitExceeded(f"n = {n} exceeds the oracle limit {limit}")
 
 
 def _search(
@@ -247,7 +240,8 @@ def _check_degrees(C: ClassLabel, *more) -> None:
     """Check that C and more have one degree, within the oracle limit."""
     if any(x.n != C.n for x in more):
         raise ValueError("degree mismatch")
-    _check_limit(C.n, ORACLE_LIMIT)
+    if C.n > ORACLE_LIMIT:
+        raise LimitExceeded(f"n = {C.n} exceeds the oracle limit {ORACLE_LIMIT}")
 
 
 def _type_size(parts: Sequence[int]) -> int:
@@ -417,41 +411,3 @@ def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
             raise VerificationFailed(f"|{Q}| * {count} is not a multiple of |{E}|")
     return out
 
-
-def brute_an_conjugate(
-    x: Permutation, y: Permutation, *, limit: int = ORACLE_LIMIT
-) -> bool:
-    """Whether some even permutation conjugates x to y.
-
-    Full enumeration for n <= 7: an even s with s x = y s, compared on
-    image tuples.  For larger n, one aligning conjugator is built cycle by
-    cycle and, when it is odd, a parity adjustment is sought in the
-    centralizer of x (possible unless the type has distinct odd parts).
-    """
-    n = x.n
-    if y.n != n:
-        raise ValueError("degree mismatch")
-    _check_limit(n, limit)
-    t = _lengths(_cycles(x.images))
-    if t != _lengths(_cycles(y.images)):
-        return False
-    if n <= 7:
-        xi, yi = x.images, y.images
-        return any(
-            all(s[a - 1] == yi[b - 1] for a, b in zip(xi, s))
-            and (n - len(_cycles(s))) % 2 == 0
-            for s in itertools.permutations(range(1, n + 1))
-        )
-    word_x = list(itertools.chain(*x.cycles(include_fixed=True)))
-    word_y = list(itertools.chain(*y.cycles(include_fixed=True)))
-    images = [0] * n
-    for a, b in zip(word_x, word_y):
-        images[a - 1] = b
-    s = Permutation(images)
-    if s.is_even():
-        return True
-    if not splits_in_an(Partition(t)):
-        # The centralizer of x contains an odd element: an even-length
-        # cycle of x, or the block swap of two equal odd-length cycles.
-        return True
-    return False

@@ -137,9 +137,6 @@ class Permutation:
     def is_even(self) -> bool:
         return self.parity() == 0
 
-    def fix_count(self) -> int:
-        return sum(1 for i, y in enumerate(self.images) if i + 1 == y)
-
     def support(self) -> list[int]:
         return [i + 1 for i, y in enumerate(self.images) if i + 1 != y]
 

@@ -37,13 +37,21 @@ def ncycle_pairs(n: int) -> list[tuple[ClassLabel, ClassLabel]]:
     return [(plus, plus), (plus, minus), (minus, minus)]
 
 
+def _odd_degrees(ns, least: int, suite: str) -> list[int]:
+    """ns in increasing order; ValueError unless every n is odd and at
+    least least, so that a suite refuses a degree before it builds any
+    table."""
+    ns = sorted(ns)
+    bad = [n for n in ns if n % 2 == 0 or n < least]
+    if bad:
+        raise ValueError(f"{suite} needs odd n >= {least}, got n = {bad[0]}")
+    return ns
+
+
 def suite_gleason(ns=(7, 9, 11, 13)) -> list[tuple[str, bool, str]]:
     """Products of two n-cycle classes hit every nontrivial class."""
     items = []
-    for n in sorted(ns):
-        if n % 2 == 0 or n < 7:
-            items.append((f"gleason n={n}", False, "needs odd n >= 7"))
-            continue
+    for n in _odd_degrees(ns, 7, "gleason"):
         table = an_character_table(n)
         misses = [
             (C, D, E)
@@ -59,7 +67,7 @@ def suite_gleason(ns=(7, 9, 11, 13)) -> list[tuple[str, bool, str]]:
 def suite_ancn(ns=(5, 7, 9, 11, 13)) -> list[tuple[str, bool, str]]:
     """Covering numbers of n-cycle classes: 2 iff n = 1 mod 4 and n >= 7."""
     items = []
-    for n in sorted(ns):
+    for n in _odd_degrees(ns, 5, "ancn"):
         expected = 2 if (n % 4 == 1 and n >= 7) else 3
         table = an_character_table(n)
         values = {
@@ -85,7 +93,7 @@ def suite_prop24(ns=(5, 7, 9, 11)) -> list[tuple[str, bool, str]]:
     n = 5 and n = 7 findings."""
     items = []
     exception = Partition((2, 2, 1))
-    for n in sorted(ns):
+    for n in _odd_degrees(ns, 5, "prop24"):
         table = an_character_table(n)
         pairs = ncycle_pairs(n)
         counts = [product_counts(C, D, table=table) for C, D in pairs]

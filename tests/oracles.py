@@ -38,8 +38,19 @@ permutation kernel as first written: a bijection check by sorting, a
 point-by-point cycle check, and a walk that builds every cycle and is run
 again in full for a parity.  The package validates with sets and counts
 cycles without building them; the tests check that both accept, reject
-and label the same inputs.  :func:`all_even_permutations` enumerates A_n
-for the exhaustive tests.
+and label the same inputs.
+
+:func:`an_orbit` is the tests' one definition-level reference for
+A_n-conjugacy: the orbit of a permutation under conjugation by the
+3-cycles (1,2,k), which generate A_n, formed on explicit images.
+:func:`orbit_classes` gives every class of A_n that way, each from the
+oracle's definition-level representative.  They anchor the class
+labelling (``test_an_class_agrees_with_brute_force`` and its sampled
+variant in ``test_permutations.py``), reality
+(``test_reality_matches_brute_force`` and acceptance criterion 4) and
+the oracle's counts (``test_oracle_matches_definition_level_counts``
+and ``test_every_orientation_matches_definition_level_counts`` in
+``test_oracle.py``).
 
 :func:`two_twos_deltas` is the 2,2 fallback's trial loop as first
 written, with a Permutation built for every trial; the package forms each
@@ -71,6 +82,7 @@ from typing import Iterator, Sequence
 
 import ancover
 from ancover.combinatorics import (
+    LimitExceeded,
     Partition,
     SubpartitionKind,
     centralizer_order,
@@ -88,15 +100,16 @@ from ancover.classalgebra import frobenius_count
 from ancover.constructor import PackingPlan, ValidSequence, packing_word
 from ancover.oracle import (
     ORACLE_LIMIT,
-    _check_limit,
     _cycles,
     _lengths,
+    _representative,
     _search,
     _sign_matches,
 )
 from ancover.permutations import (
     ClassLabel,
     Permutation,
+    an_class_labels,
     an_class_of,
     an_class_size,
     class_representative,
@@ -357,11 +370,40 @@ def stream_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
     return count
 
 
-def all_even_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, n + 1)):
-        g = Permutation(images)
-        if g.is_even():
-            yield g
+def an_orbit(x: Sequence[int]) -> set[tuple[int, ...]]:
+    """The A_n-conjugacy class of the permutation with images x, as a set
+    of image tuples: its orbit under conjugation by the 3-cycles (1,2,k),
+    k = 3..n, which generate A_n.  Each generator s is written out as
+    images and each conjugate s y s^-1 is formed point by point, as the
+    map s(i) -> s(y(i)), so no package code takes part."""
+    n = len(x)
+    gens = []
+    for k in range(3, n + 1):
+        # s = (1,2,k) as [0, s(1), ..., s(n)], beside the 0-based
+        # positions s^-1(j) - 1 that z(j) = s(y(s^-1(j))) reads y at.
+        s = list(range(n + 1))
+        s[1], s[2], s[k] = 2, k, 1
+        s_inv = list(range(n))
+        s_inv[1], s_inv[k - 1], s_inv[0] = 0, 1, k - 1
+        gens.append((s, s_inv))
+    start = tuple(x)
+    orbit, frontier = {start}, [start]
+    while frontier:
+        y = frontier.pop()
+        for s, s_inv in gens:
+            z = tuple([s[y[t]] for t in s_inv])
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
+
+
+def orbit_classes(n: int) -> dict[ClassLabel, set[tuple[int, ...]]]:
+    """Every A_n class as the :func:`an_orbit` of the oracle's
+    representative, built from the definition of the "+" class (see
+    :func:`ancover.oracle._representative`), not from the labelling or
+    the representatives under test."""
+    return {label: an_orbit(_representative(label)) for label in an_class_labels(n)}
 
 
 def reference_images(images: Sequence[int]) -> tuple[int, ...]:
@@ -538,7 +580,8 @@ def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
 def _elements(parts: tuple[int, ...], n: int, sign: str | None) -> Iterator[Permutation]:
     """The permutations of {1..n} with cycle lengths parts, in search
     order; for a split type with a sign, only those of that class."""
-    _check_limit(n, ORACLE_LIMIT)
+    if n > ORACLE_LIMIT:
+        raise LimitExceeded(f"n = {n} exceeds the oracle limit {ORACLE_LIMIT}")
     out: list[Permutation] = []
 
     def leaf(p: list[int], q: None, word: list[int]) -> None:

@@ -19,13 +19,12 @@ from ancover.suites import (
     suite_prop24,
 )
 from ancover.combinatorics import Partition, frobenius_symbol
-from ancover.oracle import brute_an_conjugate
 from ancover.permutations import (
     ClassLabel,
     class_representative,
     kappa_of_type,
 )
-from oracles import abs_value_le_surd
+from oracles import abs_value_le_surd, an_orbit
 
 
 def _report(name: str, items) -> None:
@@ -68,7 +67,8 @@ def test_criterion_4_covering_two_iff_kappa_even():
             kap = kappa_of_type(C.cycle_type)
             rep = class_representative(C)
             real_formula = frobenius_count(C, C, identity, table=table) > 0
-            real_brute = brute_an_conjugate(rep, rep.inverse())
+            # Real: rep^-1 lies in the A_n orbit of rep.
+            real_brute = rep.inverse().images in an_orbit(rep.images)
             items.append(
                 (
                     f"criterion4 reality n={n} {C}",

@@ -18,7 +18,6 @@ from ancover.characters import (
     irreducible_labels,
     mn_value,
     mn_values,
-    parse_irreducible_label,
 )
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
 from ancover.permutations import ClassLabel
@@ -238,8 +237,8 @@ def test_export_import_round_trip(tmp_path):
 
 
 def test_irreducible_label_parsing():
-    assert parse_irreducible_label("3,1,1:+").sign == "+"
-    assert parse_irreducible_label("4,1").sign is None
+    assert IrreducibleLabel(Partition.from_text("3,1,1"), "+").text() == "3,1,1:+"
+    assert IrreducibleLabel(Partition.from_text("4,1")).text() == "4,1"
     with pytest.raises(ValueError):
         IrreducibleLabel(Partition((3, 1, 1)), None)  # self-conjugate needs sign
     with pytest.raises(ValueError):

@@ -248,6 +248,46 @@ def test_ncycles_command(capsys):
     assert code == 1 and "not in" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_ncycles_nonpositive_budget_exits_2(capsys, budget):
+    # Not exit 1 for "no factorization in 0 trials": no search is run.
+    code, out, err = run(capsys, "ncycles", "9", "(1,2)(3,4)", "9:+", "9:-", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: budget must be positive, got {budget}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "5", "--export", "{missing}/a5.json"],
+        ["verify", "bounds", "--trials", "1", "--table", "{missing}/clauses.csv"],
+    ],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "suite, n, least",
+    [("gleason", "8", 7), ("ancn", "4", 5), ("prop24", "4", 5), ("prop24", "3", 5)],
+)
+def test_verify_degree_outside_the_suite_range_exits_2(capsys, monkeypatch, suite, n, least):
+    # The range is checked before any table is built.
+    import ancover.suites
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(ancover.suites, "an_character_table", no_table)
+    code, out, err = run(capsys, "verify", suite, "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: {suite} needs odd n >= {least}, got n = {n}\n"
+
+
 def test_bounds_suite_with_csv(capsys, tmp_path):
     csv = tmp_path / "clauses.csv"
     code, out, _ = run(

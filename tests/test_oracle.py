@@ -13,7 +13,6 @@ from ancover.oracle import (
     _fixed_count,
     _has_class,
     _search,
-    brute_an_conjugate,
     brute_frobenius,
     brute_product_counts,
 )
@@ -30,6 +29,7 @@ from oracles import (
     _member,
     images_of_type,
     iter_class,
+    orbit_classes,
     permutations_of_type,
     run_python,
     stream_frobenius,
@@ -202,15 +202,6 @@ def test_product_counts_raise_on_a_bad_bin_under_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_brute_an_conjugate():
-    g = class_representative(parse_class_label("5:+"))
-    h = class_representative(parse_class_label("5:-"))
-    assert brute_an_conjugate(g, g)
-    assert not brute_an_conjugate(g, h)
-    s = Permutation.from_cycles(5, [(1, 2, 3)])
-    assert brute_an_conjugate(g, conjugate(g, s))
-
-
 def test_oracle_does_not_use_the_class_labelling(monkeypatch):
     # Give split types the wrong sign in the labelling and in the class
     # representatives under test, and every class the wrong size; the
@@ -250,33 +241,10 @@ def test_oracle_does_not_use_the_class_labelling(monkeypatch):
         assert brute_product_counts(plus, D) == brute_product_counts(D, plus) == expected[D]
 
 
-def _orbit_classes(n):
-    """The A_n classes as sets of image tuples, by an orbit search from each
-    class representative under conjugation by the 3-cycles (1,2,k), which
-    generate A_n.  Uses no class labelling beyond the representatives."""
-    gens = [Permutation.from_cycles(n, [(1, 2, k)]).images for k in range(3, n + 1)]
-    classes = {}
-    for label in an_class_labels(n):
-        rep = class_representative(label).images
-        orbit, frontier = {rep}, [rep]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = [0] * n
-                for i in range(n):
-                    y[s[i] - 1] = s[x[i] - 1]  # s x s^-1
-                y = tuple(y)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        classes[label] = orbit
-    return classes
-
-
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_oracle_matches_definition_level_counts(n):
     # n = 7 adds the first non-real classes (7:+ inverts to 7:-).
-    classes = _orbit_classes(n)
+    classes = orbit_classes(n)
     union = set().union(*classes.values())
     assert len(union) == sum(len(c) for c in classes.values()) == math.factorial(n) // 2
     for label, members in classes.items():
@@ -308,7 +276,7 @@ def test_every_orientation_matches_definition_level_counts(n):
     # random S_n conjugate of E's representative, and of a split E also one
     # by a conjugator of the other parity, so g's class, read from the
     # orbits, runs over both classes of a split pair.
-    classes = _orbit_classes(n)
+    classes = orbit_classes(n)
     class_of = {h: label for label, members in classes.items() for h in members}
     inverses = {c: tuple(sorted(range(1, n + 1), key=lambda i: c[i - 1])) for c in class_of}
     rng = random.Random(f"orientations {n}")

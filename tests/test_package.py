@@ -32,7 +32,10 @@ def test_import_loads_no_bounds_suites_or_cli():
         "missing = [n for n in names if not hasattr(ancover, n)]\n"
         "gone = [n for n in ('greedy_pack', 'packing_cycle', 'rebuild',\n"
         "        'find_opposite_valid_sequences', 'an_degree', 'abs_value_le_surd',\n"
-        "        'is_covered_by', 'is_real_in_an') if hasattr(ancover, n)]\n"
+        "        'is_covered_by', 'is_real_in_an', 'class_size') if hasattr(ancover, n)]\n"
+        "import ancover.characters, ancover.oracle\n"
+        "gone += [n for m, n in ((ancover.oracle, 'brute_an_conjugate'),\n"
+        "        (ancover.characters, 'parse_irreducible_label')) if hasattr(m, n)]\n"
         "print(json.dumps([loaded, missing, gone]))\n"
     )
     proc = run_python("-c", code)

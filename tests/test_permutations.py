@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ancover.combinatorics import Partition
-from ancover.oracle import brute_an_conjugate
+from ancover.oracle import _cycles, _lengths, _representative
 from ancover.permutations import (
     ClassLabel,
     DegreeMismatch,
@@ -23,12 +24,12 @@ from ancover.permutations import (
     parse_permutation,
     random_even_permutation,
     random_permutation,
-    splits_in_an,
 )
 from oracles import (
-    all_even_permutations,
+    an_orbit,
     is_real_in_an,
     iter_class,
+    orbit_classes,
     permutations_of_type,
     reference_an_class_of,
     reference_cycle_type,
@@ -57,7 +58,7 @@ def test_parity_and_fix_count():
         b = random_permutation(8, rng)
         assert (a * b).parity() == (a.parity() + b.parity()) % 2
     g = class_representative(ClassLabel(Partition((5, 3, 1, 1)), None))
-    assert g.fix_count() == 2
+    assert g.n - len(g.support()) == 2
 
 
 def test_cycle_type():
@@ -77,7 +78,7 @@ def test_conjugation_preserves_type():
 
 def test_embed_is_explicit():
     g = Permutation.from_cycles(3, [(1, 2, 3)])
-    assert embed(g, 5).fix_count() == 2
+    assert embed(g, 5).support() == [1, 2, 3]
     with pytest.raises(DegreeMismatch):
         embed(g, 2)
 
@@ -87,7 +88,7 @@ def test_parsing_and_formatting():
     assert g == parse_permutation("(1,2,3,4,5)")
     assert parse_permutation(g.format_cycles()) == g
     assert parse_permutation(g.format_images()) == g
-    assert parse_permutation("(1,2)(3,4)", n=6).fix_count() == 2
+    assert parse_permutation("(1,2)(3,4)", n=6).support() == [1, 2, 3, 4]
 
 
 def test_class_representative_examples():
@@ -136,50 +137,64 @@ def test_split_halves_exhaustive():
 
 
 def test_an_class_agrees_with_brute_force():
-    # Exhaustive n <= 6: the label map refines brute A_n-conjugacy exactly.
-    for n in (4, 5, 6):
-        reps = {label: class_representative(label) for label in an_class_labels(n)}
-        for g in all_even_permutations(n):
-            mine = an_class_of(g)
-            for label, rep in reps.items():
-                assert brute_an_conjugate(g, rep) == (label == mine)
+    # Exhaustive n <= 8: the A_n classes are the orbits of the oracle's
+    # definition-level representatives under conjugation by generators of
+    # A_n.  The orbits partition A_n, and an_class_of gives every member
+    # of an orbit that orbit's label, so its fibers are exactly the classes
+    # and the "+" class is the one the definition names.
+    for n in range(4, 9):
+        classes = orbit_classes(n)
+        union = set().union(*classes.values())
+        assert len(union) == sum(map(len, classes.values())) == math.factorial(n) // 2
+        for label, members in classes.items():
+            assert len(members) == an_class_size(label)
+            assert all(an_class_of(Permutation(h)) == label for h in members)
 
 
-def test_an_class_agrees_with_brute_force_n7():
-    # Exhaustive at n = 7 without the quadratic brute sweep: label fibers
-    # are invariant under conjugation by A_7 generators, so they are
-    # unions of classes; fiber sizes equal class sizes, so they are the
-    # classes.  Representative labels pin which fiber is which.
-    n = 7
-    gens = [
-        Permutation.from_cycles(n, [(1, 2, 3)]),
-        Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-    ]
-    assert all(s.is_even() for s in gens)
-    fibers = {}
-    for g in all_even_permutations(n):
-        fibers.setdefault(an_class_of(g), set()).add(g)
-    for label, members in fibers.items():
-        assert len(members) == an_class_size(label)
-        assert class_representative(label) in members
-        for s in gens:
-            assert all(conjugate(g, s) in members for g in members)
+def _split_type(parts) -> bool:
+    """Whether an even S_n class of this type splits in A_n: exactly
+    when its centralizer lies in A_n, that is when no part is even and no
+    two parts are equal."""
+    return len(set(parts)) == len(parts) and all(k % 2 for k in parts)
 
 
 def test_an_class_agrees_with_brute_force_sampled():
+    # g and h = s g s^-1 lie in one A_n class unless s is odd and the type
+    # splits.  At n <= 9 both labels are checked against orbits, each
+    # computed once per class.  At n = 10..12 the labels are anchored on
+    # the definition of the "+" class: the consecutive-fill element r of
+    # g's type conjugated by s, on explicit images, is "+" exactly when s
+    # is even.  Parities come from inversion counts and types from the
+    # oracle's own walk, not from the code under test.
     rng = random.Random(7)
+    orbits = {}
     for _ in range(10_000):
         n = rng.randint(4, 12)
         g = random_even_permutation(n, rng)
         s = random_permutation(n, rng)
         h = conjugate(g, s)
-        same_class = s.is_even() or not splits_in_an(cycle_type(g))
-        assert brute_an_conjugate(g, h, limit=12) == same_class
+        parts = _lengths(_cycles(g.images))
+        s_even = _inversion_parity(s.images) == 0
+        split = _split_type(parts)
+        same_class = s_even or not split
         lg, lh = an_class_of(g), an_class_of(h)
         if same_class:
             assert lg == lh
         else:
             assert lg.cycle_type == lh.cycle_type and lg.sign != lh.sign
+        if n <= 9:
+            for label in (lg, lh):
+                if label not in orbits:
+                    orbits[label] = an_orbit(_representative(label))
+            assert g.images in orbits[lg] and h.images in orbits[lh]
+            assert (h.images in orbits[lg]) == same_class
+        else:
+            r = _representative(ClassLabel(Partition(parts), "+" if split else None))
+            conj = [0] * n
+            for i in range(n):
+                conj[s.images[i] - 1] = s.images[r[i] - 1]
+            want = ClassLabel(Partition(parts), ("+" if s_even else "-") if split else None)
+            assert an_class_of(Permutation(conj)) == want
 
 
 def test_kappa():
@@ -197,10 +212,12 @@ def test_is_real_in_an():
 
 
 def test_reality_matches_brute_force():
+    # g is real in A_n iff g^-1 lies in the orbit of g.
     for n in (5, 6, 7):
-        for label in an_class_labels(n):
+        for label, members in orbit_classes(n).items():
             g = class_representative(label)
-            assert is_real_in_an(g) == brute_an_conjugate(g, g.inverse())
+            assert g.images in members
+            assert is_real_in_an(g) == (g.inverse().images in members)
 
 
 def test_inverse_label():
@@ -222,8 +239,6 @@ def test_class_sizes():
     for n in (5, 6, 7):
         labels = an_class_labels(n)
         sizes = [an_class_size(l) for l in labels]
-        import math
-
         assert sum(sizes) == math.factorial(n) // 2
 
 
