@@ -25,11 +25,12 @@ A :class:`CharacterTable` stores integers only: twice the rational part
 of every cell, plus, for each split constituent, one squarefree radicand
 d and the integer coefficients of sqrt(d) on its two hook classes.  It is
 built straight from MN values; :class:`AlgebraicValue` cells are derived
-on demand.  Every build runs quick checks (degrees, and column
-orthogonality across each split class pair), every load runs them and
-exact row and column orthogonality, all in integer arithmetic with the
-sqrt(d) parts required to cancel.  A failed check raises
-:class:`TableCheckFailed`, also under ``python -O``.
+on demand.  Every build runs quick checks (square shape, degrees, and
+column orthogonality across each split class pair), every load runs them
+and exact column orthogonality, which implies row orthogonality for a
+square table.  Column sums, here and in :mod:`ancover.classalgebra`, come
+from one exact kernel, :meth:`CharacterTable.column_sums`.  A failed
+check raises :class:`TableCheckFailed`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ class AlgebraicValue:
 
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def conjugate(self) -> "AlgebraicValue":
         """Complex conjugate: flips b only for negative radicands."""
@@ -325,6 +321,11 @@ class TableCheckFailed(ArithmeticError):
     """An exactness check on a character table failed."""
 
 
+# Weights of a column sum: w_chi = rational[i] + surd[i] * sqrt(d_i), with
+# surd holding only the split rows where it is nonzero.
+Weights = tuple[Sequence[int], dict[int, int]]
+
+
 class CharacterTable:
     """Complete exact A_n character table with deterministic labeling.
 
@@ -380,67 +381,80 @@ class CharacterTable:
         j = self._class_index[identity]
         return [row[j] // 2 for row in self.rows]
 
-    def _column_inner(self, i: int, j: int) -> tuple[int, dict[int, int]]:
-        """4 * sum_chi chi(i) * conj(chi(j)), as its rational part and the
-        nonzero sqrt(d) coefficients by radicand."""
-        total = sum(map(mul, self.columns[i], self.columns[j]))
-        residues: dict[int, int] = {}
+    def column_sums(
+        self, weights: Weights, targets: Sequence[int]
+    ) -> tuple[list[int], dict[int, list[int]]]:
+        """sum_chi w_chi * 2chi(t) for each target column t, exactly: the
+        rational parts, and the sqrt(d) coefficients (one per target) of
+        each radicand d that fails to cancel somewhere.  Raises nothing."""
+        rational, surd = weights
+        cols = self.columns
+        sums = [sum(map(mul, rational, cols[t])) for t in targets]
+        position = {t: p for p, t in enumerate(targets)}
+        residues: dict[int, list[int]] = {}
+        for i, (d, coefs) in self.surds.items():
+            w0, w1 = rational[i], surd.get(i, 0)
+            res = residues.setdefault(d, [0] * len(targets))
+            if w1:
+                row = self.rows[i]
+                res[:] = [r + w1 * row[t] for r, t in zip(res, targets)]
+            for j, z1 in coefs.items():
+                p = position.get(j)
+                if p is not None:
+                    sums[p] += w1 * z1 * d
+                    res[p] += w0 * z1
+        return sums, {d: res for d, res in residues.items() if any(res)}
+
+    def _check_shape(self) -> None:
+        """Orthogonality needs a square table: k rows, irreducibles and class
+        sizes for the k classes, and k entries in every row."""
+        k = len(self.classes)
+        counts = {len(self.rows), len(self.irreducibles), len(self.class_sizes)}
+        if counts | set(map(len, self.rows)) != {k}:
+            raise TableCheckFailed(
+                f"table is not {k} x {k}: {len(self.rows)} rows, {len(self.irreducibles)}"
+                f" irreducibles, row lengths {sorted(set(map(len, self.rows)))}"
+            )
+
+    def _check_columns(self, i: int, targets: Sequence[int]) -> None:
+        """Exact column orthogonality of column i against each target:
+        4 * sum_chi conj(chi(i)) chi(t) must be 4|G|/|class i| for t = i
+        and 0 otherwise."""
+        conj = {}
         for r, (d, coefs) in self.surds.items():
-            bi, bj = coefs.get(i, 0), coefs.get(j, 0)
-            if bi or bj:
-                sigma = -1 if d < 0 else 1  # conj(sqrt(d)) = sigma * sqrt(d)
-                total += bi * bj * sigma * d
-                residues[d] = residues.get(d, 0) + self.rows[r][i] * bj * sigma + bi * self.rows[r][j]
-        return total, {d: c for d, c in residues.items() if c}
-
-    def _row_inner(self, r: int, s: int) -> tuple[int, dict[int, int]]:
-        """4 * sum_g |g| chi_r(g) * conj(chi_s(g)), split as in _column_inner."""
-        total = sum(map(mul, map(mul, self.class_sizes, self.rows[r]), self.rows[s]))
-        dr, cr = self.surds.get(r, (1, {}))
-        ds, cs = self.surds.get(s, (1, {}))
-        sigma = -1 if ds < 0 else 1
-        residues: dict[int, int] = {}
-        for j in cr.keys() | cs.keys():
-            br, bs = cr.get(j, 0), cs.get(j, 0)
-            size = self.class_sizes[j]
-            if br and bs:
-                if dr != ds:
-                    raise TableCheckFailed(f"rows {r}, {s} mix radicands {dr} and {ds}")
-                total += size * br * bs * sigma * ds
-            residues[ds] = residues.get(ds, 0) + size * self.rows[r][j] * bs * sigma
-            residues[dr] = residues.get(dr, 0) + size * br * self.rows[s][j]
-        return total, {d: c for d, c in residues.items() if c}
-
-    def _check_columns(self, i: int, j: int) -> None:
-        total, residues = self._column_inner(i, j)
-        if residues:
-            raise TableCheckFailed(
-                f"irrational residue in column pair {self.classes[i]},{self.classes[j]}: {residues}"
-            )
-        expect = 4 * self.group_order // self.class_sizes[i] if i == j else 0
-        if total != expect:
-            raise TableCheckFailed(
-                f"column orthogonality fails at {self.classes[i]},{self.classes[j]}:"
-                f" {Fraction(total, 4)} != {Fraction(expect, 4)}"
-            )
+            if i in coefs:
+                conj[r] = -coefs[i] if d < 0 else coefs[i]
+        sums, residues = self.column_sums((self.columns[i], conj), targets)
+        for p, (j, total) in enumerate(zip(targets, sums)):
+            bad = {d: res[p] for d, res in residues.items() if res[p]}
+            if bad:
+                raise TableCheckFailed(
+                    f"irrational residue in column pair {self.classes[i]},{self.classes[j]}: {bad}"
+                )
+            expect = 4 * self.group_order // self.class_sizes[i] if i == j else 0
+            if total != expect:
+                raise TableCheckFailed(
+                    f"column orthogonality fails at {self.classes[i]},{self.classes[j]}:"
+                    f" {Fraction(total, 4)} != {Fraction(expect, 4)}"
+                )
 
     def verify_orthogonality(self) -> None:
-        """Exact row and column orthogonality; raises TableCheckFailed on failure."""
+        """Exact orthogonality; raises TableCheckFailed on failure.
+
+        Checks that the table is square and that its columns are exactly
+        orthogonal.  That implies row orthogonality: with X the k x k
+        matrix of values and W the diagonal of class sizes, the column
+        relations read X* X = |G| W^-1, so X is invertible with
+        X^-1 = W X* / |G|, and X W X* = |G| I are the row relations
+        (James & Kerber, *The Representation Theory of the Symmetric
+        Group*).  The argument needs X square, hence the shape check: a
+        zero row appended to a genuine table leaves every column sum
+        unchanged.
+        """
+        self._check_shape()
         k = len(self.classes)
         for i in range(k):
-            for j in range(i, k):
-                self._check_columns(i, j)
-        for r in range(len(self.rows)):
-            for s in range(r, len(self.rows)):
-                total, residues = self._row_inner(r, s)
-                if residues:
-                    raise TableCheckFailed(f"irrational residue in row pair {r},{s}")
-                expect = 4 * self.group_order if r == s else 0
-                if total != expect:
-                    raise TableCheckFailed(
-                        f"row orthogonality fails at {self.irreducibles[r]},"
-                        f"{self.irreducibles[s]}: {Fraction(total, 4)} != {Fraction(expect, 4)}"
-                    )
+            self._check_columns(i, range(i, k))
 
     def verify_split_pair_sums(self) -> None:
         """Each split pair must sum to the restricted parent character."""
@@ -471,8 +485,7 @@ class CharacterTable:
                         )
 
     def _quick_checks(self) -> None:
-        if len(self.classes) != len(self.irreducibles):
-            raise TableCheckFailed("class/irreducible count")
+        self._check_shape()
         if sum(d * d for d in self.degrees()) != self.group_order:
             raise TableCheckFailed("squared degrees do not sum to the group order")
         # Column orthogonality across each split class pair: this is the
@@ -481,8 +494,8 @@ class CharacterTable:
             if cls.sign != "+":
                 continue
             jdx = self._class_index[ClassLabel(cls.cycle_type, "-")]
-            for i, j in ((idx, jdx), (idx, idx), (jdx, jdx)):
-                self._check_columns(i, j)
+            self._check_columns(idx, (jdx, idx))
+            self._check_columns(jdx, (jdx,))
 
     # -- serialization ------------------------------------------------------
 
@@ -515,8 +528,9 @@ class CharacterTable:
 
         Labels and class sizes must be those of A_n, every cell must be
         half-integral, irrational parts may only use the squarefree
-        radicand of a split row, and the quick checks and exact
-        orthogonality must pass; otherwise raises ValueError.
+        radicand of a split row, and the quick checks and
+        :meth:`verify_orthogonality` (exact column orthogonality, hence
+        row orthogonality) must pass; otherwise raises ValueError.
         """
         if data.get("schema") != 1 or data.get("kind") != "an-character-table":
             raise ValueError("not a version-1 character table file")

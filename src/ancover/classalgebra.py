@@ -12,10 +12,12 @@ the number of m-tuples from C with product g:
 in Groups*, LNM 1112).  :func:`product_counts` and :func:`power_counts`
 weigh each character once, by chi(C) chi(D) |G|/chi(1) or by
 chi(C)^m (|G|/chi(1))^(m-1), and then take one integer column sum per
-target class.  Weights and sums live in Z[sqrt(d)] for the radicand d of
-each split constituent; the sqrt(d) parts must cancel in every sum, and
-every count must come out a nonnegative integer.  Otherwise
-:class:`IrrationalResidue` is raised: nothing is rounded.
+target class.  The sums come from :meth:`CharacterTable.column_sums`, the
+exact kernel that the table's own orthogonality checks also use.  Weights
+and sums live in Z[sqrt(d)] for the radicand d of each split constituent;
+the sqrt(d) parts must cancel in every sum, and every count must come out
+a nonnegative integer.  Otherwise :class:`IrrationalResidue` is raised:
+nothing is rounded.
 :func:`frobenius_count` is the same sum for one target, and
 :func:`covering_number` the least m with every N_m(g) > 0.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from ancover.characters import CharacterTable, an_character_table
+from ancover.characters import CharacterTable, Weights, an_character_table
 from ancover.combinatorics import Partition
 from ancover.permutations import ClassLabel
 
@@ -39,11 +41,6 @@ class IrrationalResidue(ArithmeticError):
 
 class NotGenerating(RuntimeError):
     """No power of the class up to the limit covers the whole group."""
-
-
-# Weights are (rational, surd): w_chi = rational[i] + surd[i] * sqrt(d_i),
-# with surd holding only the split rows where it is nonzero.
-Weights = tuple[list[int], dict[int, int]]
 
 
 def _order_over_degree(table: CharacterTable) -> list[int]:
@@ -86,29 +83,12 @@ def _power_weights(table: CharacterTable, ci: int, m: int) -> Weights:
 def _class_sums(
     table: CharacterTable, weights: Weights, targets: list[int], what: str
 ) -> list[int]:
-    """sum_chi w_chi * 2chi(t) for each target column t, exactly.
-
-    Raises IrrationalResidue unless the sqrt(d) parts cancel for every
-    radicand d and every target.
-    """
-    rational, surd = weights
-    cols = table.columns
-    sums = [sum(map(mul, rational, cols[t])) for t in targets]
-    position = {t: p for p, t in enumerate(targets)}
-    residues: dict[int, list[int]] = {}
-    for i, (d, coefs) in table.surds.items():
-        w0, w1 = rational[i], surd.get(i, 0)
-        res = residues.setdefault(d, [0] * len(targets))
-        if w1:
-            row = table.rows[i]
-            res[:] = [r + w1 * row[t] for r, t in zip(res, targets)]
-        for j, z1 in coefs.items():
-            p = position.get(j)
-            if p is not None:
-                sums[p] += w1 * z1 * d
-                res[p] += w0 * z1
-    bad = {d: [c for c in res if c] for d, res in residues.items() if any(res)}
-    if bad:
+    """The exact sums of :meth:`CharacterTable.column_sums`; raises
+    IrrationalResidue unless the sqrt(d) parts cancel for every radicand d
+    and every target."""
+    sums, residues = table.column_sums(weights, targets)
+    if residues:
+        bad = {d: [c for c in res if c] for d, res in residues.items()}
         raise IrrationalResidue(f"irrational residue {bad} for {what}")
     return sums
 

@@ -13,6 +13,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import nullcontext
 
 from ancover.bounds import prop24_certificate
 from ancover.characters import DEFAULT_TABLE_LIMIT, an_character_table
@@ -121,9 +122,10 @@ def cmd_verify(args) -> int:
             verdict = "pass" if agree else "FAIL"
         _emit(payload, lines + [f"oracle agreement: {verdict}"], args.json)
         return 1 if agree is False else 0
-    items = suite(**kwargs)
-    if args.table:
-        with open(args.table, "w") as fh:
+    # The CSV is opened first, so an unwritable path fails before any work.
+    with open(args.table, "w") if args.table else nullcontext() as fh:
+        items = suite(**kwargs)
+        if fh is not None:
             fh.write("n,hook_sum,cube_term,mixed_term\n")
             for n in range(13, 202, 2):
                 fh.write(prop24_certificate(n).csv_row() + "\n")

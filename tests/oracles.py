@@ -57,6 +57,13 @@ written, with a Permutation built for every trial; the package forms each
 trial as swaps on an image list, and a test checks that both pick the
 same witnesses.
 
+:func:`broken_orthogonality` checks the column and the row orthogonality
+relations of a character table at definition level, from its
+``AlgebraicValue`` cells with one Fraction sum per radicand.  The package
+checks only the column relation, through its integer column-sum kernel,
+and relies on it implying the row relation for a square table; the tests
+check both against this reference on genuine and corrupted tables.
+
 :func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
 :func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an` and
 :func:`packing_cycle` are small statements about degrees, surd bounds,
@@ -76,7 +83,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -530,6 +537,55 @@ def abs_value_le_surd(v: AlgebraicValue, bound: Sequence[tuple[Fraction, int]]) 
     if vsq.d < 0:
         raise ValueError(f"{vsq} is not real")
     return surd_le([(vsq.a, 1), (vsq.b, vsq.d)], bound_sq)
+
+
+def _times_conjugate(x: AlgebraicValue, y: AlgebraicValue) -> dict[int, Fraction]:
+    """x * conj(y) as {squarefree radicand d: coefficient of sqrt(d)}, with
+    d = 1 for the rational part and sqrt(d) = i * sqrt(-d) for d < 0."""
+    yb = -y.b if y.d < 0 else y.b
+    terms = {1: x.a * y.a}
+    terms[y.d] = terms.get(y.d, 0) + x.a * yb
+    terms[x.d] = terms.get(x.d, 0) + x.b * y.a
+    # sqrt(dx) sqrt(dy) = g sqrt(dx dy / g^2) for g = gcd, times i^2 if both
+    # radicands are negative.
+    g = gcd(x.d, y.d)
+    d = x.d * y.d // (g * g)
+    sign = -1 if x.d < 0 and y.d < 0 else 1
+    terms[d] = terms.get(d, 0) + sign * g * x.b * yb
+    return terms
+
+
+def broken_orthogonality(table: CharacterTable) -> set[str]:
+    """Which of the relations "column" and "row" the values of table break.
+
+    Column: sum_chi chi(i) conj(chi(j)) = |G|/|C_i| if i = j, else 0.
+    Row: sum_j |C_j| chi_r(j) conj(chi_s(j)) = |G| if r = s, else 0.
+    Each sum is formed cell by cell from ``table.values`` with one Fraction
+    per radicand, and every pair is checked on its own; nothing is shared
+    with the table's integer kernel.
+    """
+    order = table.group_order
+
+    def holds(vectors, weights, expect) -> bool:
+        for p, u in enumerate(vectors):
+            for q in range(p, len(vectors)):
+                total: dict[int, Fraction] = {}
+                for x, y, w in zip(u, vectors[q], weights):
+                    for d, c in _times_conjugate(x, y).items():
+                        total[d] = total.get(d, 0) + w * c
+                want = {1: expect(p)} if p == q else {}
+                if {d: c for d, c in total.items() if c} != want:
+                    return False
+        return True
+
+    values = table.values
+    columns = [list(col) for col in zip(*values)]
+    broken = set()
+    if not holds(columns, [1] * len(values), lambda i: Fraction(order, table.class_sizes[i])):
+        broken.add("column")
+    if not holds(values, table.class_sizes, lambda r: order):
+        broken.add("row")
+    return broken
 
 
 def labels_of_type(lam: Partition) -> list[ClassLabel]:

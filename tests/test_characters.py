@@ -11,6 +11,7 @@ from ancover.characters import (
     CharacterTable,
     IrreducibleLabel,
     LimitExceeded,
+    TableCheckFailed,
     an_character_table,
     an_character_value,
     degree,
@@ -22,7 +23,13 @@ from ancover.characters import (
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
 from ancover.permutations import ClassLabel
 
-from oracles import an_degree, mn_cellwise, run_python, sn_character_table_oracle
+from oracles import (
+    an_degree,
+    broken_orthogonality,
+    mn_cellwise,
+    run_python,
+    sn_character_table_oracle,
+)
 
 
 # -- AlgebraicValue -----------------------------------------------------------
@@ -273,6 +280,70 @@ def test_table_checks_fail_loudly_under_python_O():
     )
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_non_square_tables_fail_loudly_under_python_O():
+    # Column orthogonality implies row orthogonality only for a square
+    # table: a zero row appended to a genuine one leaves every column sum
+    # unchanged, so the shape is checked first.
+    code = (
+        "from ancover.characters import CharacterTable, TableCheckFailed, an_character_table\n"
+        "t = an_character_table(6)\n"
+        "zero = [[0] * len(t.classes)]\n"
+        "cases = {\n"
+        "    'zero row': (t.irreducibles, t.rows + zero),\n"
+        "    'zero row and duplicated label': (t.irreducibles + t.irreducibles[:1], t.rows + zero),\n"
+        "    'short row': (t.irreducibles, t.rows[:-1] + [t.rows[-1][:-1]]),\n"
+        "}\n"
+        "for name, (irreducibles, rows) in cases.items():\n"
+        "    bad = CharacterTable(6, t.classes, t.class_sizes, irreducibles, rows, t.surds)\n"
+        "    for check in (bad.verify_orthogonality, bad._quick_checks):\n"
+        "        try:\n"
+        "            check()\n"
+        "        except TableCheckFailed:\n"
+        "            continue\n"
+        "        raise SystemExit(f'{check.__name__} passed a table with a {name}')\n"
+    )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_genuine_tables_satisfy_both_orthogonality_relations():
+    for n in range(2, 10):
+        assert broken_orthogonality(an_character_table(n)) == set()
+
+
+def _edited_tables(t):
+    """Every single-cell edit of t.rows by +1 and +2, and every surd
+    coefficient incremented, negated and zeroed."""
+    for i, row in enumerate(t.rows):
+        for j in range(len(row)):
+            for delta in (1, 2):
+                rows = [list(r) for r in t.rows]
+                rows[i][j] += delta
+                yield CharacterTable(t.n, t.classes, t.class_sizes, t.irreducibles, rows, t.surds)
+    for i, (d, coefs) in t.surds.items():
+        for j, b in coefs.items():
+            for edited in (b + 1, -b, 0):
+                surds = {**t.surds, i: (d, {**coefs, j: edited})}
+                yield CharacterTable(t.n, t.classes, t.class_sizes, t.irreducibles, t.rows, surds)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_orthogonality_check_agrees_with_the_reference_on_edited_tables(n):
+    # verify_orthogonality checks columns only; the reference checks the
+    # row relation too, so a corruption only the rows show would fail here.
+    caught = 0
+    for table in _edited_tables(an_character_table(n)):
+        broken = broken_orthogonality(table)
+        try:
+            table.verify_orthogonality()
+        except TableCheckFailed:
+            caught += 1
+            assert broken, "a table the reference accepts was rejected"
+        else:
+            assert not broken, f"broken {sorted(broken)} relation accepted"
+    assert caught > 0
 
 
 def test_load_rejects_every_single_cell_edit():

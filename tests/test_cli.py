@@ -271,6 +271,16 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
     assert "No such file or directory" in err
 
 
+def test_unwritable_csv_path_exits_2_before_the_suite_runs(capsys, monkeypatch, tmp_path):
+    def never(seed=42, trials=10**4):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(SUITES, "bounds", never)
+    code, out, err = run(capsys, "verify", "bounds", "--table", f"{tmp_path / 'missing'}/x.csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "suite, n, least",
     [("gleason", "8", 7), ("ancn", "4", 5), ("prop24", "4", 5), ("prop24", "3", 5)],
