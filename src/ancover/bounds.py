@@ -122,20 +122,6 @@ class EProfile:
         """Floating-point rendering of E, for display only."""
         return sum(e / (i + 1) for i, e in enumerate(self.e_float()))
 
-    def E_fraction(self) -> Fraction | None:
-        """E as an exact rational when every positive count is a power of n."""
-        total = Fraction(0)
-        prev = Fraction(0)
-        for k, c in enumerate(self.counts, start=1):
-            if c == 0:
-                continue
-            e_sum = _log_n_exact(c, self.n)
-            if e_sum is None:
-                return None
-            total += (e_sum - prev) / k
-            prev = e_sum
-        return total
-
     def short_orbit_cycles(self, M: int) -> int:
         """Number of cycles (fixed points included) of length <= M."""
         per_len = [0] * (self.n + 1)
@@ -160,20 +146,6 @@ class EProfile:
         if not self.satisfies_short_orbit_hypothesis(M):
             raise ValueError(f"hypothesis fails: more than {M} cycles of length <= {M}")
         return self.counts[M - 1] <= M * M
-
-
-def _log_n_exact(c: int, n: int) -> Fraction | None:
-    """log_n(c) when c is an exact power of n, else None."""
-    if c == 1:
-        return Fraction(0)
-    if n <= 1:
-        return None
-    power = 0
-    x = 1
-    while x < c:
-        x *= n
-        power += 1
-    return Fraction(power) if x == c else None
 
 
 def e_profile(g: Permutation) -> EProfile:

@@ -10,6 +10,14 @@ public function returns them.
 
 One backtracking search, :func:`_search`, enumerates every permutation
 of a cycle type and hands each to a leaf callback, which can stop it.
+It keeps the unused points as a linked list, so a node costs no scan of
+all n points, and in a pair search it also tracks the third factor's
+partial cycles, dropping a branch as soon as they can no longer form the
+target type: a cycle closed with no part of its length left, a chain
+longer than every unused part, or two chains joined when there are no
+more open chains than unused parts (a join takes one chain away for
+good, and a leaf needs the two counts equal).
+
 Both counts rest on the class equation: the pairs (c, d) in C x D with
 c d in E can be counted with any one element of C, D or E fixed.  Whole
 products C D come from one pass over the smaller class, each product
@@ -57,7 +65,12 @@ def _search(
     p is built one value at a time: the least unused point leads the next
     cycle, whose length is one of p's unused parts, and the cycle's other
     points follow in increasing order of choice, so each permutation is
-    reached by exactly one branch.  The leaf gets the search's own lists,
+    reached by exactly one branch.  The unused points are a doubly linked
+    list in increasing order (``nxt``/``prv`` over 0..n, headed by 0):
+    the lead is the least of them, so the choices for the other points of
+    its cycle are exactly the list, walked in order, each unlinked while
+    the search goes below it and linked back after; the next lead is
+    ``nxt[0]``.  The leaf gets the search's own lists,
     live, indexed from 1 (entry 0 is unused); one that keeps p must copy
     it.  p holds the images.  word holds the points of p's cycles, each
     from its least point, longest cycle first: the search writes each
@@ -72,13 +85,25 @@ def _search(
     each chain to its start, ``tail`` the start to its end, and ``size``
     the start to the number of points, all undone on backtrack.
     A branch is dropped when the new value closes a q-cycle whose length
-    has no unused part left in target, or joins a chain longer than every
-    unused part.  Only the leaves with q of exactly type target remain.
+    has no unused part left in target, joins a chain longer than every
+    unused part, or joins two chains while ``slack`` is 0.  ``slack`` is
+    the number of open chains (a point with no q-value yet and no
+    preimage is a chain of one) less the number of unused parts of
+    target; it starts at n - len(target).  A new value either joins two
+    chains, and slack falls by 1, or closes a chain into a cycle, using
+    up one part, and slack stays.  A leaf has no open chain and, its
+    closed cycles using up n points, no unused part, so slack 0; as slack
+    never rises, a join at 0 reaches no leaf.  Only the leaves with q of
+    exactly type target remain, in the order of the search without a
+    cofactor.
     """
     p = [0] * (n + 1)
     q = None if cofactor is None else [0] * (n + 1)
     word = [0] * (n + 1)
-    free = [True] * (n + 1)
+    # The free points, a circular doubly linked list headed by 0 in
+    # increasing order: nxt[0] is the least, and nxt of the last is 0.
+    nxt = [*range(1, n + 1), 0]
+    prv = [n, *range(n)]
     todo = [0] * (n + 1)
     for x in parts:
         todo[x] += 1
@@ -96,20 +121,27 @@ def _search(
         for x in target:
             left[x] += 1
         top = max(target)
+        # Open q-chains (n single points at first) minus unused target parts.
+        slack = n - len(target)
 
     def place(lead: int, a: int, k: int, slot: int) -> bool:
         # Choose p(a): a further point of the cycle led by lead, written to
         # word[slot], while k > 0 are still to come, else lead itself,
-        # closing the cycle.
-        nonlocal top
-        choices = [b for b in range(lead + 1, n + 1) if free[b]] if k else (lead,)
+        # closing the cycle.  Every free point is larger than lead, so the
+        # further points are the free list, walked in order.
+        nonlocal top, slack
         if pair:
             # q(u[b]) = y for every choice b.  y has no preimage under q
             # yet, so it starts a chain, which the loop leaves as it was.
             y = v[a]
             e = tail[y]
             sy = size[y]
-        for b in choices:
+            # A join lowers slack, which a leaf needs at 0.
+            cap = top if slack else 0
+        after = nxt[0] if k else lead
+        while after:
+            b = after
+            after = nxt[b] if k else 0
             if pair:
                 x = u[b]
                 s = head[x]
@@ -124,18 +156,20 @@ def _search(
                 else:
                     closed = 0
                     joined = size[s] + sy
-                    if joined > top:
+                    if joined > cap:
                         continue
                     tail[s], head[e], size[s] = e, s, joined
+                    slack -= 1
                 q[x] = y
             p[a] = b
             if k:
                 word[slot] = b
-                free[b] = False
+                c, d = prv[b], nxt[b]
+                nxt[c], prv[d] = d, c
                 if place(lead, b, k - 1, slot + 1):
                     return True
-                free[b] = True
-            elif new_cycle(lead + 1):
+                nxt[c] = prv[d] = b
+            elif new_cycle():
                 return True
             if pair:
                 if closed:
@@ -143,14 +177,15 @@ def _search(
                     top = was_top
                 else:
                     tail[s], head[e], size[s] = x, y, joined - sy
+                    slack += 1
         return False
 
-    def new_cycle(lead: int) -> bool:
-        while lead <= n and not free[lead]:
-            lead += 1
-        if lead > n:
+    def new_cycle() -> bool:
+        lead = nxt[0]
+        if not lead:
             return bool(leaf(p, q, word))
-        free[lead] = False
+        d = nxt[lead]
+        nxt[0], prv[d] = d, 0
         for length in kinds:
             if todo[length]:
                 todo[length] -= 1
@@ -158,10 +193,10 @@ def _search(
                 if place(lead, lead, length - 1, first_slot[length] + 1):
                     return True
                 todo[length] += 1
-        free[lead] = True
+        nxt[0] = prv[d] = lead
         return False
 
-    return new_cycle(1)
+    return new_cycle()
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:
@@ -213,6 +248,14 @@ def _sign_matches(word: Sequence[int], sign: str | None) -> bool:
     return ((n - cycles) % 2 == 0) == (sign == "+")
 
 
+def _split_sign(cycles: list[list[int]]) -> str:
+    """The sign, "+" or "-", of the class of the permutation of a split
+    type with these cycles: they are sorted longest first (in place, ties
+    keeping their order) and chained into the word of :func:`_sign_matches`."""
+    cycles.sort(key=len, reverse=True)
+    return "+" if _sign_matches([0, *itertools.chain.from_iterable(cycles)], "+") else "-"
+
+
 def _has_class(
     q: Sequence[int], parts: tuple[int, ...], sign: str | None, inverted: bool = False
 ) -> bool:
@@ -223,10 +266,9 @@ def _has_class(
     cycles = _cycles(q[1:])
     if _lengths(cycles) != parts:
         return False
-    cycles.sort(key=len, reverse=True)
     if inverted:
         cycles = [cycle[::-1] for cycle in cycles]
-    return _sign_matches([0, *itertools.chain.from_iterable(cycles)], sign)
+    return sign is None or _split_sign(cycles) == sign
 
 
 def _inverse(p: Sequence[int]) -> list[int]:
@@ -272,11 +314,10 @@ def _class_of(images: Sequence[int]) -> ClassLabel | None:
     n = len(images)
     if (n - len(cycles)) % 2:
         return None
-    cycles.sort(key=len, reverse=True)
-    parts = tuple(map(len, cycles))
+    parts = _lengths(cycles)
     sign = None
     if n >= 2 and len(set(parts)) == len(parts) and all(k % 2 for k in parts):
-        sign = "+" if _sign_matches([0, *itertools.chain(*cycles)], "+") else "-"
+        sign = _split_sign(cycles)
     return ClassLabel(Partition(parts), sign)
 
 
@@ -397,9 +438,8 @@ def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
         if not _sign_matches(word, p_sign):
             return
         cycles = _cycles([p[y] for y in r])
-        cycles.sort(key=len, reverse=True)
-        parts = tuple(map(len, cycles))
-        key = (parts, parts in split and _sign_matches([0, *itertools.chain(*cycles)], "+"))
+        parts = _lengths(cycles)
+        key = (parts, parts in split and _split_sign(cycles) == "+")
         bins[key] = bins.get(key, 0) + 1
 
     _search(P.cycle_type.parts, C.n, leaf)

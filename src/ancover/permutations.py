@@ -134,9 +134,6 @@ class Permutation:
         included) is a product of n - c transpositions."""
         return (self.n - _cycle_count(self.images)) % 2
 
-    def is_even(self) -> bool:
-        return self.parity() == 0
-
     def support(self) -> list[int]:
         return [i + 1 for i, y in enumerate(self.images) if i + 1 != y]
 

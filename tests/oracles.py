@@ -65,10 +65,11 @@ and relies on it implying the row relation for a square table; the tests
 check both against this reference on genuine and corrupted tables.
 
 :func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
-:func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an` and
-:func:`packing_cycle` are small statements about degrees, surd bounds,
-coverage by a cycle type, reality and packing words; only tests call
-them.
+:func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an`,
+:func:`packing_cycle`, :func:`is_even` and :func:`E_fraction` are small
+statements about degrees, surd bounds, coverage by a cycle type,
+reality, packing words, parity and the exact E of an orbit-size profile;
+only tests call them.
 
 :func:`run_python` runs the interpreter in a subprocess on the package
 the tests imported, wherever that lives.
@@ -95,7 +96,7 @@ from ancover.combinatorics import (
     centralizer_order,
     enumerate_partitions,
 )
-from ancover.bounds import surd_sign
+from ancover.bounds import EProfile, surd_sign
 from ancover.characters import (
     AlgebraicValue,
     CharacterTable,
@@ -620,6 +621,40 @@ def is_real_in_an(g: Permutation) -> bool:
 def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
     """The host-length cycle of :func:`~ancover.constructor.packing_word`."""
     return Permutation.from_cycles(plan.host_length, [packing_word(plan, sequences)])
+
+
+def is_even(g: Permutation) -> bool:
+    return g.parity() == 0
+
+
+def E_fraction(profile: EProfile) -> Fraction | None:
+    """E of an orbit-size profile as an exact rational when every positive
+    count is a power of n, else None."""
+    total = Fraction(0)
+    prev = Fraction(0)
+    for k, c in enumerate(profile.counts, start=1):
+        if c == 0:
+            continue
+        e_sum = _log_n_exact(c, profile.n)
+        if e_sum is None:
+            return None
+        total += (e_sum - prev) / k
+        prev = e_sum
+    return total
+
+
+def _log_n_exact(c: int, n: int) -> Fraction | None:
+    """log_n(c) when c is an exact power of n, else None."""
+    if c == 1:
+        return Fraction(0)
+    if n <= 1:
+        return None
+    power = 0
+    x = 1
+    while x < c:
+        x *= n
+        power += 1
+    return Fraction(power) if x == c else None
 
 
 def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:

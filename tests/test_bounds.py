@@ -17,7 +17,7 @@ from ancover.bounds import (
 from ancover.characters import AlgebraicValue
 from ancover.combinatorics import LimitExceeded, Partition, enumerate_distinct_partitions
 from ancover.permutations import Permutation, random_permutation
-from oracles import abs_value_le_surd, run_python, surd_le
+from oracles import E_fraction, abs_value_le_surd, run_python, surd_le
 
 
 def test_surd_sign_exact_cases():
@@ -64,10 +64,10 @@ def test_hook_bound_values():
 def test_e_profile_extremes():
     prof = e_profile(Permutation.identity(6))
     assert prof.counts == (6, 6, 6, 6, 6, 6)
-    assert prof.E_fraction() == 1
+    assert E_fraction(prof) == 1
     prof = e_profile(Permutation.from_cycles(7, [tuple(range(1, 8))]))
     assert prof.counts[:6] == (0, 0, 0, 0, 0, 0)
-    assert prof.E_fraction() == Fraction(1, 7)
+    assert E_fraction(prof) == Fraction(1, 7)
 
 
 def test_e_profile_rejects_bad_counts_under_optimize():

@@ -36,7 +36,7 @@ from ancover.permutations import (
     random_even_permutation,
 )
 from ancover.suites import random_construction_instance
-from oracles import lift_sign_maps, packing_cycle, run_python, two_twos_deltas
+from oracles import is_even, lift_sign_maps, packing_cycle, run_python, two_twos_deltas
 
 
 def cyc(n, *cycles):
@@ -549,7 +549,7 @@ def _random_even_on(points, n, rng):
         for x, y in zip(points, shuffled):
             images[x - 1] = y
         g = Permutation(images)
-        if not g.is_even():
+        if not is_even(g):
             a, b = points[0], points[1]
             images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
             g = Permutation(images)

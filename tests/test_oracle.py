@@ -28,6 +28,7 @@ from ancover.permutations import (
 from oracles import (
     _member,
     images_of_type,
+    is_even,
     iter_class,
     orbit_classes,
     permutations_of_type,
@@ -109,6 +110,35 @@ def test_search_stops_at_the_first_true_leaf(paired, k):
     calls.clear()
     assert _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor) is False
     assert len(calls) == 20 == len(set(map(tuple, calls)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_search_leaves_are_the_filtered_plain_leaves_in_order(n):
+    # The pair search's cuts (a closed q-cycle needs an unused part of its
+    # length, a chain may grow no longer than the largest unused part, a
+    # join of two chains needs more open chains than unused parts) may
+    # drop only branches without a leaf: its leaves must be the plain
+    # search's, in order, with q = v p^-1 u^-1 of type Q.
+    rng = random.Random(n)
+    types = [mu.parts for mu in enumerate_partitions(n)]
+    for _ in range(3):
+        u, v = ([0, *rng.sample(range(1, n + 1), n)] for _ in range(2))
+        for P in types:
+            plain = []
+
+            def keep(p, q, word):
+                assert q is None
+                q = [0] * (n + 1)
+                for a in range(1, n + 1):
+                    q[u[p[a]]] = v[a]
+                plain.append((p[:], q, word[:]))
+
+            _search(P, n, keep)
+            for Q in types:
+                paired = []
+                _search(P, n, lambda p, q, word: paired.append((p[:], q[:], word[:])), (u, v, Q))
+                expected = [leaf for leaf in plain if Permutation(leaf[1][1:]).cycle_type().parts == Q]
+                assert paired == expected, (P, Q, u, v)
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
@@ -314,7 +344,7 @@ def test_odd_g_gives_zero_without_a_search(monkeypatch):
         Permutation.from_cycles(6, [(1, 2, 3, 4)]),
         Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)]),
     ):
-        assert not g.is_even()
+        assert not is_even(g)
         for C in labels:
             for D in labels:
                 assert brute_frobenius(C, D, g) == 0

@@ -33,9 +33,11 @@ def test_import_loads_no_bounds_suites_or_cli():
         "gone = [n for n in ('greedy_pack', 'packing_cycle', 'rebuild',\n"
         "        'find_opposite_valid_sequences', 'an_degree', 'abs_value_le_surd',\n"
         "        'is_covered_by', 'is_real_in_an', 'class_size') if hasattr(ancover, n)]\n"
-        "import ancover.characters, ancover.oracle\n"
+        "import ancover.bounds, ancover.characters, ancover.oracle\n"
         "gone += [n for m, n in ((ancover.oracle, 'brute_an_conjugate'),\n"
-        "        (ancover.characters, 'parse_irreducible_label')) if hasattr(m, n)]\n"
+        "        (ancover.characters, 'parse_irreducible_label'),\n"
+        "        (ancover.Permutation, 'is_even'), (ancover.bounds.EProfile, 'E_fraction'),\n"
+        "        (ancover.bounds, '_log_n_exact')) if hasattr(m, n)]\n"
         "print(json.dumps([loaded, missing, gone]))\n"
     )
     proc = run_python("-c", code)

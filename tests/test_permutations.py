@@ -27,6 +27,7 @@ from ancover.permutations import (
 )
 from oracles import (
     an_orbit,
+    is_even,
     is_real_in_an,
     iter_class,
     orbit_classes,
@@ -297,7 +298,7 @@ def split_type_permutations(draw, max_n=40):
 @given(permutations())
 def test_parity_is_inversion_parity(g):
     assert g.parity() == _inversion_parity(g.images)
-    assert g.is_even() == (_inversion_parity(g.images) == 0)
+    assert is_even(g) == (_inversion_parity(g.images) == 0)
 
 
 @given(permutations())
