@@ -127,8 +127,7 @@ def _search(
     def place(lead: int, a: int, k: int, slot: int) -> bool:
         # Choose p(a): a further point of the cycle led by lead, written to
         # word[slot], while k > 0 are still to come, else lead itself,
-        # closing the cycle.  Every free point is larger than lead, so the
-        # further points are the free list, walked in order.
+        # closing the cycle.
         nonlocal top, slack
         if pair:
             # q(u[b]) = y for every choice b.  y has no preimage under q
@@ -138,6 +137,7 @@ def _search(
             sy = size[y]
             # A join lowers slack, which a leaf needs at 0.
             cap = top if slack else 0
+        # The choice after b is read first, so that a cut can just continue.
         after = nxt[0] if k else lead
         while after:
             b = after
