@@ -11,9 +11,10 @@ the number of m-tuples from C with product g:
 (the m-fold formula; Arad & Herzog (eds.), *Products of Conjugacy Classes
 in Groups*, LNM 1112).  :func:`product_counts` and :func:`power_counts`
 weigh each character once, by chi(C) chi(D) |G|/chi(1) or by
-chi(C)^m (|G|/chi(1))^(m-1), and then take one integer column sum per
-target class.  The sums come from :meth:`CharacterTable.column_sums`, the
-exact kernel that the table's own orthogonality checks also use.  Weights
+chi(C)^m (|G|/chi(1))^(m-1), and then take the integer column sums at
+every target class in one packed product.  The sums come from
+:meth:`CharacterTable.column_sums`, the exact kernel that the table's own
+orthogonality checks also use.  Weights
 and sums live in Z[sqrt(d)] for the radicand d of each split constituent;
 the sqrt(d) parts must cancel in every sum, and every count must come out
 a nonnegative integer.  Otherwise :class:`IrrationalResidue` is raised:
@@ -43,15 +44,9 @@ class NotGenerating(RuntimeError):
     """No power of the class up to the limit covers the whole group."""
 
 
-def _order_over_degree(table: CharacterTable) -> list[int]:
-    """|G| / chi(1) for every row; an integer, since chi(1) divides |G|."""
-    j = table.class_index(_identity_label(table.n))
-    return [2 * table.group_order // row[j] for row in table.rows]
-
-
 def _pair_weights(table: CharacterTable, ci: int, di: int) -> Weights:
     """w_chi = 2chi(C) * 2chi(D) * |G|/chi(1)."""
-    q = _order_over_degree(table)
+    q = table.order_over_degree
     x, y = table.columns[ci], table.columns[di]
     rational = list(map(mul, map(mul, x, y), q))
     surd: dict[int, int] = {}
@@ -65,7 +60,7 @@ def _pair_weights(table: CharacterTable, ci: int, di: int) -> Weights:
 
 def _power_weights(table: CharacterTable, ci: int, m: int) -> Weights:
     """w_chi = (2chi(C))^m * (|G|/chi(1))^(m-1)."""
-    q = _order_over_degree(table)
+    q = table.order_over_degree
     x = table.columns[ci]
     rational = [v**m * w ** (m - 1) for v, w in zip(x, q)]
     surd: dict[int, int] = {}

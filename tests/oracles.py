@@ -64,6 +64,11 @@ checks only the column relation, through its integer column-sum kernel,
 and relies on it implying the row relation for a square table; the tests
 check both against this reference on genuine and corrupted tables.
 
+:func:`reference_column_sums` is the column-sum kernel as first written:
+one k-term dot product per target and one list rebuild per split row.
+The package reads many-target sums from packed rows instead; the tests
+check the two on every table up to n = 12 and at the slot-width edge.
+
 :func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
 :func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an`,
 :func:`packing_cycle`, :func:`is_even` and :func:`E_fraction` are small
@@ -85,6 +90,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from operator import mul
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -101,6 +107,7 @@ from ancover.characters import (
     AlgebraicValue,
     CharacterTable,
     IrreducibleLabel,
+    Weights,
     an_character_table,
     degree,
 )
@@ -587,6 +594,30 @@ def broken_orthogonality(table: CharacterTable) -> set[str]:
     if not holds(values, table.class_sizes, lambda r: order):
         broken.add("row")
     return broken
+
+
+def reference_column_sums(
+    table: CharacterTable, weights: Weights, targets: Sequence[int]
+) -> tuple[list[int], dict[int, list[int]]]:
+    """What :meth:`CharacterTable.column_sums` returns, from one dot
+    product of the weights with each target column."""
+    rational, surd = weights
+    cols = table.columns
+    sums = [sum(map(mul, rational, cols[t])) for t in targets]
+    position = {t: p for p, t in enumerate(targets)}
+    residues: dict[int, list[int]] = {}
+    for i, (d, coefs) in table.surds.items():
+        w0, w1 = rational[i], surd.get(i, 0)
+        res = residues.setdefault(d, [0] * len(targets))
+        if w1:
+            row = table.rows[i]
+            res[:] = [r + w1 * row[t] for r, t in zip(res, targets)]
+        for j, z1 in coefs.items():
+            p = position.get(j)
+            if p is not None:
+                sums[p] += w1 * z1 * d
+                res[p] += w0 * z1
+    return sums, {d: res for d, res in residues.items() if any(res)}
 
 
 def labels_of_type(lam: Partition) -> list[ClassLabel]:

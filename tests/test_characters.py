@@ -27,6 +27,7 @@ from oracles import (
     an_degree,
     broken_orthogonality,
     mn_cellwise,
+    reference_column_sums,
     run_python,
     sn_character_table_oracle,
 )
@@ -410,3 +411,97 @@ def test_load_rejects_swapped_split_constituents():
     data["values"][i], data["values"][j] = data["values"][j], data["values"][i]
     with pytest.raises(ValueError, match="split hook classes"):
         CharacterTable.from_json_dict(data)
+
+
+# -- packed column sums -------------------------------------------------------
+
+
+def _copy(t, rows=None, surds=None):
+    return CharacterTable(
+        t.n, t.classes, t.class_sizes, t.irreducibles,
+        t.rows if rows is None else rows, t.surds if surds is None else surds,
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_column_sums_match_the_dot_product_reference(n):
+    t = an_character_table(n)
+    k = len(t.classes)
+    rng = random.Random(1800 + n)
+    for _ in range(12):
+        bits = rng.randint(1, 400)
+        rational = [rng.randrange(-(2**bits), 2**bits) for _ in range(k)]
+        surd = {i: rng.randrange(-(2**bits), 2**bits) for i in t.surds if rng.random() < 0.8}
+        start = rng.randrange(k)
+        subset = rng.sample(range(k), rng.randint(1, k))
+        for targets in (t.inverse_index, range(start, k), subset):
+            got = t.column_sums((rational, surd), targets)
+            assert got == reference_column_sums(t, (rational, surd), targets), (bits, targets)
+
+
+@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_packed_slots_are_exact_at_the_width_bound(words, offset):
+    # sum|w| * max|cell| = 2^(64 words - 1) + offset, with max|cell| = 1.
+    # Columns 0 and k-1 sum to +bound and columns 1 and k-2 to -bound, so
+    # the extreme slots sit next to each other and at both ends; every
+    # row also carries a surd of one radicand, so the surd accumulator
+    # meets the same bound.
+    bound = 2 ** (64 * words - 1) + offset
+    t = an_character_table(8)
+    k = len(t.classes)
+    rng = random.Random(words * 10 + offset)
+    magnitudes = [rng.randrange(1, bound // k) for _ in range(k - 1)]
+    magnitudes.append(bound - sum(magnitudes))
+    weights = [m * rng.choice((-1, 1)) for m in magnitudes]
+    rows = []
+    for w in weights:
+        sign = 1 if w > 0 else -1
+        row = [rng.randint(-1, 1) for _ in range(k)]
+        row[0], row[1], row[-2], row[-1] = sign, -sign, -sign, sign
+        rows.append(row)
+    table = _copy(t, rows, {i: (5, {}) for i in range(k)})
+    assert sum(map(abs, weights)) == bound
+    targets = range(k)
+    sums, residues = table.column_sums((weights, dict(enumerate(weights))), targets)
+    assert (sums[0], sums[1], sums[-2], sums[-1]) == (bound, -bound, -bound, bound)
+    assert residues == {5: sums}
+    both = (weights, dict(enumerate(weights)))
+    assert (sums, residues) == reference_column_sums(table, both, targets)
+
+
+def test_cells_past_64_bits_are_summed_exactly():
+    t = an_character_table(7)
+    rows = [list(r) for r in t.rows]
+    rows[3][4] += 2**70
+    table = _copy(t, rows)
+    weights = ([1 - 2 * (i % 2) for i in range(len(rows))], {})
+    targets = range(len(rows))
+    assert table.column_sums(weights, targets) == reference_column_sums(table, weights, targets)
+    with pytest.raises(TableCheckFailed):
+        table.verify_orthogonality()
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_every_flipped_cell_fails_orthogonality(n):
+    # One nonzero cell of rows negated, on a fresh copy, so that the
+    # packed rows are built from the corrupted cells.
+    t = an_character_table(n)
+    flips = 0
+    for i, row in enumerate(t.rows):
+        for j, value in enumerate(row):
+            if value:
+                rows = [list(r) for r in t.rows]
+                rows[i][j] = -value
+                with pytest.raises(TableCheckFailed):
+                    _copy(t, rows).verify_orthogonality()
+                flips += 1
+    assert flips > 50
+
+
+def test_table_build_and_quick_checks_pack_nothing():
+    for n in range(2, 17):
+        t = an_character_table(n)
+        fresh = _copy(t)
+        fresh._quick_checks()
+        assert fresh._packed == {}, n

@@ -7,6 +7,7 @@ from ancover.characters import an_character_table
 from ancover.characters import CharacterTable
 from ancover.classalgebra import (
     IrrationalResidue,
+    _power_weights,
     covering_number,
     covers,
     frobenius_count,
@@ -21,7 +22,7 @@ from ancover.permutations import (
     class_representative,
     inverse_label,
 )
-from oracles import is_covered_by, labels_of_type
+from oracles import is_covered_by, labels_of_type, reference_column_sums, run_python
 
 
 def _lbl(text):
@@ -291,3 +292,58 @@ def test_flipped_irrational_cell_raises():
         product_counts(C, _lbl("1x5"), table=bad)
     with pytest.raises(IrrationalResidue):
         power_counts(C, 2, table=bad)
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_every_changed_surd_coefficient_raises(n):
+    # On a copy of the table with one sqrt(d) coefficient raised by one,
+    # the square of that coefficient's class leaves an irrational residue:
+    # at the identity it is 4|G| eps, from the split pair whose two
+    # coefficients no longer cancel.
+    good = an_character_table(n)
+    edits = 0
+    for i, (d, coefs) in good.surds.items():
+        for j, b in coefs.items():
+            surds = {**good.surds, i: (d, {**coefs, j: b + 1})}
+            bad = CharacterTable(
+                n, good.classes, good.class_sizes, good.irreducibles, good.rows, surds
+            )
+            with pytest.raises(IrrationalResidue, match="irrational residue"):
+                product_counts(good.classes[j], good.classes[j], table=bad)
+            edits += 1
+    assert edits >= 4
+
+
+def test_changed_surd_coefficients_raise_under_python_O():
+    code = (
+        "from ancover.characters import CharacterTable, an_character_table\n"
+        "from ancover.classalgebra import IrrationalResidue, product_counts\n"
+        "for n in (7, 12):\n"
+        "    t = an_character_table(n)\n"
+        "    for i, (d, coefs) in t.surds.items():\n"
+        "        for j, b in coefs.items():\n"
+        "            surds = {**t.surds, i: (d, {**coefs, j: b + 1})}\n"
+        "            bad = CharacterTable(n, t.classes, t.class_sizes, t.irreducibles, t.rows, surds)\n"
+        "            try:\n"
+        "                product_counts(t.classes[j], t.classes[j], table=bad)\n"
+        "            except IrrationalResidue:\n"
+        "                continue\n"
+        "            raise SystemExit(f'A_{n}: sqrt coefficient ({i}, {j}) changed, no residue')\n"
+    )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cubes_at_n18_match_the_dot_product_reference(monkeypatch):
+    # At A_18 the cube weights need slots of more than one 64-bit word.
+    table = an_character_table(18, limit=18)
+    table.verify_orthogonality()
+    rng = random.Random(18)
+    classes = [table.classes[0], table.classes[-2]] + rng.sample(table.classes[1:-2], 3)
+    got = {C: power_counts(C, 3, table=table) for C in classes}
+    monkeypatch.setattr(CharacterTable, "column_sums", reference_column_sums)
+    for C in classes:
+        assert got[C] == power_counts(C, 3, table=table), C
+    rational, _ = _power_weights(table, table.class_index(classes[0]), 3)
+    cell = max(abs(v) for row in table.rows for v in row)
+    assert (sum(map(abs, rational)) * cell).bit_length() > 64
