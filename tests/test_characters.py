@@ -460,14 +460,13 @@ def test_packed_slots_are_exact_at_the_width_bound(words, offset):
         row = [rng.randint(-1, 1) for _ in range(k)]
         row[0], row[1], row[-2], row[-1] = sign, -sign, -sign, sign
         rows.append(row)
-    table = _copy(t, rows, {i: (5, {}) for i in range(k)})
     assert sum(map(abs, weights)) == bound
-    targets = range(k)
-    sums, residues = table.column_sums((weights, dict(enumerate(weights))), targets)
+    table = _copy(t, rows, {i: (5, {}) for i in range(k)})
+    both = (weights, dict(enumerate(weights)))
+    sums, residues = table.column_sums(both, range(k))
     assert (sums[0], sums[1], sums[-2], sums[-1]) == (bound, -bound, -bound, bound)
     assert residues == {5: sums}
-    both = (weights, dict(enumerate(weights)))
-    assert (sums, residues) == reference_column_sums(table, both, targets)
+    assert (sums, residues) == reference_column_sums(table, both, range(k))
 
 
 def test_cells_past_64_bits_are_summed_exactly():
