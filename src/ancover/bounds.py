@@ -11,7 +11,6 @@ from zero and the refinement terminates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,6 +18,7 @@ from ancover.characters import _squarefree_split
 from ancover.combinatorics import (
     LimitExceeded,
     Partition,
+    Record,
     enumerate_distinct_partitions,
     frobenius_symbol,
     self_conjugate_partitions,
@@ -87,8 +87,7 @@ def surd_sign(terms: Sequence[tuple[Fraction, int]]) -> int:
 # Orbit-size profile
 
 
-@dataclass(frozen=True)
-class EProfile:
+class EProfile(Record):
     """Cumulative orbit counts and the weighted statistic they define.
 
     ``counts[k-1]`` is the number of points lying in orbits of length at
@@ -97,16 +96,16 @@ class EProfile:
     about it reduces to integer inequalities on the counts.
     """
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ("n", "counts")
 
-    def __post_init__(self):
-        if len(self.counts) != self.n:
-            raise ValueError(f"need {self.n} cumulative counts, got {len(self.counts)}")
-        if self.counts[-1] != self.n:
+    def __init__(self, n: int, counts: tuple[int, ...]):
+        if len(counts) != n:
+            raise ValueError(f"need {n} cumulative counts, got {len(counts)}")
+        if counts[-1] != n:
             raise ValueError("every point has an orbit")
-        if any(a > b for a, b in zip(self.counts, self.counts[1:])):
+        if any(a > b for a, b in zip(counts, counts[1:])):
             raise ValueError("counts must be nondecreasing (each e_i is nonnegative)")
+        self._init(n, counts)
 
     def e_float(self) -> list[float]:
         """Floating-point rendering of e_1..e_n, for display only."""
@@ -179,22 +178,38 @@ def hook_bound(n: int, k: int) -> int:
 # The almost-derangement certificate
 
 
-@dataclass(frozen=True)
-class Prop24Report:
+class Prop24Report(Record):
     """Exact clause values of the character-sum domination argument.
 
     ``asserted`` is True for odd n >= 13 (the range the argument covers);
     smaller odd n get values but no pass/fail force.
     """
 
-    n: int
-    hook_sum_value: Fraction
-    hook_sum_ok: bool
-    cube_term: tuple[Fraction, Fraction]  # u + v*sqrt(n)
-    cube_ok: bool
-    mixed_term: tuple[Fraction, Fraction]  # u + v*sqrt(n)
-    mixed_ok: bool
-    asserted: bool
+    __slots__ = (
+        "n",
+        "hook_sum_value",
+        "hook_sum_ok",
+        "cube_term",
+        "cube_ok",
+        "mixed_term",
+        "mixed_ok",
+        "asserted",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        hook_sum_value: Fraction,
+        hook_sum_ok: bool,
+        cube_term: tuple[Fraction, Fraction],  # u + v*sqrt(n)
+        cube_ok: bool,
+        mixed_term: tuple[Fraction, Fraction],  # u + v*sqrt(n)
+        mixed_ok: bool,
+        asserted: bool,
+    ):
+        self._init(
+            n, hook_sum_value, hook_sum_ok, cube_term, cube_ok, mixed_term, mixed_ok, asserted
+        )
 
     def all_ok(self) -> bool:
         return self.hook_sum_ok and self.cube_ok and self.mixed_ok
@@ -282,13 +297,18 @@ def prop24_monotone_decreasing(n_lo: int, n_hi: int) -> bool:
 # Distinct-part products
 
 
-@dataclass(frozen=True)
-class AmGmReport:
-    n: int
-    max_product: int
-    argmax: Partition
-    all_bounded: bool  # every witness satisfies prod <= (n/m)^m
-    part_counts_ok: bool  # m(m+1)/2 <= n, hence m^2 < 2n, for every witness
+class AmGmReport(Record):
+    __slots__ = ("n", "max_product", "argmax", "all_bounded", "part_counts_ok")
+
+    def __init__(
+        self,
+        n: int,
+        max_product: int,
+        argmax: Partition,
+        all_bounded: bool,  # every witness satisfies prod <= (n/m)^m
+        part_counts_ok: bool,  # m(m+1)/2 <= n, hence m^2 < 2n, for every witness
+    ):
+        self._init(n, max_product, argmax, all_bounded, part_counts_ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,22 +349,40 @@ def amgm_report(n: int) -> AmGmReport:
 # Split character degrees
 
 
-@dataclass(frozen=True)
-class SplitDegreeEntry:
-    partition: Partition
-    diagonal_hooks: tuple[int, ...]
-    half_degree: int
-    arm_factorial_product: int
-    divides_half_factorial: bool
+class SplitDegreeEntry(Record):
+    __slots__ = (
+        "partition",
+        "diagonal_hooks",
+        "half_degree",
+        "arm_factorial_product",
+        "divides_half_factorial",
+    )
+
+    def __init__(
+        self,
+        partition: Partition,
+        diagonal_hooks: tuple[int, ...],
+        half_degree: int,
+        arm_factorial_product: int,
+        divides_half_factorial: bool,
+    ):
+        self._init(
+            partition, diagonal_hooks, half_degree, arm_factorial_product, divides_half_factorial
+        )
 
 
-@dataclass(frozen=True)
-class SplitDegreeReport:
-    n: int
-    entries: tuple[SplitDegreeEntry, ...]
-    min_half_degree: int | None
-    power_bound: Fraction  # 2^n / (4n)
-    binomial_half: Fraction  # C(n-1, floor((n-1)/2)) / 2
+class SplitDegreeReport(Record):
+    __slots__ = ("n", "entries", "min_half_degree", "power_bound", "binomial_half")
+
+    def __init__(
+        self,
+        n: int,
+        entries: tuple[SplitDegreeEntry, ...],
+        min_half_degree: int | None,
+        power_bound: Fraction,  # 2^n / (4n)
+        binomial_half: Fraction,  # C(n-1, floor((n-1)/2)) / 2
+    ):
+        self._init(n, entries, min_half_degree, power_bound, binomial_half)
 
     def to_json_dict(self) -> dict:
         return {

@@ -48,16 +48,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from ancover.combinatorics import (
     LimitExceeded,
     Partition,
+    Record,
     enumerate_partitions,
     frobenius_symbol,
     transpose,
@@ -89,8 +89,7 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, sign * d
 
 
-@dataclass(frozen=True)
-class AlgebraicValue:
+class AlgebraicValue(Record):
     """Exact value a + b*sqrt(d) with rational a, b and integer d.
 
     Normalized so that d is squarefree and d == 1 exactly when the value
@@ -98,9 +97,7 @@ class AlgebraicValue:
     Sums and products are defined when the radicands are compatible.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=1):
         a = Fraction(a)
@@ -267,22 +264,21 @@ def hook_size(lam: Partition) -> int | None:
 # A_n irreducibles
 
 
-@dataclass(frozen=True)
-class IrreducibleLabel:
+class IrreducibleLabel(Record):
     """A_n irreducible: a partition, signed when it is self-conjugate."""
 
-    partition: Partition
-    sign: str | None = None
+    __slots__ = ("partition", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (None, "+", "-"):
-            raise ValueError(f"bad sign {self.sign!r}")
-        self_conj = self.partition.n >= 2 and transpose(self.partition) == self.partition
-        if (self.sign is not None) != self_conj:
+    def __init__(self, partition: Partition, sign: str | None = None):
+        if sign not in (None, "+", "-"):
+            raise ValueError(f"bad sign {sign!r}")
+        self_conj = partition.n >= 2 and transpose(partition) == partition
+        if (sign is not None) != self_conj:
             raise ValueError(
-                f"partition {self.partition.text()} "
+                f"partition {partition.text()} "
                 + ("requires a sign" if self_conj else "takes no sign")
             )
+        self._init(partition, sign)
 
     @property
     def n(self) -> int:
@@ -350,9 +346,10 @@ def _read_slots(total: int, words: int, k: int, targets: Sequence[int]) -> list[
     data = (total + half * _slot_ones(words, k)).to_bytes(8 * words * k, "little")
     if words == 1:
         slots = struct.unpack(f"<{k}Q", data)
-        return [slots[t] - half for t in targets]
-    size = 8 * words
-    return [int.from_bytes(data[size * t : size * t + size], "little") - half for t in targets]
+    else:
+        chunks = struct.unpack(f"{8 * words}s" * k, data)
+        slots = list(map(int.from_bytes, chunks, repeat("little")))
+    return [slots[t] - half for t in targets]
 
 
 # Weights of a column sum: w_chi = rational[i] + surd[i] * sqrt(d_i), with

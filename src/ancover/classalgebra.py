@@ -25,12 +25,12 @@ nothing is rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import Callable
 
 from ancover.characters import CharacterTable, Weights, an_character_table
-from ancover.combinatorics import Partition
+from ancover.combinatorics import Partition, Record
 from ancover.permutations import ClassLabel
 
 MAX_COVERING_POWER = 20  # covering_number gives up past this power
@@ -75,8 +75,12 @@ def _power_weights(table: CharacterTable, ci: int, m: int) -> Weights:
     return rational, surd
 
 
+# The text naming a question in an error message, built only on the error.
+What = Callable[[], str]
+
+
 def _class_sums(
-    table: CharacterTable, weights: Weights, targets: list[int], what: str
+    table: CharacterTable, weights: Weights, targets: list[int], what: What
 ) -> list[int]:
     """The exact sums of :meth:`CharacterTable.column_sums`; raises
     IrrationalResidue unless the sqrt(d) parts cancel for every radicand d
@@ -84,14 +88,14 @@ def _class_sums(
     sums, residues = table.column_sums(weights, targets)
     if residues:
         bad = {d: [c for c in res if c] for d, res in residues.items()}
-        raise IrrationalResidue(f"irrational residue {bad} for {what}")
+        raise IrrationalResidue(f"irrational residue {bad} for {what()}")
     return sums
 
 
-def _exact_count(numerator: int, denominator: int, what: str, target: ClassLabel | None = None) -> int:
+def _exact_count(numerator: int, denominator: int, what: What, target: ClassLabel | None = None) -> int:
     count, rest = divmod(numerator, denominator)
     if rest or count < 0:
-        where = what if target is None else f"{what} -> {target}"
+        where = what() if target is None else f"{what()} -> {target}"
         raise IrrationalResidue(
             f"count {Fraction(numerator, denominator)} for {where} is not a nonnegative integer"
         )
@@ -116,7 +120,7 @@ def frobenius_count(
     representative of g."""
     table = _table_for((C, D, g), table)
     ci, di = table.class_index(C), table.class_index(D)
-    what = f"({C}, {D}, {g})"
+    what = lambda: f"({C}, {D}, {g})"
     target = table.inverse_index[table.class_index(g)]
     (total,) = _class_sums(table, _pair_weights(table, ci, di), [target], what)
     scale = table.class_sizes[ci] * table.class_sizes[di]
@@ -129,7 +133,7 @@ def product_counts(
     """N(C, D, E) for every class E, in table order, from one pass."""
     table = _table_for((C, D), table)
     ci, di = table.class_index(C), table.class_index(D)
-    what = f"({C}, {D})"
+    what = lambda: f"({C}, {D})"
     sums = _class_sums(table, _pair_weights(table, ci, di), table.inverse_index, what)
     scale = table.class_sizes[ci] * table.class_sizes[di]
     den = 8 * table.group_order**2
@@ -145,7 +149,7 @@ def power_counts(
         raise ValueError(f"need m >= 1, got {m}")
     table = _table_for((C,), table)
     ci = table.class_index(C)
-    what = f"{C}^{m}"
+    what = lambda: f"{C}^{m}"
     sums = _class_sums(table, _power_weights(table, ci, m), table.inverse_index, what)
     scale = table.class_sizes[ci] ** m
     den = 2 ** (m + 1) * table.group_order**m
@@ -156,14 +160,18 @@ def _identity_label(n: int) -> ClassLabel:
     return ClassLabel(Partition([1] * n))
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(Record, frozen=False):
     """Which nontrivial classes are missing from the product set CD."""
 
-    n: int
-    C: ClassLabel
-    D: ClassLabel
-    uncovered: list[ClassLabel] = field(default_factory=list)
+    __slots__ = ("n", "C", "D", "uncovered")
+
+    def __init__(
+        self, n: int, C: ClassLabel, D: ClassLabel, uncovered: list[ClassLabel] | None = None
+    ):
+        self.n = n
+        self.C = C
+        self.D = D
+        self.uncovered = [] if uncovered is None else uncovered
 
     @property
     def covered(self) -> bool:

@@ -10,7 +10,6 @@ byte-identical output.  The suites behind ``verify`` live in
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from contextlib import nullcontext
@@ -102,7 +101,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     report = args.suite == "split-coverage-report"
     suite = split_coverage_report if report else SUITES[args.suite]
-    takes = inspect.signature(suite).parameters
+    code = suite.__code__  # its positional and keyword-only parameter names
+    takes = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     given = {"ns": ns, "trials": args.trials, "seed": args.seed}
     kwargs = {name: value for name, value in given.items() if value is not None}
     untaken = [_SUITE_OPTIONS[name] for name in kwargs if name not in takes]

@@ -16,7 +16,6 @@ of length ``phi(piece).n``, and a part p grows back in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator
 
@@ -31,11 +30,76 @@ class LimitExceeded(ValueError):
     """Input exceeds a configured size limit."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """Base of the package's value classes, without ``dataclasses``.
+
+    A subclass names its fields, in constructor order, in a tuple
+    ``__slots__`` and sets them in its ``__init__`` with
+    ``object.__setattr__``, or through :meth:`_init`, which is shorter
+    but costs about 0.3 us more per instance; classes built many times
+    per call set their fields directly.  It then keeps the contract of
+    ``@dataclass(frozen=True)``:
+
+    - ``x == y`` only when x and y are of the same class, by their fields;
+    - ``hash(x) == hash(tuple of fields)``, so set and dict orders, and
+      every output built from them, are the dataclass's;
+    - ``repr(x)`` is ``Name(field=value, ...)``;
+    - assigning or deleting an attribute raises ``AttributeError``;
+    - ``copy`` and ``pickle`` restore the fields without ``__init__``.
+
+    ``class R(Record, frozen=False)`` keeps that of a plain ``@dataclass``
+    instead: fields can be assigned and instances are unhashable.
+
+    Importing ``dataclasses`` loads ``inspect``, and each decorated class
+    builds its methods with ``exec``; that was a third of the cost of
+    ``import ancover``, which every command pays before any arithmetic.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+
+class Partition(Record):
     """Weakly decreasing positive parts; ``n`` is their sum."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
         parts = tuple(map(int, parts))
@@ -47,6 +111,16 @@ class Partition:
         if sum(parts) > MAX_PART_SUM:
             raise ValueError(f"partition size exceeds limit {MAX_PART_SUM}")
         object.__setattr__(self, "parts", parts)
+
+    # Written out, not the base class's: every class_index lookup hashes
+    # its labels' partitions.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -118,8 +192,7 @@ def transpose(p: Partition) -> Partition:
     return Partition(cols)
 
 
-@dataclass(frozen=True)
-class FrobeniusSymbol:
+class FrobeniusSymbol(Record):
     """Arm and leg lengths along the diagonal of a Young diagram.
 
     ``arms[i] = parts[i] - (i+1)`` and ``legs`` is the same for the
@@ -128,8 +201,10 @@ class FrobeniusSymbol:
     ``2*arms[i] + 1`` are distinct odd integers summing to n.
     """
 
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
+    __slots__ = ("arms", "legs")
+
+    def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]):
+        self._init(arms, legs)
 
     @property
     def m(self) -> int:
@@ -195,17 +270,15 @@ SHRUNKEN_SHAPE = {
 }
 
 
-@dataclass(frozen=True)
-class TypedSubpartition:
-    kind: SubpartitionKind
-    parts: Partition
+class TypedSubpartition(Record):
+    __slots__ = ("kind", "parts")
 
-    def __post_init__(self):
-        shape = SHRUNKEN_SHAPE.get(self.kind)
-        if shape is None or tuple(map(shrink_part, self.parts.parts)) != (shape or (1,)):
-            raise ValueError(
-                f"parts {self.parts.text()} do not match kind {int(self.kind)}"
-            )
+    def __init__(self, kind: SubpartitionKind, parts: Partition):
+        shape = SHRUNKEN_SHAPE.get(kind)
+        if shape is None or tuple(map(shrink_part, parts.parts)) != (shape or (1,)):
+            raise ValueError(f"parts {parts.text()} do not match kind {int(kind)}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:

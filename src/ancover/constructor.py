@@ -34,12 +34,12 @@ A rebuild reads the product point by point and relabels once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from ancover.combinatorics import (
     Infeasible,
     Partition,
+    Record,
     TypedSubpartition,
     decompose_subpartitions,
     phi,
@@ -97,14 +97,14 @@ class SearchBudgetExceeded(RuntimeError):
 # Intervals and packings
 
 
-@dataclass(frozen=True)
-class Interval:
-    a: int
-    b: int
+class Interval(Record):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a > self.b:
-            raise ValueError(f"empty interval [{self.a},{self.b}]")
+    def __init__(self, a: int, b: int):
+        if a > b:
+            raise ValueError(f"empty interval [{a},{b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self) -> int:
@@ -114,8 +114,7 @@ class Interval:
         return range(self.a, self.b + 1)
 
 
-@dataclass(frozen=True)
-class PackingPlan:
+class PackingPlan(Record):
     """Right-justified subintervals of a host interval [1, host_length].
 
     ``subintervals[0]`` touches the right end; consecutive subintervals
@@ -123,24 +122,31 @@ class PackingPlan:
     records which demand index subinterval i serves.
     """
 
-    host_index: int
-    host_length: int
-    subintervals: tuple[Interval, ...]
-    demands: tuple[int, ...]
+    __slots__ = ("host_index", "host_length", "subintervals", "demands")
+
+    def __init__(
+        self,
+        host_index: int,
+        host_length: int,
+        subintervals: tuple[Interval, ...],
+        demands: tuple[int, ...],
+    ):
+        expect_b = host_length
+        for iv in subintervals:
+            if iv.b != expect_b:
+                raise ValueError("subintervals must be right-justified and abutting")
+            expect_b = iv.a - 1
+        if len(demands) != len(subintervals):
+            raise ValueError("one demand index per subinterval")
+        object.__setattr__(self, "host_index", host_index)
+        object.__setattr__(self, "host_length", host_length)
+        object.__setattr__(self, "subintervals", subintervals)
+        object.__setattr__(self, "demands", demands)
 
     @property
     def free(self) -> Interval | None:
         used = sum(iv.length for iv in self.subintervals)
         return Interval(1, self.host_length - used) if used < self.host_length else None
-
-    def __post_init__(self):
-        expect_b = self.host_length
-        for iv in self.subintervals:
-            if iv.b != expect_b:
-                raise ValueError("subintervals must be right-justified and abutting")
-            expect_b = iv.a - 1
-        if len(self.demands) != len(self.subintervals):
-            raise ValueError("one demand index per subinterval")
 
 
 def greedy_pack(lengths: Sequence[int], demands: Sequence[int]) -> list[PackingPlan]:
@@ -180,18 +186,18 @@ def greedy_pack(lengths: Sequence[int], demands: Sequence[int]) -> list[PackingP
 # Valid sequences
 
 
-@dataclass(frozen=True)
-class ValidSequence:
+class ValidSequence(Record):
     """The points of an interval, each once, starting at the right end."""
 
-    terms: tuple[int, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        lo, hi = min(self.terms), max(self.terms)
-        if sorted(self.terms) != list(range(lo, hi + 1)):
-            raise ValueError(f"terms are not an interval: {self.terms}")
-        if self.terms[0] != hi:
-            raise ValueError(f"first term must be the right endpoint: {self.terms}")
+    def __init__(self, terms: tuple[int, ...]):
+        lo, hi = min(terms), max(terms)
+        if sorted(terms) != list(range(lo, hi + 1)):
+            raise ValueError(f"terms are not an interval: {terms}")
+        if terms[0] != hi:
+            raise ValueError(f"first term must be the right endpoint: {terms}")
+        object.__setattr__(self, "terms", terms)
 
     def shifted(self, offset: int) -> "ValidSequence":
         return ValidSequence(tuple(t + offset for t in self.terms))
@@ -297,8 +303,7 @@ def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutati
 # The full construction
 
 
-@dataclass
-class WitnessPair:
+class WitnessPair(Record, frozen=False):
     """Verified factorization witnesses.
 
     gamma, delta and delta_bar all have cycle type lam; gamma*delta and
@@ -307,17 +312,45 @@ class WitnessPair:
     the two A_n classes of their type.
     """
 
-    lam: Partition
-    mu: Partition
-    gamma: Permutation
-    delta: Permutation
-    delta_bar: Permutation
-    product_label: ClassLabel
-    product_label_bar: ClassLabel
-    embeddings: tuple[tuple[int, int], ...]
-    rebuild_log: tuple[tuple[int, int], ...]
-    rebuild_log_bar: tuple[tuple[int, int], ...]
-    seed: int | None = None
+    __slots__ = (
+        "lam",
+        "mu",
+        "gamma",
+        "delta",
+        "delta_bar",
+        "product_label",
+        "product_label_bar",
+        "embeddings",
+        "rebuild_log",
+        "rebuild_log_bar",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        lam: Partition,
+        mu: Partition,
+        gamma: Permutation,
+        delta: Permutation,
+        delta_bar: Permutation,
+        product_label: ClassLabel,
+        product_label_bar: ClassLabel,
+        embeddings: tuple[tuple[int, int], ...],
+        rebuild_log: tuple[tuple[int, int], ...],
+        rebuild_log_bar: tuple[tuple[int, int], ...],
+        seed: int | None = None,
+    ):
+        self.lam = lam
+        self.mu = mu
+        self.gamma = gamma
+        self.delta = delta
+        self.delta_bar = delta_bar
+        self.product_label = product_label
+        self.product_label_bar = product_label_bar
+        self.embeddings = embeddings
+        self.rebuild_log = rebuild_log
+        self.rebuild_log_bar = rebuild_log_bar
+        self.seed = seed
 
     def verify(self) -> None:
         """Raise VerificationFailed unless every stated invariant holds,

@@ -22,13 +22,13 @@ this convention is what anchors the irrational character values in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ancover.combinatorics import (
     MAX_PART_SUM,
     LimitExceeded,
     Partition,
+    Record,
     centralizer_order,
     enumerate_partitions,
     is_split_type,
@@ -60,11 +60,10 @@ def _bijection(images: tuple[int, ...]) -> tuple[int, ...]:
     return images
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Bijection of {1..n}, stored as the tuple of images of 1..n."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         object.__setattr__(self, "images", _bijection(tuple(map(int, images))))
@@ -248,23 +247,33 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     return g
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(Record):
     """An A_n conjugacy class: cycle type plus sign for split types."""
 
-    cycle_type: Partition
-    sign: str | None = None
+    __slots__ = ("cycle_type", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (None, "+", "-"):
-            raise ValueError(f"sign must be None, '+' or '-', got {self.sign!r}")
-        if not self.cycle_type.is_even_type():
-            raise ValueError(f"{self.cycle_type.text()} is an odd cycle type")
-        if (self.sign is not None) != splits_in_an(self.cycle_type):
+    def __init__(self, cycle_type: Partition, sign: str | None = None):
+        if sign not in (None, "+", "-"):
+            raise ValueError(f"sign must be None, '+' or '-', got {sign!r}")
+        if not cycle_type.is_even_type():
+            raise ValueError(f"{cycle_type.text()} is an odd cycle type")
+        if (sign is not None) != splits_in_an(cycle_type):
             raise ValueError(
-                f"type {self.cycle_type.text()} "
-                + ("requires a sign" if is_split_type(self.cycle_type) else "takes no sign")
+                f"type {cycle_type.text()} "
+                + ("requires a sign" if is_split_type(cycle_type) else "takes no sign")
             )
+        object.__setattr__(self, "cycle_type", cycle_type)
+        object.__setattr__(self, "sign", sign)
+
+    # Written out, not the base class's: every class_index lookup hashes
+    # the label.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cycle_type, self.sign) == (other.cycle_type, other.sign)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cycle_type, self.sign))
 
     @property
     def n(self) -> int:

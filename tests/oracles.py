@@ -688,6 +688,13 @@ def _log_n_exact(c: int, n: int) -> Fraction | None:
     return Fraction(power) if x == c else None
 
 
+def replaced(record, **changes):
+    """A new instance of record's class with some fields changed, built by
+    its constructor, as ``dataclasses.replace`` builds one."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """Run this interpreter on args, capturing text output, with PYTHONPATH
     set to the directory that holds the imported ``ancover`` package, so

@@ -439,7 +439,7 @@ def test_column_sums_match_the_dot_product_reference(n):
             assert got == reference_column_sums(t, (rational, surd), targets), (bits, targets)
 
 
-@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("words", [1, 2, 3])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_packed_slots_are_exact_at_the_width_bound(words, offset):
     # sum|w| * max|cell| = 2^(64 words - 1) + offset, with max|cell| = 1.

@@ -294,6 +294,45 @@ def test_flipped_irrational_cell_raises():
         power_counts(C, 2, table=bad)
 
 
+def test_error_messages_name_the_question():
+    # The label text is built only when a count fails; pin it in full.
+    good = an_character_table(5)
+    surds = dict(good.surds)
+    d, coefs = surds[3]
+    surds[3] = (d, {**coefs, 0: -coefs[0]})  # flip the sqrt(5) part of 5:+
+    bad = CharacterTable(5, good.classes, good.class_sizes, good.irreducibles, good.rows, surds)
+    sizes = list(good.class_sizes)
+    sizes[good.classes.index(_lbl("3,1,1"))] += 1
+    resized = CharacterTable(5, good.classes, sizes, good.irreducibles, good.rows, good.surds)
+    c5, c3, one = _lbl("5:+"), _lbl("3,1,1"), _lbl("1x5")
+    cases = [
+        (
+            lambda: frobenius_count(c5, one, c5, table=bad),
+            "irrational residue {5: [-480]} for (5:+, 1,1,1,1,1, 5:+)",
+        ),
+        (
+            lambda: product_counts(c5, one, table=bad),
+            "irrational residue {5: [-480, -240, 480, -1440]} for (5:+, 1,1,1,1,1)",
+        ),
+        (
+            lambda: power_counts(c5, 2, table=bad),
+            "irrational residue {5: [-320, -80, 160, -480]} for 5:+^2",
+        ),
+        (
+            lambda: frobenius_count(c3, c3, c5, table=resized),
+            "count 441/80 for (3,1,1, 3,1,1, 5:+) is not a nonnegative integer",
+        ),
+        (
+            lambda: product_counts(c3, _lbl("2,2,1"), table=resized),
+            "count 21/4 for (3,1,1, 2,2,1) -> 5:+ is not a nonnegative integer",
+        ),
+    ]
+    for call, message in cases:
+        with pytest.raises(IrrationalResidue) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("n", [7, 12])
 def test_every_changed_surd_coefficient_raises(n):
     # On a copy of the table with one sqrt(d) coefficient raised by one,

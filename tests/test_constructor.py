@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -36,7 +35,7 @@ from ancover.permutations import (
     random_even_permutation,
 )
 from ancover.suites import random_construction_instance
-from oracles import is_even, lift_sign_maps, packing_cycle, run_python, two_twos_deltas
+from oracles import is_even, lift_sign_maps, packing_cycle, replaced, run_python, two_twos_deltas
 
 
 def cyc(n, *cycles):
@@ -381,7 +380,7 @@ def _mislabelled_pairs():
             if label.is_split():
                 wrong.append(ClassLabel(label.cycle_type, "-" if label.sign == "+" else "+"))
             for w in wrong:
-                yield dataclasses.replace(pair, **{field: w})
+                yield replaced(pair, **{field: w})
 
 
 @pytest.mark.parametrize(
@@ -416,7 +415,7 @@ def test_odd_delta_of_a_split_type_fails_as_a_type_check():
     odd = Permutation.from_cycles(13, [(1, 2)])
     for field in ("delta", "delta_bar"):
         with pytest.raises(VerificationFailed, match=f"^{field} type$"):
-            dataclasses.replace(pair, **{field: odd}).verify()
+            replaced(pair, **{field: odd}).verify()
 
 
 def test_verify_checks_stored_product_labels():

@@ -1,8 +1,17 @@
 import ast
+import copy
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
+import pytest
+
 import ancover
+from ancover import bounds, characters, classalgebra, combinatorics, constructor, permutations
+from ancover.classalgebra import CoverageReport
+from ancover.combinatorics import Record, SubpartitionKind, TypedSubpartition, frobenius_symbol
+from ancover.constructor import Interval, PackingPlan, ValidSequence, construct_witnesses
 from oracles import run_python
 
 SRC = Path(ancover.__file__).resolve().parents[1]
@@ -46,3 +55,117 @@ def test_import_loads_no_bounds_suites_or_cli():
     assert loaded == []
     assert missing == []
     assert gone == []
+
+
+# dataclasses loads inspect (and ast, dis, tokenize), and every command
+# pays for the imports of the package before any arithmetic.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    found = []
+    for path in sorted((SRC / "ancover").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] in SLOW_IMPORTS]
+    assert found == []
+
+
+def test_commands_and_workers_load_neither_dataclasses_nor_inspect():
+    # The package, then the modules a perfbench worker imports, then the
+    # CLI, each step checked in the same interpreter.
+    code = (
+        "import json, sys\n"
+        f"slow = {SLOW_IMPORTS!r}\n"
+        "steps = []\n"
+        "import ancover\n"
+        "steps.append([m for m in slow if m in sys.modules])\n"
+        "import ancover.characters, ancover.classalgebra, ancover.combinatorics\n"
+        "import ancover.constructor, ancover.oracle, ancover.permutations\n"
+        "steps.append([m for m in slow if m in sys.modules])\n"
+        "import ancover.cli\n"
+        "steps.append([m for m in slow if m in sys.modules])\n"
+        "print(json.dumps(steps))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], []]
+
+
+def _value_samples() -> list:
+    """One instance of every value class, and two of different classes
+    with equal fields."""
+    p = ancover.Partition((2, 2, 1))
+    label = ancover.ClassLabel(ancover.Partition((5,)), "+")
+    split_degrees = bounds.min_split_degree_report(9)
+    return [
+        p,
+        frobenius_symbol(ancover.Partition((3, 1, 1))),
+        TypedSubpartition(SubpartitionKind.ODD_PART, ancover.Partition((7,))),
+        ancover.Permutation([2, 3, 1]),
+        ancover.ClassLabel(p),
+        label,
+        ancover.AlgebraicValue(1, 2, 5),
+        ancover.IrreducibleLabel(p),
+        CoverageReport(5, label, label, [ancover.ClassLabel(p)]),
+        Interval(3, 5),
+        PackingPlan(0, 5, (Interval(3, 5),), (0,)),
+        ValidSequence((5, 1, 2, 3, 4)),
+        construct_witnesses(ancover.Partition((13,)), ancover.Partition((7, 5, 1)), strict=False),
+        bounds.e_profile(ancover.Permutation([2, 1, 3])),
+        bounds.prop24_certificate(7),
+        bounds.amgm_report(6),
+        split_degrees.entries[0],
+        split_degrees,
+    ]
+
+
+def test_value_classes_keep_the_dataclass_contract():
+    samples = _value_samples()
+    modules = (bounds, characters, classalgebra, combinatorics, constructor, permutations)
+    value_classes = {
+        c
+        for m in modules
+        for c in vars(m).values()
+        if isinstance(c, type) and issubclass(c, Record) and c is not Record
+    }
+    assert {type(x) for x in samples} == value_classes
+    assert len(value_classes) == 17
+    # A ClassLabel and an IrreducibleLabel with equal fields: equal hashes,
+    # unequal values (checked with every other pair below).
+    assert samples[4]._fields() == samples[7]._fields()
+    for x in samples:
+        cls = type(x)
+        names = cls.__slots__
+        values = tuple(getattr(x, name) for name in names)
+        frozen = cls.__name__ not in ("CoverageReport", "WitnessPair")
+        reference = dataclasses.make_dataclass(cls.__name__, names, frozen=frozen)(*values)
+        assert repr(x) == repr(reference)
+        if frozen:
+            assert hash(x) == hash(values) == hash(reference)
+            for name in (*names, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+        else:
+            with pytest.raises(TypeError):
+                hash(x)
+        for y in samples:
+            assert (x == y) == (cls is type(y) and values == y._fields())
+        assert x != values and x != reference and reference != x
+        twin = copy.copy(x)
+        assert type(twin) is cls and twin == x and twin._fields() == values
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert type(back) is cls and back == x
+    report, pair = samples[8], samples[12]  # the two mutable classes
+    report.uncovered = []
+    pair.seed = 7
+    assert report.covered and pair.seed == 7
+
