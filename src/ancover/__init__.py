@@ -28,16 +28,13 @@ from ancover.permutations import (
     class_representative,
     an_class_of,
     an_class_labels,
-    kappa,
 )
 from ancover.characters import (
     AlgebraicValue,
     IrreducibleLabel,
     CharacterTable,
-    mn_value,
     degree,
     hook_size,
-    an_character_value,
     an_character_table,
 )
 from ancover.classalgebra import (

@@ -26,11 +26,12 @@ of every cell, plus, for each split constituent, one squarefree radicand
 d and the integer coefficients of sqrt(d) on its two hook classes.  It is
 built straight from MN values; :class:`AlgebraicValue` cells are derived
 on demand.  Every build runs quick checks (square shape, degrees, and
-column orthogonality across each split class pair), every load runs them
-and exact column orthogonality, which implies row orthogonality for a
-square table.  Column sums, here and in :mod:`ancover.classalgebra`, come
-from one exact kernel, :meth:`CharacterTable.column_sums`.  A failed
-check raises :class:`TableCheckFailed`, also under ``python -O``.
+column orthogonality across each split class pair).  Every load runs
+exact column orthogonality, which includes all three and implies row
+orthogonality for a square table.  Column sums, here and in
+:mod:`ancover.classalgebra`, come from one exact kernel,
+:meth:`CharacterTable.column_sums`.  A failed check raises
+:class:`TableCheckFailed`, also under ``python -O``.
 
 A call that asks for many target columns is one exact matrix-vector
 product on packed rows: row i is the single int
@@ -93,8 +94,9 @@ class AlgebraicValue(Record):
     """Exact value a + b*sqrt(d) with rational a, b and integer d.
 
     Normalized so that d is squarefree and d == 1 exactly when the value
-    is rational (b == 0).  d may be negative; conjugation then flips b.
-    Sums and products are defined when the radicands are compatible.
+    is rational (b == 0); d may be negative.  It is how a table cell is
+    shown and compared (:attr:`CharacterTable.values`); the arithmetic on
+    tables runs on their integers.
     """
 
     __slots__ = ("a", "b", "d")
@@ -114,52 +116,8 @@ class AlgebraicValue(Record):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d0)
 
-    @classmethod
-    def rational(cls, q) -> "AlgebraicValue":
-        return cls(Fraction(q))
-
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def conjugate(self) -> "AlgebraicValue":
-        """Complex conjugate: flips b only for negative radicands."""
-        if self.d < 0:
-            return AlgebraicValue(self.a, -self.b, self.d)
-        return self
-
-    def galois_conjugate(self) -> "AlgebraicValue":
-        return AlgebraicValue(self.a, -self.b, self.d)
-
-    def norm_squared(self) -> "AlgebraicValue":
-        """|z|^2 as an exact value (rational whenever d < 0)."""
-        if self.d < 0:
-            return AlgebraicValue(self.a * self.a - self.b * self.b * self.d)
-        return self * self
-
-    def __add__(self, other: "AlgebraicValue ") -> "AlgebraicValue":
-        if self.b == 0 or other.b == 0 or self.d == other.d:
-            d = other.d if self.b == 0 else self.d
-            return AlgebraicValue(self.a + other.a, self.b + other.b, d)
-        raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-
-    def __neg__(self) -> "AlgebraicValue":
-        return AlgebraicValue(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: "AlgebraicValue") -> "AlgebraicValue":
-        return self + (-other)
-
-    def __mul__(self, other: "AlgebraicValue") -> "AlgebraicValue":
-        if self.b == 0:
-            return AlgebraicValue(self.a * other.a, self.a * other.b, other.d)
-        if other.b == 0:
-            return AlgebraicValue(self.a * other.a, self.b * other.a, self.d)
-        if self.d != other.d:
-            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-        return AlgebraicValue(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -235,11 +193,6 @@ def mn_values(lams: Sequence[Partition], mu: Partition) -> list[int]:
     return [column.get(_abacus(lam.parts, mu.n), 0) for lam in lams]
 
 
-def mn_value(lam: Partition, mu: Partition) -> int:
-    """Exact S_n character value chi_lam on the class of cycle type mu."""
-    return mn_values([lam], mu)[0]
-
-
 def degree(lam: Partition) -> int:
     """Dimension of the irreducible S_n module, by the hook length formula."""
     t = transpose(lam)
@@ -306,19 +259,6 @@ def irreducible_labels(n: int) -> list[IrreducibleLabel]:
         elif p.parts >= t.parts:
             labels.append(IrreducibleLabel(p))
     return labels
-
-
-def an_character_value(chi: IrreducibleLabel, cls: ClassLabel) -> AlgebraicValue:
-    """Exact value of an A_n irreducible on a labeled class."""
-    if chi.n != cls.n:
-        raise ValueError(f"degree mismatch: {chi.n} vs {cls.n}")
-    if not chi.is_split():
-        return AlgebraicValue(mn_value(chi.partition, cls.cycle_type))
-    d, hook = _hook_cells(chi, [cls])
-    if not hook:
-        return AlgebraicValue(Fraction(mn_value(chi.partition, cls.cycle_type), 2))
-    a2, b = hook[0]
-    return AlgebraicValue(Fraction(a2, 2), Fraction(b, 2), d)
 
 
 # ---------------------------------------------------------------------------
@@ -553,34 +493,6 @@ class CharacterTable:
         for i in range(k):
             self._check_columns(i, range(i, k))
 
-    def verify_split_pair_sums(self) -> None:
-        """Each split pair must sum to the restricted parent character."""
-        pairs = [
-            (
-                self._irr_index[chi],
-                self._irr_index[IrreducibleLabel(chi.partition, "-")],
-                _abacus(chi.partition.parts, self.n),
-                chi,
-            )
-            for chi in self.irreducibles
-            if chi.sign == "+"
-        ]
-        by_type: dict[tuple[int, ...], list[int]] = {}
-        for j, cls in enumerate(self.classes):
-            by_type.setdefault(cls.cycle_type.parts, []).append(j)
-        for mu, column in _mn_columns(self.n, by_type):
-            for p, m, mask, chi in pairs:
-                parent = 2 * column.get(mask, 0)
-                dp, cp = self.surds.get(p, (1, {}))
-                dm, cm = self.surds.get(m, (1, {}))
-                for j in by_type[mu]:
-                    bp, bm = cp.get(j, 0), cm.get(j, 0)
-                    surds_cancel = bp == -bm and (bp == 0 or dp == dm)
-                    if self.rows[p][j] + self.rows[m][j] != parent or not surds_cancel:
-                        raise TableCheckFailed(
-                            f"split pair sum fails for {chi.partition.text()} at {self.classes[j]}"
-                        )
-
     def _quick_checks(self) -> None:
         self._check_shape()
         if sum(d * d for d in self.degrees()) != self.group_order:
@@ -625,10 +537,14 @@ class CharacterTable:
 
         Labels and class sizes must be those of A_n, every cell must be
         half-integral, irrational parts may only use the squarefree
-        radicand of a split row, and the quick checks and
-        :meth:`verify_orthogonality` (exact column orthogonality, hence
-        row orthogonality) must pass; otherwise raises ValueError.
+        radicand of a split row, and :meth:`verify_orthogonality` (exact
+        column orthogonality, hence row orthogonality) must pass; otherwise
+        raises ValueError.  The quick checks are not run: the shape check is
+        part of it, the sum of squared degrees is the identity column's
+        relation with itself, and each split class pair is a column pair.
         """
+        if not isinstance(data, dict):
+            raise ValueError("not a version-1 character table file")
         if data.get("schema") != 1 or data.get("kind") != "an-character-table":
             raise ValueError("not a version-1 character table file")
         n = data.get("n")
@@ -677,7 +593,6 @@ class CharacterTable:
             rows.append(ints)
         table = cls(n, classes, sizes, irreducibles, rows, surds)
         try:
-            table._quick_checks()
             table.verify_orthogonality()
         except TableCheckFailed as exc:
             raise ValueError(f"not an exact A_{n} character table: {exc}") from exc

@@ -202,9 +202,6 @@ class ValidSequence(Record):
     def shifted(self, offset: int) -> "ValidSequence":
         return ValidSequence(tuple(t + offset for t in self.terms))
 
-    def cycle(self, n: int) -> Permutation:
-        return Permutation.from_cycles(n, [self.terms])
-
 
 # Tabulated sequences on [1, shape.n], keyed by shrunken shape: each
 # product against (1..n) has the shape, and each pair is intertwined by an
@@ -763,7 +760,7 @@ def cover_with_ncycles(
     rng = random.Random(seed)
     rep_word = class_representative(base_c).cycles()[0]
     for _ in range(budget):
-        # w = random_even_permutation(m, rng) as a list of images
+        # w: a uniformly random even permutation of 1..m, as a list of images
         w = list(range(1, m + 1))
         rng.shuffle(w)
         if (m - _cycle_count(w)) % 2:

@@ -256,19 +256,15 @@ def _split_sign(cycles: list[list[int]]) -> str:
     return "+" if _sign_matches([0, *itertools.chain.from_iterable(cycles)], "+") else "-"
 
 
-def _has_class(
-    q: Sequence[int], parts: tuple[int, ...], sign: str | None, inverted: bool = False
-) -> bool:
-    """Whether the permutation with images q[1..n], or its inverse when
-    inverted, has cycle lengths parts and lies in the class of that type
-    with this sign: one walk of q gives its cycles, each read backwards a
-    cycle of q^-1, and their word, longest first, gives the sign."""
+def _cofactor_sign(q: Sequence[int], inverted: bool) -> str:
+    """The split sign of the permutation with images q[1..n], of a split
+    type, or of its inverse when inverted: one walk of q gives its cycles,
+    each read backwards a cycle of q^-1, and their word, longest first,
+    gives the sign.  The type is not checked."""
     cycles = _cycles(q[1:])
-    if _lengths(cycles) != parts:
-        return False
     if inverted:
         cycles = [cycle[::-1] for cycle in cycles]
-    return sign is None or _split_sign(cycles) == sign
+    return _split_sign(cycles)
 
 
 def _inverse(p: Sequence[int]) -> list[int]:
@@ -378,8 +374,9 @@ def _fixed_count(
     but the split sign is read from q^-1, whose class can be the other
     one.  Dropping a branch loses no pair: values are only ever added, so
     a closed cycle of q stays closed and an open chain only grows, and
-    the unused parts of the target type only shrink.  A leaf counts when
-    p's split sign, read from the search's word, and the third element's,
+    the unused parts of the target type only shrink.  The cuts give every
+    leaf's q exactly the third class's type, so a leaf counts when p's
+    split sign, read from the search's word, and the third element's,
     read from one walk of q, both pass.  With F the fixed class the count
     is |F| * leaves / |E|; a remainder raises :class:`VerificationFailed`.
     """
@@ -395,18 +392,18 @@ def _fixed_count(
         (1, 2): (same, x),  # p = e: q = d0 p^-1 = (e d0^-1)^-1 = c^-1
     }[fixed, enumerated]
     P, Q = triple[enumerated], triple[3 - fixed - enumerated]
-    p_sign, q_sign, q_parts = P.sign, Q.sign, Q.cycle_type.parts
+    p_sign, q_sign = P.sign, Q.sign
     inverted = fixed != 2
     count = 0
 
     def leaf(p: list[int], q: list[int], word: list[int]) -> None:
         nonlocal count
         if _sign_matches(word, p_sign) and (
-            q_sign is None or _has_class(q, q_parts, q_sign, inverted)
+            q_sign is None or _cofactor_sign(q, inverted) == q_sign
         ):
             count += 1
 
-    _search(P.cycle_type.parts, n, leaf, (u, v, q_parts))
+    _search(P.cycle_type.parts, n, leaf, (u, v, Q.cycle_type.parts))
     F, E = triple[fixed], triple[2]
     out, rest = divmod(_size(F) * count, _size(E))
     if rest:

@@ -133,9 +133,6 @@ class Permutation(Record):
         included) is a product of n - c transpositions."""
         return (self.n - _cycle_count(self.images)) % 2
 
-    def support(self) -> list[int]:
-        return [i + 1 for i, y in enumerate(self.images) if i + 1 != y]
-
     def format_images(self) -> str:
         return " ".join(str(x) for x in self.images)
 
@@ -147,13 +144,6 @@ class Permutation(Record):
 
     def __str__(self) -> str:
         return self.format_cycles()
-
-
-def conjugate(g: Permutation, s: Permutation) -> Permutation:
-    """s g s^-1."""
-    if g.n != s.n:
-        raise DegreeMismatch(f"degree {g.n} vs {s.n}")
-    return s * g * s.inverse()
 
 
 def _walk(images: Sequence[int]) -> list[list[int]]:
@@ -357,12 +347,8 @@ def an_class_of(g: Permutation) -> ClassLabel:
     return ClassLabel(t, "-" if (g.n - _cycle_count(word)) % 2 else "+")
 
 
-def kappa(g: Permutation) -> int:
-    """Number of cycles of length congruent to 3 mod 4."""
-    return kappa_of_type(cycle_type(g))
-
-
 def kappa_of_type(t: Partition) -> int:
+    """Number of parts congruent to 3 mod 4."""
     return sum(1 for p in t.parts if p % 4 == 3)
 
 
@@ -382,19 +368,3 @@ def inverse_label(label: ClassLabel) -> ClassLabel:
     if kappa_of_type(label.cycle_type) % 2 == 0:
         return label
     return ClassLabel(label.cycle_type, "-" if label.sign == "+" else "+")
-
-
-def random_permutation(n: int, rng) -> Permutation:
-    """Uniform random permutation from an externally seeded Random."""
-    images = list(range(1, n + 1))
-    rng.shuffle(images)
-    return Permutation._from_ints(images)
-
-
-def random_even_permutation(n: int, rng) -> Permutation:
-    g = random_permutation(n, rng)
-    if g.parity() == 1:
-        imgs = list(g.images)
-        imgs[0], imgs[1] = imgs[1], imgs[0]
-        g = Permutation._from_ints(imgs)
-    return g

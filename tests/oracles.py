@@ -69,12 +69,20 @@ one k-term dot product per target and one list rebuild per split row.
 The package reads many-target sums from packed rows instead; the tests
 check the two on every table up to n = 12 and at the slot-width edge.
 
+:func:`verify_split_pair_sums` checks that each split pair of a table's
+constituents sums to the restriction of its S_n character, read from the
+package's MN columns; a failure raises the package's
+:class:`~ancover.characters.TableCheckFailed`, also under ``python -O``.
+
 :func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
 :func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an`,
-:func:`packing_cycle`, :func:`is_even` and :func:`E_fraction` are small
+:func:`packing_cycle`, :func:`is_even`, :func:`E_fraction`,
+:func:`support`, :func:`conjugate`, :func:`kappa`,
+:func:`random_permutation` and :func:`random_even_permutation` are small
 statements about degrees, surd bounds, coverage by a cycle type,
-reality, packing words, parity and the exact E of an orbit-size profile;
-only tests call them.
+reality, packing words, parity, the exact E of an orbit-size profile,
+moved points, conjugation, cycles of length 3 mod 4 and seeded random
+permutations; only tests call them.
 
 :func:`run_python` runs the interpreter in a subprocess on the package
 the tests imported, wherever that lives.
@@ -107,7 +115,10 @@ from ancover.characters import (
     AlgebraicValue,
     CharacterTable,
     IrreducibleLabel,
+    TableCheckFailed,
     Weights,
+    _abacus,
+    _mn_columns,
     an_character_table,
     degree,
 )
@@ -123,6 +134,7 @@ from ancover.oracle import (
 )
 from ancover.permutations import (
     ClassLabel,
+    DegreeMismatch,
     Permutation,
     an_class_labels,
     an_class_of,
@@ -541,10 +553,12 @@ def abs_value_le_surd(v: AlgebraicValue, bound: Sequence[tuple[Fraction, int]]) 
     if u < 0 or w < 0:
         raise ValueError("bound must be nonnegative")
     bound_sq = [(u * u + w * w * d, 1), (2 * u * w, d)]
-    vsq = v.norm_squared()
-    if vsq.d < 0:
-        raise ValueError(f"{vsq} is not real")
-    return surd_le([(vsq.a, 1), (vsq.b, vsq.d)], bound_sq)
+    a, b, dv = v.a, v.b, v.d
+    if dv < 0:  # |a + b i sqrt(-dv)|^2
+        vsq = [(a * a - b * b * dv, 1)]
+    else:  # (a + b sqrt(dv))^2
+        vsq = [(a * a + b * b * dv, 1), (2 * a * b, dv)]
+    return surd_le(vsq, bound_sq)
 
 
 def _times_conjugate(x: AlgebraicValue, y: AlgebraicValue) -> dict[int, Fraction]:
@@ -620,6 +634,35 @@ def reference_column_sums(
     return sums, {d: res for d, res in residues.items() if any(res)}
 
 
+def verify_split_pair_sums(table: CharacterTable) -> None:
+    """Each split pair of table must sum to the restricted parent character."""
+    pairs = [
+        (
+            table._irr_index[chi],
+            table._irr_index[IrreducibleLabel(chi.partition, "-")],
+            _abacus(chi.partition.parts, table.n),
+            chi,
+        )
+        for chi in table.irreducibles
+        if chi.sign == "+"
+    ]
+    by_type: dict[tuple[int, ...], list[int]] = {}
+    for j, cls in enumerate(table.classes):
+        by_type.setdefault(cls.cycle_type.parts, []).append(j)
+    for mu, column in _mn_columns(table.n, by_type):
+        for p, m, mask, chi in pairs:
+            parent = 2 * column.get(mask, 0)
+            dp, cp = table.surds.get(p, (1, {}))
+            dm, cm = table.surds.get(m, (1, {}))
+            for j in by_type[mu]:
+                bp, bm = cp.get(j, 0), cm.get(j, 0)
+                surds_cancel = bp == -bm and (bp == 0 or dp == dm)
+                if table.rows[p][j] + table.rows[m][j] != parent or not surds_cancel:
+                    raise TableCheckFailed(
+                        f"split pair sum fails for {chi.partition.text()} at {table.classes[j]}"
+                    )
+
+
 def labels_of_type(lam: Partition) -> list[ClassLabel]:
     if splits_in_an(lam):
         return [ClassLabel(lam, "+"), ClassLabel(lam, "-")]
@@ -656,6 +699,41 @@ def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Perm
 
 def is_even(g: Permutation) -> bool:
     return g.parity() == 0
+
+
+def support(g: Permutation) -> list[int]:
+    """The points g moves, in increasing order."""
+    return [i + 1 for i, y in enumerate(g.images) if i + 1 != y]
+
+
+def conjugate(g: Permutation, s: Permutation) -> Permutation:
+    """s g s^-1."""
+    if g.n != s.n:
+        raise DegreeMismatch(f"degree {g.n} vs {s.n}")
+    return s * g * s.inverse()
+
+
+def kappa(g: Permutation) -> int:
+    """Number of cycles of length congruent to 3 mod 4."""
+    return kappa_of_type(cycle_type(g))
+
+
+def random_permutation(n: int, rng: random.Random) -> Permutation:
+    """Uniform random permutation from an externally seeded Random."""
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def random_even_permutation(n: int, rng: random.Random) -> Permutation:
+    """Uniform random even permutation: a random one, its first two images
+    swapped when it is odd."""
+    g = random_permutation(n, rng)
+    if g.parity() == 1:
+        images = list(g.images)
+        images[0], images[1] = images[1], images[0]
+        g = Permutation(images)
+    return g
 
 
 def E_fraction(profile: EProfile) -> Fraction | None:

@@ -32,10 +32,17 @@ from ancover.permutations import (
     cycle_type,
     parse_class_label,
     parse_permutation,
-    random_even_permutation,
 )
 from ancover.suites import random_construction_instance
-from oracles import is_even, lift_sign_maps, packing_cycle, replaced, run_python, two_twos_deltas
+from oracles import (
+    is_even,
+    lift_sign_maps,
+    packing_cycle,
+    random_even_permutation,
+    replaced,
+    run_python,
+    two_twos_deltas,
+)
 
 
 def cyc(n, *cycles):

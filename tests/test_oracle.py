@@ -10,8 +10,9 @@ from ancover.combinatorics import enumerate_partitions
 from ancover.classalgebra import product_counts
 from ancover.constructor import VerificationFailed
 from ancover.oracle import (
+    _cofactor_sign,
     _fixed_count,
-    _has_class,
+    _representative,
     _search,
     brute_frobenius,
     brute_product_counts,
@@ -22,16 +23,17 @@ from ancover.permutations import (
     an_class_labels,
     an_class_size,
     class_representative,
-    conjugate,
     parse_class_label,
 )
 from oracles import (
     _member,
+    conjugate,
     images_of_type,
     is_even,
     iter_class,
     orbit_classes,
     permutations_of_type,
+    reference_cycle_type,
     run_python,
     stream_frobenius,
 )
@@ -143,14 +145,62 @@ def test_pair_search_leaves_are_the_filtered_plain_leaves_in_order(n):
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_cofactor_class_test_matches_the_reference_on_all_of_s_n(n):
-    # In a pair search the cuts already give every leaf's cofactor the
-    # target type, so only a direct call reaches the type check here.
+    # The pair leaf reads only the split sign of q, or of q^-1 when
+    # inverted; the cuts have already given q the target type.  Checked on
+    # every element of each split type, and its inverse.
     split = [label for label in an_class_labels(n) if label.is_split()]
     assert split
+    checked = 0
     for h in itertools.permutations(range(1, n + 1)):
         for label in split:
             parts = label.cycle_type.parts
-            assert _has_class([0, *h], parts, label.sign) == _member(h, parts, label.sign)
+            if not _member(h, parts, None):
+                continue
+            h_inv = tuple(sorted(range(1, n + 1), key=lambda i: h[i - 1]))
+            for inverted, element in ((False, h), (True, h_inv)):
+                in_class = _cofactor_sign([0, *h], inverted) == label.sign
+                assert in_class == _member(element, parts, label.sign), (h, inverted)
+            checked += 1
+    # Each element of a split type is checked against both of its signs.
+    assert checked == 2 * sum(an_class_size(label) for label in split)
+
+
+# (fixed, enumerated) as indices into (C, D, E).
+ORIENTATIONS = list(itertools.permutations(range(3), 2))
+
+
+@pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None), (6, None), (7, 60)])
+def test_every_pair_search_leaf_has_the_third_class_type(n, sample, monkeypatch):
+    # _fixed_count's leaf reads only the split sign of q, so the cuts must
+    # give every leaf's q exactly the type of the third class: on every
+    # triple and orientation at n <= 6, and on a sample of triples at n = 7.
+    import ancover.oracle
+
+    real = ancover.oracle._search
+    targets, leaves = [], 0
+
+    def checked(parts, n, leaf, cofactor):
+        target = cofactor[2]
+        targets.append(target)
+
+        def check(p, q, word):
+            nonlocal leaves
+            assert reference_cycle_type(q[1:]).parts == target, (p, q, target)
+            leaves += 1
+            return leaf(p, q, word)
+
+        return real(parts, n, check, cofactor)
+
+    monkeypatch.setattr(ancover.oracle, "_search", checked)
+    triples = list(itertools.product(an_class_labels(n), repeat=3))
+    if sample:
+        triples = random.Random(f"leaf types {n}").sample(triples, sample)
+    for triple in triples:
+        g = _representative(triple[2])
+        for fixed, enumerated in ORIENTATIONS:
+            _fixed_count(triple, g, fixed, enumerated)
+            assert targets.pop() == triple[3 - fixed - enumerated].cycle_type.parts
+    assert leaves > 0
 
 
 def test_brute_frobenius_identity():
@@ -294,10 +344,6 @@ def test_oracle_matches_definition_level_counts(n):
                 assert bins[E] == direct, (C, D, E)
                 triples += 1
     assert triples == {5: 125, 6: 343, 7: 729}[n]
-
-
-# (fixed, enumerated) as indices into (C, D, E).
-ORIENTATIONS = list(itertools.permutations(range(3), 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
