@@ -214,22 +214,6 @@ class Prop24Report(Record):
     def all_ok(self) -> bool:
         return self.hook_sum_ok and self.cube_ok and self.mixed_ok
 
-    def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
-        return {
-            "schema": 1,
-            "n": self.n,
-            "hook_sum": frac(self.hook_sum_value),
-            "hook_sum_lt_half": self.hook_sum_ok,
-            "cube_term": [frac(self.cube_term[0]), frac(self.cube_term[1])],
-            "cube_lt_quarter": self.cube_ok,
-            "mixed_term": [frac(self.mixed_term[0]), frac(self.mixed_term[1])],
-            "mixed_lt_quarter": self.mixed_ok,
-            "asserted": self.asserted,
-        }
-
     def csv_row(self) -> str:
         def approx(u: Fraction, v: Fraction) -> float:
             return float(u) + float(v) * math.sqrt(self.n)
@@ -310,16 +294,6 @@ class AmGmReport(Record):
     ):
         self._init(n, max_product, argmax, all_bounded, part_counts_ok)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "max_product": self.max_product,
-            "argmax": self.argmax.text(),
-            "all_bounded": self.all_bounded,
-            "part_counts_ok": self.part_counts_ok,
-        }
-
 
 def amgm_report(n: int) -> AmGmReport:
     """Exhaust distinct-part partitions of n; verify the mean bound."""
@@ -383,24 +357,6 @@ class SplitDegreeReport(Record):
         binomial_half: Fraction,  # C(n-1, floor((n-1)/2)) / 2
     ):
         self._init(n, entries, min_half_degree, power_bound, binomial_half)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "min_half_degree": self.min_half_degree,
-            "power_bound": str(self.power_bound),
-            "binomial_half": str(self.binomial_half),
-            "entries": [
-                {
-                    "partition": e.partition.text(),
-                    "hooks": list(e.diagonal_hooks),
-                    "half_degree": e.half_degree,
-                    "divides": e.divides_half_factorial,
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def min_split_degree_report(n: int) -> SplitDegreeReport:

@@ -26,9 +26,11 @@ of every cell, plus, for each split constituent, one squarefree radicand
 d and the integer coefficients of sqrt(d) on its two hook classes.  It is
 built straight from MN values; :class:`AlgebraicValue` cells are derived
 on demand.  Every build runs quick checks (square shape, degrees, and
-column orthogonality across each split class pair).  Every load runs
-exact column orthogonality, which includes all three and implies row
-orthogonality for a square table.  Column sums, here and in
+column orthogonality across each split class pair).  The full check,
+:meth:`CharacterTable.verify_orthogonality`, is exact column
+orthogonality, which includes all three and implies row orthogonality
+for a square table.  Tables are written (:meth:`CharacterTable.dump`)
+but never read back.  Column sums, here and in
 :mod:`ancover.classalgebra`, come from one exact kernel,
 :meth:`CharacterTable.column_sums`.  A failed check raises
 :class:`TableCheckFailed`, also under ``python -O``.
@@ -51,7 +53,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat, zip_longest
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -68,7 +70,6 @@ from ancover.permutations import (
     an_class_labels,
     an_class_size,
     inverse_label,
-    iter_an_class_labels,
 )
 
 DEFAULT_TABLE_LIMIT = 16
@@ -329,7 +330,6 @@ class CharacterTable:
         self.columns = list(zip(*self.rows))
         self.group_order = math.factorial(n) // 2 if n >= 2 else 1
         self._class_index = {c: i for i, c in enumerate(self.classes)}
-        self._irr_index = {x: i for i, x in enumerate(self.irreducibles)}
         self.inverse_index = [self._class_index[inverse_label(c)] for c in self.classes]
         self._packed: dict[int, list[int]] = {}
 
@@ -345,9 +345,6 @@ class CharacterTable:
         """Every cell as an AlgebraicValue, derived from the integers."""
         k = len(self.classes)
         return [[self._value_at(i, j) for j in range(k)] for i in range(len(self.rows))]
-
-    def value(self, chi: IrreducibleLabel, cls: ClassLabel) -> AlgebraicValue:
-        return self._value_at(self._irr_index[chi], self._class_index[cls])
 
     def degrees(self) -> list[int]:
         identity = ClassLabel(Partition([1] * self.n))
@@ -530,96 +527,6 @@ class CharacterTable:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CharacterTable":
-        """Rebuild a table from :meth:`to_json_dict` output and validate it.
-
-        Labels and class sizes must be those of A_n, every cell must be
-        half-integral, irrational parts may only use the squarefree
-        radicand of a split row, and :meth:`verify_orthogonality` (exact
-        column orthogonality, hence row orthogonality) must pass; otherwise
-        raises ValueError.  The quick checks are not run: the shape check is
-        part of it, the sum of squared degrees is the identity column's
-        relation with itself, and each split class pair is a column pair.
-        """
-        if not isinstance(data, dict):
-            raise ValueError("not a version-1 character table file")
-        if data.get("schema") != 1 or data.get("kind") != "an-character-table":
-            raise ValueError("not a version-1 character table file")
-        n = data.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"bad degree n = {n!r}")
-        classes = _listed_class_labels(data.get("classes"), n)
-        sizes = [an_class_size(c) for c in classes]
-        irreducibles = irreducible_labels(n)
-        if data.get("class_sizes") != sizes:
-            raise ValueError(f"class sizes are not those of A_{n}")
-        if data.get("irreducibles") != [x.text() for x in irreducibles]:
-            raise ValueError(f"irreducible labels are not those of A_{n}")
-        values = data.get("values")
-        k = len(classes)
-        if not isinstance(values, list) or len(values) != k or any(
-            not isinstance(row, list) or len(row) != k for row in values
-        ):
-            raise ValueError(f"values must be a {k} x {k} array")
-        rows: list[list[int]] = []
-        surds: dict[int, tuple[int, dict[int, int]]] = {}
-        for i, row in enumerate(values):
-            chi = irreducibles[i]
-            radicand, hook = _hook_cells(chi, classes) if chi.is_split() else (1, {})
-            ints: list[int] = []
-            coefs: dict[int, int] = {}
-            for j, item in enumerate(row):
-                try:
-                    a2n, a2d, b2n, b2d, d = item
-                    a2, b2 = Fraction(a2n, a2d), Fraction(b2n, b2d)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"cell ({i}, {j}) is malformed: {item!r}") from exc
-                if a2.denominator != 1 or b2.denominator != 1:
-                    raise ValueError(f"cell ({i}, {j}) is not half-integral")
-                ints.append(int(a2))
-                if b2:
-                    if d != radicand:
-                        raise ValueError(f"cell ({i}, {j}) has radicand {d!r}, not {radicand}")
-                    coefs[j] = int(b2)
-            # The hook cells fix which constituent of a split pair is "+".
-            if not coefs.keys() <= hook.keys() or any(
-                (ints[j], coefs.get(j, 0)) != cell for j, cell in hook.items()
-            ):
-                raise ValueError(f"row {chi} has wrong values on the split hook classes")
-            if coefs:
-                surds[i] = (radicand, coefs)
-            rows.append(ints)
-        table = cls(n, classes, sizes, irreducibles, rows, surds)
-        try:
-            table.verify_orthogonality()
-        except TableCheckFailed as exc:
-            raise ValueError(f"not an exact A_{n} character table: {exc}") from exc
-        return table
-
-    @classmethod
-    def load(cls, path: str) -> "CharacterTable":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-def _listed_class_labels(texts, n: int) -> list[ClassLabel]:
-    """The A_n class labels, provided texts lists exactly their texts.
-
-    Labels are made one at a time and the first mismatch raises
-    ValueError, so a file that declares a large n is rejected without
-    enumerating the classes of A_n.
-    """
-    labels: list[ClassLabel] = []
-    if isinstance(texts, list):
-        for text, label in zip_longest(texts, iter_an_class_labels(n)):
-            if label is None or text != label.text():
-                break
-            labels.append(label)
-        else:
-            return labels
-    raise ValueError(f"class labels are not those of A_{n}")
 
 
 _TABLE_CACHE: dict[int, CharacterTable] = {}

@@ -68,7 +68,7 @@ def _emit(payload: dict, text_lines: list[str], json_out: bool) -> None:
 
 def cmd_table(args) -> int:
     table = an_character_table(args.n, limit=args.limit)
-    if args.export:
+    if args.export is not None:
         table.dump(args.export)
     degrees = sorted(table.degrees())
     payload = {
@@ -82,7 +82,7 @@ def cmd_table(args) -> int:
         payload,
         [
             f"A_{table.n}: {len(table.classes)} classes, degrees {degrees}",
-            *([f"exported to {args.export}"] if args.export else []),
+            *([f"exported to {args.export}"] if args.export is not None else []),
         ],
         args.json,
     )
@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
         _emit(payload, lines + [f"oracle agreement: {verdict}"], args.json)
         return 1 if agree is False else 0
     # The CSV is opened first, so an unwritable path fails before any work.
-    with open(args.table, "w") if args.table else nullcontext() as fh:
+    with open(args.table, "w") if args.table is not None else nullcontext() as fh:
         items = suite(**kwargs)
         if fh is not None:
             fh.write("n,hook_sum,cube_term,mixed_term\n")

@@ -206,10 +206,6 @@ class FrobeniusSymbol(Record):
     def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]):
         self._init(arms, legs)
 
-    @property
-    def m(self) -> int:
-        return len(self.arms)
-
     def diagonal_hooks(self) -> tuple[int, ...]:
         return tuple(a + l + 1 for a, l in zip(self.arms, self.legs))
 
@@ -279,10 +275,6 @@ class TypedSubpartition(Record):
             raise ValueError(f"parts {parts.text()} do not match kind {int(kind)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "parts", parts)
-
-    @property
-    def size(self) -> int:
-        return self.parts.n
 
 
 # Frozen, so every lone fixed point of a decomposition can share them.

@@ -110,9 +110,6 @@ class Interval(Record):
     def length(self) -> int:
         return 1 + self.b - self.a
 
-    def points(self) -> range:
-        return range(self.a, self.b + 1)
-
 
 class PackingPlan(Record):
     """Right-justified subintervals of a host interval [1, host_length].

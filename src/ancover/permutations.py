@@ -22,7 +22,7 @@ this convention is what anchors the irrational character values in
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ancover.combinatorics import (
     MAX_PART_SUM,
@@ -75,10 +75,6 @@ class Permutation(Record):
         p = object.__new__(cls)
         object.__setattr__(p, "images", _bijection(tuple(images)))
         return p
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls._from_ints(range(1, n + 1))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
@@ -287,21 +283,17 @@ def parse_class_label(text: str) -> ClassLabel:
     return ClassLabel(p, sign if sign else None)
 
 
-def iter_an_class_labels(n: int) -> Iterator[ClassLabel]:
-    """All A_n class labels, in a fixed deterministic order, one at a time."""
+def an_class_labels(n: int) -> list[ClassLabel]:
+    """All A_n class labels, in a fixed deterministic order."""
+    labels: list[ClassLabel] = []
     for p in enumerate_partitions(n):
         if not p.is_even_type():
             continue
         if splits_in_an(p):
-            yield ClassLabel(p, "+")
-            yield ClassLabel(p, "-")
+            labels += (ClassLabel(p, "+"), ClassLabel(p, "-"))
         else:
-            yield ClassLabel(p)
-
-
-def an_class_labels(n: int) -> list[ClassLabel]:
-    """All A_n class labels, in a fixed deterministic order."""
-    return list(iter_an_class_labels(n))
+            labels.append(ClassLabel(p))
+    return labels
 
 
 def class_representative(label: ClassLabel) -> Permutation:

@@ -74,15 +74,16 @@ constituents sums to the restriction of its S_n character, read from the
 package's MN columns; a failure raises the package's
 :class:`~ancover.characters.TableCheckFailed`, also under ``python -O``.
 
-:func:`an_degree`, :func:`surd_le`, :func:`abs_value_le_surd`,
-:func:`labels_of_type`, :func:`is_covered_by`, :func:`is_real_in_an`,
-:func:`packing_cycle`, :func:`is_even`, :func:`E_fraction`,
-:func:`support`, :func:`conjugate`, :func:`kappa`,
-:func:`random_permutation` and :func:`random_even_permutation` are small
-statements about degrees, surd bounds, coverage by a cycle type,
-reality, packing words, parity, the exact E of an orbit-size profile,
-moved points, conjugation, cycles of length 3 mod 4 and seeded random
-permutations; only tests call them.
+:func:`cell`, :func:`an_degree`, :func:`surd_le`,
+:func:`abs_value_le_surd`, :func:`labels_of_type`, :func:`is_covered_by`,
+:func:`is_real_in_an`, :func:`packing_cycle`, :func:`identity`,
+:func:`is_even`, :func:`E_fraction`, :func:`support`, :func:`conjugate`,
+:func:`kappa`, :func:`random_permutation` and
+:func:`random_even_permutation` are small statements about table cells,
+degrees, surd bounds, coverage by a cycle type, reality, packing words,
+the identity, parity, the exact E of an orbit-size profile, moved points,
+conjugation, cycles of length 3 mod 4 and seeded random permutations;
+only tests call them.
 
 :func:`run_python` runs the interpreter in a subprocess on the package
 the tests imported, wherever that lives.
@@ -533,6 +534,11 @@ def two_twos_deltas(lam: Partition, seed: int) -> tuple[Permutation, Permutation
     return found[None], found[None]
 
 
+def cell(table: CharacterTable, chi: IrreducibleLabel, cls: ClassLabel) -> AlgebraicValue:
+    """The value of chi on cls, read from ``table.values``."""
+    return table.values[table.irreducibles.index(chi)][table.class_index(cls)]
+
+
 def an_degree(chi: IrreducibleLabel) -> int:
     d = degree(chi.partition)
     return d // 2 if chi.is_split() else d
@@ -638,8 +644,8 @@ def verify_split_pair_sums(table: CharacterTable) -> None:
     """Each split pair of table must sum to the restricted parent character."""
     pairs = [
         (
-            table._irr_index[chi],
-            table._irr_index[IrreducibleLabel(chi.partition, "-")],
+            table.irreducibles.index(chi),
+            table.irreducibles.index(IrreducibleLabel(chi.partition, "-")),
             _abacus(chi.partition.parts, table.n),
             chi,
         )
@@ -695,6 +701,10 @@ def is_real_in_an(g: Permutation) -> bool:
 def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
     """The host-length cycle of :func:`~ancover.constructor.packing_word`."""
     return Permutation.from_cycles(plan.host_length, [packing_word(plan, sequences)])
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(range(1, n + 1))
 
 
 def is_even(g: Permutation) -> bool:

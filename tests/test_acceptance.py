@@ -24,7 +24,7 @@ from ancover.permutations import (
     class_representative,
     kappa_of_type,
 )
-from oracles import abs_value_le_surd, an_orbit, verify_split_pair_sums
+from oracles import abs_value_le_surd, an_orbit, cell, verify_split_pair_sums
 
 
 def _report(name: str, items) -> None:
@@ -142,7 +142,7 @@ def test_criterion_7_character_table_integrity():
     galois = AlgebraicValue(Fraction(1, 2), Fraction(-1, 2), 5)
     chi = IrreducibleLabel(Partition((3, 1, 1)), "+")
     vals = {
-        t5.value(chi, ClassLabel(Partition((5,)), s)) for s in "+-"
+        cell(t5, chi, ClassLabel(Partition((5,)), s)) for s in "+-"
     }
     items.append(
         (
@@ -168,14 +168,14 @@ def test_criterion_9_asymptotic_substitutes():
     bound_ok = True
     for n in range(3, 14):
         table = an_character_table(n)
-        split_classes = [c for c in table.classes if c.is_split()]
-        for chi in table.irreducibles:
+        split_columns = [j for j, c in enumerate(table.classes) if c.is_split()]
+        for chi, row in zip(table.irreducibles, table.values):
             if not chi.is_split():
                 continue
             hooks = frobenius_symbol(chi.partition).diagonal_hooks()
             bound = [(Fraction(1, 2), 1), (Fraction(1, 2), math.prod(hooks))]
-            for cls in split_classes:
-                if not abs_value_le_surd(table.value(chi, cls), bound):
+            for j in split_columns:
+                if not abs_value_le_surd(row[j], bound):
                     bound_ok = False
     items.append(
         (

@@ -17,7 +17,14 @@ from ancover.bounds import (
 from ancover.characters import AlgebraicValue
 from ancover.combinatorics import LimitExceeded, Partition, enumerate_distinct_partitions
 from ancover.permutations import Permutation
-from oracles import E_fraction, abs_value_le_surd, random_permutation, run_python, surd_le
+from oracles import (
+    E_fraction,
+    abs_value_le_surd,
+    identity,
+    random_permutation,
+    run_python,
+    surd_le,
+)
 
 
 def test_surd_sign_exact_cases():
@@ -62,7 +69,7 @@ def test_hook_bound_values():
 
 
 def test_e_profile_extremes():
-    prof = e_profile(Permutation.identity(6))
+    prof = e_profile(identity(6))
     assert prof.counts == (6, 6, 6, 6, 6, 6)
     assert E_fraction(prof) == 1
     prof = e_profile(Permutation.from_cycles(7, [tuple(range(1, 8))]))

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from ancover.permutations import ClassLabel
 from oracles import (
     an_degree,
     broken_orthogonality,
+    cell,
     mn_cellwise,
     reference_column_sums,
     run_python,
@@ -127,7 +127,7 @@ def test_trivial_character_is_one():
     table = an_character_table(6)
     triv = IrreducibleLabel(Partition((6,)))
     for cls in table.classes:
-        assert table.value(triv, cls) == AlgebraicValue(1)
+        assert cell(table, triv, cls) == AlgebraicValue(1)
 
 
 def test_a5_split_values():
@@ -135,18 +135,18 @@ def test_a5_split_values():
     chi = IrreducibleLabel(Partition((3, 1, 1)), "+")
     plus = ClassLabel(Partition((5,)), "+")
     minus = ClassLabel(Partition((5,)), "-")
-    assert table.value(chi, plus) == AlgebraicValue(Fraction(1, 2), Fraction(1, 2), 5)
-    assert table.value(chi, minus) == AlgebraicValue(Fraction(1, 2), Fraction(-1, 2), 5)
+    assert cell(table, chi, plus) == AlgebraicValue(Fraction(1, 2), Fraction(1, 2), 5)
+    assert cell(table, chi, minus) == AlgebraicValue(Fraction(1, 2), Fraction(-1, 2), 5)
     other = ClassLabel(Partition((3, 1, 1)))
     (parent,) = mn_values([Partition((3, 1, 1))], Partition((3, 1, 1)))
-    assert table.value(chi, other) == AlgebraicValue(Fraction(parent, 2))
+    assert cell(table, chi, other) == AlgebraicValue(Fraction(parent, 2))
 
 
 def test_complex_split_values_at_n7():
     # (4,1,1,1) is self-conjugate with hook 7; eps = -1 gives complex values.
     chi = IrreducibleLabel(Partition((4, 1, 1, 1)), "+")
     plus = ClassLabel(Partition((7,)), "+")
-    v = an_character_table(7).value(chi, plus)
+    v = cell(an_character_table(7), chi, plus)
     assert v.d == -7 and v.a == Fraction(-1, 2)
 
 
@@ -206,22 +206,6 @@ def test_table_limit():
         an_character_table(17)
 
 
-def test_export_import_round_trip(tmp_path):
-    t = an_character_table(7)
-    path = tmp_path / "a7.json"
-    t.dump(str(path))
-    loaded = CharacterTable.load(str(path))
-    assert loaded.n == t.n
-    assert loaded.classes == t.classes
-    assert loaded.irreducibles == t.irreducibles
-    assert loaded.class_sizes == t.class_sizes
-    assert loaded.values == t.values
-    # byte-exact round trip through a second dump
-    path2 = tmp_path / "a7b.json"
-    loaded.dump(str(path2))
-    assert path.read_bytes() == path2.read_bytes()
-
-
 def test_irreducible_label_parsing():
     assert IrreducibleLabel(Partition.from_text("3,1,1"), "+").text() == "3,1,1:+"
     assert IrreducibleLabel(Partition.from_text("4,1")).text() == "4,1"
@@ -233,9 +217,8 @@ def test_irreducible_label_parsing():
 
 def test_all_labels_have_values():
     t = an_character_table(8)
-    for chi in t.irreducibles:
-        for cls in t.classes:
-            v = t.value(chi, cls)
+    for row in t.values:
+        for cls, v in zip(t.classes, row):
             assert v.b == 0 or cls.is_split()
 
 
@@ -331,85 +314,6 @@ def test_orthogonality_check_agrees_with_the_reference_on_edited_tables(n):
         else:
             assert not broken, f"broken {sorted(broken)} relation accepted"
     assert caught > 0
-
-
-def test_load_rejects_every_single_cell_edit():
-    data = an_character_table(7).to_json_dict()
-    text = json.dumps(data)
-    CharacterTable.from_json_dict(json.loads(text))  # the unedited file loads
-    k = len(data["classes"])
-    for i in range(k):
-        for j in range(k):
-            edited = json.loads(text)
-            edited["values"][i][j][0] += 1
-            with pytest.raises(ValueError):
-                CharacterTable.from_json_dict(edited)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: d["classes"].reverse(),
-        lambda d: d["class_sizes"].__setitem__(0, 2),
-        lambda d: d["irreducibles"].pop(),
-        lambda d: d["values"].pop(),
-        lambda d: d["values"][0][0].__setitem__(1, 3),  # not half-integral
-        lambda d: d["values"][0][0].__setitem__(1, 0),
-        lambda d: d["values"][0].__setitem__(0, "x"),
-        lambda d: d.__setitem__("n", "7"),
-        # Documents that are not objects, in place of the whole file.
-        [1, 2],
-        [],
-        "x",
-        None,
-        3,
-    ],
-)
-def test_load_rejects_malformed_files(edit, tmp_path):
-    data = an_character_table(7).to_json_dict()
-    if callable(edit):
-        edit(data)
-    else:
-        data = edit
-    with pytest.raises(ValueError):
-        CharacterTable.from_json_dict(data)
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
-        CharacterTable.load(str(path))
-
-
-def test_load_rejects_large_declared_degree_quickly():
-    # The class labels are compared one at a time, so a file declaring a
-    # large n is rejected without enumerating the classes of A_n.
-    data = {"schema": 1, "kind": "an-character-table", "n": 45, "classes": []}
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="class labels"):
-        CharacterTable.from_json_dict(data)
-    assert time.perf_counter() - start < 0.5
-
-
-def test_load_rejects_wrong_radicands():
-    data = an_character_table(5).to_json_dict()
-    cell = next(c for row in data["values"] for c in row if c[2])
-    cell[4] *= 4  # sqrt(4d) is 2*sqrt(d): same value, radicand not squarefree
-    with pytest.raises(ValueError, match="radicand"):
-        CharacterTable.from_json_dict(data)
-    data = an_character_table(5).to_json_dict()
-    data["values"][0][0][2] = 2  # the trivial character is rational
-    with pytest.raises(ValueError):
-        CharacterTable.from_json_dict(data)
-
-
-def test_load_rejects_swapped_split_constituents():
-    # Swapping the rows of a split pair keeps orthogonality but breaks the
-    # convention that the "+" constituent takes +sqrt on the "+" class.
-    data = an_character_table(5).to_json_dict()
-    i = data["irreducibles"].index("3,1,1:+")
-    j = data["irreducibles"].index("3,1,1:-")
-    data["values"][i], data["values"][j] = data["values"][j], data["values"][i]
-    with pytest.raises(ValueError, match="split hook classes"):
-        CharacterTable.from_json_dict(data)
 
 
 # -- packed column sums -------------------------------------------------------

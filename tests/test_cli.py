@@ -1,13 +1,15 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ancover.characters import CharacterTable, an_character_table
+from ancover.characters import an_character_table
 from ancover.cli import _parse_ns, build_parser, main
 from ancover.combinatorics import LimitExceeded
 from ancover.permutations import parse_permutation
 from ancover.suites import SUITES
+from test_characters import TABLE_DIGESTS
 
 
 def run(capsys, *argv):
@@ -63,11 +65,14 @@ def test_covers_command(capsys):
 
 
 def test_table_command_and_limit(capsys, tmp_path):
-    path = tmp_path / "a6.json"
-    code, out, _ = run(capsys, "table", "6", "--export", str(path))
-    assert code == 0 and "A_6" in out
-    loaded = CharacterTable.load(str(path))
-    assert loaded.values == an_character_table(6).values
+    # The export is the sorted JSON of the table and a newline, and the
+    # JSON is the one the table digests pin.
+    path = tmp_path / "a10.json"
+    code, out, _ = run(capsys, "table", "10", "--export", str(path))
+    assert code == 0 and "A_10" in out
+    text = json.dumps(an_character_table(10).to_json_dict(), sort_keys=True)
+    assert path.read_text() == text + "\n"
+    assert hashlib.sha256(path.read_bytes()[:-1]).hexdigest() == TABLE_DIGESTS[10]
     code, _, err = run(capsys, "table", "17")
     assert code == 2 and "limit" in err
 
@@ -261,6 +266,9 @@ def test_ncycles_nonpositive_budget_exits_2(capsys, budget):
     [
         ["table", "5", "--export", "{missing}/a5.json"],
         ["verify", "bounds", "--trials", "1", "--table", "{missing}/clauses.csv"],
+        # An empty path is a path that cannot be opened, not a missing option.
+        ["table", "5", "--export", ""],
+        ["verify", "bounds", "--trials", "1", "--table", ""],
     ],
 )
 def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):

@@ -198,7 +198,7 @@ def test_phi_replacement_rule():
             except ValueError:
                 continue
             image = phi(piece)
-            fillers = piece.size - image.n
+            fillers = piece.parts.n - image.n
             rebuilt = sorted(image.parts + (1,) * fillers, reverse=True)
             expected = []
             for m in parts:

@@ -35,6 +35,7 @@ from ancover.permutations import (
 )
 from ancover.suites import random_construction_instance
 from oracles import (
+    identity,
     is_even,
     lift_sign_maps,
     packing_cycle,
@@ -200,7 +201,7 @@ def test_packing_cycle_lemma_product():
         delta = packing_cycle(plan, seqs)
         host_cycle = cyc(host, tuple(range(1, host + 1)))
         lhs = host_cycle * delta
-        rhs = Permutation.identity(host)
+        rhs = identity(host)
         for iv, seq in zip(plan.subintervals, seqs):
             beta = cyc(host, tuple(range(iv.a, iv.b + 1))) * cyc(host, seq.terms)
             rhs = rhs * beta
@@ -238,7 +239,7 @@ def test_rebuild_hypothesis_errors():
         rebuild(gamma, delta, x, 7)  # product moves 7
     assert exc.value.clause == "c"
     fixed_by_delta = gamma  # any permutation fixing nothing won't trigger (a)
-    ident = Permutation.identity(12)
+    ident = identity(12)
     with pytest.raises(HypothesisViolated) as exc:
         rebuild(gamma, ident, 1, 2)
     assert exc.value.clause == "a"
@@ -354,10 +355,13 @@ def test_bogus_witness_fails_verification_under_optimize():
     # Identity permutations pass no invariant; the check must not vanish
     # under python -O the way an assert would.
     code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "from ancover.combinatorics import Partition\n"
         "from ancover.constructor import VerificationFailed, WitnessPair\n"
-        "from ancover.permutations import ClassLabel, Permutation\n"
-        "e = Permutation.identity(9)\n"
+        "from ancover.permutations import ClassLabel\n"
+        "from oracles import identity\n"
+        "e = identity(9)\n"
         "label = ClassLabel(Partition([1] * 9))\n"
         "pair = WitnessPair(Partition((5, 3, 1)), Partition((3, 3, 1, 1, 1)),\n"
         "                   e, e, e, label, label, (), (), ())\n"
@@ -501,7 +505,7 @@ def test_cover_with_ncycles_rejects_bad_input():
     with pytest.raises(ValueError):
         cover_with_ncycles(cyc(6, (1, 2, 3)), parse_class_label("5:+"), parse_class_label("5:-"))
     with pytest.raises(ValueError):
-        cover_with_ncycles(Permutation.identity(7), parse_class_label("7:+"), parse_class_label("7:+"))
+        cover_with_ncycles(identity(7), parse_class_label("7:+"), parse_class_label("7:+"))
 
 
 def test_lift_sign_rule_matches_explicit_lifts():
@@ -559,7 +563,7 @@ def _random_even_on(points, n, rng):
             a, b = points[0], points[1]
             images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
             g = Permutation(images)
-        if g != Permutation.identity(n):
+        if g != identity(n):
             return g
 
 

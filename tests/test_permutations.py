@@ -24,6 +24,7 @@ from ancover.permutations import (
 from oracles import (
     an_orbit,
     conjugate,
+    identity,
     is_even,
     is_real_in_an,
     iter_class,
@@ -43,12 +44,12 @@ from oracles import (
 
 def test_group_operations():
     g = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
-    assert g * g.inverse() == Permutation.identity(5)
+    assert g * g.inverse() == identity(5)
     assert (g * g)(1) == 3
     h = Permutation.from_cycles(5, [(1, 2)])
     assert (g * h)(1) == g(2)
     with pytest.raises(DegreeMismatch):
-        g * Permutation.identity(4)
+        g * identity(4)
 
 
 def test_parity_and_fix_count():
@@ -64,7 +65,7 @@ def test_parity_and_fix_count():
 
 
 def test_cycle_type():
-    assert cycle_type(Permutation.identity(5)) == Partition([1] * 5)
+    assert cycle_type(identity(5)) == Partition([1] * 5)
     assert cycle_type(Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])) == Partition((5,))
     g = Permutation.from_cycles(10, [(1, 2, 3), (4, 5), (6, 7)])
     assert cycle_type(g) == Partition((3, 2, 2, 1, 1, 1))
@@ -94,7 +95,7 @@ def test_parsing_and_formatting():
 
 
 def test_class_representative_examples():
-    assert class_representative(ClassLabel(Partition([1] * 4))) == Permutation.identity(4)
+    assert class_representative(ClassLabel(Partition([1] * 4))) == identity(4)
     rep = class_representative(ClassLabel(Partition((5,)), "+"))
     assert rep.images == (2, 3, 4, 5, 1)
     rep_m = class_representative(ClassLabel(Partition((5,)), "-"))
