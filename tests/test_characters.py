@@ -19,7 +19,7 @@ from ancover.characters import (
     mn_values,
 )
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
-from ancover.permutations import ClassLabel
+from ancover.permutations import ClassLabel, parse_class_label
 
 from oracles import (
     an_degree,
@@ -204,6 +204,28 @@ def test_split_degree_halves():
 def test_table_limit():
     with pytest.raises(LimitExceeded):
         an_character_table(17)
+
+
+def test_export_import_round_trip(tmp_path):
+    # Read the A_7 export back by hand: labels through their parsers, cells
+    # [2a, 1, 2b, 1, d] as a + b*sqrt(d). Everything the table holds comes back.
+    t = an_character_table(7)
+    path = tmp_path / "a7.json"
+    t.dump(str(path))
+    data = json.loads(path.read_text())
+    assert data["n"] == t.n
+    assert [parse_class_label(s) for s in data["classes"]] == t.classes
+    assert [x.text() for x in t.irreducibles] == data["irreducibles"]
+    assert tuple(data["class_sizes"]) == tuple(t.class_sizes)
+    loaded = [
+        [AlgebraicValue(Fraction(a2, a2d) / 2, Fraction(b2, b2d) / 2, d) for a2, a2d, b2, b2d, d in row]
+        for row in data["values"]
+    ]
+    assert loaded == [list(row) for row in t.values]
+    # byte-exact round trip through a second dump
+    path2 = tmp_path / "a7b.json"
+    t.dump(str(path2))
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_irreducible_label_parsing():
