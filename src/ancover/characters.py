@@ -1,13 +1,15 @@
 """Exact irreducible character values of S_n and A_n.
 
-Values of S_n characters come from the Murnaghan-Nakayama rule, a whole
-column at a time: the column of a cycle type mu holds chi_lam(mu) for
-every lam of n, keyed by the beta set of lam on an n-bead abacus (a
-bitmask).  It is the column of mu without its largest part r, with every
-r-rim hook added: a hook is one bead moved from b to an empty b + r,
-signed by the parity of the beads strictly between.  Types that share a
-suffix share its column; suffix columns live only while one build or one
-:func:`mn_values` call runs, and nothing is cached at module level.
+Values of S_n characters come from the Murnaghan-Nakayama rule, taken
+only at the partitions asked for (one per A_n irreducible in a table
+build), each its beta set on an n-bead abacus (a bitmask).  chi_lam(mu)
+is the signed sum of the column of mu without its largest part r at lam
+less each r-rim hook: one bead moved from b + r to an empty b, signed by
+the parity of the beads strictly between, listed once per part size.
+That column holds every partition of n - r and extends its own suffix's
+column by adding rim hooks.  Types that share a suffix share its column;
+suffix columns live only while one build or one :func:`mn_values` call
+runs, and nothing is cached at module level.
 
 A_n irreducibles are restrictions: one per transpose-pair of partitions,
 and a pair of constituents for each self-conjugate partition.  Each
@@ -53,9 +55,9 @@ import math
 import struct
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, repeat
+from operator import mul, sub
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from ancover.combinatorics import (
     LimitExceeded,
@@ -163,35 +165,62 @@ def _add_rim_hooks(column: dict[int, int], r: int) -> dict[int, int]:
     return {mask: value for mask, value in out.items() if value}
 
 
-def _mn_columns(
-    n: int, types: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """(mu, {_abacus(lam, n): chi_lam(mu)}) for every cycle type mu of n in
-    types (parts in descending order), with the zero values left out.
+def _removed_rim_hooks(masks: Sequence[int], r: int) -> tuple[list[int], list[int], list[int]]:
+    """(removed, signs, cuts): masks[i] less each of its r-rim hooks, with
+    the hook's sign, at [cuts[i]:cuts[i + 1]]."""
+    removed, signs, cuts = [], [], [0]
+    between = (1 << (r - 1)) - 1
+    for mask in masks:
+        movable = mask & ~(mask << r) >> r << r
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            removed.append(mask ^ bit ^ (bit >> r))
+            odd = ((mask >> (bit.bit_length() - r)) & between).bit_count() & 1
+            signs.append(-1 if odd else 1)
+        cuts.append(len(removed))
+    return removed, signs, cuts
 
-    Each mu has its largest part removed first, so its column extends the
-    column of its suffix mu[1:].  Types are visited in the order of their
-    reversed parts, which makes the types sharing a suffix consecutive:
-    every suffix column is computed once and kept only while a later type
-    still extends it.
+
+def _mn_rows(
+    n: int, masks: Sequence[int], types: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(mu, [chi_lam(mu) for each mask]) for every nonempty cycle type mu of
+    n in types (parts in descending order), each lam given by _abacus(lam, n).
+
+    The value at lam is the signed sum of the column of mu without its
+    largest part r at lam less each r-rim hook.  That column tops a stack
+    of suffix columns.  Types are visited in the order of their reversed
+    parts, so types sharing a suffix are consecutive: every suffix column
+    is computed once and kept only while a later type still extends it.
     """
+    types = sorted(types, key=lambda t: t[::-1])
+    hooks = {r: _removed_rim_hooks(masks, r) for r in {mu[0] for mu in types}}
     stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {_abacus((), n): 1})]
-    for mu in sorted(types, key=lambda t: t[::-1]):
-        rev = mu[::-1]
-        while stack[-1][0] != rev[: len(stack[-1][0])]:
+    for mu in types:
+        r, rest = mu[0], mu[:0:-1]  # the other parts, smallest first
+        while stack[-1][0] != rest[: len(stack[-1][0])]:
             stack.pop()
-        for k in range(len(stack[-1][0]), len(rev)):
-            stack.append((rev[: k + 1], _add_rim_hooks(stack[-1][1], rev[k])))
-        yield mu, stack[-1][1]
+        for k in range(len(stack[-1][0]), len(rest)):
+            stack.append((rest[: k + 1], _add_rim_hooks(stack[-1][1], rest[k])))
+        removed, signs, cuts = hooks[r]
+        # Each mask's value is the difference of the running sums at its cuts.
+        get = stack[-1][1].get
+        sums = list(accumulate(map(mul, map(get, removed, repeat(0)), signs), initial=0))
+        at_cuts = [sums[c] for c in cuts]
+        yield mu, list(map(sub, at_cuts[1:], at_cuts))
 
 
 def mn_values(lams: Sequence[Partition], mu: Partition) -> list[int]:
-    """Exact S_n character values chi_lam(mu) for each lam, from one column."""
+    """Exact S_n character values chi_lam(mu) for each lam."""
     for lam in lams:
         if lam.n != mu.n:
             raise ValueError(f"|lam| = {lam.n} but |mu| = {mu.n}")
-    ((_, column),) = _mn_columns(mu.n, [tuple(sorted(mu.parts, reverse=True))])
-    return [column.get(_abacus(lam.parts, mu.n), 0) for lam in lams]
+    if not mu.parts:
+        return [1] * len(lams)
+    masks = [_abacus(lam.parts, mu.n) for lam in lams]
+    ((_, values),) = _mn_rows(mu.n, masks, [tuple(sorted(mu.parts, reverse=True))])
+    return values
 
 
 def degree(lam: Partition) -> int:
@@ -523,10 +552,10 @@ class CharacterTable:
             "values": values,
         }
 
-    def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
+    def dump(self, fh: TextIO) -> None:
+        """Write the sorted JSON of :meth:`to_json_dict` and a newline."""
+        json.dump(self.to_json_dict(), fh, sort_keys=True)
+        fh.write("\n")
 
 
 _TABLE_CACHE: dict[int, CharacterTable] = {}
@@ -558,10 +587,7 @@ def _integer_rows(
     # A split constituent is half its parent off the hook classes.
     scales = [1 if chi.is_split() else 2 for chi in irreducibles]
     types = [c.cycle_type.parts for c in classes]
-    columns = {
-        mu: [s * column.get(m, 0) for m, s in zip(masks, scales)]
-        for mu, column in _mn_columns(n, set(types))
-    }
+    columns = {mu: list(map(mul, scales, values)) for mu, values in _mn_rows(n, masks, set(types))}
     rows = [list(row) for row in zip(*(columns[t] for t in types))]
     surds: dict[int, tuple[int, dict[int, int]]] = {}
     for i, chi in enumerate(irreducibles):
@@ -576,12 +602,17 @@ def _integer_rows(
     return rows, surds
 
 
-def an_character_table(n: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> CharacterTable:
-    """Build (and cache) the exact A_n character table."""
+def check_table_limit(n: int, limit: int) -> None:
+    """Raise ValueError unless an_character_table(n, limit=limit) may build."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n > limit:
         raise LimitExceeded(f"n = {n} exceeds table limit {limit}")
+
+
+def an_character_table(n: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> CharacterTable:
+    """Build (and cache) the exact A_n character table."""
+    check_table_limit(n, limit)
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached

@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from ancover.bounds import prop24_certificate
-from ancover.characters import DEFAULT_TABLE_LIMIT, an_character_table
+from ancover.characters import DEFAULT_TABLE_LIMIT, an_character_table, check_table_limit
 from ancover.classalgebra import covering_number, covers, frobenius_count
 from ancover.combinatorics import MAX_PART_SUM, Partition
 from ancover.constructor import (
@@ -67,9 +67,12 @@ def _emit(payload: dict, text_lines: list[str], json_out: bool) -> None:
 
 
 def cmd_table(args) -> int:
-    table = an_character_table(args.n, limit=args.limit)
-    if args.export is not None:
-        table.dump(args.export)
+    # A refused n leaves PATH alone; an unwritable PATH fails before the build.
+    check_table_limit(args.n, args.limit)
+    with open(args.export, "w") if args.export is not None else nullcontext() as fh:
+        table = an_character_table(args.n, limit=args.limit)
+        if fh is not None:
+            table.dump(fh)
     degrees = sorted(table.degrees())
     payload = {
         "schema": 1,

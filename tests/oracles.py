@@ -70,9 +70,10 @@ The package reads many-target sums from packed rows instead; the tests
 check the two on every table up to n = 12 and at the slot-width edge.
 
 :func:`verify_split_pair_sums` checks that each split pair of a table's
-constituents sums to the restriction of its S_n character, read from the
-package's MN columns; a failure raises the package's
-:class:`~ancover.characters.TableCheckFailed`, also under ``python -O``.
+constituents sums to the restriction of its S_n character, read through
+the public :func:`~ancover.characters.mn_values`; a failure raises the
+package's :class:`~ancover.characters.TableCheckFailed`, also under
+``python -O``.
 
 :func:`cell`, :func:`an_degree`, :func:`surd_le`,
 :func:`abs_value_le_surd`, :func:`labels_of_type`, :func:`is_covered_by`,
@@ -118,10 +119,9 @@ from ancover.characters import (
     IrreducibleLabel,
     TableCheckFailed,
     Weights,
-    _abacus,
-    _mn_columns,
     an_character_table,
     degree,
+    mn_values,
 )
 from ancover.classalgebra import frobenius_count
 from ancover.constructor import PackingPlan, ValidSequence, packing_word
@@ -646,7 +646,6 @@ def verify_split_pair_sums(table: CharacterTable) -> None:
         (
             table.irreducibles.index(chi),
             table.irreducibles.index(IrreducibleLabel(chi.partition, "-")),
-            _abacus(chi.partition.parts, table.n),
             chi,
         )
         for chi in table.irreducibles
@@ -655,15 +654,15 @@ def verify_split_pair_sums(table: CharacterTable) -> None:
     by_type: dict[tuple[int, ...], list[int]] = {}
     for j, cls in enumerate(table.classes):
         by_type.setdefault(cls.cycle_type.parts, []).append(j)
-    for mu, column in _mn_columns(table.n, by_type):
-        for p, m, mask, chi in pairs:
-            parent = 2 * column.get(mask, 0)
+    for mu, js in by_type.items():
+        parents = mn_values([chi.partition for _, _, chi in pairs], Partition(mu))
+        for (p, m, chi), parent in zip(pairs, parents):
             dp, cp = table.surds.get(p, (1, {}))
             dm, cm = table.surds.get(m, (1, {}))
-            for j in by_type[mu]:
+            for j in js:
                 bp, bm = cp.get(j, 0), cm.get(j, 0)
                 surds_cancel = bp == -bm and (bp == 0 or dp == dm)
-                if table.rows[p][j] + table.rows[m][j] != parent or not surds_cancel:
+                if table.rows[p][j] + table.rows[m][j] != 2 * parent or not surds_cancel:
                     raise TableCheckFailed(
                         f"split pair sum fails for {chi.partition.text()} at {table.classes[j]}"
                     )

@@ -103,6 +103,23 @@ def test_mn_transpose_sign_twist():
         assert twisted == sign * value
 
 
+def test_mn_matches_cellwise_past_n_14():
+    # A table build evaluates only the larger lam of each transpose pair;
+    # mn_values is checked on sampled cells past the exhaustive range, each
+    # lam with its transpose, on even and odd types alike.
+    rng = random.Random(22)
+    parities = set()
+    for n in range(15, 19):
+        lams = list(enumerate_partitions(n))
+        for mu in rng.sample(lams, 8):
+            parities.add(mu.is_even_type())
+            sample = [lam for lam in rng.sample(lams, 5) if transpose(lam) != lam]
+            pairs = [x for lam in sample for x in (lam, transpose(lam))]
+            expected = [mn_cellwise(lam.parts, mu.parts) for lam in pairs]
+            assert mn_values(pairs, mu) == expected, mu
+    assert parities == {True, False}
+
+
 def test_degree():
     assert degree(Partition((7,))) == 1
     assert degree(Partition((3, 1, 1))) == 6
@@ -176,7 +193,9 @@ def test_exact_checks_past_the_default_limit(n):
 
 
 # sha256 of json.dumps(an_character_table(n).to_json_dict(), sort_keys=True),
-# as built by the per-cell recursion before the column-wise rule replaced it.
+# as built by the per-cell recursion before the column-wise rule replaced it
+# (A_10..A_16), and by the column-wise rule before the build took hook
+# removals at the irreducibles only (A_17..A_20).
 TABLE_DIGESTS = {
     10: "eec523bb0ed61a869a88e95093cb9194c11af53e7b6621f19eae9de4dd4839c0",
     11: "37acf215f45bb24c26bff803ea0752c101ef975e5cf5cc16eb15fcd91354c563",
@@ -185,12 +204,16 @@ TABLE_DIGESTS = {
     14: "ec671fa09555b3fb9c407b8425b9099ee998f05431d6e703f53823f0fcb78d20",
     15: "c7ed599d76b8c156d2679e33ccb6702913068d32d3e9bdaa00d9da2f97eb1231",
     16: "ba681d7b153b4438b52d8b041caaacbe37c746cde2ed02c00f46b43f9f8fbefc",
+    17: "5a095f156e5818a6c83389b5f3e16ac6259926af03c5633a4f4f83d87be630e6",
+    18: "ce732fe876358d82c170b38d247313ac5a69d8fae273797e7bcac67274272c75",
+    19: "60777f44823cf80f9fe4b3915cb6ac4e736494476580c9f6e03ec58c01a8c54d",
+    20: "78103b15bb44d44efeb131f091e629f91eaa3ee257dd838ac42ed511f2c3ac27",
 }
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
 def test_table_digests_are_pinned(n):
-    text = json.dumps(an_character_table(n).to_json_dict(), sort_keys=True)
+    text = json.dumps(an_character_table(n, limit=n).to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
@@ -211,7 +234,8 @@ def test_export_import_round_trip(tmp_path):
     # [2a, 1, 2b, 1, d] as a + b*sqrt(d). Everything the table holds comes back.
     t = an_character_table(7)
     path = tmp_path / "a7.json"
-    t.dump(str(path))
+    with open(path, "w") as fh:
+        t.dump(fh)
     data = json.loads(path.read_text())
     assert data["n"] == t.n
     assert [parse_class_label(s) for s in data["classes"]] == t.classes
@@ -224,7 +248,8 @@ def test_export_import_round_trip(tmp_path):
     assert loaded == [list(row) for row in t.values]
     # byte-exact round trip through a second dump
     path2 = tmp_path / "a7b.json"
-    t.dump(str(path2))
+    with open(path2, "w") as fh:
+        t.dump(fh)
     assert path.read_bytes() == path2.read_bytes()
 
 

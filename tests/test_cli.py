@@ -77,6 +77,27 @@ def test_table_command_and_limit(capsys, tmp_path):
     assert code == 2 and "limit" in err
 
 
+def test_table_export_path_is_checked_before_the_build(capsys, monkeypatch, tmp_path):
+    # An unwritable PATH fails before any build; an n that --limit refuses
+    # neither creates nor truncates PATH.
+    import ancover.cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(ancover.cli, "an_character_table", no_table)
+    missing = f"{tmp_path / 'missing'}/x.json"
+    code, out, err = run(capsys, "table", "22", "--limit", "22", "--export", missing)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    for path in (kept, tmp_path / "new.json"):
+        code, out, err = run(capsys, "table", "17", "--export", str(path))
+        assert code == 2 and out == "" and "limit" in err
+    assert kept.read_text() == "kept\n" and not (tmp_path / "new.json").exists()
+
+
 def test_witness_command(capsys):
     code, out, _ = run(capsys, "witness", "25,11,7", "9,1x34", "--json")
     assert code == 0
