@@ -7,9 +7,9 @@ is the signed sum of the column of mu without its largest part r at lam
 less each r-rim hook: one bead moved from b + r to an empty b, signed by
 the parity of the beads strictly between, listed once per part size.
 That column holds every partition of n - r and extends its own suffix's
-column by adding rim hooks.  Types that share a suffix share its column;
-suffix columns live only while one build or one :func:`mn_values` call
-runs, and nothing is cached at module level.
+column by adding rim hooks.  Types that share a suffix share its column
+for one build or one :func:`mn_values` call.  Tables are built for
+2 <= n <= ``TABLE_LIMIT`` and kept in one module-level cache keyed by n.
 
 A_n irreducibles are restrictions: one per transpose-pair of partitions,
 and a pair of constituents for each self-conjugate partition.  Each
@@ -74,7 +74,7 @@ from ancover.permutations import (
     inverse_label,
 )
 
-DEFAULT_TABLE_LIMIT = 16
+TABLE_LIMIT = 24
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -602,17 +602,18 @@ def _integer_rows(
     return rows, surds
 
 
-def check_table_limit(n: int, limit: int) -> None:
-    """Raise ValueError unless an_character_table(n, limit=limit) may build."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n > limit:
-        raise LimitExceeded(f"n = {n} exceeds table limit {limit}")
+def check_table_limit(*ns: int) -> None:
+    """Raise ValueError at the first n that an_character_table refuses."""
+    for n in ns:
+        if n < 2:
+            raise ValueError("need n >= 2")
+        if n > TABLE_LIMIT:
+            raise LimitExceeded(f"n = {n} exceeds table limit {TABLE_LIMIT}")
 
 
-def an_character_table(n: int, *, limit: int = DEFAULT_TABLE_LIMIT) -> CharacterTable:
+def an_character_table(n: int) -> CharacterTable:
     """Build (and cache) the exact A_n character table."""
-    check_table_limit(n, limit)
+    check_table_limit(n)
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached

@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from ancover.bounds import prop24_certificate
-from ancover.characters import DEFAULT_TABLE_LIMIT, an_character_table, check_table_limit
+from ancover.characters import an_character_table, check_table_limit
 from ancover.classalgebra import covering_number, covers, frobenius_count
 from ancover.combinatorics import MAX_PART_SUM, Partition
 from ancover.constructor import (
@@ -68,9 +68,9 @@ def _emit(payload: dict, text_lines: list[str], json_out: bool) -> None:
 
 def cmd_table(args) -> int:
     # A refused n leaves PATH alone; an unwritable PATH fails before the build.
-    check_table_limit(args.n, args.limit)
+    check_table_limit(args.n)
     with open(args.export, "w") if args.export is not None else nullcontext() as fh:
-        table = an_character_table(args.n, limit=args.limit)
+        table = an_character_table(args.n)
         if fh is not None:
             table.dump(fh)
     degrees = sorted(table.degrees())
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="build an A_n character table")
     p.add_argument("n", type=int)
     p.add_argument("--export", metavar="PATH")
-    p.add_argument("--limit", type=int, default=DEFAULT_TABLE_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_table)
 

@@ -23,7 +23,7 @@ from ancover.bounds import (
     prop24_certificate,
     prop24_monotone_decreasing,
 )
-from ancover.characters import CharacterTable, an_character_table, hook_size, mn_values
+from ancover.characters import CharacterTable, an_character_table, check_table_limit, hook_size, mn_values
 from ancover.classalgebra import covering_number, covers, product_counts
 from ancover.combinatorics import Partition, enumerate_partitions
 from ancover.constructor import construct_witnesses
@@ -38,13 +38,14 @@ def ncycle_pairs(n: int) -> list[tuple[ClassLabel, ClassLabel]]:
 
 
 def _odd_degrees(ns, least: int, suite: str) -> list[int]:
-    """ns in increasing order; ValueError unless every n is odd and at
-    least least, so that a suite refuses a degree before it builds any
-    table."""
+    """ns in increasing order; ValueError unless every n is odd, at least
+    least and within the table limit, so that a suite refuses a degree
+    before it builds any table."""
     ns = sorted(ns)
     bad = [n for n in ns if n % 2 == 0 or n < least]
     if bad:
         raise ValueError(f"{suite} needs odd n >= {least}, got n = {bad[0]}")
+    check_table_limit(*ns)
     return ns
 
 
@@ -257,6 +258,7 @@ def split_coverage_report(ns=tuple(range(8, 17))) -> tuple[list[str], bool | Non
     nontrivial class (report only); brute force must agree at n <= 9.
     The verdict is None when brute force compared nothing: no n <= 9 was
     given, or none of them has a split type (only n = 2 has none)."""
+    check_table_limit(*sorted(ns))  # before any table is built
     lines: list[str] = []
     checked = mismatched = 0
     for n in sorted(ns):

@@ -185,17 +185,18 @@ def test_orthogonality_and_split_sums_small():
         verify_split_pair_sums(t)
 
 
-@pytest.mark.parametrize("n", range(14, 19))
+@pytest.mark.parametrize("n", range(14, 23))
 def test_exact_checks_past_the_default_limit(n):
-    t = an_character_table(n, limit=n)
+    t = an_character_table(n)
     t.verify_orthogonality()
     verify_split_pair_sums(t)
 
 
 # sha256 of json.dumps(an_character_table(n).to_json_dict(), sort_keys=True),
 # as built by the per-cell recursion before the column-wise rule replaced it
-# (A_10..A_16), and by the column-wise rule before the build took hook
-# removals at the irreducibles only (A_17..A_20).
+# (A_10..A_16), by the column-wise rule before the build took hook
+# removals at the irreducibles only (A_17..A_20), and by the hook-removal
+# build before the table limit rose from 16 to 24 (A_21..A_24).
 TABLE_DIGESTS = {
     10: "eec523bb0ed61a869a88e95093cb9194c11af53e7b6621f19eae9de4dd4839c0",
     11: "37acf215f45bb24c26bff803ea0752c101ef975e5cf5cc16eb15fcd91354c563",
@@ -208,12 +209,16 @@ TABLE_DIGESTS = {
     18: "ce732fe876358d82c170b38d247313ac5a69d8fae273797e7bcac67274272c75",
     19: "60777f44823cf80f9fe4b3915cb6ac4e736494476580c9f6e03ec58c01a8c54d",
     20: "78103b15bb44d44efeb131f091e629f91eaa3ee257dd838ac42ed511f2c3ac27",
+    21: "8853b1769e19f259f50a00ef8c166d33d4cadd7a72e116183d3c3d1160c39ca4",
+    22: "98e806bca2cfa49ebc3e4e709fac4ba190491df7bb08e1609841248a414f88f8",
+    23: "5bf256fd2e33efb489134c4c1ca90dfbb34105690fda912e4ea0997ea194c34a",
+    24: "c2cc876ed9e09199afbc8498c49c0b5d9851b88268c85ea922bc6896602bb190",
 }
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
 def test_table_digests_are_pinned(n):
-    text = json.dumps(an_character_table(n, limit=n).to_json_dict(), sort_keys=True)
+    text = json.dumps(an_character_table(n).to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
@@ -226,7 +231,7 @@ def test_split_degree_halves():
 
 def test_table_limit():
     with pytest.raises(LimitExceeded):
-        an_character_table(17)
+        an_character_table(25)
 
 
 def test_export_import_round_trip(tmp_path):

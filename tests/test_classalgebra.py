@@ -375,7 +375,7 @@ def test_changed_surd_coefficients_raise_under_python_O():
 
 def test_cubes_at_n18_match_the_dot_product_reference(monkeypatch):
     # At A_18 the cube weights need slots of more than one 64-bit word.
-    table = an_character_table(18, limit=18)
+    table = an_character_table(18)
     table.verify_orthogonality()
     rng = random.Random(18)
     classes = [table.classes[0], table.classes[-2]] + rng.sample(table.classes[1:-2], 3)

@@ -55,6 +55,12 @@ def test_cn_command(capsys):
     assert json.loads(out)["cn"] == 3
 
 
+def test_cn_command_past_a_16(capsys):
+    # 23 = 3 (mod 4), so the 23-cycle classes have covering number 3.
+    code, out, err = run(capsys, "cn", "23", "23:+")
+    assert (code, out, err) == (0, "3\n", "")
+
+
 def test_covers_command(capsys):
     code, out, _ = run(capsys, "covers", "5", "5:+", "5:+")
     assert code == 0
@@ -73,12 +79,16 @@ def test_table_command_and_limit(capsys, tmp_path):
     text = json.dumps(an_character_table(10).to_json_dict(), sort_keys=True)
     assert path.read_text() == text + "\n"
     assert hashlib.sha256(path.read_bytes()[:-1]).hexdigest() == TABLE_DIGESTS[10]
-    code, _, err = run(capsys, "table", "17")
+    code, _, err = run(capsys, "table", "25")
     assert code == 2 and "limit" in err
+    # The limit is fixed: --limit is no option, so argparse exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "10", "--limit", "10"])
+    assert exc.value.code == 2 and "--limit" in capsys.readouterr().err
 
 
 def test_table_export_path_is_checked_before_the_build(capsys, monkeypatch, tmp_path):
-    # An unwritable PATH fails before any build; an n that --limit refuses
+    # An unwritable PATH fails before any build; an n above the table limit
     # neither creates nor truncates PATH.
     import ancover.cli
 
@@ -87,13 +97,13 @@ def test_table_export_path_is_checked_before_the_build(capsys, monkeypatch, tmp_
 
     monkeypatch.setattr(ancover.cli, "an_character_table", no_table)
     missing = f"{tmp_path / 'missing'}/x.json"
-    code, out, err = run(capsys, "table", "22", "--limit", "22", "--export", missing)
+    code, out, err = run(capsys, "table", "22", "--export", missing)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     kept = tmp_path / "kept.json"
     kept.write_text("kept\n")
     for path in (kept, tmp_path / "new.json"):
-        code, out, err = run(capsys, "table", "17", "--export", str(path))
+        code, out, err = run(capsys, "table", "25", "--export", str(path))
         assert code == 2 and out == "" and "limit" in err
     assert kept.read_text() == "kept\n" and not (tmp_path / "new.json").exists()
 
@@ -270,8 +280,8 @@ def test_ncycles_command(capsys):
     code, out, _ = run(capsys, "ncycles", "9", "2 1 4 3 5 6 7 8 9", "9:+", "9:-", "--json")
     data = json.loads(out)
     assert data["g"] == "(1,2)(3,4)"
-    code, _, err = run(capsys, "ncycles", "5", "(1,2)(3,4)", "5:+", "5:+")
-    assert code == 1 and "not in" in err
+    code, out, err = run(capsys, "ncycles", "5", "(1,2)(3,4)", "5:+", "5:+")
+    assert (code, out, err) == (1, "", "error: 2,2,1 is not in 5:+ * 5:+\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -325,6 +335,38 @@ def test_verify_degree_outside_the_suite_range_exits_2(capsys, monkeypatch, suit
     code, out, err = run(capsys, "verify", suite, "--n", n)
     assert code == 2 and out == ""
     assert err == f"error: {suite} needs odd n >= {least}, got n = {n}\n"
+
+
+def test_verify_degree_above_the_table_limit_exits_2_before_any_build(capsys, monkeypatch):
+    import ancover.suites
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(ancover.suites, "an_character_table", no_table)
+    for suite, ns in [
+        ("gleason", "7,9,25"),
+        ("ancn", "5,25"),
+        ("prop24", "5,25"),
+        ("split-coverage-report", "8-25"),
+    ]:
+        code, out, err = run(capsys, "verify", suite, "--n", ns)
+        assert (code, out, err) == (2, "", "error: n = 25 exceeds table limit 24\n"), suite
+
+
+def test_verify_ncycle_suites_at_odd_n_from_15_to_23(capsys):
+    # The paper's n-cycle claims past A_16: Gleason's covering, covering
+    # number 2 exactly when n = 1 (mod 4), and Proposition 2.4's cover of
+    # the classes with at most one fixed point.
+    cn = {15: 3, 17: 2, 19: 3, 21: 2, 23: 3}
+    expected = {
+        "gleason": [f"PASS gleason n={n}: all nontrivial classes hit" for n in cn],
+        "ancn": [f"PASS ancn n={n}: cn = [{c}], expected {c}" for n, c in cn.items()],
+        "prop24": [f"PASS prop24 n={n}: matches the known exception set" for n in cn],
+    }
+    for suite, lines in expected.items():
+        code, out, _ = run(capsys, "verify", suite, "--n", "15,17,19,21,23")
+        assert (code, out.splitlines()) == (0, lines), suite
 
 
 def test_bounds_suite_with_csv(capsys, tmp_path):

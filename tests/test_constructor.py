@@ -501,6 +501,38 @@ def test_cover_with_ncycles_beyond_table_limit():
     assert an_class_of(c) == C and an_class_of(d) == C
 
 
+def test_dense_call_asks_the_kernel_once(monkeypatch):
+    # With no fixed point the residue is g itself (r = 0), so one exact
+    # count decides whether C * D reaches g.
+    import ancover.classalgebra
+
+    calls = []
+    count = ancover.classalgebra.frobenius_count
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(ancover.classalgebra, "frobenius_count", counting)
+    g = cyc(9, (1, 2, 3), (4, 5, 6), (7, 8, 9))
+    c, d = cover_with_ncycles(g, parse_class_label("9:+"), parse_class_label("9:-"), seed=2)
+    assert c * d == g and len(calls) == 1
+
+
+def test_dense_call_past_a_16_builds_no_table(monkeypatch):
+    import ancover.classalgebra
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("asked for a table")
+
+    monkeypatch.setattr(ancover.classalgebra, "an_character_table", no_table)
+    for n in (17, 19, 21, 23):
+        g = cyc(n, tuple(range(1, n + 1)))
+        C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
+        c, d = cover_with_ncycles(g, C, D, seed=n)
+        assert c * d == g and an_class_of(c) == C and an_class_of(d) == D
+
+
 def test_cover_with_ncycles_rejects_bad_input():
     with pytest.raises(ValueError):
         cover_with_ncycles(cyc(6, (1, 2, 3)), parse_class_label("5:+"), parse_class_label("5:-"))
