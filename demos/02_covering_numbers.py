@@ -2,11 +2,12 @@
 
 cn(C) is the least k with C^k equal to the whole group. For a split
 class, cn(C) = 2 exactly when the class is real (kappa even) and its
-square also catches every nontrivial class; the script tabulates both
-ingredients next to the computed covering number.
+square also catches every nontrivial class; the script reads both
+ingredients from one call for the square's counts N_2(g) at every class g
+and tabulates them next to the computed covering number.
 """
 
-from ancover import Partition, an_character_table, covering_number, covers, frobenius_count
+from ancover import Partition, an_character_table, covering_number, power_counts
 from ancover.permutations import ClassLabel
 from ancover.permutations import kappa_of_type
 
@@ -17,8 +18,9 @@ for n in range(5, 11):
         if not C.is_split():
             continue
         kap = kappa_of_type(C.cycle_type)
-        real = frobenius_count(C, C, identity, table=table) > 0
-        total = covers(C, C, table=table).covered
+        square = power_counts(C, 2, table=table)
+        real = square[identity] > 0
+        total = all(count for g, count in square.items() if g != identity)
         cn = covering_number(C, table=table)
         print(
             f"n={n:2d} {C.text():12s} kappa={kap} real={'y' if real else 'n'} "

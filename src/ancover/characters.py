@@ -37,15 +37,16 @@ but never read back.  Column sums, here and in
 :meth:`CharacterTable.column_sums`.  A failed check raises
 :class:`TableCheckFailed`, also under ``python -O``.
 
-A call that asks for many target columns is one exact matrix-vector
-product on packed rows: row i is the single int
-sum_j rows[i][j] * 2^(W j), with W a multiple of 64 bits, and the column
-sums are the W-bit slots of sum_i w_i * row_i.  W is the least width
-with sum|w| * max|cell| < 2^(W - 1); every slot then lies strictly
-between -2^(W - 1) and 2^(W - 1), and adding 2^(W - 1) to each makes
-them the borrow-free words of one nonnegative int.  Packed rows are
-built on the first such call for a width and kept on the table (widths
-up to three words), never during a build or the quick checks.
+The kernel takes its weights factored: the columns whose values are
+multiplied and a power of |G|/chi(1).  A call that asks for many target
+columns is one exact matrix-vector product on packed rows: row i is the
+single int sum_j rows[i][j] * 2^(W j), with W a multiple of 64 bits, and
+the column sums are the W-bit slots of sum_i w_i * row_i.  W is the least
+width with sum_i |w_i| * max_j |rows[i][j]| < 2^(W - 1); every slot then
+lies strictly between -2^(W - 1) and 2^(W - 1), and adding 2^(W - 1) to
+each makes them the borrow-free words of one nonnegative int.  Packed
+rows are built on the first such call for a width and kept on the table
+(widths up to three words), never during a build or the quick checks.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import json
 import math
 import struct
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -67,12 +68,7 @@ from ancover.combinatorics import (
     frobenius_symbol,
     transpose,
 )
-from ancover.permutations import (
-    ClassLabel,
-    an_class_labels,
-    an_class_size,
-    inverse_label,
-)
+from ancover.permutations import ClassLabel, an_class_size, an_labels_of_type, inverse_label
 
 TABLE_LIMIT = 24
 
@@ -247,6 +243,13 @@ def hook_size(lam: Partition) -> int | None:
 # A_n irreducibles
 
 
+def _transpose_mask(mask: int, n: int) -> int:
+    """The n-bead abacus of the transposed partition: the complement of
+    mask in 2n positions, read backwards.  Of two partitions of n, the
+    larger mask is the lexicographically larger partition."""
+    return int(format(mask ^ ((1 << 2 * n) - 1), f"0{2 * n}b")[::-1], 2)
+
+
 class IrreducibleLabel(Record):
     """A_n irreducible: a partition, signed when it is self-conjugate."""
 
@@ -255,7 +258,9 @@ class IrreducibleLabel(Record):
     def __init__(self, partition: Partition, sign: str | None = None):
         if sign not in (None, "+", "-"):
             raise ValueError(f"bad sign {sign!r}")
-        self_conj = partition.n >= 2 and transpose(partition) == partition
+        n = partition.n
+        mask = _abacus(partition.parts, n)
+        self_conj = n >= 2 and _transpose_mask(mask, n) == mask
         if (sign is not None) != self_conj:
             raise ValueError(
                 f"partition {partition.text()} "
@@ -278,17 +283,23 @@ class IrreducibleLabel(Record):
         return self.text()
 
 
-def irreducible_labels(n: int) -> list[IrreducibleLabel]:
-    """A_n irreducible labels: one per transpose pair, two per self-conjugate."""
-    labels: list[IrreducibleLabel] = []
+def _labels(n: int) -> tuple[list[ClassLabel], list[IrreducibleLabel], list[int]]:
+    """The classes and the irreducibles of A_n (n >= 2) in table order, and
+    the abacus mask of each irreducible's partition, from one walk over the
+    partitions of n: an irreducible per transpose pair, at its larger mask,
+    and two per self-conjugate partition."""
+    classes: list[ClassLabel] = []
+    irreducibles: list[IrreducibleLabel] = []
+    masks: list[int] = []
     for p in enumerate_partitions(n):
-        t = transpose(p)
-        if p == t and n >= 2:
-            labels.append(IrreducibleLabel(p, "+"))
-            labels.append(IrreducibleLabel(p, "-"))
-        elif p.parts >= t.parts:
-            labels.append(IrreducibleLabel(p))
-    return labels
+        classes += an_labels_of_type(p)
+        mask = _abacus(p.parts, n)
+        transposed = _transpose_mask(mask, n)
+        if mask >= transposed:
+            signs = ("+", "-") if mask == transposed else (None,)
+            irreducibles += [IrreducibleLabel(p, s) for s in signs]
+            masks += [mask] * len(signs)
+    return classes, irreducibles, masks
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +315,9 @@ def _slot_ones(words: int, k: int) -> int:
     return int.from_bytes((b"\x01" + bytes(8 * words - 1)) * k, "little")
 
 
-def _read_slots(total: int, words: int, k: int, targets: Sequence[int]) -> list[int]:
-    """The signed slots s_t of total = sum_j s_j * 2^(64 * words * j) at each
-    target t, given |s_j| < 2^(64 * words - 1) for all k slots.
+def _read_slots(total: int, words: int, k: int) -> list[int]:
+    """The signed slots s_j of total = sum_j s_j * 2^(64 * words * j), given
+    |s_j| < 2^(64 * words - 1) for all k slots.
 
     Adding 2^(64 * words - 1) to every slot makes each one a nonnegative
     number below 2^(64 * words), so the slots are the words of the sum,
@@ -319,12 +330,7 @@ def _read_slots(total: int, words: int, k: int, targets: Sequence[int]) -> list[
     else:
         chunks = struct.unpack(f"{8 * words}s" * k, data)
         slots = list(map(int.from_bytes, chunks, repeat("little")))
-    return [slots[t] - half for t in targets]
-
-
-# Weights of a column sum: w_chi = rational[i] + surd[i] * sqrt(d_i), with
-# surd holding only the split rows where it is nonzero.
-Weights = tuple[Sequence[int], dict[int, int]]
+    return list(map(sub, slots, repeat(half)))
 
 
 class CharacterTable:
@@ -361,6 +367,10 @@ class CharacterTable:
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         self.inverse_index = [self._class_index[inverse_label(c)] for c in self.classes]
         self._packed: dict[int, list[int]] = {}
+        self._hook_rows: dict[int, list[int]] = {}  # split rows with a sqrt(d) part at column j
+        for i, (_, coefs) in surds.items():
+            for j in coefs:
+                self._hook_rows.setdefault(j, []).append(i)
 
     def class_index(self, cls: ClassLabel) -> int:
         return self._class_index[cls]
@@ -385,67 +395,102 @@ class CharacterTable:
         """|G| / chi(1) for every row; an integer, since chi(1) divides |G|."""
         return [self.group_order // d for d in self.degrees()]
 
+    def _plain_weights(self, factors: Sequence[int], power: int) -> Iterable[int]:
+        """prod_c rows[i][c] * (|G|/chi_i(1))^power for every row i, lazily:
+        the weights of :meth:`column_sums` less the sqrt(d) parts of the
+        factors, so exact on every row but the split rows."""
+        seqs = [self.columns[c] for c in factors] + [self.order_over_degree] * power
+        return reduce(partial(map, mul), seqs)
+
+    def _split_weight(
+        self, i: int, factors: Sequence[int], power: int, conjugate: bool
+    ) -> tuple[int, int, int]:
+        """(w0, w1, w0 - plain weight) on split row i, with w = w0 + w1 sqrt(d)
+        the product of the factors in Z[sqrt(d)]."""
+        d, coefs = self.surds[i]
+        row, flip = self.rows[i], -1 if conjugate and d < 0 else 1
+        a, b, plain = 1, 0, 1
+        for c in factors:
+            x0, x1 = row[c], flip * coefs.get(c, 0)
+            a, b, plain = a * x0 + b * x1 * d, a * x1 + b * x0, plain * x0
+        scale = self.order_over_degree[i] ** power if power else 1
+        return a * scale, b * scale, (a - plain) * scale
+
     def column_sums(
-        self, weights: Weights, targets: Sequence[int]
+        self, factors: Sequence[int], power: int, targets: Sequence[int], conjugate: bool = False
     ) -> tuple[list[int], dict[int, list[int]]]:
         """sum_chi w_chi * 2chi(t) for each target column t, exactly: the
         rational parts, and the sqrt(d) coefficients (one per target) of
         each radicand d that fails to cancel somewhere.  Raises nothing.
 
+        The weights come factored: w_chi is the product of 2chi(c) over the
+        columns c of factors (a column may repeat), complex conjugated if
+        conjugate is set, times (|G|/chi(1))^power.  Each factor is an
+        integer off the split rows; on a split row the weight is formed in
+        Z[sqrt(d)] (:meth:`_split_weight`), and only where a factor or a
+        target has a sqrt(d) part.
+
         With k columns and at least k/4 targets (and more than two) the
-        dense sums come from packed rows: one big-int mul-add per nonzero
-        weight for the rational sums and one per split row on its
-        radicand's accumulator, after which the target slots are read back
-        (see :func:`_read_slots`).  The slots are wide enough for the bound
-        sum|w| * max|cell|, so every read is exact.  Fewer targets take one
-        k-term dot product each.  Measured at A_12..A_20, the packed
-        product overtakes the dot products at between k/12 and k/3
-        targets for weights of one or two 64-bit words (orthogonality and
-        pair weights) and at k/4 to k/2 for cubes; every product_counts
-        and power_counts call asks for all k, and the tail of
-        :meth:`verify_orthogonality` and the one- and two-column checks
-        ask for fewer.  Cells of 2^63 or more, which no A_n table below
-        n = 34 has, also take the dot products.
+        weights are formed as a list and the sums come from packed rows:
+        one big-int mul-add per nonzero weight for the rational sums and
+        one per split row on its radicand's accumulator, after which the
+        slots are read back (see :func:`_read_slots`).  Fewer targets take
+        one lazy k-term product each, the target column being one more
+        factor, and then correct the split rows.  Measured at A_12..A_20,
+        the packed product overtakes the dot products at between k/12 and
+        k/3 targets for weights of one or two 64-bit words (orthogonality
+        and pair weights) and at k/4 to k/2 for cubes; every product_counts
+        and power_counts call asks for all k, and frobenius_count, the
+        tail of :meth:`verify_orthogonality` and the one- and two-column
+        checks ask for fewer.  Cells of 2^63 or more, which no A_n table
+        below n = 34 has, also take the dot products.
         """
-        rational, surd = weights
         k = len(self.rows)
-        if len(targets) <= 2 or 4 * len(targets) < k or self._max_cell >> 63:
-            cols = self.columns
-            sums = [sum(map(mul, rational, cols[t])) for t in targets]
+        if len(targets) <= 2 or 4 * len(targets) < k or max(self._row_max) >> 63:
+            # The target column is one more factor of the lazy product.
+            sums = [sum(self._plain_weights((*factors, t), power)) for t in targets]
+            touched = {i for c in (*factors, *targets) for i in self._hook_rows.get(c, ())}
+            if not touched:
+                return sums, {}
             residues: dict[int, list[int]] = {}
-            for i, (d, _) in self.surds.items():
+            for i, (d, coefs) in self.surds.items():
                 res = residues.setdefault(d, [0] * len(targets))
-                w1 = surd.get(i, 0)
-                if w1:
-                    row = self.rows[i]
-                    res[:] = [r + w1 * row[t] for r, t in zip(res, targets)]
-        else:
-            bound = max(sum(map(abs, rational)), sum(map(abs, surd.values())))
-            words = (bound * self._max_cell).bit_length() // 64 + 1
-            packed = self._packed_rows(words)
-            total = sum([w * p for w, p in zip(rational, packed) if w])
-            sums = _read_slots(total, words, k, targets)
-            accumulators: dict[int, int] = {}
-            for i, (d, _) in self.surds.items():
-                accumulators[d] = accumulators.get(d, 0) + surd.get(i, 0) * packed[i]
-            residues = {
-                d: _read_slots(acc, words, k, targets) if acc else [0] * len(targets)
-                for d, acc in accumulators.items()
-            }
-        position = {t: p for p, t in enumerate(targets)}
+                if i not in touched:
+                    continue
+                a, b, gap = self._split_weight(i, factors, power, conjugate)
+                row = self.rows[i]
+                for p, t in enumerate(targets):
+                    z0, z1 = row[t], coefs.get(t, 0)
+                    sums[p] += gap * z0 + b * z1 * d
+                    res[p] += a * z1 + b * z0
+            return sums, {d: res for d, res in residues.items() if any(res)}
+        rational = list(self._plain_weights(factors, power))
+        surd = {}
+        for i in {i for c in factors for i in self._hook_rows.get(c, ())}:
+            rational[i], surd[i], _ = self._split_weight(i, factors, power, conjugate)
+        m = self._row_max
+        bound = max(sum(map(mul, map(abs, rational), m)), sum(abs(w) * m[i] for i, w in surd.items()))
+        words = bound.bit_length() // 64 + 1
+        packed = self._packed_rows(words)
+        sums = _read_slots(sum([w * p for w, p in zip(rational, packed) if w]), words, k)
+        accumulators: dict[int, int] = {}
+        for i, (d, _) in self.surds.items():
+            accumulators[d] = accumulators.get(d, 0) + surd.get(i, 0) * packed[i]
+        residues = {
+            d: _read_slots(acc, words, k) if acc else [0] * k for d, acc in accumulators.items()
+        }
         for i, (d, coefs) in self.surds.items():
-            w0, w1 = rational[i], surd.get(i, 0)
-            res = residues[d]
+            a, b, res = rational[i], surd.get(i, 0), residues[d]
             for j, z1 in coefs.items():
-                p = position.get(j)
-                if p is not None:
-                    sums[p] += w1 * z1 * d
-                    res[p] += w0 * z1
-        return sums, {d: res for d, res in residues.items() if any(res)}
+                sums[j] += b * z1 * d
+                res[j] += a * z1
+        picked = {d: list(map(res.__getitem__, targets)) for d, res in residues.items() if any(res)}
+        return list(map(sums.__getitem__, targets)), {d: r for d, r in picked.items() if any(r)}
 
     @cached_property
-    def _max_cell(self) -> int:
-        return max(max(max(row), -min(row)) for row in self.rows)
+    def _row_max(self) -> list[int]:
+        """max_j |rows[i][j]| for every row i: the packed slots' width bound."""
+        return [max(max(row), -min(row)) for row in self.rows]
 
     def _packed_rows(self, words: int) -> list[int]:
         """Each row as one int, sum_j rows[i][j] * 2^(64 * words * j).
@@ -483,11 +528,7 @@ class CharacterTable:
         """Exact column orthogonality of column i against each target:
         4 * sum_chi conj(chi(i)) chi(t) must be 4|G|/|class i| for t = i
         and 0 otherwise."""
-        conj = {}
-        for r, (d, coefs) in self.surds.items():
-            if i in coefs:
-                conj[r] = -coefs[i] if d < 0 else coefs[i]
-        sums, residues = self.column_sums((self.columns[i], conj), targets)
+        sums, residues = self.column_sums((i,), 0, targets, conjugate=True)
         for p, (j, total) in enumerate(zip(targets, sums)):
             bad = {d: res[p] for d, res in residues.items() if res[p]}
             if bad:
@@ -579,11 +620,10 @@ def _hook_cells(
 
 
 def _integer_rows(
-    n: int, classes: list[ClassLabel], irreducibles: list[IrreducibleLabel]
+    n: int, classes: list[ClassLabel], irreducibles: list[IrreducibleLabel], masks: list[int]
 ) -> tuple[list[list[int]], dict[int, tuple[int, dict[int, int]]]]:
     """Rows and surds of the A_n table, read from one MN column per even
-    cycle type."""
-    masks = [_abacus(chi.partition.parts, n) for chi in irreducibles]
+    cycle type; masks[i] is the abacus of irreducibles[i]."""
     # A split constituent is half its parent off the hook classes.
     scales = [1 if chi.is_split() else 2 for chi in irreducibles]
     types = [c.cycle_type.parts for c in classes]
@@ -617,10 +657,9 @@ def an_character_table(n: int) -> CharacterTable:
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
-    classes = an_class_labels(n)
+    classes, irreducibles, masks = _labels(n)
     sizes = [an_class_size(c) for c in classes]
-    irreducibles = irreducible_labels(n)
-    rows, surds = _integer_rows(n, classes, irreducibles)
+    rows, surds = _integer_rows(n, classes, irreducibles, masks)
     table = CharacterTable(n, classes, sizes, irreducibles, rows, surds)
     table._quick_checks()
     _TABLE_CACHE[n] = table

@@ -9,27 +9,29 @@ the number of m-tuples from C with product g:
     N_m(g)     = |C|^m/|G| * sum_chi chi(C)^m chi(g^-1) / chi(1)^(m-1)
 
 (the m-fold formula; Arad & Herzog (eds.), *Products of Conjugacy Classes
-in Groups*, LNM 1112).  :func:`product_counts` and :func:`power_counts`
-weigh each character once, by chi(C) chi(D) |G|/chi(1) or by
-chi(C)^m (|G|/chi(1))^(m-1), and then take the integer column sums at
-every target class in one packed product.  The sums come from
+in Groups*, LNM 1112).  Every count is one call of
 :meth:`CharacterTable.column_sums`, the exact kernel that the table's own
-orthogonality checks also use.  Weights
-and sums live in Z[sqrt(d)] for the radicand d of each split constituent;
-the sqrt(d) parts must cancel in every sum, and every count must come out
-a nonnegative integer.  Otherwise :class:`IrrationalResidue` is raised:
-nothing is rounded.
-:func:`frobenius_count` is the same sum for one target, and
-:func:`covering_number` the least m with every N_m(g) > 0.
+orthogonality checks also use, with the weights described, not formed:
+the factor columns (C, D) or C m times, and the power 1 or m - 1 of
+|G|/chi(1).  The kernel forms them, in Z[sqrt(d)] on the split rows; the
+sqrt(d) parts must cancel in every sum, and every count must come out a
+nonnegative integer.  Otherwise :class:`IrrationalResidue` is raised:
+nothing is rounded.  :func:`product_counts` and :func:`power_counts` ask
+for every target class, one packed product; :func:`frobenius_count` asks
+for one, a lazy dot product with no weight list.  :func:`covers` and
+:func:`covering_number` read the counts as a list in table order, and
+the last is the least m with every N_m(g) > 0.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import floordiv, mod, mul
 from typing import Callable
 
-from ancover.characters import CharacterTable, Weights, an_character_table
+from ancover.characters import CharacterTable, an_character_table
 from ancover.combinatorics import Partition, Record
 from ancover.permutations import ClassLabel
 
@@ -44,62 +46,33 @@ class NotGenerating(RuntimeError):
     """No power of the class up to the limit covers the whole group."""
 
 
-def _pair_weights(table: CharacterTable, ci: int, di: int) -> Weights:
-    """w_chi = 2chi(C) * 2chi(D) * |G|/chi(1)."""
-    q = table.order_over_degree
-    x, y = table.columns[ci], table.columns[di]
-    rational = list(map(mul, map(mul, x, y), q))
-    surd: dict[int, int] = {}
-    for i, (d, coefs) in table.surds.items():
-        x1, y1 = coefs.get(ci, 0), coefs.get(di, 0)
-        if x1 or y1:
-            rational[i] += x1 * y1 * d * q[i]
-            surd[i] = (x[i] * y1 + x1 * y[i]) * q[i]
-    return rational, surd
-
-
-def _power_weights(table: CharacterTable, ci: int, m: int) -> Weights:
-    """w_chi = (2chi(C))^m * (|G|/chi(1))^(m-1)."""
-    q = table.order_over_degree
-    x = table.columns[ci]
-    rational = [v**m * w ** (m - 1) for v, w in zip(x, q)]
-    surd: dict[int, int] = {}
-    for i, (d, coefs) in table.surds.items():
-        x1 = coefs.get(ci, 0)
-        if x1:
-            a, b = 1, 0
-            for _ in range(m):
-                a, b = a * x[i] + b * x1 * d, a * x1 + b * x[i]
-            scale = q[i] ** (m - 1)
-            rational[i], surd[i] = a * scale, b * scale
-    return rational, surd
-
-
-# The text naming a question in an error message, built only on the error.
-What = Callable[[], str]
-
-
-def _class_sums(
-    table: CharacterTable, weights: Weights, targets: list[int], what: What
+def _counts(
+    table: CharacterTable, factors: tuple[int, ...], what: Callable[[], str], at: int | None = None
 ) -> list[int]:
-    """The exact sums of :meth:`CharacterTable.column_sums`; raises
-    IrrationalResidue unless the sqrt(d) parts cancel for every radicand d
-    and every target."""
-    sums, residues = table.column_sums(weights, targets)
+    """The number of m-tuples (c_1, ..., c_m) with c_i in class factors[i]
+    whose product is a fixed element of E, for every class E in table
+    order, or of class at only.  Raises IrrationalResidue unless the
+    sqrt(d) parts cancel and every count is a nonnegative integer; what()
+    names the question in the message, built only on the error."""
+    m = len(factors)
+    targets = table.inverse_index if at is None else [table.inverse_index[at]]
+    sums, residues = table.column_sums(factors, m - 1, targets)
     if residues:
         bad = {d: [c for c in res if c] for d, res in residues.items()}
         raise IrrationalResidue(f"irrational residue {bad} for {what()}")
-    return sums
-
-
-def _exact_count(numerator: int, denominator: int, what: What, target: ClassLabel | None = None) -> int:
-    count, rest = divmod(numerator, denominator)
-    if rest or count < 0:
-        where = what() if target is None else f"{what()} -> {target}"
+    scale = math.prod([table.class_sizes[c] for c in factors])
+    den = 2 ** (m + 1) * table.group_order**m
+    # scale * s / den is an integer exactly when den / g divides s, with
+    # g = gcd(scale, den); g is scale when every class size divides |G|.
+    g = math.gcd(scale, den)
+    step = den // g
+    if min(sums) < 0 or any(map(mod, sums, repeat(step))):
+        p = next(p for p, s in enumerate(sums) if s < 0 or s % step)
+        where = what() if at is not None else f"{what()} -> {table.classes[p]}"
         raise IrrationalResidue(
-            f"count {Fraction(numerator, denominator)} for {where} is not a nonnegative integer"
+            f"count {Fraction(scale * sums[p], den)} for {where} is not a nonnegative integer"
         )
-    return count
+    return list(map(mul, map(floordiv, sums, repeat(step)), repeat(scale // g)))
 
 
 def _table_for(labels: tuple[ClassLabel, ...], table: CharacterTable | None) -> CharacterTable:
@@ -110,21 +83,14 @@ def _table_for(labels: tuple[ClassLabel, ...], table: CharacterTable | None) -> 
 
 
 def frobenius_count(
-    C: ClassLabel,
-    D: ClassLabel,
-    g: ClassLabel,
-    *,
-    table: CharacterTable | None = None,
+    C: ClassLabel, D: ClassLabel, g: ClassLabel, *, table: CharacterTable | None = None
 ) -> int:
     """Exact number of pairs (c, d) in C x D with c d equal to a fixed
     representative of g."""
     table = _table_for((C, D, g), table)
-    ci, di = table.class_index(C), table.class_index(D)
-    what = lambda: f"({C}, {D}, {g})"
-    target = table.inverse_index[table.class_index(g)]
-    (total,) = _class_sums(table, _pair_weights(table, ci, di), [target], what)
-    scale = table.class_sizes[ci] * table.class_sizes[di]
-    return _exact_count(scale * total, 8 * table.group_order**2, what)
+    factors = (table.class_index(C), table.class_index(D))
+    (count,) = _counts(table, factors, lambda: f"({C}, {D}, {g})", table.class_index(g))
+    return count
 
 
 def product_counts(
@@ -132,12 +98,8 @@ def product_counts(
 ) -> dict[ClassLabel, int]:
     """N(C, D, E) for every class E, in table order, from one pass."""
     table = _table_for((C, D), table)
-    ci, di = table.class_index(C), table.class_index(D)
-    what = lambda: f"({C}, {D})"
-    sums = _class_sums(table, _pair_weights(table, ci, di), table.inverse_index, what)
-    scale = table.class_sizes[ci] * table.class_sizes[di]
-    den = 8 * table.group_order**2
-    return {E: _exact_count(scale * s, den, what, E) for E, s in zip(table.classes, sums)}
+    factors = (table.class_index(C), table.class_index(D))
+    return dict(zip(table.classes, _counts(table, factors, lambda: f"({C}, {D})")))
 
 
 def power_counts(
@@ -148,16 +110,8 @@ def power_counts(
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     table = _table_for((C,), table)
-    ci = table.class_index(C)
-    what = lambda: f"{C}^{m}"
-    sums = _class_sums(table, _power_weights(table, ci, m), table.inverse_index, what)
-    scale = table.class_sizes[ci] ** m
-    den = 2 ** (m + 1) * table.group_order**m
-    return {E: _exact_count(scale * s, den, what, E) for E, s in zip(table.classes, sums)}
-
-
-def _identity_label(n: int) -> ClassLabel:
-    return ClassLabel(Partition([1] * n))
+    factors = (table.class_index(C),) * m
+    return dict(zip(table.classes, _counts(table, factors, lambda: f"{C}^{m}")))
 
 
 class CoverageReport(Record, frozen=False):
@@ -194,9 +148,12 @@ class CoverageReport(Record, frozen=False):
 
 def covers(C: ClassLabel, D: ClassLabel, *, table: CharacterTable | None = None) -> CoverageReport:
     """List every nontrivial class with zero Frobenius count from (C, D)."""
-    identity = _identity_label(C.n)
-    counts = product_counts(C, D, table=table)
-    return CoverageReport(C.n, C, D, [g for g, c in counts.items() if c == 0 and g != identity])
+    table = _table_for((C, D), table)
+    factors = (table.class_index(C), table.class_index(D))
+    counts = _counts(table, factors, lambda: f"({C}, {D})")
+    one = table.class_index(ClassLabel(Partition([1] * C.n)))
+    missing = [table.classes[j] for j, c in enumerate(counts) if not c and j != one]
+    return CoverageReport(C.n, C, D, missing)
 
 
 def covering_number(C: ClassLabel, *, table: CharacterTable | None = None) -> int:
@@ -206,7 +163,10 @@ def covering_number(C: ClassLabel, *, table: CharacterTable | None = None) -> in
         raise ValueError("covering numbers are computed for simple A_n (n >= 5)")
     if C.cycle_type.parts == tuple([1] * n):
         raise ValueError("the identity class does not generate")
-    for m in range(1, MAX_COVERING_POWER + 1):
-        if all(power_counts(C, m, table=table).values()):
+    table = _table_for((C,), table)
+    ci = table.class_index(C)
+    # C itself is one class of the several that A_n has, so m = 1 never covers.
+    for m in range(2, MAX_COVERING_POWER + 1):
+        if all(_counts(table, (ci,) * m, lambda: f"{C}^{m}")):
             return m
     raise NotGenerating(f"no cover of A_{n} by {C} within {MAX_COVERING_POWER} powers")

@@ -30,7 +30,8 @@ from ancover.suites import SUITES, split_coverage_report
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
-    """Parse "7,9,11" or ranges like "13-21" (inclusive).
+    """Parse "7,9,11" or ranges like "13-21" (inclusive), each n once, in
+    the order first given.
 
     Every n is a partition size, so a value above MAX_PART_SUM raises
     ValueError before any range is built.
@@ -45,7 +46,7 @@ def _parse_ns(text: str) -> tuple[int, ...]:
         if lo > hi:
             raise ValueError(f"empty range {tok!r}: {lo} > {hi}")
         out.extend(range(lo, hi + 1))
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _labels_of_degree(n: int, *texts: str) -> list[ClassLabel]:

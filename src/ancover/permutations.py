@@ -283,17 +283,16 @@ def parse_class_label(text: str) -> ClassLabel:
     return ClassLabel(p, sign if sign else None)
 
 
+def an_labels_of_type(p: Partition) -> list[ClassLabel]:
+    """The A_n class labels of cycle type p: none if p is odd, two if it splits."""
+    if not p.is_even_type():
+        return []
+    return [ClassLabel(p, "+"), ClassLabel(p, "-")] if splits_in_an(p) else [ClassLabel(p)]
+
+
 def an_class_labels(n: int) -> list[ClassLabel]:
     """All A_n class labels, in a fixed deterministic order."""
-    labels: list[ClassLabel] = []
-    for p in enumerate_partitions(n):
-        if not p.is_even_type():
-            continue
-        if splits_in_an(p):
-            labels += (ClassLabel(p, "+"), ClassLabel(p, "-"))
-        else:
-            labels.append(ClassLabel(p))
-    return labels
+    return [c for p in enumerate_partitions(n) for c in an_labels_of_type(p)]
 
 
 def class_representative(label: ClassLabel) -> Permutation:

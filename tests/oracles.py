@@ -65,9 +65,11 @@ and relies on it implying the row relation for a square table; the tests
 check both against this reference on genuine and corrupted tables.
 
 :func:`reference_column_sums` is the column-sum kernel as first written:
-one k-term dot product per target and one list rebuild per split row.
-The package reads many-target sums from packed rows instead; the tests
-check the two on every table up to n = 12 and at the slot-width edge.
+the weights formed row by row from their factored description, then one
+k-term dot product per target and one list rebuild per split row.  The
+package reads many-target sums from packed rows and forms one-target sums
+without a weight list; the tests check the two on every table up to
+n = 12 and at the slot-width edge.
 
 :func:`verify_split_pair_sums` checks that each split pair of a table's
 constituents sums to the restriction of its S_n character, read through
@@ -118,7 +120,6 @@ from ancover.characters import (
     CharacterTable,
     IrreducibleLabel,
     TableCheckFailed,
-    Weights,
     an_character_table,
     degree,
     mn_values,
@@ -617,11 +618,26 @@ def broken_orthogonality(table: CharacterTable) -> set[str]:
 
 
 def reference_column_sums(
-    table: CharacterTable, weights: Weights, targets: Sequence[int]
+    table: CharacterTable,
+    factors: Sequence[int],
+    power: int,
+    targets: Sequence[int],
+    conjugate: bool = False,
 ) -> tuple[list[int], dict[int, list[int]]]:
     """What :meth:`CharacterTable.column_sums` returns, from one dot
-    product of the weights with each target column."""
-    rational, surd = weights
+    product of the weights with each target column.  The weights are
+    formed first, each row's factors multiplied in Z[sqrt(d)]."""
+    rational, surd = [], {}
+    for i, row in enumerate(table.rows):
+        d, coefs = table.surds.get(i, (1, {}))
+        a, b = 1, 0
+        for c in factors:
+            x1 = -coefs.get(c, 0) if conjugate and d < 0 else coefs.get(c, 0)
+            a, b = a * row[c] + b * x1 * d, a * x1 + b * row[c]
+        scale = table.order_over_degree[i] ** power if power else 1
+        rational.append(a * scale)
+        if b:
+            surd[i] = b * scale
     cols = table.columns
     sums = [sum(map(mul, rational, cols[t])) for t in targets]
     position = {t: p for p, t in enumerate(targets)}

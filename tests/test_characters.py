@@ -15,7 +15,6 @@ from ancover.characters import (
     an_character_table,
     degree,
     hook_size,
-    irreducible_labels,
     mn_values,
 )
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
@@ -224,7 +223,7 @@ def test_table_digests_are_pinned(n):
 
 def test_split_degree_halves():
     for n in (4, 5, 8, 9):
-        for chi in irreducible_labels(n):
+        for chi in an_character_table(n).irreducibles:
             if chi.is_split():
                 assert an_degree(chi) * 2 == degree(chi.partition)
 
@@ -380,18 +379,28 @@ def _copy(t, rows=None, surds=None):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_column_sums_match_the_dot_product_reference(n):
+    # Weights of one to four factor columns, hook classes drawn often,
+    # times (|G|/chi(1))^0..3, some conjugated: on the table, and on a copy
+    # whose sqrt(d) coefficients sit on other columns, so that irrational
+    # parts fail to cancel.
     t = an_character_table(n)
     k = len(t.classes)
     rng = random.Random(1800 + n)
-    for _ in range(12):
-        bits = rng.randint(1, 400)
-        rational = [rng.randrange(-(2**bits), 2**bits) for _ in range(k)]
-        surd = {i: rng.randrange(-(2**bits), 2**bits) for i in t.surds if rng.random() < 0.8}
-        start = rng.randrange(k)
-        subset = rng.sample(range(k), rng.randint(1, k))
-        for targets in (t.inverse_index, range(start, k), subset):
-            got = t.column_sums((rational, surd), targets)
-            assert got == reference_column_sums(t, (rational, surd), targets), (bits, targets)
+    moved = {i: (d, {j: rng.randint(-9, 9) for j in rng.sample(range(k), 2)}) for i, (d, _) in t.surds.items()}
+    for table in (t, _copy(t, surds=moved)):
+        hooks = sorted({j for _, coefs in table.surds.values() for j in coefs})
+        for _ in range(12):
+            factors = [
+                rng.choice(hooks) if hooks and rng.random() < 0.4 else rng.randrange(k)
+                for _ in range(rng.randint(1, 4))
+            ]
+            power, conjugate = rng.randint(0, 3), rng.random() < 0.5
+            start = rng.randrange(k)
+            subset = rng.sample(range(k), rng.randint(1, k))
+            for targets in (t.inverse_index, range(start, k), subset, [rng.randrange(k)]):
+                got = table.column_sums(factors, power, targets, conjugate)
+                want = reference_column_sums(table, factors, power, targets, conjugate)
+                assert got == want, (factors, power, conjugate, targets)
 
 
 @pytest.mark.parametrize("words", [1, 2, 3])
@@ -399,29 +408,30 @@ def test_column_sums_match_the_dot_product_reference(n):
 def test_packed_slots_are_exact_at_the_width_bound(words, offset):
     # sum|w| * max|cell| = 2^(64 words - 1) + offset, with max|cell| = 1.
     # Columns 0 and k-1 sum to +bound and columns 1 and k-2 to -bound, so
-    # the extreme slots sit next to each other and at both ends; every
-    # row also carries a surd of one radicand, so the surd accumulator
-    # meets the same bound.
+    # the extreme slots sit next to each other and at both ends.  The
+    # weight of row i is sign_i + sign_i * sqrt(5), its cell in factor
+    # column 2, times |G|/chi_i(1), which this copy sets to the magnitudes;
+    # so the surd accumulator meets the same bound.  Only column 2 carries
+    # sqrt(5) parts, so only its sums differ from the packed slots.
     bound = 2 ** (64 * words - 1) + offset
     t = an_character_table(8)
     k = len(t.classes)
     rng = random.Random(words * 10 + offset)
     magnitudes = [rng.randrange(1, bound // k) for _ in range(k - 1)]
     magnitudes.append(bound - sum(magnitudes))
-    weights = [m * rng.choice((-1, 1)) for m in magnitudes]
+    signs = [rng.choice((-1, 1)) for _ in magnitudes]
     rows = []
-    for w in weights:
-        sign = 1 if w > 0 else -1
+    for sign in signs:
         row = [rng.randint(-1, 1) for _ in range(k)]
-        row[0], row[1], row[-2], row[-1] = sign, -sign, -sign, sign
+        row[0], row[1], row[2], row[-2], row[-1] = sign, -sign, sign, -sign, sign
         rows.append(row)
-    assert sum(map(abs, weights)) == bound
-    table = _copy(t, rows, {i: (5, {}) for i in range(k)})
-    both = (weights, dict(enumerate(weights)))
-    sums, residues = table.column_sums(both, range(k))
+    table = _copy(t, rows, {i: (5, {2: sign}) for i, sign in enumerate(signs)})
+    table.order_over_degree = magnitudes
+    sums, residues = table.column_sums((2,), 1, range(k))
     assert (sums[0], sums[1], sums[-2], sums[-1]) == (bound, -bound, -bound, bound)
-    assert residues == {5: sums}
-    assert (sums, residues) == reference_column_sums(table, both, range(k))
+    assert (sums[2], residues[5][2]) == (6 * bound, 2 * bound)
+    assert residues[5][:2] + residues[5][3:] == sums[:2] + sums[3:]
+    assert (sums, residues) == reference_column_sums(table, (2,), 1, range(k))
 
 
 def test_cells_past_64_bits_are_summed_exactly():
@@ -429,9 +439,8 @@ def test_cells_past_64_bits_are_summed_exactly():
     rows = [list(r) for r in t.rows]
     rows[3][4] += 2**70
     table = _copy(t, rows)
-    weights = ([1 - 2 * (i % 2) for i in range(len(rows))], {})
     targets = range(len(rows))
-    assert table.column_sums(weights, targets) == reference_column_sums(table, weights, targets)
+    assert table.column_sums((4,), 1, targets) == reference_column_sums(table, (4,), 1, targets)
     with pytest.raises(TableCheckFailed):
         table.verify_orthogonality()
 

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from ancover.characters import an_character_table
 from ancover.characters import CharacterTable
 from ancover.classalgebra import (
     IrrationalResidue,
-    _power_weights,
     covering_number,
     covers,
     frobenius_count,
@@ -21,6 +22,7 @@ from ancover.permutations import (
     an_class_size,
     class_representative,
     inverse_label,
+    parse_class_label,
 )
 from oracles import is_covered_by, labels_of_type, reference_column_sums, run_python
 
@@ -338,8 +340,10 @@ def test_every_changed_surd_coefficient_raises(n):
     # On a copy of the table with one sqrt(d) coefficient raised by one,
     # the square of that coefficient's class leaves an irrational residue:
     # at the identity it is 4|G| eps, from the split pair whose two
-    # coefficients no longer cancel.
+    # coefficients no longer cancel.  The one-target count at the identity
+    # finds it as the all-target counts do.
     good = an_character_table(n)
+    identity = _lbl(f"1x{n}")
     edits = 0
     for i, (d, coefs) in good.surds.items():
         for j, b in coefs.items():
@@ -347,8 +351,11 @@ def test_every_changed_surd_coefficient_raises(n):
             bad = CharacterTable(
                 n, good.classes, good.class_sizes, good.irreducibles, good.rows, surds
             )
+            C = good.classes[j]
             with pytest.raises(IrrationalResidue, match="irrational residue"):
-                product_counts(good.classes[j], good.classes[j], table=bad)
+                product_counts(C, C, table=bad)
+            with pytest.raises(IrrationalResidue, match="irrational residue"):
+                frobenius_count(C, C, identity, table=bad)
             edits += 1
     assert edits >= 4
 
@@ -356,21 +363,54 @@ def test_every_changed_surd_coefficient_raises(n):
 def test_changed_surd_coefficients_raise_under_python_O():
     code = (
         "from ancover.characters import CharacterTable, an_character_table\n"
-        "from ancover.classalgebra import IrrationalResidue, product_counts\n"
+        "from ancover.classalgebra import IrrationalResidue, frobenius_count, product_counts\n"
+        "from ancover.permutations import parse_class_label\n"
         "for n in (7, 12):\n"
         "    t = an_character_table(n)\n"
+        "    one = parse_class_label(f'1x{n}')\n"
         "    for i, (d, coefs) in t.surds.items():\n"
         "        for j, b in coefs.items():\n"
         "            surds = {**t.surds, i: (d, {**coefs, j: b + 1})}\n"
         "            bad = CharacterTable(n, t.classes, t.class_sizes, t.irreducibles, t.rows, surds)\n"
-        "            try:\n"
-        "                product_counts(t.classes[j], t.classes[j], table=bad)\n"
-        "            except IrrationalResidue:\n"
-        "                continue\n"
-        "            raise SystemExit(f'A_{n}: sqrt coefficient ({i}, {j}) changed, no residue')\n"
+        "            C = t.classes[j]\n"
+        "            for count in (lambda: product_counts(C, C, table=bad),\n"
+        "                          lambda: frobenius_count(C, C, one, table=bad)):\n"
+        "                try:\n"
+        "                    count()\n"
+        "                except IrrationalResidue:\n"
+        "                    continue\n"
+        "                raise SystemExit(f'A_{n}: sqrt coefficient ({i}, {j}) changed, no residue')\n"
     )
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+REFERENCE_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference_class_queries.json"
+
+
+def test_the_benchmark_reference_pool_replays():
+    # perfbench's class-queries answers, recorded by an earlier kernel:
+    # every triple and covers pair at n = 12..16, and every covering number
+    # at n = 11..13.
+    ref = json.loads(REFERENCE_POOL.read_text())
+    triples = pairs = 0
+    for n, rows in ref["frobenius"].items():
+        table = an_character_table(int(n))
+        for *labels, count in rows:
+            C, D, g = map(parse_class_label, labels)
+            assert frobenius_count(C, D, g, table=table) == count, labels
+            triples += 1
+    for n, rows in ref["covers"].items():
+        table = an_character_table(int(n))
+        for C, D, uncovered in rows:
+            report = covers(parse_class_label(C), parse_class_label(D), table=table)
+            assert sorted(g.text() for g in report.uncovered) == uncovered, (C, D)
+            pairs += 1
+    for C, cn in ref["covering_number"].items():
+        assert covering_number(parse_class_label(C)) == cn, C
+    assert (triples, pairs) == (1500, 200)
+    every = [C for n in (11, 12, 13) for C in an_class_labels(n)]
+    assert set(ref["covering_number"]) == {C.text() for C in every if C.cycle_type.parts[0] > 1}
 
 
 def test_cubes_at_n18_match_the_dot_product_reference(monkeypatch):
@@ -383,6 +423,7 @@ def test_cubes_at_n18_match_the_dot_product_reference(monkeypatch):
     monkeypatch.setattr(CharacterTable, "column_sums", reference_column_sums)
     for C in classes:
         assert got[C] == power_counts(C, 3, table=table), C
-    rational, _ = _power_weights(table, table.class_index(classes[0]), 3)
+    x = table.columns[table.class_index(classes[0])]
+    rational = [v**3 * w**2 for v, w in zip(x, table.order_over_degree)]
     cell = max(abs(v) for row in table.rows for v in row)
     assert (sum(map(abs, rational)) * cell).bit_length() > 64

@@ -23,6 +23,7 @@ def test_parse_ns():
     assert _parse_ns("8-11") == (8, 9, 10, 11)
     assert _parse_ns("5,8-10") == (5, 8, 9, 10)
     assert _parse_ns("7-7") == (7,)
+    assert _parse_ns("9,7,7-10,5") == (9, 7, 8, 10, 5)
     with pytest.raises(ValueError):
         _parse_ns("5-3")
 
@@ -127,6 +128,18 @@ def test_verify_gleason(capsys):
     code, out, _ = run(capsys, "verify", "gleason", "--n", "7,9")
     assert code == 0
     assert out.count("PASS") == 2
+
+
+def test_verify_runs_a_repeated_n_once(capsys):
+    code, out, _ = run(capsys, "verify", "gleason", "--n", "7,7")
+    assert code == 0
+    assert out == "PASS gleason n=7: all nontrivial classes hit\n"
+    once = run(capsys, "verify", "split-coverage-report", "--n", "5")
+    assert once[0] == 0 and once[1].count("\n") == 4
+    assert run(capsys, "verify", "split-coverage-report", "--n", "5,5") == once
+    assert run(capsys, "verify", "split-coverage-report", "--n", "5-5,5", "--json")[1] == (
+        run(capsys, "verify", "split-coverage-report", "--n", "5", "--json")[1]
+    )
 
 
 def test_verify_prop24_output(capsys):
