@@ -31,9 +31,9 @@ on demand.  Every build runs quick checks (square shape, degrees, and
 column orthogonality across each split class pair).  The full check,
 :meth:`CharacterTable.verify_orthogonality`, is exact column
 orthogonality, which includes all three and implies row orthogonality
-for a square table.  Tables are written (:meth:`CharacterTable.dump`)
-but never read back.  Column sums, here and in
-:mod:`ancover.classalgebra`, come from one exact kernel,
+for a square table, and |chi(g)| <= chi(1) on every cell.  Tables are
+written (:meth:`CharacterTable.dump`) but never read back.  Column sums,
+here and in :mod:`ancover.classalgebra`, come from one exact kernel,
 :meth:`CharacterTable.column_sums`.  A failed check raises
 :class:`TableCheckFailed`, also under ``python -O``.
 
@@ -44,9 +44,11 @@ single int sum_j rows[i][j] * 2^(W j), with W a multiple of 64 bits, and
 the column sums are the W-bit slots of sum_i w_i * row_i.  W is the least
 width with sum_i |w_i| * max_j |rows[i][j]| < 2^(W - 1); every slot then
 lies strictly between -2^(W - 1) and 2^(W - 1), and adding 2^(W - 1) to
-each makes them the borrow-free words of one nonnegative int.  Packed
-rows are built on the first such call for a width and kept on the table
-(widths up to three words), never during a build or the quick checks.
+each makes them the borrow-free words of one nonnegative int.  A build
+takes max_j |rows[i][j]| from the degrees, as |chi(g)| <= chi(1)
+(:attr:`CharacterTable._row_max`).  Packed rows are built on the first
+such call for a width and kept on the table (widths up to three words),
+never during a build or the quick checks.
 """
 
 from __future__ import annotations
@@ -64,11 +66,13 @@ from ancover.combinatorics import (
     LimitExceeded,
     Partition,
     Record,
+    centralizer_order,
     enumerate_partitions,
     frobenius_symbol,
+    is_split_type,
     transpose,
 )
-from ancover.permutations import ClassLabel, an_class_size, an_labels_of_type, inverse_label
+from ancover.permutations import ClassLabel, inverse_label
 
 TABLE_LIMIT = 24
 
@@ -283,23 +287,26 @@ class IrreducibleLabel(Record):
         return self.text()
 
 
-def _labels(n: int) -> tuple[list[ClassLabel], list[IrreducibleLabel], list[int]]:
-    """The classes and the irreducibles of A_n (n >= 2) in table order, and
-    the abacus mask of each irreducible's partition, from one walk over the
-    partitions of n: an irreducible per transpose pair, at its larger mask,
-    and two per self-conjugate partition."""
-    classes: list[ClassLabel] = []
-    irreducibles: list[IrreducibleLabel] = []
-    masks: list[int] = []
+def _labels(n: int) -> tuple[list[ClassLabel], list[int], list[IrreducibleLabel], list[int]]:
+    """The classes of A_n (n >= 2) and their sizes, and the irreducibles
+    and the abacus mask of each one's partition, in table order, from one
+    walk over the partitions of n: an irreducible per transpose pair, at
+    its larger mask, and two per self-conjugate partition.  Each label is
+    built from what the walk has just worked out, without rechecking it."""
+    classes, sizes, irreducibles, masks = [], [], [], []
+    order = math.factorial(n)
     for p in enumerate_partitions(n):
-        classes += an_labels_of_type(p)
+        if p.is_even_type():
+            signs = ("+", "-") if is_split_type(p) else (None,)
+            classes += [ClassLabel._trusted(p, s) for s in signs]
+            sizes += [order // centralizer_order(p) // len(signs)] * len(signs)
         mask = _abacus(p.parts, n)
         transposed = _transpose_mask(mask, n)
         if mask >= transposed:
             signs = ("+", "-") if mask == transposed else (None,)
-            irreducibles += [IrreducibleLabel(p, s) for s in signs]
+            irreducibles += [IrreducibleLabel._trusted(p, s) for s in signs]
             masks += [mask] * len(signs)
-    return classes, irreducibles, masks
+    return classes, sizes, irreducibles, masks
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +496,12 @@ class CharacterTable:
 
     @cached_property
     def _row_max(self) -> list[int]:
-        """max_j |rows[i][j]| for every row i: the packed slots' width bound."""
+        """max_j |rows[i][j]| for every row i: the packed slots' width bound.
+
+        :func:`an_character_table` sets it to 2chi(1), the identity cell, as
+        |chi(g)| <= chi(1) (Isaacs, *Character Theory of Finite Groups*,
+        Lemma 2.15).  A table made directly scans its rows here instead.
+        """
         return [max(max(row), -min(row)) for row in self.rows]
 
     def _packed_rows(self, words: int) -> list[int]:
@@ -545,10 +557,12 @@ class CharacterTable:
     def verify_orthogonality(self) -> None:
         """Exact orthogonality; raises TableCheckFailed on failure.
 
-        Checks that the table is square and that its columns are exactly
-        orthogonal.  That implies row orthogonality: with X the k x k
-        matrix of values and W the diagonal of class sizes, the column
-        relations read X* X = |G| W^-1, so X is invertible with
+        Checks that the table is square, that no cell of row chi exceeds
+        2chi(1) in absolute value (the premise of :attr:`_row_max` for a
+        build), and that its columns are exactly orthogonal.  That
+        implies row orthogonality: with X the k x k matrix of values and W
+        the diagonal of class sizes, the column relations read
+        X* X = |G| W^-1, so X is invertible with
         X^-1 = W X* / |G|, and X W X* = |G| I are the row relations
         (James & Kerber, *The Representation Theory of the Symmetric
         Group*).  The argument needs X square, hence the shape check: a
@@ -556,6 +570,9 @@ class CharacterTable:
         unchanged.
         """
         self._check_shape()
+        for chi, row, d in zip(self.irreducibles, self.rows, self.degrees()):
+            if max(row) > 2 * d or -min(row) > 2 * d:
+                raise TableCheckFailed(f"a cell of row {chi} exceeds 2chi(1) = {2 * d}")
         k = len(self.classes)
         for i in range(k):
             self._check_columns(i, range(i, k))
@@ -657,10 +674,10 @@ def an_character_table(n: int) -> CharacterTable:
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
-    classes, irreducibles, masks = _labels(n)
-    sizes = [an_class_size(c) for c in classes]
+    classes, sizes, irreducibles, masks = _labels(n)
     rows, surds = _integer_rows(n, classes, irreducibles, masks)
     table = CharacterTable(n, classes, sizes, irreducibles, rows, surds)
     table._quick_checks()
+    table._row_max = [2 * d for d in table.degrees()]
     _TABLE_CACHE[n] = table
     return table

@@ -68,6 +68,15 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance with these fields, without ``__init__``'s checks: for
+        values the package has just derived itself."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
@@ -367,24 +376,31 @@ def centralizer_order(p: Partition) -> int:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order."""
-    if n < 0:
+    """All partitions of n in descending lexicographic order, by the
+    iterative ZS1 algorithm (Zoghbi & Stojmenovic, 1998).  Each step
+    lowers the last part above 1, x[h], by one and refills the parts
+    after it from what that frees, r = x[h] at a time, then the rest."""
+    if n <= 0:
+        if n == 0:
+            yield Partition._trusted(())
         return
-    if n == 0:
-        yield Partition(())
-        return
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    for parts in rec(n, n, []):
-        yield Partition(parts)
+    x = [1] * n
+    x[0], m, h = n, 1, 0  # m parts, all of them 1 after x[h]
+    yield Partition._trusted((n,))
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            r = x[h] = x[h] - 1
+            t = m - h  # what lowering x[h] and dropping its trailing 1s frees
+            while t >= r:
+                h += 1
+                x[h], t = r, t - r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield Partition._trusted(tuple(x[:m]))
 
 
 def enumerate_distinct_partitions(n: int) -> Iterator[Partition]:

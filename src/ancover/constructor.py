@@ -713,7 +713,7 @@ def cover_with_ncycles(
         raise ValueError("defined for odd n >= 5")
     points: tuple[list[int], list[int]] = ([], [])  # fixed, moved
     for x, y in enumerate(g.images, 1):
-        points[x != y].append(x)
+        points[x != y].append(x if x != y else y)  # c and d share g's fixed ints
     fixed, moved = points
     k = len(fixed)
     if k == n:

@@ -283,16 +283,11 @@ def parse_class_label(text: str) -> ClassLabel:
     return ClassLabel(p, sign if sign else None)
 
 
-def an_labels_of_type(p: Partition) -> list[ClassLabel]:
-    """The A_n class labels of cycle type p: none if p is odd, two if it splits."""
-    if not p.is_even_type():
-        return []
-    return [ClassLabel(p, "+"), ClassLabel(p, "-")] if splits_in_an(p) else [ClassLabel(p)]
-
-
 def an_class_labels(n: int) -> list[ClassLabel]:
-    """All A_n class labels, in a fixed deterministic order."""
-    return [c for p in enumerate_partitions(n) for c in an_labels_of_type(p)]
+    """All A_n class labels, in a fixed deterministic order: those of each
+    even cycle type in turn, two if it splits."""
+    evens = filter(Partition.is_even_type, enumerate_partitions(n))
+    return [ClassLabel(p, s) for p in evens for s in (("+", "-") if splits_in_an(p) else (None,))]
 
 
 def class_representative(label: ClassLabel) -> Permutation:

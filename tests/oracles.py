@@ -3,7 +3,15 @@
 The S_n character oracle here never touches the Murnaghan-Nakayama code:
 it counts fixed tabloids to get Young permutation-module characters and
 peels irreducibles off by exact inner products.  Slow, simple, and good
-up to n = 6 or so.
+up to n = 6 or so.  It lists the partitions with
+:func:`reference_partitions`, the recursive generator the package first
+had, which checks the package's iterative ZS1
+:func:`~ancover.combinatorics.enumerate_partitions` up to n = 30.
+
+:func:`row_max_scan` reads every cell of a table for its row maxima, as
+a table made directly does on its first packed call; a build takes them
+from the degrees instead, and the tests check the two on every table
+from n = 2 to 24.
 
 :func:`mn_cellwise` is the Murnaghan-Nakayama rule one cell at a time,
 recursing over the first-column hook lengths (beta set) of lam.  It
@@ -112,7 +120,6 @@ from ancover.combinatorics import (
     Partition,
     SubpartitionKind,
     centralizer_order,
-    enumerate_partitions,
 )
 from ancover.bounds import EProfile, surd_sign
 from ancover.characters import (
@@ -171,9 +178,33 @@ def permutation_module_character(lam: Partition, mu: Partition) -> int:
     return _assignments(mu.parts, lam.parts)
 
 
+def reference_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in descending lexicographic order, by recursion
+    on the largest part, each through the checking constructor."""
+    if n < 0:
+        return
+
+    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            prefix.append(p)
+            yield from rec(remaining - p, p, prefix)
+            prefix.pop()
+
+    for parts in rec(n, n, []):
+        yield Partition(parts)
+
+
+def row_max_scan(table: CharacterTable) -> list[int]:
+    """max_j |rows[i][j]| for every row i, by scanning every cell."""
+    return [max(max(row), -min(row)) for row in table.rows]
+
+
 def sn_character_table_oracle(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """Exact S_n table {(lam, mu): chi_lam(mu)} by inner-product peeling."""
-    parts = list(enumerate_partitions(n))  # descending lex
+    parts = list(reference_partitions(n))  # descending lex
     class_sizes = {mu.parts: factorial(n) // centralizer_order(mu) for mu in parts}
     order = factorial(n)
 

@@ -18,7 +18,7 @@ from ancover.characters import (
     mn_values,
 )
 from ancover.combinatorics import Partition, enumerate_partitions, transpose
-from ancover.permutations import ClassLabel, parse_class_label
+from ancover.permutations import ClassLabel, an_class_labels, an_class_size, parse_class_label
 
 from oracles import (
     an_degree,
@@ -26,6 +26,7 @@ from oracles import (
     cell,
     mn_cellwise,
     reference_column_sums,
+    row_max_scan,
     run_python,
     sn_character_table_oracle,
     verify_split_pair_sums,
@@ -221,6 +222,28 @@ def test_table_digests_are_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
+@pytest.mark.parametrize("n", range(2, 25))
+def test_built_labels_pass_their_public_constructors(n):
+    # A build makes its labels without their constructors' checks, from
+    # what its partition walk worked out; the checking paths agree.
+    t = an_character_table(n)
+    assert t.classes == an_class_labels(n)
+    assert t.class_sizes == [an_class_size(c) for c in t.classes]
+    for c in t.classes:
+        assert c == ClassLabel(Partition(c.cycle_type.parts), c.sign)
+    for chi in t.irreducibles:
+        assert chi == IrreducibleLabel(Partition(chi.partition.parts), chi.sign)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_row_bound_of_a_build_is_its_row_maxima(n):
+    # A build sets the packed width's row bound from the degrees, without
+    # a scan; on every table it is the largest |cell| of each row.
+    t = an_character_table(n)
+    assert "_row_max" in vars(t)
+    assert t._row_max == [2 * d for d in t.degrees()] == row_max_scan(t)
+
+
 def test_split_degree_halves():
     for n in (4, 5, 8, 9):
         for chi in an_character_table(n).irreducibles:
@@ -287,10 +310,15 @@ def test_table_checks_fail_loudly_under_python_O():
         "rows = [list(row) for row in t.rows]\n"
         "rows[i][j] += 2\n"
         "bad = CharacterTable(6, t.classes, t.class_sizes, t.irreducibles, rows, t.surds)\n"
+        "# a plain row negated: only the degree bound of each row rejects it\n"
+        "p = next(r for r in range(len(t.rows)) if r not in t.surds)\n"
+        "negated = [[-x for x in row] if r == p else row for r, row in enumerate(t.rows)]\n"
+        "flipped = CharacterTable(6, t.classes, t.class_sizes, t.irreducibles, negated, t.surds)\n"
         "checks = {\n"
         "    'verify_orthogonality': bad.verify_orthogonality,\n"
         "    'verify_split_pair_sums': lambda: verify_split_pair_sums(bad),\n"
         "    '_quick_checks': bad._quick_checks,\n"
+        "    'verify_orthogonality on a negated row': flipped.verify_orthogonality,\n"
         "}\n"
         "for name, check in checks.items():\n"
         "    try:\n"
@@ -301,6 +329,24 @@ def test_table_checks_fail_loudly_under_python_O():
     )
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cells_beyond_the_degree_fail_orthogonality():
+    # Negating a row keeps every column relation, so only the premise of
+    # the built row bound, |chi(g)| <= chi(1), rejects it; a cell past
+    # 2chi(1) is rejected by the same check, before the column sums.
+    t = an_character_table(7)
+    j = t.classes.index(ClassLabel(Partition([1] * 7)))
+    plain = [i for i in range(len(t.rows)) if i not in t.surds]
+    for i in (plain[0], plain[-1]):
+        negated = [list(r) for r in t.rows]
+        negated[i] = [-x for x in negated[i]]
+        assert broken_orthogonality(_copy(t, negated)) == set()
+        past = [list(r) for r in t.rows]
+        past[i][j - 1] = -past[i][j] - 2
+        for rows in (negated, past):
+            with pytest.raises(TableCheckFailed, match="exceeds 2chi"):
+                _copy(t, rows).verify_orthogonality()
 
 
 def test_non_square_tables_fail_loudly_under_python_O():

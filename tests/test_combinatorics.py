@@ -20,7 +20,7 @@ from ancover.combinatorics import (
     shrink_part,
     transpose,
 )
-from oracles import SUBINTERVAL_LENGTH, kind_template_ok, reference_phi
+from oracles import SUBINTERVAL_LENGTH, kind_template_ok, reference_partitions, reference_phi
 
 
 @st.composite
@@ -65,6 +65,16 @@ def test_transpose_examples():
     assert transpose(Partition((3, 1, 1))) == Partition((3, 1, 1))
     assert transpose(Partition((7,))) == Partition([1] * 7)
     assert transpose(Partition((4, 2))) == Partition((2, 2, 1, 1))
+
+
+def test_zs1_partitions_match_the_recursive_reference():
+    # Same partitions, same descending lexicographic order, each as the
+    # checking constructor builds it.
+    for n in range(-1, 31):
+        got = list(enumerate_partitions(n))
+        assert got == list(reference_partitions(n)), n
+        assert [Partition(p.parts) for p in got] == got
+    assert len(got) == 5604
 
 
 def test_transpose_involution_exhaustive():

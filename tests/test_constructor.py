@@ -575,6 +575,21 @@ def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypat
     assert counts == [2, 2]
 
 
+def test_sparse_call_shares_the_stripped_points_with_g():
+    # c and d hold each stripped fixed point of g as the int object in
+    # g.images, not as a new int of equal value, so a sparse call at
+    # n = 1001 keeps no second set of about n ints alive.
+    n = 1001
+    g = cyc(n, (3, n - 40, 77), (5, 11), (n, 200))
+    c, d = cover_with_ncycles(g, parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-"), seed=4)
+    stripped = [y for x, y in enumerate(g.images, 1) if x == y]
+    assert len(stripped) == n - 7
+    for images in (c.images, d.images):
+        held = [y for y in images if g(y) == y]
+        assert sorted(held) == stripped
+        assert all(y is g.images[y - 1] for y in held)
+
+
 def test_cover_with_ncycles_deterministic():
     g = cyc(9, (1, 2), (3, 4))
     C, D = parse_class_label("9:+"), parse_class_label("9:-")
