@@ -64,8 +64,6 @@ _BOUNDS_NAMES = frozenset(
         "e_profile",
         "hook_bound",
         "prop24_certificate",
-        "amgm_report",
-        "min_split_degree_report",
     }
 )
 

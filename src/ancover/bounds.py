@@ -15,17 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ancover.characters import _squarefree_split
-from ancover.combinatorics import (
-    LimitExceeded,
-    Partition,
-    Record,
-    enumerate_distinct_partitions,
-    frobenius_symbol,
-    self_conjugate_partitions,
-)
+from ancover.combinatorics import Record
 from ancover.permutations import Permutation
-
-REPORT_LIMIT = 40  # largest n of the exhaustive reports
 
 
 class EvenOrSmallN(ValueError):
@@ -99,6 +90,8 @@ class EProfile(Record):
     __slots__ = ("n", "counts")
 
     def __init__(self, n: int, counts: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         if len(counts) != n:
             raise ValueError(f"need {n} cumulative counts, got {len(counts)}")
         if counts[-1] != n:
@@ -106,20 +99,6 @@ class EProfile(Record):
         if any(a > b for a, b in zip(counts, counts[1:])):
             raise ValueError("counts must be nondecreasing (each e_i is nonnegative)")
         self._init(n, counts)
-
-    def e_float(self) -> list[float]:
-        """Floating-point rendering of e_1..e_n, for display only."""
-        out = []
-        prev = 0.0
-        for c in self.counts:
-            cur = math.log(c, self.n) if c > 0 else 0.0
-            out.append(cur - prev)
-            prev = cur
-        return out
-
-    def E_float(self) -> float:
-        """Floating-point rendering of E, for display only."""
-        return sum(e / (i + 1) for i, e in enumerate(self.e_float()))
 
     def short_orbit_cycles(self, M: int) -> int:
         """Number of cycles (fixed points included) of length <= M."""
@@ -225,7 +204,8 @@ class Prop24Report(Record):
 
 
 def prop24_certificate(n: int) -> Prop24Report:
-    """Evaluate the three clauses exactly; assert them for odd n >= 13."""
+    """Evaluate the three clauses exactly.  They are claimed for odd
+    n >= 13, where ``suite_bounds`` checks them."""
     if n % 2 == 0 or n < 7:
         raise EvenOrSmallN(f"certificate needs odd n >= 7, got {n}")
     one = Fraction(1)
@@ -251,142 +231,19 @@ def prop24_certificate(n: int) -> Prop24Report:
     mixed_v = Fraction(2 * S, 4 * binom)
     mixed_ok = surd_sign([(mixed_u - Fraction(1, 4), 1), (mixed_v, n)]) < 0
 
-    asserted = n >= 13
-    report = Prop24Report(
-        n, hook_sum, hook_ok, (cube_u, cube_v), cube_ok, (mixed_u, mixed_v), mixed_ok, asserted
+    return Prop24Report(
+        n, hook_sum, hook_ok, (cube_u, cube_v), cube_ok, (mixed_u, mixed_v), mixed_ok, n >= 13
     )
-    if asserted and not report.all_ok():
-        raise AssertionError(f"certificate clause failed at n = {n}: {report}")
-    return report
 
 
-def prop24_monotone_decreasing(n_lo: int, n_hi: int) -> bool:
-    """Clause values weakly decrease along odd n in [n_lo, n_hi]."""
-    prev: Prop24Report | None = None
-    for n in range(n_lo, n_hi + 1, 2):
-        cur = prop24_certificate(n)
-        if prev is not None:
-            if not prev.hook_sum_value >= cur.hook_sum_value:
+def prop24_monotone_decreasing(reports: Sequence[Prop24Report]) -> bool:
+    """Clause values weakly decrease along the reports, in the order given."""
+    for prev, cur in zip(reports, reports[1:]):
+        if not prev.hook_sum_value >= cur.hook_sum_value:
+            return False
+        for get in (lambda r: r.cube_term, lambda r: r.mixed_term):
+            pu, pv = get(prev)
+            cu, cv = get(cur)
+            if surd_sign([(pu - cu, 1), (pv, prev.n), (-cv, cur.n)]) < 0:
                 return False
-            for get in (lambda r: r.cube_term, lambda r: r.mixed_term):
-                pu, pv = get(prev)
-                cu, cv = get(cur)
-                if surd_sign([(pu - cu, 1), (pv, prev.n), (-cv, cur.n)]) < 0:
-                    return False
-        prev = cur
     return True
-
-
-# ---------------------------------------------------------------------------
-# Distinct-part products
-
-
-class AmGmReport(Record):
-    __slots__ = ("n", "max_product", "argmax", "all_bounded", "part_counts_ok")
-
-    def __init__(
-        self,
-        n: int,
-        max_product: int,
-        argmax: Partition,
-        all_bounded: bool,  # every witness satisfies prod <= (n/m)^m
-        part_counts_ok: bool,  # m(m+1)/2 <= n, hence m^2 < 2n, for every witness
-    ):
-        self._init(n, max_product, argmax, all_bounded, part_counts_ok)
-
-
-def amgm_report(n: int) -> AmGmReport:
-    """Exhaust distinct-part partitions of n; verify the mean bound."""
-    if n > REPORT_LIMIT:
-        raise LimitExceeded(f"n = {n} exceeds the exhaustive limit {REPORT_LIMIT}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    best = 0
-    best_p: Partition | None = None
-    all_bounded = True
-    counts_ok = True
-    for p in enumerate_distinct_partitions(n):
-        m = len(p.parts)
-        prod = math.prod(p.parts)
-        if prod > best:
-            best, best_p = prod, p
-        if Fraction(prod) > Fraction(n, m) ** m:
-            all_bounded = False
-        if m * (m + 1) // 2 > n or m * m >= 2 * n:
-            counts_ok = False
-    if best_p is None:  # (n,) is a distinct-part partition of every n >= 1
-        raise RuntimeError(f"no distinct-part partition of {n}")
-    return AmGmReport(n, best, best_p, all_bounded, counts_ok)
-
-
-# ---------------------------------------------------------------------------
-# Split character degrees
-
-
-class SplitDegreeEntry(Record):
-    __slots__ = (
-        "partition",
-        "diagonal_hooks",
-        "half_degree",
-        "arm_factorial_product",
-        "divides_half_factorial",
-    )
-
-    def __init__(
-        self,
-        partition: Partition,
-        diagonal_hooks: tuple[int, ...],
-        half_degree: int,
-        arm_factorial_product: int,
-        divides_half_factorial: bool,
-    ):
-        self._init(
-            partition, diagonal_hooks, half_degree, arm_factorial_product, divides_half_factorial
-        )
-
-
-class SplitDegreeReport(Record):
-    __slots__ = ("n", "entries", "min_half_degree", "power_bound", "binomial_half")
-
-    def __init__(
-        self,
-        n: int,
-        entries: tuple[SplitDegreeEntry, ...],
-        min_half_degree: int | None,
-        power_bound: Fraction,  # 2^n / (4n)
-        binomial_half: Fraction,  # C(n-1, floor((n-1)/2)) / 2
-    ):
-        self._init(n, entries, min_half_degree, power_bound, binomial_half)
-
-
-def min_split_degree_report(n: int) -> SplitDegreeReport:
-    """Minimum degree of a split A_n irreducible, with the proof's
-    comparison quantities and the arm-factorial divisibility check."""
-    from ancover.characters import degree
-
-    if n > REPORT_LIMIT:
-        raise LimitExceeded(f"n = {n} exceeds the report limit {REPORT_LIMIT}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    entries = []
-    half_fact = math.factorial((n - 1) // 2)
-    for p in self_conjugate_partitions(n):
-        fs = frobenius_symbol(p)
-        arm_prod = math.prod(math.factorial(a) for a in fs.arms)
-        entries.append(
-            SplitDegreeEntry(
-                p,
-                fs.diagonal_hooks(),
-                degree(p) // 2,
-                arm_prod,
-                half_fact % arm_prod == 0,
-            )
-        )
-    entries.sort(key=lambda e: e.half_degree)
-    return SplitDegreeReport(
-        n,
-        tuple(entries),
-        entries[0].half_degree if entries else None,
-        Fraction(2**n, 4 * n),
-        Fraction(math.comb(n - 1, (n - 1) // 2), 2),
-    )

@@ -401,46 +401,3 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
                 h += 1
                 x[h] = t
         yield Partition._trusted(tuple(x[:m]))
-
-
-def enumerate_distinct_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n into pairwise distinct parts."""
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(remaining - p, p - 1, prefix)
-            prefix.pop()
-
-    yield from (Partition(parts) for parts in rec(n, n, []))
-
-
-def self_conjugate_partitions(n: int) -> Iterator[Partition]:
-    """Self-conjugate partitions of n, via distinct odd diagonal hooks."""
-    for hooks in enumerate_distinct_partitions(n):
-        if all(h % 2 == 1 for h in hooks.parts):
-            yield partition_from_diagonal_hooks(hooks)
-
-
-def partition_from_diagonal_hooks(hooks: Partition) -> Partition:
-    """Self-conjugate partition with the given distinct odd diagonal hooks."""
-    if not is_split_type(hooks):
-        raise ValueError("diagonal hooks must be distinct odd integers")
-    arms = tuple((h - 1) // 2 for h in hooks.parts)
-    m = len(arms)
-    rows = [arms[i] + i + 1 for i in range(m)]
-    # By symmetry the column lengths equal the row lengths.
-    cols = rows[:]
-    total_rows = cols[0]
-    full = [0] * total_rows
-    for i in range(m):
-        full[i] = rows[i]
-    for j in range(m):
-        # column j+1 has length cols[j]; rows beyond the diagonal block get
-        # one box for each column long enough to reach them
-        for r in range(m, cols[j]):
-            full[r] += 1
-    return Partition([p for p in full if p])

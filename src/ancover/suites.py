@@ -15,6 +15,7 @@ pair's count for every target class.
 
 from __future__ import annotations
 
+import math
 import random
 
 from ancover.bounds import (
@@ -23,9 +24,16 @@ from ancover.bounds import (
     prop24_certificate,
     prop24_monotone_decreasing,
 )
-from ancover.characters import CharacterTable, an_character_table, check_table_limit, hook_size, mn_values
+from ancover.characters import (
+    TABLE_LIMIT,
+    CharacterTable,
+    an_character_table,
+    check_table_limit,
+    hook_size,
+    mn_values,
+)
 from ancover.classalgebra import covering_number, covers, product_counts
-from ancover.combinatorics import Partition, enumerate_partitions
+from ancover.combinatorics import Partition, enumerate_partitions, frobenius_symbol
 from ancover.constructor import construct_witnesses
 from ancover.oracle import ORACLE_LIMIT, brute_product_counts
 from ancover.permutations import ClassLabel, Permutation
@@ -192,18 +200,18 @@ def suite_oracle_equiv() -> list[tuple[str, bool, str]]:
 
 def suite_bounds(seed=42, trials=10**4) -> list[tuple[str, bool, str]]:
     """Certificates: the almost-derangement clauses on odd [13, 201],
-    hook-bound dominance for n <= 13, and the short-orbit inequality on
+    hook-bound dominance for n <= 13, the degrees of the split
+    irreducibles of the A_n tables, and the short-orbit inequality on
     random permutations."""
     items = []
-    ok = True
-    for n in range(13, 202, 2):
-        if not prop24_certificate(n).all_ok():
-            ok = False
-    items.append(("prop24 odd n in [13,201]", ok, "all clauses exact"))
+    reports = [prop24_certificate(n) for n in range(13, 202, 2)]
+    failed = [r.n for r in reports if not r.all_ok()]
+    detail = f"a clause fails at n = {failed[0]}" if failed else "all clauses exact"
+    items.append(("prop24 odd n in [13,201]", not failed, detail))
     items.append(
         (
             "prop24 weakly decreasing",
-            prop24_monotone_decreasing(13, 201),
+            prop24_monotone_decreasing(reports),
             "clause values compared exactly",
         )
     )
@@ -218,6 +226,27 @@ def suite_bounds(seed=42, trials=10**4) -> list[tuple[str, bool, str]]:
                 if abs(value) > hook_bound(n, hook_size(lam)):
                     dom_ok = False
     items.append(("hook bound dominance n<=13", dom_ok, "exhaustive table scan"))
+
+    # The degrees of the split irreducibles bound their share of a class
+    # product; each is read from its table as built.
+    split_ok = True
+    for n in range(5, TABLE_LIMIT + 1):
+        table = an_character_table(n)
+        plus = [i for i, chi in enumerate(table.irreducibles) if chi.sign == "+"]
+        degrees = table.degrees()
+        half_factorial = math.factorial((n - 1) // 2)
+        split_ok &= 4 * n * min(degrees[i] for i in plus) >= 2**n
+        for i in plus:
+            arms = frobenius_symbol(table.irreducibles[i].partition).arms
+            split_ok &= half_factorial % math.prod(map(math.factorial, arms)) == 0
+    items.append(
+        (
+            f"split degrees n in [5,{TABLE_LIMIT}]",
+            split_ok,
+            "4n * min chi(1) >= 2^n and prod arms! divides floor((n-1)/2)!"
+            " over the + split irreducibles",
+        )
+    )
 
     rng = random.Random(seed)
     profile_ok = True

@@ -8,7 +8,6 @@ cross-checks at n = 8, 9.
 import math
 from fractions import Fraction
 
-from ancover.bounds import min_split_degree_report
 from ancover.characters import an_character_table
 from ancover.classalgebra import covering_number, covers, frobenius_count
 from ancover.suites import (
@@ -182,19 +181,6 @@ def test_criterion_9_asymptotic_substitutes():
             "criterion9 split value bound n<=13",
             bound_ok,
             "|phi(x)| <= (1 + sqrt(prod hooks))/2 exhaustively",
-        )
-    )
-
-    divis_ok = True
-    for n in range(2, 17):
-        rep = min_split_degree_report(n)
-        if not all(e.divides_half_factorial for e in rep.entries):
-            divis_ok = False
-    items.append(
-        (
-            "criterion9 arm factorial divisibility n<=16",
-            divis_ok,
-            "prod arms! divides floor((n-1)/2)!",
         )
     )
     _report("criterion 9", items)

@@ -6,16 +6,13 @@ import pytest
 
 from ancover.bounds import (
     EvenOrSmallN,
-    amgm_report,
     e_profile,
     hook_bound,
-    min_split_degree_report,
     prop24_certificate,
     prop24_monotone_decreasing,
     surd_sign,
 )
 from ancover.characters import AlgebraicValue
-from ancover.combinatorics import LimitExceeded, Partition, enumerate_distinct_partitions
 from ancover.permutations import Permutation
 from oracles import (
     E_fraction,
@@ -81,7 +78,7 @@ def test_e_profile_rejects_bad_counts_under_optimize():
     # The counts checks must not vanish under python -O the way asserts do.
     code = (
         "from ancover.bounds import EProfile\n"
-        "for n, counts in [(3, (2, 1, 3)), (3, (1, 3)), (3, (0, 1, 2))]:\n"
+        "for n, counts in [(3, (2, 1, 3)), (3, (1, 3)), (3, (0, 1, 2)), (0, ())]:\n"
         "    try:\n"
         "        EProfile(n, counts)\n"
         "    except ValueError:\n"
@@ -131,30 +128,6 @@ def test_prop24_certificate():
 
 
 def test_prop24_monotone():
-    assert prop24_monotone_decreasing(13, 41)
-
-
-def test_amgm_report():
-    rep = amgm_report(3)
-    assert rep.max_product == 3
-    assert rep.argmax == Partition((3,))
-    assert rep.all_bounded and rep.part_counts_ok
-    rep = amgm_report(10)
-    # 10 = 2+3+5 gives 30; 1+2+3+4 wastes the 1
-    assert rep.max_product == 30
-    for p in enumerate_distinct_partitions(10):
-        m = len(p.parts)
-        assert Fraction(math.prod(p.parts)) <= Fraction(10, m) ** m
-    with pytest.raises(LimitExceeded):
-        amgm_report(41)
-
-
-def test_min_split_degree_report():
-    rep = min_split_degree_report(5)
-    assert rep.min_half_degree == 3
-    assert rep.entries[0].partition == Partition((3, 1, 1))
-    assert all(e.divides_half_factorial for e in rep.entries)
-    rep2 = min_split_degree_report(2)
-    assert rep2.min_half_degree is None
-    rep16 = min_split_degree_report(16)
-    assert all(e.divides_half_factorial for e in rep16.entries)
+    reports = [prop24_certificate(n) for n in range(13, 42, 2)]
+    assert prop24_monotone_decreasing(reports)
+    assert not prop24_monotone_decreasing(reports[::-1])

@@ -394,10 +394,61 @@ def test_bounds_suite_with_csv(capsys, tmp_path):
     assert len(rows) == len(range(13, 202, 2))
 
 
+BOUNDS_GOLDEN = [
+    "PASS prop24 odd n in [13,201]: all clauses exact",
+    "PASS prop24 weakly decreasing: clause values compared exactly",
+    "PASS hook bound dominance n<=13: exhaustive table scan",
+    "PASS split degrees n in [5,24]: 4n * min chi(1) >= 2^n and prod arms! divides"
+    " floor((n-1)/2)! over the + split irreducibles",
+    "PASS orbit-profile bound trials=10000: 28574 (permutation, M) hypothesis hits",
+]
+
+
 def test_bounds_suite_defaults_to_its_own_trials(capsys):
     code, out, _ = run(capsys, "verify", "bounds")
-    assert code == 0
-    assert "orbit-profile bound trials=10000" in out
+    assert (code, out.splitlines()) == (0, BOUNDS_GOLDEN)
+    code, out, _ = run(capsys, "verify", "bounds", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert [f"PASS {item['name']}: {item['detail']}" for item in payload["items"]] == BOUNDS_GOLDEN
+
+
+def test_bounds_suite_fails_on_a_split_degree_below_the_bound(capsys, monkeypatch):
+    from ancover.characters import TABLE_LIMIT, CharacterTable
+
+    for n in range(5, TABLE_LIMIT + 1):
+        an_character_table(n)  # built and cached before the degrees are patched
+    degrees = CharacterTable.degrees
+
+    def split_degrees_one(table):
+        return [1 if chi.is_split() else d for chi, d in zip(table.irreducibles, degrees(table))]
+
+    monkeypatch.setattr(CharacterTable, "degrees", split_degrees_one)
+    code, out, _ = run(capsys, "verify", "bounds", "--trials", "1")
+    assert code == 1
+    assert out.splitlines()[3].startswith("FAIL split degrees n in [5,24]: ")
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
+
+
+def test_a_failed_prop24_clause_gives_a_fail_line_not_a_traceback(capsys, monkeypatch):
+    import ancover.bounds
+
+    surd_sign = ancover.bounds.surd_sign
+
+    def clauses_fail_at_101(terms):
+        # A clause compares u + v*sqrt(n) with 0 in two terms.
+        return 1 if len(terms) == 2 and terms[1][1] == 101 else surd_sign(terms)
+
+    monkeypatch.setattr(ancover.bounds, "surd_sign", clauses_fail_at_101)
+    failed = "FAIL prop24 odd n in [13,201]: a clause fails at n = 101"
+    code, out, _ = run(capsys, "verify", "bounds", "--trials", "1")
+    assert code == 1 and out.splitlines()[0] == failed
+    code, out, _ = run(capsys, "verify", "bounds", "--trials", "1", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert [item["name"] for item in payload["items"] if not item["passed"]] == [
+        "prop24 odd n in [13,201]"
+    ]
 
 
 def test_oversized_repeat_label_exits_2(capsys):

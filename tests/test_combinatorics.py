@@ -4,19 +4,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from ancover.characters import TABLE_LIMIT, an_character_table
 from ancover.combinatorics import (
     Infeasible,
     Partition,
     SubpartitionKind,
     TypedSubpartition,
     decompose_subpartitions,
-    enumerate_distinct_partitions,
     enumerate_partitions,
     frobenius_symbol,
     is_split_type,
-    partition_from_diagonal_hooks,
     phi,
-    self_conjugate_partitions,
     shrink_part,
     transpose,
 )
@@ -97,15 +95,21 @@ def test_frobenius_symbol_examples():
     assert fs.arms == (2, 0) and fs.diagonal_hooks() == (5, 1)
 
 
+def _plus_split_partitions(n: int) -> list[Partition]:
+    """The self-conjugate partitions of n, one per split pair of
+    irreducibles of the A_n table."""
+    return [chi.partition for chi in an_character_table(n).irreducibles if chi.sign == "+"]
+
+
 def test_frobenius_symbol_self_conjugate():
-    for n in range(1, 20):
-        for p in self_conjugate_partitions(n):
+    for n in range(2, TABLE_LIMIT + 1):
+        for p in _plus_split_partitions(n):
+            assert transpose(p) == p
             fs = frobenius_symbol(p)
             assert fs.arms == fs.legs
             hooks = fs.diagonal_hooks()
             assert all(h % 2 == 1 for h in hooks)
             assert sum(hooks) == n
-            assert partition_from_diagonal_hooks(Partition(hooks)) == p
 
 
 def test_is_split_type():
@@ -115,16 +119,14 @@ def test_is_split_type():
 
 
 def test_diagonal_hook_bijection():
-    # Diagonal-hook multisets of self-conjugate partitions of n are exactly
-    # the distinct-odd-part partitions of n.
-    for n in range(1, 26):
-        from_diagonals = {
-            frobenius_symbol(p).diagonal_hooks() for p in self_conjugate_partitions(n)
-        }
-        distinct_odd = {
-            p.parts for p in enumerate_distinct_partitions(n) if is_split_type(p)
-        }
-        assert from_diagonals == distinct_odd
+    # The diagonal hooks of the self-conjugate partitions of n are exactly
+    # the split cycle types of A_n, one partition to each type.
+    for n in range(2, TABLE_LIMIT + 1):
+        table = an_character_table(n)
+        from_diagonals = [frobenius_symbol(p).diagonal_hooks() for p in _plus_split_partitions(n)]
+        split_types = {c.cycle_type.parts for c in table.classes if c.is_split()}
+        assert set(from_diagonals) == split_types
+        assert len(from_diagonals) == len(split_types)
 
 
 def test_decompose_all_fixed_points():
