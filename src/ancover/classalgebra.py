@@ -77,8 +77,11 @@ def _counts(
 
 def _table_for(labels: tuple[ClassLabel, ...], table: CharacterTable | None) -> CharacterTable:
     n = labels[0].n
-    if any(x.n != n for x in labels):
-        raise ValueError("labels must share one degree")
+    for x in labels[1:]:
+        if x.n != n:
+            raise ValueError("labels must share one degree")
+    if table is not None and table.n != n:
+        raise ValueError(f"labels of degree {n} against a table of degree {table.n}")
     return an_character_table(n) if table is None else table
 
 

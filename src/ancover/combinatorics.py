@@ -317,7 +317,8 @@ def decompose_subpartitions(mu: Partition) -> list[TypedSubpartition]:
     pieces: list[TypedSubpartition] = []
 
     def add(kind: SubpartitionKind, *parts: int) -> None:
-        pieces.append(TypedSubpartition(kind, Partition(parts)))
+        # each call site passes its kind's parts in decreasing order
+        pieces.append(TypedSubpartition._trusted(kind, Partition._trusted(parts)))
 
     for m in odd_big:
         add(SubpartitionKind.ODD_PART, m)

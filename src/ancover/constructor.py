@@ -25,10 +25,12 @@ sign; the d-lift through r stripped points flips it iff r = 2 (mod 4)),
 and outside the search a call makes a fixed number of O(n) passes over
 image lists, whatever the degree.
 
-Neither builds throwaway permutations.  A search trial is an image list:
-parities are count-only walks, the cofactor's orbit of 1 decides whether
-it is a full cycle, and only a full cycle is walked whole and labelled.
-A rebuild reads the product point by point and relabels once.
+Neither re-checks what it has just built; every check on its outputs
+stays.  Permutations come from the int words or image lists made here,
+each through the one bijection check only, and each output is labelled
+by one walk.  A search trial reads its cofactor c^-1 h through the image
+list of c^-1 along the orbit of 1 only, and forms, walks and labels it
+only when that orbit is a full cycle.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ class ValidSequence(Record):
         object.__setattr__(self, "terms", terms)
 
     def shifted(self, offset: int) -> "ValidSequence":
-        return ValidSequence(tuple(t + offset for t in self.terms))
+        # an interval moved as a whole is still an interval, right end first
+        return ValidSequence._trusted(tuple([t + offset for t in self.terms]))
 
 
 # Tabulated sequences on [1, shape.n], keyed by shrunken shape: each
@@ -334,29 +337,17 @@ class WitnessPair(Record, frozen=False):
         rebuild_log_bar: tuple[tuple[int, int], ...],
         seed: int | None = None,
     ):
-        self.lam = lam
-        self.mu = mu
-        self.gamma = gamma
-        self.delta = delta
-        self.delta_bar = delta_bar
-        self.product_label = product_label
-        self.product_label_bar = product_label_bar
-        self.embeddings = embeddings
-        self.rebuild_log = rebuild_log
-        self.rebuild_log_bar = rebuild_log_bar
-        self.seed = seed
+        self._init(
+            lam, mu, gamma, delta, delta_bar, product_label, product_label_bar,
+            embeddings, rebuild_log, rebuild_log_bar, seed,
+        )
 
     def verify(self) -> None:
         """Raise VerificationFailed unless every stated invariant holds,
         the stored product labels included."""
         label, label_bar = _product_labels(
-            self.lam,
-            self.mu,
-            self.gamma,
-            self.delta,
-            self.delta_bar,
-            self.rebuild_log,
-            self.rebuild_log_bar,
+            self.lam, self.mu, self.gamma, self.delta, self.delta_bar,
+            self.rebuild_log, self.rebuild_log_bar,
         )
         _check(label == self.product_label, "product label")
         _check(label_bar == self.product_label_bar, "bar product label")
@@ -393,13 +384,8 @@ def _label_of_type(g: Permutation, lam: Partition, what: str) -> ClassLabel:
 
 
 def _product_labels(
-    lam: Partition,
-    mu: Partition,
-    gamma: Permutation,
-    delta: Permutation,
-    delta_bar: Permutation,
-    log: Sequence[tuple[int, int]],
-    log_bar: Sequence[tuple[int, int]],
+    lam: Partition, mu: Partition, gamma: Permutation, delta: Permutation, delta_bar: Permutation,
+    log: Sequence[tuple[int, int]], log_bar: Sequence[tuple[int, int]],
 ) -> tuple[ClassLabel, ClassLabel]:
     """The A_n classes of gamma*delta and gamma*delta_bar, after checking
     every invariant a WitnessPair states; each product is formed once and
@@ -422,8 +408,7 @@ def _product_labels(
     _check(len(log_bar) == expected, "bar rebuild count")
     if split:
         _check(
-            delta_label != delta_bar_label,
-            "delta and delta_bar must land in the two split classes",
+            delta_label != delta_bar_label, "delta and delta_bar must land in the two split classes"
         )
     return label, label_bar
 
@@ -446,11 +431,12 @@ def _grow_targets(
             continue
         host, iv = placed[di]
         off = offsets[host]
-        points = set(range(off + iv.a, off + iv.b + 1))
+        interval = set(range(off + iv.a, off + iv.b + 1))
+        points = set(interval)
         orbits: list[frozenset[int]] = []
         while points:
             orb = orbit_of(product, min(points))
-            _check(orb <= set(range(off + iv.a, off + iv.b + 1)), "orbit leaves its subinterval")
+            _check(orb <= interval, "orbit leaves its subinterval")
             points -= orb
             orbits.append(orb)
         grow = sorted((o for o in orbits if len(o) >= 4), key=min)
@@ -462,9 +448,7 @@ def _grow_targets(
 
 
 def _run_rebuilds(
-    gamma: Permutation,
-    delta: Permutation,
-    targets: list[tuple[frozenset[int], int]],
+    gamma: Permutation, delta: Permutation, targets: list[tuple[frozenset[int], int]],
     pool: Sequence[int],
 ) -> tuple[Permutation, list[tuple[int, int]]]:
     cur = delta
@@ -489,11 +473,7 @@ def _run_rebuilds(
 
 
 def construct_witnesses(
-    lam: Partition,
-    mu: Partition,
-    *,
-    strict: bool = True,
-    seed: int = 0,
+    lam: Partition, mu: Partition, *, strict: bool = True, seed: int = 0
 ) -> WitnessPair:
     """Build verified witnesses for the coverage of type mu by type lam.
 
@@ -520,8 +500,8 @@ def construct_witnesses(
     pieces = decompose_subpartitions(mu)
     offsets = tuple(sum(lam.parts[:j]) for j in range(k))
     embeddings = tuple((offsets[j] + 1, offsets[j] + lam.parts[j]) for j in range(k))
-    gamma = Permutation.from_cycles(
-        n, [tuple(range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1)) for j in range(k)]
+    gamma = Permutation._from_words(
+        n, [range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1) for j in range(k)]
     )
 
     # A lone fixed point shrinks to the empty shape and packs nowhere.
@@ -544,7 +524,7 @@ def construct_witnesses(
                 local.append(chosen.shifted(iv.a - 1))
             off = offsets[plan.host_index]
             words.append([p + off for p in packing_word(plan, local)])
-        return Permutation.from_cycles(n, words)
+        return Permutation._from_words(n, words)
 
     delta0 = build_delta(None)
     delta_bar0 = build_delta(pivot)
@@ -561,9 +541,7 @@ def construct_witnesses(
 
     needed = sum(p - shrink_part(p) for p in mu.parts) // 2
     if len(pool) < needed:
-        raise Infeasible(
-            f"free space supplies {len(pool)} growth pairs but {needed} are needed"
-        )
+        raise Infeasible(f"free space supplies {len(pool)} growth pairs but {needed} are needed")
 
     targets = _grow_targets(nontrivial, plans, offsets, gamma * delta0)
     delta, log = _run_rebuilds(gamma, delta0, targets, pool)
@@ -577,12 +555,8 @@ def construct_witnesses(
 
 
 def _construct_two_twos_case(
-    lam: Partition,
-    mu: Partition,
-    gamma: Permutation,
-    offsets: tuple[int, ...],
-    embeddings: tuple[tuple[int, int], ...],
-    seed: int,
+    lam: Partition, mu: Partition, gamma: Permutation, offsets: tuple[int, ...],
+    embeddings: tuple[tuple[int, int], ...], seed: int,
 ) -> WitnessPair:
     """mu is 1^(n-4) 2,2: realize the 2,2 inside the largest cycle of
     gamma by seeded search for a long-cycle cofactor, in both classes."""
@@ -609,10 +583,10 @@ def _construct_two_twos_case(
         d1[a], d1[b], d1[c], d1[e] = d1[b], d1[a], d1[e], d1[c]
         if not _is_full_cycle(d1):
             continue
-        word1 = _walk(d1)[0]
+        word1 = _walk(d1)[0][0]
         # other hosts contribute inverse cycles so the product fixes them
         words = [word1] + [tuple(reversed(w)) for w in other_words]
-        delta = Permutation.from_cycles(n, words)
+        delta = Permutation._from_words(n, words)
         key = an_class_of(delta).sign if want_both else None
         if key not in found:
             found[key] = delta
@@ -672,12 +646,7 @@ _PRECHECK_LIMIT = 16
 
 
 def cover_with_ncycles(
-    g: Permutation,
-    C: ClassLabel,
-    D: ClassLabel,
-    *,
-    seed: int = 0,
-    budget: int = 10**6,
+    g: Permutation, C: ClassLabel, D: ClassLabel, *, seed: int = 0, budget: int = 10**6
 ) -> tuple[Permutation, Permutation]:
     """n-cycles c in C and d in D with c*d = g, for odd n >= 5.
 
@@ -695,14 +664,11 @@ def cover_with_ncycles(
     r = 2 (mod 4).  The final checks of c*d == g and of both labels
     re-verify the rule on every call.
 
-    Outside the search a call makes a fixed number of O(n) passes over
-    image lists whatever the degree: one splitting g's fixed points from
-    its moved ones, the relabelling, the two lifted words and the final
-    checks; g's parity is counted on its degree-m residue.  It builds
+    C and D are checked before g is read.  Outside the search a call
+    makes a fixed number of O(n) passes whatever the degree, and builds
     two Permutations of degree n, c and d; c*d is compared with g as an
-    image list and never built.  The search runs on
-    lists of degree m; a trial walks the orbit of 1 under the cofactor,
-    and only a full cycle is walked whole and labelled.
+    image list.  The search runs on lists of degree m (see the module
+    docstring for a trial).
     """
     from ancover.classalgebra import frobenius_count
 
@@ -711,10 +677,11 @@ def cover_with_ncycles(
     n = g.n
     if n < 5 or n % 2 == 0:
         raise ValueError("defined for odd n >= 5")
-    points: tuple[list[int], list[int]] = ([], [])  # fixed, moved
-    for x, y in enumerate(g.images, 1):
-        points[x != y].append(x if x != y else y)  # c and d share g's fixed ints
-    fixed, moved = points
+    ncycle = Partition((n,))
+    if C.cycle_type != ncycle or D.cycle_type != ncycle:
+        raise ValueError("C and D must be n-cycle classes of matching degree")
+    fixed = [y for x, y in enumerate(g.images, 1) if x == y]  # c and d share g's fixed ints
+    moved = [x for x, y in enumerate(g.images, 1) if x != y]
     k = len(fixed)
     if k == n:
         raise ValueError("g must be nontrivial")
@@ -743,9 +710,6 @@ def cover_with_ncycles(
     h_small = [rank[g.images[x - 1]] for x in order[:m]]
     if (m - _cycle_count(h_small)) % 2:
         raise ValueError("g must be even")
-    ncycle = Partition((n,))
-    if C.cycle_type != ncycle or D.cycle_type != ncycle or C.n != n or D.n != n:
-        raise ValueError("C and D must be n-cycle classes of matching degree")
     flip = {"+": "-", "-": "+"}
     base_c = ClassLabel(Partition((m,)), C.sign)
     base_d = ClassLabel(Partition((m,)), flip[D.sign] if _d_lift_flips_sign(r) else D.sign)
@@ -766,9 +730,15 @@ def cover_with_ncycles(
         # the candidate w rep w^-1 is the cycle (w(a) for a in rep's word)
         c_word = [w[a - 1] for a in rep_word]
         c_inv = _cycle_images(c_word[::-1])
-        d_small = [c_inv[y - 1] for y in h_small]
-        if _is_full_cycle(d_small) and an_class_of(Permutation._from_ints(d_small)) == base_d:
-            break
+        # the cofactor c^-1 h: its orbit of 1 first, its images only if full
+        x, length = c_inv[h_small[0] - 1], 1
+        while x != 1:
+            x = c_inv[h_small[x - 1] - 1]
+            length += 1
+        if length == m:
+            d_small = [c_inv[y - 1] for y in h_small]
+            if an_class_of(Permutation._from_ints(d_small)) == base_d:
+                break
     else:
         raise SearchBudgetExceeded(seed, budget)
 
@@ -776,7 +746,7 @@ def cover_with_ncycles(
     # (m, d_1..d_{m-1}) becomes (n, n-1, ..., m, d_1, ..., d_{m-1}); both
     # words are read through the relabelling, which sends the stripped
     # ranks m+1, ..., n to order[m:].
-    d_word = _walk(d_small)[0]
+    d_word = _walk(d_small)[0][0]
     i, j = c_word.index(m), d_word.index(m)
     stripped = order[m:]
     lift_c = [order[y - 1] for y in c_word[i + 1 :] + c_word[: i + 1]] + stripped

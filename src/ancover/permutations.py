@@ -4,12 +4,14 @@ Products compose right to left: ``(a * b)(x) == a(b(x))``.  Degrees are
 explicit; operations on mismatched degrees raise instead of embedding
 silently, and :func:`embed` pads with fixed points when an embedding is
 wanted.  Every Permutation passes the one bijection check,
-:func:`_bijection`, behind two entry points: ``Permutation(...)`` first
-converts each image with ``int()``, for outside input, and
-``Permutation._from_ints`` skips that pass for images the package built
-from ints itself.
-``_walk`` builds the cycles; ``_cycle_count`` takes the same walk without
-building anything, for parities and split signs.
+:func:`_bijection`, behind three entry points: ``Permutation(...)``
+converts each image with ``int()`` first, for outside input;
+``Permutation._from_ints`` takes images the package built from ints, and
+``Permutation._from_words`` disjoint int words it built, after one check
+that their points are distinct and within 1..n (``from_cycles`` converts
+outside cycles and delegates to it).  One walk, ``_walk``, gives the
+cycles and the fixed-point count that ``cycle_type`` and ``an_class_of``
+read; ``_cycle_count`` walks without building anything.
 
 An A_n class is named by its cycle type plus an optional sign.  A sign is
 present exactly when the type has pairwise distinct odd parts (the split
@@ -77,24 +79,37 @@ class Permutation(Record):
         return p
 
     @classmethod
+    def _from_words(cls, n: int, words: Sequence[Sequence[int]]) -> "Permutation":
+        """The product of the cycles these int words spell, each mapping a
+        point to the next and its last point to its first."""
+        points: list[int] = []
+        images: list[int] = []
+        for w in words:
+            if w:
+                points += w
+                images += w[1:]
+                images.append(w[0])
+        if points and (min(points) < 1 or max(points) > n or len(set(points)) != len(points)):
+            raise ValueError(f"words are not disjoint cycles on 1..{n}")
+        img = list(range(n + 1))
+        for x, y in zip(points, images):
+            img[x] = y
+        return cls._from_ints(img[1:])
+
+    @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
-        images = list(range(1, n + 1))
-        seen: set[int] = set()
-        for cyc in cycles:
-            cyc = list(map(int, cyc))
-            points = set(cyc)
-            bad = cyc and (min(cyc) < 1 or max(cyc) > n)
-            if bad or len(points) < len(cyc) or not points.isdisjoint(seen):
-                for x in cyc:  # name the first offending point
-                    if not 1 <= x <= n:
-                        raise ValueError(f"point {x} out of range 1..{n}")
-                    if x in seen:
-                        raise ValueError(f"point {x} appears in two cycles")
-                    seen.add(x)
-            seen |= points
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a - 1] = b
-        return cls._from_ints(images)
+        words = [list(map(int, cyc)) for cyc in cycles]
+        try:
+            return cls._from_words(n, words)
+        except ValueError:
+            seen: set[int] = set()
+            for x in (x for w in words for x in w):  # name the first offending point
+                if not 1 <= x <= n:
+                    raise ValueError(f"point {x} out of range 1..{n}") from None
+                if x in seen:
+                    raise ValueError(f"point {x} appears in two cycles") from None
+                seen.add(x)
+            raise
 
     @property
     def n(self) -> int:
@@ -117,8 +132,10 @@ class Permutation(Record):
 
     def cycles(self, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, longest first."""
-        out = [tuple(c) for c in _walk(self.images) if include_fixed or len(c) > 1]
+        out = [tuple(c) for c in _walk(self.images)[0]]
         out.sort(key=len, reverse=True)  # stable: ties stay ordered by minimum
+        if include_fixed:
+            out += [(x,) for x, y in enumerate(self.images, 1) if x == y]
         return out
 
     def cycle_type(self) -> Partition:
@@ -142,18 +159,20 @@ class Permutation(Record):
         return self.format_cycles()
 
 
-def _walk(images: Sequence[int]) -> list[list[int]]:
-    """Every cycle of the permutation with these images, fixed points
-    included, each starting at its least point, in order of that point."""
+def _walk(images: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Every cycle of length 2 or more of the permutation with these
+    images, each starting at its least point, in order of that point; and
+    the number of fixed points."""
     img = (0, *images)
     seen = [False] * len(img)
     out: list[list[int]] = []
+    fixed = 0
     for start in range(1, len(img)):
         if seen[start]:
             continue
         x = img[start]
         if x == start:
-            out.append([start])
+            fixed += 1
             continue
         cyc = [start]
         while x != start:
@@ -161,7 +180,7 @@ def _walk(images: Sequence[int]) -> list[list[int]]:
             cyc.append(x)
             x = img[x]
         out.append(cyc)
-    return out
+    return out, fixed
 
 
 def _cycle_count(images: Sequence[int]) -> int:
@@ -181,12 +200,9 @@ def _cycle_count(images: Sequence[int]) -> int:
     return count
 
 
-def _type_of_walk(walk: list[list[int]]) -> Partition:
-    return Partition(sorted(map(len, walk), reverse=True))
-
-
 def cycle_type(g: Permutation) -> Partition:
-    return _type_of_walk(_walk(g.images))
+    cycles, fixed = _walk(g.images)
+    return Partition._trusted((*sorted(map(len, cycles), reverse=True), *(1,) * fixed))
 
 
 def embed(g: Permutation, n: int) -> Permutation:
@@ -322,15 +338,21 @@ def an_class_of(g: Permutation) -> ClassLabel:
     images, so both have the same parity.  The parity does not depend on
     the rotation chosen for each cycle because all cycle lengths are odd.
     """
-    walk = _walk(g.images)
-    if (g.n - len(walk)) % 2:
-        raise OddPermutation(f"{g} is not in A_{g.n}")
-    t = _type_of_walk(walk)
-    if not splits_in_an(t):
-        return ClassLabel(t)
-    walk.sort(key=len, reverse=True)
-    word = [x for cyc in walk for x in cyc]
-    return ClassLabel(t, "-" if (g.n - _cycle_count(word)) % 2 else "+")
+    cycles, fixed = _walk(g.images)
+    n = g.n
+    if (n - len(cycles) - fixed) % 2:
+        raise OddPermutation(f"{g} is not in A_{n}")
+    lengths = sorted(map(len, cycles), reverse=True)
+    t = Partition._trusted((*lengths, *(1,) * fixed))
+    # split: distinct odd parts, at most one of them a fixed point, n >= 2
+    odd = fixed <= 1 and cycles and all(p % 2 for p in lengths)
+    if not odd or len(set(lengths)) < len(lengths):
+        return ClassLabel._trusted(t, None)
+    cycles.sort(key=len, reverse=True)
+    word = cycles[0] if len(cycles) == 1 else [x for cyc in cycles for x in cyc]
+    if fixed:  # the one fixed point is what the word leaves out of 1..n
+        word.append(n * (n + 1) // 2 - sum(word))
+    return ClassLabel._trusted(t, "-" if (n - _cycle_count(word)) % 2 else "+")
 
 
 def kappa_of_type(t: Partition) -> int:

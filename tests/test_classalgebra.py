@@ -144,6 +144,23 @@ def test_covering_number_rejects_identity():
         covering_number(_lbl("1x5"))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda C, t: frobenius_count(C, C, _lbl("1x5"), table=t),
+        lambda C, t: product_counts(C, C, table=t),
+        lambda C, t: power_counts(C, 2, table=t),
+        lambda C, t: covers(C, C, table=t),
+        lambda C, t: covering_number(C, table=t),
+    ],
+    ids=["frobenius_count", "product_counts", "power_counts", "covers", "covering_number"],
+)
+def test_a_table_of_another_degree_is_a_value_error(call):
+    # Not a KeyError from the class lookup: the message names both degrees.
+    with pytest.raises(ValueError, match="^labels of degree 5 against a table of degree 7$"):
+        call(_lbl("5:+"), an_character_table(7))
+
+
 def test_product_support_unions_to_consistency():
     table = an_character_table(6)
     C = _lbl("5,1:+")

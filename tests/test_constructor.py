@@ -29,6 +29,7 @@ from ancover.permutations import (
     ClassLabel,
     Permutation,
     an_class_of,
+    class_representative,
     cycle_type,
     parse_class_label,
     parse_permutation,
@@ -538,6 +539,104 @@ def test_cover_with_ncycles_rejects_bad_input():
         cover_with_ncycles(cyc(6, (1, 2, 3)), parse_class_label("5:+"), parse_class_label("5:-"))
     with pytest.raises(ValueError):
         cover_with_ncycles(identity(7), parse_class_label("7:+"), parse_class_label("7:+"))
+
+
+def test_bad_classes_are_refused_before_reading_g():
+    # The class check is O(1) and comes before the first pass over g; an
+    # odd g with bad classes is refused for its classes, not its parity.
+    class Unread:
+        n = 1001
+
+        @property
+        def images(self):
+            raise AssertionError("read the images of g")
+
+    message = "^C and D must be n-cycle classes of matching degree$"
+    nine, three = parse_class_label("9:+"), parse_class_label("3,3,3")
+    for C, D in [(nine, nine), (parse_class_label("1001:+"), three)]:
+        with pytest.raises(ValueError, match=message):
+            cover_with_ncycles(Unread(), C, D)
+    odd = cyc(9, (1, 2))
+    for C, D in [(nine, three), (parse_class_label("11:+"), nine)]:
+        with pytest.raises(ValueError, match=message):
+            cover_with_ncycles(odd, C, D)
+    with pytest.raises(ValueError, match="^g must be even$"):
+        cover_with_ncycles(odd, nine, nine)
+
+
+def test_search_labels_only_full_cycle_cofactors(monkeypatch):
+    """A trial walks the orbit of 1 under its cofactor c^-1 h and forms
+    and labels the cofactor only when that orbit is all of 1..m.  With g
+    fixing at most one point the residue is g itself (m = n = 21, past the
+    pre-check), so an_class_of runs once per full-cycle trial, replayed
+    here with Permutations, and once for each of the two lifted factors."""
+    import ancover.constructor
+
+    n, seed = 21, 6
+    rng = random.Random(2)
+    g = random_even_permutation(n, rng)
+    while sum(g(x) == x for x in range(1, n + 1)) > 1:
+        g = random_even_permutation(n, rng)
+    C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
+
+    trials = full = 0
+    rng = random.Random(seed)
+    rep = class_representative(C).cycles()[0]
+    while True:
+        trials += 1
+        w = list(range(1, n + 1))
+        rng.shuffle(w)
+        if not is_even(Permutation(w)):
+            w[0], w[1] = w[1], w[0]
+        c = Permutation.from_cycles(n, [[w[a - 1] for a in rep]])
+        d = c.inverse() * g
+        if [len(x) for x in d.cycles()] == [n]:
+            full += 1
+            if an_class_of(d) == D:
+                break
+
+    calls = []
+    label = ancover.constructor.an_class_of
+
+    def counting(h):
+        calls.append(h.n)
+        return label(h)
+
+    monkeypatch.setattr(ancover.constructor, "an_class_of", counting)
+    assert cover_with_ncycles(g, C, D, seed=seed) == (c, d)
+    assert trials > full > 1
+    assert len(calls) == full + 2
+
+
+@pytest.mark.parametrize(
+    "lam, mu, strict",
+    [
+        ("13", "7,5,1", False),  # split lam, no growth
+        ("25,11,7", "9,1x34", True),  # split lam, two growth steps each
+        ("31,9", "11,1x29", True),  # split lam, three steps each
+        ("21,21", "9,1x33", True),  # lam does not split
+    ],
+)
+def test_construction_builds_a_fixed_number_of_full_degree_permutations(
+    monkeypatch, lam, mu, strict
+):
+    """One construct_witnesses call builds gamma, the two packings, one
+    delta per growth step, the two packed products that locate the orbits
+    to grow, and the two final products: 7 Permutations of degree n and one
+    per logged step, each through the one bijection check."""
+    lam, mu = Partition.from_text(lam), Partition.from_text(mu)
+    built = []
+    check = permutations._bijection
+
+    def counting_check(images):
+        built.append(len(images))
+        return check(images)
+
+    monkeypatch.setattr(permutations, "_bijection", counting_check)
+    pair = construct_witnesses(lam, mu, strict=strict)
+    monkeypatch.undo()
+    pair.verify()
+    assert built == [lam.n] * (7 + len(pair.rebuild_log) + len(pair.rebuild_log_bar))
 
 
 def test_lift_sign_rule_matches_explicit_lifts():

@@ -38,6 +38,7 @@ from oracles import (
     reference_from_cycles,
     reference_images,
     reference_parity,
+    run_python,
     support,
 )
 
@@ -396,9 +397,43 @@ def _near_cycles(draw):
 )
 def test_from_cycles_raises_as_reference(case):
     n, cycles = case
-    assert _outcome(Permutation.from_cycles, n, cycles) == _outcome(
-        reference_from_cycles, n, cycles
+    expect = _outcome(reference_from_cycles, n, cycles)
+    assert _outcome(Permutation.from_cycles, n, cycles) == expect
+    # The package's own entry point builds the same images and rejects the
+    # same words, under one message of its own.
+    built = _outcome(Permutation._from_words, n, cycles)
+    assert built == expect if expect[0] == "builds" else built[0] == "raises"
+
+
+# Words that are not disjoint cycles on 1..n, one fault each.
+_BAD_WORDS = {
+    "repeated-in-one-word": (6, [[1, 2, 1]]),
+    "in-two-words": (6, [[1, 2, 3], [4, 2]]),
+    "below-1": (6, [[0, 2], [3, 4]]),
+    "above-n": (6, [[3, 4], [5, 7]]),
+}
+
+
+@pytest.mark.parametrize("n, words", _BAD_WORDS.values(), ids=list(_BAD_WORDS))
+def test_from_words_rejects_words_that_are_not_disjoint_cycles(n, words):
+    with pytest.raises(ValueError, match=r"^words are not disjoint cycles on 1\.\.6$"):
+        Permutation._from_words(n, words)
+
+
+def test_from_words_rejects_bad_words_under_optimize():
+    # The check is an if, not an assert: python -O keeps it.
+    code = (
+        "from ancover.permutations import Permutation\n"
+        f"cases = {list(_BAD_WORDS.values())!r}\n"
+        "for n, words in cases:\n"
+        "    try:\n"
+        "        Permutation._from_words(n, words)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'built {words}')\n"
     )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _split_elements(n, rng):
