@@ -28,7 +28,8 @@ image lists, whatever the degree.
 Neither re-checks what it has just built; every check on its outputs
 stays.  Permutations come from the int words or image lists made here,
 each through the one bijection check only, and each output is labelled
-by one walk.  A search trial reads its cofactor c^-1 h through the image
+by one walk.  The growth steps change one image list in place, so a call
+builds a fixed number of Permutations whatever its steps.  A search trial reads its cofactor c^-1 h through the image
 list of c^-1 along the orbit of 1 only, and forms, walks and labels it
 only when that orbit is a full cycle.
 """
@@ -49,7 +50,6 @@ from ancover.combinatorics import (
 )
 from ancover.permutations import (
     ClassLabel,
-    DegreeMismatch,
     OddPermutation,
     Permutation,
     _cycle_count,
@@ -261,9 +261,10 @@ def orbit_of(p: Permutation, x: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutation:
+def _rebuild_images(g: Sequence[int], d: list[int], x: int, y: int) -> None:
     """Conjugate delta by (x, y) so the product's orbit of x absorbs the
-    fixed pair {y, gamma(y)}.
+    fixed pair {y, gamma(y)}; g and d are the image lists of gamma and
+    delta led by a 0, and d changes in place.
 
     Hypotheses, all checked: (a) delta moves x and y; (b) gamma(x) lies in
     the gamma*delta orbit of x; (c) y and gamma(y) are fixed by
@@ -272,14 +273,11 @@ def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutati
     """
     if x == y:
         raise HypothesisViolated("a", "x and y must be distinct")
-    if delta(x) == x:
+    if d[x] == x:
         raise HypothesisViolated("a", f"delta fixes x = {x}")
-    if delta(y) == y:
+    if d[y] == y:
         raise HypothesisViolated("a", f"delta fixes y = {y}")
-    if delta.n != gamma.n:
-        raise DegreeMismatch(f"degree {gamma.n} vs {delta.n}")
-    g, d = (0, *gamma.images), (0, *delta.images)  # the product is g[d[z]]
-    z = g[d[x]]
+    z = g[d[x]]  # the product is g[d[z]]
     while z != x and z != g[x]:
         z = g[d[z]]
     if z != g[x]:
@@ -289,11 +287,9 @@ def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutati
     if g[d[g[y]]] != g[y]:
         raise HypothesisViolated("c", f"product moves gamma(y) = {g[y]}")
     # (x y) delta (x y): swap the values x and y, then their positions
-    images = list(delta.images)
-    i, j = images.index(x), images.index(y)
-    images[i], images[j] = y, x
-    images[x - 1], images[y - 1] = images[y - 1], images[x - 1]
-    return Permutation._from_ints(images)
+    i, j = d.index(x), d.index(y)
+    d[i], d[j] = y, x
+    d[x], d[y] = d[y], d[x]
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +333,29 @@ class WitnessPair(Record, frozen=False):
         rebuild_log_bar: tuple[tuple[int, int], ...],
         seed: int | None = None,
     ):
-        self._init(
-            lam, mu, gamma, delta, delta_bar, product_label, product_label_bar,
-            embeddings, rebuild_log, rebuild_log_bar, seed,
-        )
+        self.lam = lam
+        self.mu = mu
+        self.gamma = gamma
+        self.delta = delta
+        self.delta_bar = delta_bar
+        self.product_label = product_label
+        self.product_label_bar = product_label_bar
+        self.embeddings = embeddings
+        self.rebuild_log = rebuild_log
+        self.rebuild_log_bar = rebuild_log_bar
+        self.seed = seed
 
     def verify(self) -> None:
         """Raise VerificationFailed unless every stated invariant holds,
         the stored product labels included."""
         label, label_bar = _product_labels(
-            self.lam, self.mu, self.gamma, self.delta, self.delta_bar,
-            self.rebuild_log, self.rebuild_log_bar,
+            self.lam,
+            self.mu,
+            self.gamma,
+            self.delta,
+            self.delta_bar,
+            self.rebuild_log,
+            self.rebuild_log_bar,
         )
         _check(label == self.product_label, "product label")
         _check(label_bar == self.product_label_bar, "bar product label")
@@ -384,8 +392,13 @@ def _label_of_type(g: Permutation, lam: Partition, what: str) -> ClassLabel:
 
 
 def _product_labels(
-    lam: Partition, mu: Partition, gamma: Permutation, delta: Permutation, delta_bar: Permutation,
-    log: Sequence[tuple[int, int]], log_bar: Sequence[tuple[int, int]],
+    lam: Partition,
+    mu: Partition,
+    gamma: Permutation,
+    delta: Permutation,
+    delta_bar: Permutation,
+    log: Sequence[tuple[int, int]],
+    log_bar: Sequence[tuple[int, int]],
 ) -> tuple[ClassLabel, ClassLabel]:
     """The A_n classes of gamma*delta and gamma*delta_bar, after checking
     every invariant a WitnessPair states; each product is formed once and
@@ -408,7 +421,8 @@ def _product_labels(
     _check(len(log_bar) == expected, "bar rebuild count")
     if split:
         _check(
-            delta_label != delta_bar_label, "delta and delta_bar must land in the two split classes"
+            delta_label != delta_bar_label,
+            "delta and delta_bar must land in the two split classes",
         )
     return label, label_bar
 
@@ -448,10 +462,12 @@ def _grow_targets(
 
 
 def _run_rebuilds(
-    gamma: Permutation, delta: Permutation, targets: list[tuple[frozenset[int], int]],
+    gamma: Permutation,
+    delta: Permutation,
+    targets: list[tuple[frozenset[int], int]],
     pool: Sequence[int],
 ) -> tuple[Permutation, list[tuple[int, int]]]:
-    cur = delta
+    g, cur = (0, *gamma.images), [0, *delta.images]
     log: list[tuple[int, int]] = []
     work = [(set(orb), part) for orb, part in targets]
     pool_iter = iter(pool)
@@ -461,19 +477,23 @@ def _run_rebuilds(
             break
         idx = max(range(len(work)), key=lambda i: (deficits[i], -min(work[i][0])))
         orb, part = work[idx]
-        x = min(p for p in orb if cur(p) != p and gamma(p) in orb)
+        x = min(p for p in orb if cur[p] != p and g[p] in orb)
         try:
             y = next(pool_iter)
         except StopIteration:
             raise Infeasible("free-space pool exhausted during rebuilding")
-        cur = rebuild(gamma, cur, x, y)
-        orb.update({y, gamma(y)})
+        _rebuild_images(g, cur, x, y)
+        orb.update({y, g[y]})
         log.append((x, y))
-    return cur, log
+    return (Permutation._from_ints(cur[1:]) if log else delta), log
 
 
 def construct_witnesses(
-    lam: Partition, mu: Partition, *, strict: bool = True, seed: int = 0
+    lam: Partition,
+    mu: Partition,
+    *,
+    strict: bool = True,
+    seed: int = 0,
 ) -> WitnessPair:
     """Build verified witnesses for the coverage of type mu by type lam.
 
@@ -541,7 +561,9 @@ def construct_witnesses(
 
     needed = sum(p - shrink_part(p) for p in mu.parts) // 2
     if len(pool) < needed:
-        raise Infeasible(f"free space supplies {len(pool)} growth pairs but {needed} are needed")
+        raise Infeasible(
+            f"free space supplies {len(pool)} growth pairs but {needed} are needed"
+        )
 
     targets = _grow_targets(nontrivial, plans, offsets, gamma * delta0)
     delta, log = _run_rebuilds(gamma, delta0, targets, pool)
@@ -555,8 +577,12 @@ def construct_witnesses(
 
 
 def _construct_two_twos_case(
-    lam: Partition, mu: Partition, gamma: Permutation, offsets: tuple[int, ...],
-    embeddings: tuple[tuple[int, int], ...], seed: int,
+    lam: Partition,
+    mu: Partition,
+    gamma: Permutation,
+    offsets: tuple[int, ...],
+    embeddings: tuple[tuple[int, int], ...],
+    seed: int,
 ) -> WitnessPair:
     """mu is 1^(n-4) 2,2: realize the 2,2 inside the largest cycle of
     gamma by seeded search for a long-cycle cofactor, in both classes."""
@@ -615,12 +641,13 @@ def _cycle_images(word: Sequence[int]) -> list[int]:
     return images
 
 
-def _is_full_cycle(images: Sequence[int]) -> bool:
-    """Whether these images form one cycle through every point; only the
-    orbit of 1 is walked."""
-    x, length = images[0], 1
+def _is_full_cycle(images: Sequence[int], then: Sequence[int] | None = None) -> bool:
+    """Whether these images, followed by those of ``then`` when given, form
+    one cycle through every point; only the orbit of 1 is walked, and the
+    composite is never built."""
+    x, length = images[0] if then is None else then[images[0] - 1], 1
     while x != 1:
-        x = images[x - 1]
+        x = images[x - 1] if then is None else then[images[x - 1] - 1]
         length += 1
     return length == len(images)
 
@@ -646,7 +673,12 @@ _PRECHECK_LIMIT = 16
 
 
 def cover_with_ncycles(
-    g: Permutation, C: ClassLabel, D: ClassLabel, *, seed: int = 0, budget: int = 10**6
+    g: Permutation,
+    C: ClassLabel,
+    D: ClassLabel,
+    *,
+    seed: int = 0,
+    budget: int = 10**6,
 ) -> tuple[Permutation, Permutation]:
     """n-cycles c in C and d in D with c*d = g, for odd n >= 5.
 
@@ -730,12 +762,8 @@ def cover_with_ncycles(
         # the candidate w rep w^-1 is the cycle (w(a) for a in rep's word)
         c_word = [w[a - 1] for a in rep_word]
         c_inv = _cycle_images(c_word[::-1])
-        # the cofactor c^-1 h: its orbit of 1 first, its images only if full
-        x, length = c_inv[h_small[0] - 1], 1
-        while x != 1:
-            x = c_inv[h_small[x - 1] - 1]
-            length += 1
-        if length == m:
+        # the cofactor c^-1 h is formed only when it is a full cycle
+        if _is_full_cycle(h_small, c_inv):
             d_small = [c_inv[y - 1] for y in h_small]
             if an_class_of(Permutation._from_ints(d_small)) == base_d:
                 break

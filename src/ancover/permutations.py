@@ -344,9 +344,7 @@ def an_class_of(g: Permutation) -> ClassLabel:
         raise OddPermutation(f"{g} is not in A_{n}")
     lengths = sorted(map(len, cycles), reverse=True)
     t = Partition._trusted((*lengths, *(1,) * fixed))
-    # split: distinct odd parts, at most one of them a fixed point, n >= 2
-    odd = fixed <= 1 and cycles and all(p % 2 for p in lengths)
-    if not odd or len(set(lengths)) < len(lengths):
+    if not splits_in_an(t):
         return ClassLabel._trusted(t, None)
     cycles.sort(key=len, reverse=True)
     word = cycles[0] if len(cycles) == 1 else [x for cyc in cycles for x in cyc]

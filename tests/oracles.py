@@ -132,7 +132,7 @@ from ancover.characters import (
     mn_values,
 )
 from ancover.classalgebra import frobenius_count
-from ancover.constructor import PackingPlan, ValidSequence, packing_word
+from ancover.constructor import PackingPlan, ValidSequence, _rebuild_images, packing_word
 from ancover.oracle import (
     ORACLE_LIMIT,
     _cycles,
@@ -747,6 +747,16 @@ def is_real_in_an(g: Permutation) -> bool:
 def packing_cycle(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> Permutation:
     """The host-length cycle of :func:`~ancover.constructor.packing_word`."""
     return Permutation.from_cycles(plan.host_length, [packing_word(plan, sequences)])
+
+
+def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutation:
+    """One growth step of :func:`~ancover.constructor.construct_witnesses`
+    on Permutations: delta conjugated by (x, y), hypotheses checked."""
+    if delta.n != gamma.n:
+        raise DegreeMismatch(f"degree {gamma.n} vs {delta.n}")
+    d = [0, *delta.images]
+    _rebuild_images((0, *gamma.images), d, x, y)
+    return Permutation(d[1:])
 
 
 def identity(n: int) -> Permutation:

@@ -38,12 +38,34 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert summary["wall_s"]["parent_quartiles"] == [1.0225, 1.045, 1.0675]
     assert summary["wall_s"]["median_change_pct"] == -19.1
     assert summary["ops_per_s"]["change_wins"] == 1  # higher is better
-    met = bench_pairs.verdict({"w": summary}, "w", "wall_s", lower=True)
+    met = bench_pairs.verdict({"w": summary}, "w", "wall_s")
     assert met.endswith("the claim is met")
-    missed = bench_pairs.verdict({"w": summary}, "w", "ops_per_s", lower=False)
+    missed = bench_pairs.verdict({"w": summary}, "w", "ops_per_s")
     assert missed.endswith("the claim is not met")
 
 
-def test_summary_flags_different_answers():
-    runs = _runs([(1.0, 1.0)] * 2, [(0.5, 1.0)] * 2, digest_change="e")
-    assert not bench_pairs.summarize(runs, METRICS)["w"]["answers_digests_equal"]
+def test_spread_is_judged_before_rounding():
+    # the parent's spread is 4.5e-6 and the medians differ by 6e-6; rounded
+    # to four decimals both medians would read 0.0128 and not differ at all
+    parent = [(0.0128 + i * 1e-6, 1.0) for i in range(10)]
+    change = [(p - 6e-6, 1.0) for p, _ in parent]
+    summary = bench_pairs.summarize(_runs(parent, change), METRICS)
+    assert summary["w"]["wall_s"]["parent_spread"] == 4.5e-06
+    assert summary["w"]["wall_s"]["medians_apart"]
+    assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is met")
+
+
+def test_a_failed_run_or_different_answers_is_not_a_met_claim():
+    parent, change = [(1.0, 1.0)] * 10, [(0.5, 1.0)] * 10
+    assert bench_pairs.verdict(
+        bench_pairs.summarize(_runs(parent, change), METRICS), "w", "wall_s"
+    ).endswith("the claim is met")
+    runs = _runs(parent, change, digest_change="e")
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert not summary["w"]["answers_digests_equal"]
+    assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is not met")
+    runs = _runs(parent, change)
+    runs[-1]["failed"] = 1
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert not summary["w"]["all_correct_none_failed"]
+    assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is not met")

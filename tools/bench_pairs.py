@@ -13,9 +13,9 @@ yet).  For every workload and seed it runs the command that
 ``BENCHMARK.json`` names, with ``--workload W --seed S --seconds T
 --trace 0``, once per side, one process at a time, in the side's own
 directory; the side that runs first alternates from seed to seed.  Both
-sides must declare the same ``BENCHMARK.json``.  ``PYTHONDONTWRITEBYTECODE=1``
-is set unless ``--bytecode`` is given, so every run compiles the sources
-as a fresh checkout does.
+sides must declare the same ``BENCHMARK.json``, and T is its
+``run_seconds``.  ``PYTHONDONTWRITEBYTECODE=1`` is set, so every run
+compiles the sources as a fresh checkout does.
 
 The output holds every run (its result line, answers digest and
 metrics), and per workload and end-to-end metric each side's quartiles,
@@ -23,7 +23,9 @@ the number of pairs the change wins (by the metric's ``better``
 direction) and the change of the median in percent.  With
 ``--claim-metric W:M`` a verdict says whether the change wins at least
 nine pairs in ten and its median beats the parent's by more than the
-parent's quartile spread.
+parent's quartile spread, with every run of W correct, none failed and
+equal answers digests on every pair.  Quartiles are rounded to five
+significant digits for display only.
 """
 
 from __future__ import annotations
@@ -84,8 +86,11 @@ def run_one(tree: Path, command: list[str], workload: str, seed: int, seconds: f
 
 
 def quartiles(values: list[float]) -> list[float]:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q, 4) for q in (q1, q2, q3)]
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def shown(values: list[float]) -> list[float]:
+    return [float(f"{v:.5g}") for v in values]
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -107,29 +112,32 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             parent = [p["parent"]["metrics"][name] for p in both]
             change = [p["change"]["metrics"][name] for p in both]
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-            p_med, c_med = statistics.median(parent), statistics.median(change)
+            (q1, p_med, q3), c_quartiles = quartiles(parent), quartiles(change)
+            c_med = c_quartiles[1]
             entry[name] = {
-                "parent_quartiles": quartiles(parent),
-                "change_quartiles": quartiles(change),
+                "parent_quartiles": shown([q1, p_med, q3]),
+                "change_quartiles": shown(c_quartiles),
                 "change_wins": wins,
                 "median_change_pct": round(100 * (c_med - p_med) / p_med, 1),
+                "parent_spread": float(f"{q3 - q1:.5g}"),
+                "medians_apart": (p_med - c_med if lower else c_med - p_med) > q3 - q1,
             }
         out[workload] = entry
     return out
 
 
-def verdict(summary: dict, workload: str, metric: str, lower: bool) -> str:
-    s = summary[workload][metric]
-    q1, med, q3 = s["parent_quartiles"]
-    change_med = s["change_quartiles"][1]
-    apart = (med - change_med if lower else change_med - med) > q3 - q1
-    pairs = summary[workload]["pairs"]
-    met = apart and 10 * s["change_wins"] >= 9 * pairs
+def verdict(summary: dict, workload: str, metric: str) -> str:
+    w = summary[workload]
+    s, pairs = w[metric], w["pairs"]
+    same = w["all_correct_none_failed"] and w["answers_digests_equal"]
+    met = same and s["medians_apart"] and 10 * s["change_wins"] >= 9 * pairs
     return (
         f"{workload} {metric}: median {s['median_change_pct']:+.1f}%, change wins "
         f"{s['change_wins']} of {pairs}; the medians differ by "
-        f"{'more' if apart else 'no more'} than the parent's quartile spread "
-        f"({q3 - q1:.4g}); the claim is {'met' if met else 'not met'}"
+        f"{'more' if s['medians_apart'] else 'no more'} than the parent's quartile spread "
+        f"({s['parent_spread']:.4g}); "
+        + ("" if same else "a run failed or the answers differ; ")
+        + f"the claim is {'met' if met else 'not met'}"
     )
 
 
@@ -139,16 +147,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--workload", action="append", required=True, help="repeatable")
     ap.add_argument("--seeds", required=True, help="e.g. 2711-2720 or 5,7,9; one list for every workload")
-    ap.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json run_seconds")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--claim", default="")
     ap.add_argument("--claim-metric", default=None, help="WORKLOAD:METRIC")
-    ap.add_argument("--bytecode", action="store_true", help="let the runs write bytecode")
     args = ap.parse_args(argv)
 
-    env = dict(os.environ)
-    if not args.bytecode:
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     seeds = parse_seeds(args.seeds)
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -157,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         spec, other = (json.loads((trees[s] / "BENCHMARK.json").read_text()) for s in ("change", "parent"))
         if spec != other:
             raise SystemExit("the two sides declare different BENCHMARK.json files")
-        seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+        seconds = spec["run_seconds"]
         for workload in args.workload:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -177,14 +181,13 @@ def main(argv: list[str] | None = None) -> int:
         "change": shas["change"],
         "pairing": "parent and change alternated per seed, the side run first flipped every pair; "
         "both sides from exported copies of their committed trees, run one at a time",
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
-        + ("" if args.bytecode else ", PYTHONDONTWRITEBYTECODE=1 in the environment of every run"),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, "
+        "PYTHONDONTWRITEBYTECODE=1 in the environment of every run",
         "final": {"seeds": args.seeds, "summary": summary, "runs": runs},
     }
     if args.claim_metric:
         workload, metric = args.claim_metric.split(":")
-        lower = next(m["better"] == "lower" for m in metrics if m["name"] == metric)
-        record["verdict"] = verdict(summary, workload, metric, lower)
+        record["verdict"] = verdict(summary, workload, metric)
         print(record["verdict"], file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
