@@ -5,10 +5,15 @@ only at the partitions asked for (one per A_n irreducible in a table
 build), each its beta set on an n-bead abacus (a bitmask).  chi_lam(mu)
 is the signed sum of the column of mu without its largest part r at lam
 less each r-rim hook: one bead moved from b + r to an empty b, signed by
-the parity of the beads strictly between, listed once per part size.
-That column holds every partition of n - r and extends its own suffix's
-column by adding rim hooks.  Types that share a suffix share its column
-for one build or one :func:`mn_values` call.  Tables are built for
+the parity of the beads strictly between.  That column is a list over
+the partitions of n - r, pulled the same way from the column of its own
+suffix, so each step is one C-level gather over hook lists: the r-rim
+hook removals of each partition of m, as indices into those of m - r.
+Types that share a suffix share its column for one build or one
+:func:`mn_values` call.  The lists for a size m depend only on (m, r);
+for m below ``TABLE_LIMIT`` they are kept, by calls at n <= the limit,
+and shared by every later build and call in the process, while those at
+a table's own irreducibles are listed per build.  Tables are built for
 2 <= n <= ``TABLE_LIMIT`` and kept in one module-level cache keyed by n.
 
 A_n irreducibles are restrictions: one per transpose-pair of partitions,
@@ -59,7 +64,7 @@ import struct
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import mul, neg, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from ancover.combinatorics import (
@@ -145,41 +150,53 @@ def _abacus(lam: tuple[int, ...], beads: int) -> int:
     return mask
 
 
-def _add_rim_hooks(column: dict[int, int], r: int) -> dict[int, int]:
-    """The column of (r,) + rest from the column of rest, both keyed by
-    abacus bitmask with zero values left out.
-
-    Adding an r-rim hook to a diagram moves one bead b up to an empty
-    b + r; its sign is the parity of the beads strictly between.
-    """
-    out: dict[int, int] = {}
-    between = (1 << (r - 1)) - 1
-    for mask, value in column.items():
-        movable = mask & ~(mask >> r)
-        while movable:
-            bit = movable & -movable
-            movable ^= bit
-            moved = mask ^ bit ^ (bit << r)
-            odd = ((mask >> bit.bit_length()) & between).bit_count() & 1
-            out[moved] = out.get(moved, 0) + (-value if odd else value)
-    return {mask: value for mask, value in out.items() if value}
+# Shared by every build and mn_values call at n <= TABLE_LIMIT, for sizes
+# m below TABLE_LIMIT: the partitions of m as {m-bead abacus: index}, and
+# per (m, r) the r-rim hook lists of every partition of m.
+_PARTITION_INDEX: dict[int, dict[int, int]] = {}
+_RIM_HOOKS: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 
-def _removed_rim_hooks(masks: Sequence[int], r: int) -> tuple[list[int], list[int], list[int]]:
-    """(removed, signs, cuts): masks[i] less each of its r-rim hooks, with
-    the hook's sign, at [cuts[i]:cuts[i + 1]]."""
-    removed, signs, cuts = [], [], [0]
+def _partition_index(m: int, keep: bool) -> dict[int, int]:
+    """{abacus: index} over the partitions of m on m beads, in the order of
+    enumerate_partitions (as _labels walks them)."""
+    index = _PARTITION_INDEX.get(m)
+    if index is None:
+        index = {_abacus(p.parts, m): i for i, p in enumerate(enumerate_partitions(m))}
+        if keep:
+            _PARTITION_INDEX[m] = index
+    return index
+
+
+def _removed_rim_hooks(masks: Iterable[int], r: int, index: dict[int, int]) -> tuple[list[int], list[int]]:
+    """(removed, cuts): each mask, a partition of m on m beads, less each of
+    its r-rim hooks at removed[cuts[i]:cuts[i + 1]], as the index in index
+    (the partitions of m - r) of what is left, complemented (~) when the
+    hook's sign is odd.  Removing a hook moves one bead b down to an empty
+    b - r, signed by the parity of the beads strictly between; the bottom
+    r beads are then all filled, so the rest is the (m - r)-bead abacus."""
+    removed, cuts = [], [0]
     between = (1 << (r - 1)) - 1
     for mask in masks:
         movable = mask & ~(mask << r) >> r << r
         while movable:
             bit = movable & -movable
             movable ^= bit
-            removed.append(mask ^ bit ^ (bit >> r))
+            i = index[(mask ^ bit ^ (bit >> r)) >> r]
             odd = ((mask >> (bit.bit_length() - r)) & between).bit_count() & 1
-            signs.append(-1 if odd else 1)
+            removed.append(~i if odd else i)
         cuts.append(len(removed))
-    return removed, signs, cuts
+    return removed, cuts
+
+
+def _pull(column: list[int], hooks: tuple[list[int], list[int]]) -> list[int]:
+    """The signed sum of column over the hook removals of each listed mask,
+    as C-level gathers: each value is a difference of running sums."""
+    removed, cuts = hooks
+    signed = column + list(map(neg, reversed(column)))  # signed[~i] == -column[i]
+    sums = list(accumulate(map(signed.__getitem__, removed), initial=0))
+    at_cuts = list(map(sums.__getitem__, cuts))
+    return list(map(sub, at_cuts[1:], at_cuts))
 
 
 def _mn_rows(
@@ -189,26 +206,29 @@ def _mn_rows(
     n in types (parts in descending order), each lam given by _abacus(lam, n).
 
     The value at lam is the signed sum of the column of mu without its
-    largest part r at lam less each r-rim hook.  That column tops a stack
-    of suffix columns.  Types are visited in the order of their reversed
+    largest part r at lam less each r-rim hook.  That column, a list over
+    the partitions of n - r, tops a stack of suffix columns, each pulled
+    from the one below.  Types are visited in the order of their reversed
     parts, so types sharing a suffix are consecutive: every suffix column
     is computed once and kept only while a later type still extends it.
     """
+    keep = n <= TABLE_LIMIT
     types = sorted(types, key=lambda t: t[::-1])
-    hooks = {r: _removed_rim_hooks(masks, r) for r in {mu[0] for mu in types}}
-    stack: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {_abacus((), n): 1})]
+    tops = {r: _removed_rim_hooks(masks, r, _partition_index(n - r, keep)) for r in {mu[0] for mu in types}}
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), [1])]
     for mu in types:
         r, rest = mu[0], mu[:0:-1]  # the other parts, smallest first
         while stack[-1][0] != rest[: len(stack[-1][0])]:
             stack.pop()
         for k in range(len(stack[-1][0]), len(rest)):
-            stack.append((rest[: k + 1], _add_rim_hooks(stack[-1][1], rest[k])))
-        removed, signs, cuts = hooks[r]
-        # Each mask's value is the difference of the running sums at its cuts.
-        get = stack[-1][1].get
-        sums = list(accumulate(map(mul, map(get, removed, repeat(0)), signs), initial=0))
-        at_cuts = [sums[c] for c in cuts]
-        yield mu, list(map(sub, at_cuts[1:], at_cuts))
+            m, part = sum(rest[: k + 1]), rest[k]
+            hooks = _RIM_HOOKS.get((m, part))
+            if hooks is None:
+                hooks = _removed_rim_hooks(_partition_index(m, keep), part, _partition_index(m - part, keep))
+                if keep:
+                    _RIM_HOOKS[m, part] = hooks
+            stack.append((rest[: k + 1], _pull(stack[-1][1], hooks)))
+        yield mu, _pull(stack[-1][1], tops[r])
 
 
 def mn_values(lams: Sequence[Partition], mu: Partition) -> list[int]:
@@ -292,8 +312,9 @@ def _labels(n: int) -> tuple[list[ClassLabel], list[int], list[IrreducibleLabel]
     and the abacus mask of each one's partition, in table order, from one
     walk over the partitions of n: an irreducible per transpose pair, at
     its larger mask, and two per self-conjugate partition.  Each label is
-    built from what the walk has just worked out, without rechecking it."""
-    classes, sizes, irreducibles, masks = [], [], [], []
+    built from what the walk has just worked out, without rechecking it;
+    the masks of the walk are kept as the shared partition index of n."""
+    classes, sizes, irreducibles, masks, index = [], [], [], [], {}
     order = math.factorial(n)
     for p in enumerate_partitions(n):
         if p.is_even_type():
@@ -301,11 +322,14 @@ def _labels(n: int) -> tuple[list[ClassLabel], list[int], list[IrreducibleLabel]
             classes += [ClassLabel._trusted(p, s) for s in signs]
             sizes += [order // centralizer_order(p) // len(signs)] * len(signs)
         mask = _abacus(p.parts, n)
+        index[mask] = len(index)
         transposed = _transpose_mask(mask, n)
         if mask >= transposed:
             signs = ("+", "-") if mask == transposed else (None,)
             irreducibles += [IrreducibleLabel._trusted(p, s) for s in signs]
             masks += [mask] * len(signs)
+    if n < TABLE_LIMIT:
+        _PARTITION_INDEX[n] = index
     return classes, sizes, irreducibles, masks
 
 

@@ -108,20 +108,17 @@ class Interval(Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def length(self) -> int:
-        return 1 + self.b - self.a
-
 
 class PackingPlan(Record):
     """Right-justified subintervals of a host interval [1, host_length].
 
     ``subintervals[0]`` touches the right end; consecutive subintervals
-    abut; whatever remains is an initial free interval.  ``demands[i]``
-    records which demand index subinterval i serves.
+    abut; whatever remains is an initial free interval, ``free`` (None
+    when the subintervals fill the host), worked out once by ``__init__``.
+    ``demands[i]`` records which demand index subinterval i serves.
     """
 
-    __slots__ = ("host_index", "host_length", "subintervals", "demands")
+    __slots__ = ("host_index", "host_length", "subintervals", "demands", "free")
 
     def __init__(
         self,
@@ -137,15 +134,8 @@ class PackingPlan(Record):
             expect_b = iv.a - 1
         if len(demands) != len(subintervals):
             raise ValueError("one demand index per subinterval")
-        object.__setattr__(self, "host_index", host_index)
-        object.__setattr__(self, "host_length", host_length)
-        object.__setattr__(self, "subintervals", subintervals)
-        object.__setattr__(self, "demands", demands)
-
-    @property
-    def free(self) -> Interval | None:
-        used = sum(iv.length for iv in self.subintervals)
-        return Interval(1, self.host_length - used) if used < self.host_length else None
+        free = Interval(1, expect_b) if expect_b > 0 else None
+        self._init(host_index, host_length, subintervals, demands, free)
 
 
 def greedy_pack(lengths: Sequence[int], demands: Sequence[int]) -> list[PackingPlan]:
@@ -206,15 +196,19 @@ class ValidSequence(Record):
 # Tabulated sequences on [1, shape.n], keyed by shrunken shape: each
 # product against (1..n) has the shape, and each pair is intertwined by an
 # odd resequencing map.  The odd-length pairs are the first such pair in
-# lexicographic order; a test re-derives them by exhaustive search.
-_SEQUENCES: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...] | None]] = {
-    (2, 2): ((4, 1, 2, 3), None),
-    (5,): ((5, 1, 2, 3, 4), (5, 2, 4, 1, 3)),
-    (4, 2): ((6, 1, 2, 4, 5, 3), (6, 1, 3, 4, 5, 2)),
-    (3, 1, 1, 1, 1): ((7, 1, 6, 5, 4, 3, 2), (7, 2, 1, 6, 5, 4, 3)),
-    (2, 2, 2, 2): ((8, 1, 2, 7, 4, 5, 6, 3), (8, 1, 3, 5, 6, 2, 7, 4)),
-    (4, 4): ((8, 1, 2, 4, 7, 5, 3, 6), (8, 1, 2, 5, 7, 3, 6, 4)),
-    (3, 3, 3): ((9, 1, 2, 3, 4, 8, 6, 7, 5), (9, 1, 2, 3, 5, 7, 4, 8, 6)),
+# lexicographic order; a test re-derives them by exhaustive search.  Each
+# is checked once, through ValidSequence, when the module loads.
+_SEQUENCES: dict[tuple[int, ...], tuple[ValidSequence, ValidSequence | None]] = {
+    shape: (ValidSequence(s), ValidSequence(t) if t else None)
+    for shape, (s, t) in {
+        (2, 2): ((4, 1, 2, 3), None),
+        (5,): ((5, 1, 2, 3, 4), (5, 2, 4, 1, 3)),
+        (4, 2): ((6, 1, 2, 4, 5, 3), (6, 1, 3, 4, 5, 2)),
+        (3, 1, 1, 1, 1): ((7, 1, 6, 5, 4, 3, 2), (7, 2, 1, 6, 5, 4, 3)),
+        (2, 2, 2, 2): ((8, 1, 2, 7, 4, 5, 6, 3), (8, 1, 3, 5, 6, 2, 7, 4)),
+        (4, 4): ((8, 1, 2, 4, 7, 5, 3, 6), (8, 1, 2, 5, 7, 3, 6, 4)),
+        (3, 3, 3): ((9, 1, 2, 3, 4, 8, 6, 7, 5), (9, 1, 2, 3, 5, 7, 4, 8, 6)),
+    }.items()
 }
 
 
@@ -228,8 +222,7 @@ def find_opposite_valid_sequences(
     """
     if length != shape.n or shape.parts not in _SEQUENCES:
         raise ValueError(f"unsupported (length, shape) pair {(length, shape.parts)}")
-    s, t = _SEQUENCES[shape.parts]
-    return ValidSequence(s), ValidSequence(t) if t else None
+    return _SEQUENCES[shape.parts]
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,43 @@ def test_a_failed_run_or_different_answers_is_not_a_met_claim():
     runs = _runs(parent, change, digest_change="e")
     summary = bench_pairs.summarize(runs, METRICS)
     assert not summary["w"]["answers_digests_equal"]
+    # the fast parent run and the slow change run decide the wall_s claim
     assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is not met")
     runs = _runs(parent, change)
     runs[-1]["failed"] = 1
     summary = bench_pairs.summarize(runs, METRICS)
     assert not summary["w"]["all_correct_none_failed"]
+    # the fast parent run and the slow change run decide the wall_s claim
     assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is not met")
+
+
+def test_a_run_off_on_every_operation_metric_is_flagged_but_does_not_change_the_verdict():
+    # Shaped like the parent's seed-2520 run of BENCH_25.json: about a
+    # quarter fast on the timed operations, not on set-up or peak RSS.
+    metrics = [{"name": n, "better": "lower"} for n in ("setup_s", *bench_pairs.OPERATION_METRICS, "peak_rss_mb")]
+    runs = []
+    for seed in range(1, 11):
+        for side, scale in (("parent", 1.0), ("change", 0.97)):
+            runs.append({
+                "workload": "w", "seed": seed, "side": side, "first": "parent",
+                "correct": True, "attempted": 10, "failed": 0, "digest": "d",
+                "metrics": {"setup_s": 0.06 * scale, "wall_s": 0.013 * scale, "op_p50_ms": 0.045 * scale,
+                            "op_p90_ms": 0.5 * scale, "peak_rss_mb": 23.0},
+            })
+    before = bench_pairs.summarize(runs, metrics)
+    assert before["w"]["flagged_runs"] == []
+    fast = runs[18]["metrics"]  # the parent run of seed 10
+    fast.update(setup_s=0.057, wall_s=0.0099, op_p50_ms=0.0315, op_p90_ms=0.37)
+    runs[3]["metrics"]["wall_s"] = 0.018  # a slow change run, off on one metric only
+    summary = bench_pairs.summarize(runs, metrics)
+    (flag,) = summary["w"]["flagged_runs"]
+    assert (flag["seed"], flag["side"]) == (10, "parent")
+    assert flag["off_pct"] == {"wall_s": -23.8, "op_p50_ms": -30.0, "op_p90_ms": -26.0}
+    note = "the parent run of seed 10 reads 20% or more off its side's median on every operation metric; "
+    unflagged = {"w": {**summary["w"], "flagged_runs": []}}
+    for name in ("setup_s", "wall_s"):
+        text = bench_pairs.verdict(summary, "w", name)
+        assert note in text and text.replace(note, "") == bench_pairs.verdict(unflagged, "w", name)
+    # the fast parent run and the slow change run decide the wall_s claim
+    assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is not met")
+    assert bench_pairs.verdict(summary, "w", "setup_s").endswith("the claim is met")

@@ -222,6 +222,63 @@ def test_table_digests_are_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
+# The hook lists of the MN step are module-level and shared by every
+# build and mn_values call of a process, so these run in fresh processes.
+
+
+def _fresh_run(code: str):
+    proc = run_python("-c", "import json\nfrom ancover import characters as C\n" + code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_tables_built_out_of_order_in_one_process_keep_their_digests():
+    # A_16 lists sizes up to 15, which A_11 and A_13 then read; A_20 adds
+    # sizes 16..19 on top of lists it did not make.
+    digests = _fresh_run(
+        "import hashlib\nout = {}\n"
+        "for n in (16, 11, 20, 13):\n"
+        "    text = json.dumps(C.an_character_table(n).to_json_dict(), sort_keys=True)\n"
+        "    out[n] = hashlib.sha256(text.encode()).hexdigest()\n"
+        "print(json.dumps(out))\n"
+    )
+    assert digests == {str(n): TABLE_DIGESTS[n] for n in (16, 11, 20, 13)}
+
+
+def test_import_keeps_no_hook_lists():
+    assert _fresh_run(
+        "import ancover\nprint(json.dumps([len(C._PARTITION_INDEX), len(C._RIM_HOOKS)]))\n"
+    ) == [0, 0]
+
+
+def test_a_build_keeps_hook_lists_only_below_its_degree():
+    # The lists at the table's own irreducibles are not kept; the partition
+    # index of n itself is the labelling walk's.
+    sizes, indexed = _fresh_run(
+        "C.an_character_table(12)\n"
+        "print(json.dumps([sorted({m for m, _ in C._RIM_HOOKS}), sorted(C._PARTITION_INDEX)]))\n"
+    )
+    assert sizes and max(sizes) < 12
+    assert indexed == list(range(13))
+
+
+def test_mn_values_past_the_table_limit_keeps_nothing_new():
+    rng = random.Random(28)
+    mu = (12, 7, 4, 3)  # its suffix sizes 3, 7 and 14, and 14 at the top
+    lams = rng.sample(list(enumerate_partitions(26)), 6)
+    kept, values, after = _fresh_run(
+        "from ancover.combinatorics import Partition\n"
+        "C.an_character_table(10)\n"
+        "def keys():\n"
+        "    return [sorted(C._PARTITION_INDEX), sorted(C._RIM_HOOKS)]\n"
+        "kept = keys()\n"
+        f"values = C.mn_values([Partition(p) for p in {[lam.parts for lam in lams]!r}], Partition({mu!r}))\n"
+        "print(json.dumps([kept, values, keys()]))\n"
+    )
+    assert after == kept and max(kept[0]) == 10
+    assert values == [mn_cellwise(lam.parts, mu) for lam in lams]
+
+
 @pytest.mark.parametrize("n", range(2, 25))
 def test_built_labels_pass_their_public_constructors(n):
     # A build makes its labels without their constructors' checks, from

@@ -57,7 +57,9 @@ def test_import_loads_no_bounds_suites_or_cli():
         "        (ancover.Permutation, 'support'), (ancover.ValidSequence, 'cycle')) if hasattr(m, n)]\n"
         "gone += [n for n in ('load', 'from_json_dict', 'value') if hasattr(ancover.CharacterTable, n)]\n"
         "gone += [n for m, n in ((ancover.characters, '_listed_class_labels'),\n"
+        "        (ancover.characters, '_add_rim_hooks'),\n"
         "        (ancover.permutations, 'iter_an_class_labels'), (ancover.Interval, 'points'),\n"
+        "        (ancover.Interval, 'length'),\n"
         "        (ancover.combinatorics.FrobeniusSymbol, 'm'),\n"
         "        (ancover.combinatorics.TypedSubpartition, 'size'),\n"
         "        (ancover.Permutation, 'identity')) if hasattr(m, n)]\n"

@@ -26,6 +26,11 @@ nine pairs in ten and its median beats the parent's by more than the
 parent's quartile spread, with every run of W correct, none failed and
 equal answers digests on every pair.  Quartiles are rounded to five
 significant digits for display only.
+
+A run that reads at least 20% off its own side's median on every metric
+of the timed operations (``OPERATION_METRICS``) is listed under
+``flagged_runs`` and named in the verdict, which it does not change: one
+such run can decide a nine-of-ten claim.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGEST = re.compile(r"answers digest (\w+)")
+# The end-to-end metrics of the timed operations, all scaled by the same
+# reference work.  The fast runs seen so far read about a quarter off on
+# these and not on setup_s or peak_rss_mb, which come from other phases.
+OPERATION_METRICS = ("wall_s", "op_p50_ms", "op_p90_ms")
+OFF_BY = 0.2
 
 
 def export(rev: str, into: Path) -> str:
@@ -93,6 +103,23 @@ def shown(values: list[float]) -> list[float]:
     return [float(f"{v:.5g}") for v in values]
 
 
+def flagged(runs: list[dict], names: list[str]) -> list[dict]:
+    """The runs that read at least OFF_BY off their side's median on every
+    metric of names, with each one's offsets in percent."""
+    out = []
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        if not mine or not names:
+            continue
+        medians = {m: statistics.median(r["metrics"][m] for r in mine) for m in names}
+        for r in mine:
+            off = {m: (r["metrics"][m] - med) / med for m, med in medians.items() if med}
+            if len(off) == len(names) and all(abs(x) >= OFF_BY for x in off.values()):
+                pct = {m: round(100 * x, 1) for m, x in off.items()}
+                out.append({"seed": r["seed"], "side": side, "off_pct": pct})
+    return out
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -106,6 +133,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(both),
             "all_correct_none_failed": all(r["correct"] and not r["failed"] for p in both for r in p.values()),
             "answers_digests_equal": all(p["parent"]["digest"] == p["change"]["digest"] for p in both),
+            "flagged_runs": flagged(
+                [r for p in both for r in p.values()],
+                [m["name"] for m in metrics if m["name"] in OPERATION_METRICS],
+            ),
         }
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
@@ -137,6 +168,11 @@ def verdict(summary: dict, workload: str, metric: str) -> str:
         f"{'more' if s['medians_apart'] else 'no more'} than the parent's quartile spread "
         f"({s['parent_spread']:.4g}); "
         + ("" if same else "a run failed or the answers differ; ")
+        + "".join(
+            f"the {f['side']} run of seed {f['seed']} reads {OFF_BY:.0%} or more off its side's"
+            " median on every operation metric; "
+            for f in w["flagged_runs"]
+        )
         + f"the claim is {'met' if met else 'not met'}"
     )
 
