@@ -329,7 +329,7 @@ def _labels(n: int) -> tuple[list[ClassLabel], list[int], list[IrreducibleLabel]
             irreducibles += [IrreducibleLabel._trusted(p, s) for s in signs]
             masks += [mask] * len(signs)
     if n < TABLE_LIMIT:
-        _PARTITION_INDEX[n] = index
+        _PARTITION_INDEX.setdefault(n, index)
     return classes, sizes, irreducibles, masks
 
 

@@ -109,7 +109,7 @@ def flagged(runs: list[dict], names: list[str]) -> list[dict]:
     out = []
     for side in ("parent", "change"):
         mine = [r for r in runs if r["side"] == side]
-        if not mine or not names:
+        if not names:
             continue
         medians = {m: statistics.median(r["metrics"][m] for r in mine) for m in names}
         for r in mine:
