@@ -21,9 +21,10 @@ into two n-cycles from requested classes, by stripping fixed points down
 to a small base case, solving it by seeded random search, and lifting the
 factors back with one long cycle through the stripped points.  The signs
 of the base classes come from a parity rule (the c-lift keeps the split
-sign; the d-lift through r stripped points flips it iff r = 2 (mod 4)),
-and outside the search a call makes a fixed number of O(n) passes over
-image lists, whatever the degree.
+sign; the d-lift through r stripped points flips it iff r = 2 (mod 4)).
+Outside the search its interpreted work is O(moved points): the stripped
+points enter c and d as runs copied by slices from g's images, and only
+the two label walks and the two bijection checks read every point.
 
 Neither re-checks what it has just built; every check on its outputs
 stays.  Permutations come from the int words or image lists made here,
@@ -37,6 +38,8 @@ only when that orbit is a full cycle.
 from __future__ import annotations
 
 import random
+from itertools import compress, count, islice
+from operator import eq, itemgetter
 from typing import Sequence
 
 from ancover.combinatorics import (
@@ -53,9 +56,9 @@ from ancover.permutations import (
     OddPermutation,
     Permutation,
     _cycle_count,
+    _representative_words,
     _walk,
     an_class_of,
-    class_representative,
     cycle_type,
     splits_in_an,
 )
@@ -681,19 +684,21 @@ def cover_with_ncycles(
     search over the base class of C with the cofactor membership-tested
     (at most budget trials; a budget below 1 raises ValueError), and
     lifts both factors back through the stripped points with one long
-    run each: c's word gets m+1, ..., n after m, d's gets n, n-1, ...,
-    m+1 before m.
+    run each: in rank order, c's word gets m+1, ..., n after m, d's gets
+    n, n-1, ..., m+1 before m.
 
     The base classes follow a parity rule (:func:`_d_lift_flips_sign`):
     the c-lift keeps the split sign and the d-lift flips it iff
     r = 2 (mod 4).  The final checks of c*d == g and of both labels
     re-verify the rule on every call.
 
-    C and D are checked before g is read.  Outside the search a call
-    makes a fixed number of O(n) passes whatever the degree, and builds
-    two Permutations of degree n, c and d; c*d is compared with g as an
-    image list.  The search runs on lists of degree m (see the module
-    docstring for a trial).
+    C and D are checked before g is read.  Outside the search the
+    interpreted work is O(moved points): g is split by one comprehension,
+    the stripped points are copied into c and d by slices of g's images,
+    and c*d is compared with g by one gather.  The two Permutations of
+    degree n, c and d, are each checked once as a bijection and walked
+    once for their labels.  The search runs on lists of degree m (see
+    the module docstring for a trial).
     """
     from ancover.classalgebra import frobenius_count
 
@@ -705,9 +710,9 @@ def cover_with_ncycles(
     ncycle = Partition((n,))
     if C.cycle_type != ncycle or D.cycle_type != ncycle:
         raise ValueError("C and D must be n-cycle classes of matching degree")
-    fixed = [y for x, y in enumerate(g.images, 1) if x == y]  # c and d share g's fixed ints
-    moved = [x for x, y in enumerate(g.images, 1) if x != y]
-    k = len(fixed)
+    images = g.images
+    moved = [x for x, y in enumerate(images, 1) if x != y]
+    k = n - len(moved)
     if k == n:
         raise ValueError("g must be nontrivial")
 
@@ -720,19 +725,27 @@ def cover_with_ncycles(
     r = max(r, 0)  # the residual reductions only strip points when n > 7
     m = n - r
 
-    # order[i] is the point of rank i + 1: moved points, then fixed ones.
-    # Its inversions pair each moved x with the x - 1 - i fixed points
-    # below it; when their number is odd, swapping two stripped ranks
-    # makes the relabelling even, so that it keeps every A_n class.
+    # The relabelling ranks the residue res first: the moved points, then
+    # the least m - len(moved) fixed points, which like every stripped
+    # point are read as g's own ints.  The stripped points follow in
+    # increasing order.  Its inversions pair each moved x with the
+    # x - 1 - i fixed points below it; when their number is odd, swapping
+    # the two least stripped ranks makes it even, so that it keeps every
+    # A_n class.  runs lists the stripped points in rank order as runs of
+    # consecutive points, the swapped two as runs of their own.
+    runs: list[tuple[int, int]] = []
     if r == 0:
-        order = list(range(1, n + 1))
+        res = list(range(1, n + 1))
     else:
+        low = list(islice(compress(images, map(eq, images, count(1))), m - len(moved) + 2))
+        res = moved + low[:-2]
         odd = sum(x - 1 - i for i, x in enumerate(moved)) % 2
-        order = moved + fixed
         if odd:
-            order[m], order[m + 1] = order[m + 1], order[m]
-    rank = {x: i for i, x in enumerate(order[:m], start=1)}
-    h_small = [rank[g.images[x - 1]] for x in order[:m]]
+            runs = [(low[-1], low[-1]), (low[-2], low[-2])]
+        cut = sorted(moved + low if odd else res)
+        runs += [(p + 1, q - 1) for p, q in zip([0, *cut], [*cut, n + 1]) if q - p > 1]
+    rank = {x: i for i, x in enumerate(res, start=1)}
+    h_small = [rank[images[x - 1]] for x in res]
     if (m - _cycle_count(h_small)) % 2:
         raise ValueError("g must be even")
     flip = {"+": "-", "-": "+"}
@@ -745,7 +758,7 @@ def cover_with_ncycles(
             raise NotCoverable(f"{'base case ' if r else ''}{h_label} is not in {base_c} * {base_d}")
 
     rng = random.Random(seed)
-    rep_word = class_representative(base_c).cycles()[0]
+    rep_word = _representative_words(base_c)[0]
     for _ in range(budget):
         # w: a uniformly random even permutation of 1..m, as a list of images
         w = list(range(1, m + 1))
@@ -763,22 +776,23 @@ def cover_with_ncycles(
     else:
         raise SearchBudgetExceeded(seed, budget)
 
-    # (c_1..c_{m-1}, m) becomes (c_1..c_{m-1}, m, m+1, ..., n) and
-    # (m, d_1..d_{m-1}) becomes (n, n-1, ..., m, d_1, ..., d_{m-1}); both
-    # words are read through the relabelling, which sends the stripped
-    # ranks m+1, ..., n to order[m:].
-    d_word = _walk(d_small)[0][0]
-    i, j = c_word.index(m), d_word.index(m)
-    stripped = order[m:]
-    lift_c = [order[y - 1] for y in c_word[i + 1 :] + c_word[: i + 1]] + stripped
-    lift_d = stripped[::-1] + [order[y - 1] for y in d_word[j:] + d_word[:j]]
-    c = Permutation._from_ints(_cycle_images(lift_c))
-    d = Permutation._from_ints(_cycle_images(lift_d))
-
-    # c*d == g, compared as image lists without building c*d
-    c_img = (0, *c.images)
-    _check(
-        [c_img[y] for y in d.images] == [*g.images], "lifted factorization must reproduce g"
-    )
+    # c and d start as g's images shifted one place up and down: c steps
+    # up each run of stripped points and d steps down it, holding g's own
+    # ints.  The residue factors are written through the relabelling, and
+    # the runs are chained in after the point of rank m in c, which runs
+    # m, s_1, ..., s_r, c(m), and before it in d: d^-1(m), s_r, ..., s_1, m.
+    c_img, d_img = [*images[1:], images[0]], [images[-1], *images[:-1]]
+    for x, y in zip(c_word, c_word[1:] + c_word[:1]):
+        c_img[res[x - 1] - 1] = res[y - 1]
+    for x, y in zip(res, d_small):
+        d_img[x - 1] = res[y - 1]
+    prev = res[m - 1]
+    after = c_img[prev - 1]
+    for a, b in runs:
+        c_img[prev - 1], d_img[a - 1] = images[a - 1], prev
+        prev = images[b - 1]
+    c_img[prev - 1], d_img[res[d_small.index(m)] - 1] = after, prev
+    c, d = Permutation._from_ints(c_img), Permutation._from_ints(d_img)
+    _check(itemgetter(*d.images)((0, *c.images)) == images, "lifted factorization must reproduce g")
     _check(an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match")
     return c, d

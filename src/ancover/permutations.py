@@ -162,7 +162,7 @@ class Permutation(Record):
 def _walk(images: Sequence[int]) -> tuple[list[list[int]], int]:
     """Every cycle of length 2 or more of the permutation with these
     images, each starting at its least point, in order of that point; and
-    the number of fixed points."""
+    the number of fixed points.  A cycle through every point ends the walk."""
     img = (0, *images)
     seen = [False] * len(img)
     out: list[list[int]] = []
@@ -179,6 +179,8 @@ def _walk(images: Sequence[int]) -> tuple[list[list[int]], int]:
             seen[x] = True
             cyc.append(x)
             x = img[x]
+        if len(cyc) == len(images):
+            return [cyc], 0
         out.append(cyc)
     return out, fixed
 
@@ -306,26 +308,30 @@ def an_class_labels(n: int) -> list[ClassLabel]:
     return [ClassLabel(p, s) for p in evens for s in (("+", "-") if splits_in_an(p) else (None,))]
 
 
+def _representative_words(label: ClassLabel) -> list[list[int]]:
+    """The cycles of :func:`class_representative`, as its ``cycles()``
+    lists them: consecutive fill, longest cycle first, fixed points left
+    out; the "-" words swap the two largest points of the longest cycle."""
+    words: list[list[int]] = []
+    next_pt = 1
+    for length in label.cycle_type.parts:
+        if length > 1:
+            words.append(list(range(next_pt, next_pt + length)))
+        next_pt += length
+    if label.sign == "-":
+        if not words:
+            raise ValueError("split type cannot consist of fixed points only")
+        words[0][-2:] = words[0][:-3:-1]
+    return words
+
+
 def class_representative(label: ClassLabel) -> Permutation:
     """Canonical representative: consecutive fill, longest cycle first.
 
     The "-" representative is the "+" one conjugated by the transposition
     of the two largest points of its longest cycle.
     """
-    n = label.n
-    cycles: list[list[int]] = []
-    next_pt = 1
-    for length in label.cycle_type.parts:
-        cycles.append(list(range(next_pt, next_pt + length)))
-        next_pt += length
-    g = Permutation.from_cycles(n, cycles)
-    if label.sign == "-":
-        top = label.cycle_type.parts[0]
-        if top < 2:
-            raise ValueError("split type cannot consist of fixed points only")
-        t = Permutation.from_cycles(n, [(top - 1, top)])
-        g = t * g * t
-    return g
+    return Permutation._from_words(label.n, _representative_words(label))
 
 
 def an_class_of(g: Permutation) -> ClassLabel:

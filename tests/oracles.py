@@ -28,6 +28,12 @@ packs into.  The package derives all three from ``shrink_part`` and
 degree n explicitly, as :func:`~ancover.constructor.cover_with_ncycles`
 lifts its factors, and reads the signs off with ``an_class_of``.  The
 package gets them from a parity rule instead; a test checks the two.
+:func:`reference_ncycle_cover` is ``cover_with_ncycles`` as first
+written: the relabelling as a full list of points, the residue search
+replayed on Permutations, and both factors lifted point by point through
+:func:`ncycle_lift_c` and :func:`ncycle_lift_d`.  The package writes the
+stripped points of its factors as shifted runs of g's images; a test
+checks that both give the same factors on every branch of the lift.
 
 :func:`permutations_of_type` and :func:`iter_class` enumerate a cycle
 type or an A_n class with the search of :mod:`ancover.oracle`, reading
@@ -352,6 +358,70 @@ def lift_sign_maps(m: int, n: int) -> tuple[dict[str, str], dict[str, str]]:
         map_c[s] = an_class_of(ncycle_lift_c(word, m, n)).sign
         map_d[s] = an_class_of(ncycle_lift_d(word, m, n)).sign
     return map_c, map_d
+
+
+def ncycle_relabelling(g: Permutation) -> tuple[list[int], int, bool]:
+    """The points of g in rank order, the residue degree m and whether the
+    two least stripped ranks were swapped: the moved points first, then the
+    fixed ones, or 1..n when no point is stripped."""
+    n = g.n
+    moved = [x for x in range(1, n + 1) if g(x) != x]
+    fixed = [x for x in range(1, n + 1) if g(x) == x]
+    k = len(fixed)
+    if k <= n - 6:
+        r = 2 * (k // 2)
+    else:
+        r = n - 5 if k == n - 3 else n - 7
+    m = n - max(r, 0)
+    if m == n:
+        return list(range(1, n + 1)), m, False
+    order = moved + fixed
+    swap = sum(x - 1 - i for i, x in enumerate(moved)) % 2 == 1
+    if swap:
+        order[m], order[m + 1] = order[m + 1], order[m]
+    return order, m, swap
+
+
+def replay_ncycle_search(
+    h: Permutation, C: ClassLabel, D: ClassLabel, seed: int
+) -> tuple[Permutation, Permutation]:
+    """The residue search of cover_with_ncycles, trial by trial on
+    Permutations: the first conjugate c of C's representative by a seeded
+    random even w whose cofactor c^-1 h lies in D."""
+    m = h.n
+    rng = random.Random(seed)
+    rep = class_representative(C).cycles()[0]
+    while True:
+        w = list(range(1, m + 1))
+        rng.shuffle(w)
+        if not is_even(Permutation(w)):
+            w[0], w[1] = w[1], w[0]
+        c = Permutation.from_cycles(m, [[w[a - 1] for a in rep]])
+        d = c.inverse() * h
+        if [len(x) for x in d.cycles()] == [m] and an_class_of(d) == D:
+            return c, d
+
+
+def reference_ncycle_cover(
+    g: Permutation, C: ClassLabel, D: ClassLabel, seed: int
+) -> tuple[Permutation, Permutation]:
+    """n-cycles c in C and d in D with c*d = g, found as cover_with_ncycles
+    finds them and lifted point by point."""
+    n = g.n
+    order, m, _ = ncycle_relabelling(g)
+    rank = {x: i for i, x in enumerate(order, 1)}
+    h = Permutation([rank[g(x)] for x in order[:m]])
+    _, map_d = lift_sign_maps(m, n)
+    base_c = ClassLabel(Partition((m,)), C.sign)
+    base_d = ClassLabel(Partition((m,)), next(s for s in "+-" if map_d[s] == D.sign))
+    c_small, d_small = replay_ncycle_search(h, base_c, base_d, seed)
+    out = []
+    for lifted in (ncycle_lift_c(c_small.cycles()[0], m, n), ncycle_lift_d(d_small.cycles()[0], m, n)):
+        images = [0] * n
+        for i, x in enumerate(order, 1):
+            images[x - 1] = order[lifted(i) - 1]
+        out.append(Permutation(images))
+    return out[0], out[1]
 
 
 def images_of_type(parts: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:

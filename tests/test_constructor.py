@@ -38,9 +38,11 @@ from oracles import (
     identity,
     is_even,
     lift_sign_maps,
+    ncycle_relabelling,
     packing_cycle,
     random_even_permutation,
     rebuild,
+    reference_ncycle_cover,
     replaced,
     run_python,
     two_twos_deltas,
@@ -651,28 +653,83 @@ def test_lift_sign_rule_matches_explicit_lifts():
 
 
 def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypatch):
-    """Outside the search a call makes a fixed number of O(n) passes: the
-    degree-n Permutations it builds do not grow with n.  Both entry points
-    of Permutation pass the one bijection check, so counting there counts
-    every Permutation built; c*d is compared with g as an image list, so
-    only c and d are built."""
-    counts = []
-    for n in (501, 1001):
-        g = cyc(n, (3, n - 40, 77), (5, 11), (n, 200))
-        C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
-        built = []
-        check = permutations._bijection
+    """Outside the search a call's interpreted work is O(moved points),
+    wherever they sit: the degree-n Permutations it builds are c and d,
+    each through the one bijection check, and the degree-n lists it walks
+    are theirs, one walk for each label; c*d is compared with g as an
+    image list."""
+    n = 1001
+    C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
+    check, walk = permutations._bijection, permutations._walk
+    for cycles in [
+        [(3, n - 40, 77), (5, 11), (n, 200)],
+        [(1, 2, 3)],  # moved points at 1, adjacent
+        [(n - 2, n - 1, n)],  # moved points at n
+        [(1, n), (500, 501)],
+    ]:
+        g = cyc(n, *cycles)
+        built, walked = [], []
 
-        def counting_check(images, check=check, built=built):
+        def counting_check(images, built=built):
             built.append(len(images))
             return check(images)
 
+        def counting_walk(images, walked=walked):
+            walked.append(len(images))
+            return walk(images)
+
         monkeypatch.setattr(permutations, "_bijection", counting_check)
+        monkeypatch.setattr(permutations, "_walk", counting_walk)
         c, d = cover_with_ncycles(g, C, D, seed=4)
         monkeypatch.undo()
         assert c * d == g
-        counts.append(built.count(n))
-    assert counts == [2, 2]
+        assert built.count(n) == walked.count(n) == 2, cycles
+
+
+# (n, cycles of g, r, swap): one case per branch of the lift.
+LIFT_CASES = [
+    (11, [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)], 0, False),  # r = 0
+    (1001, [(1, 500, 1001)], 996, False),  # degree 5; moved points at 1 and n
+    (1001, [(2, 3, 4)], 996, True),  # degree 5, swapped; adjacent moved points
+    (1001, [(2, 3), (4, 5)], 994, False),  # degree 7 from k = n - 4
+    (1001, [(1, 1001), (3, 4)], 994, True),
+    (1001, [(10, 20, 30, 40, 50)], 994, True),  # degree 7 from k = n - 5
+    (1001, [(999, 1000, 1001)], 996, False),
+    (1001, [(1, 2, 3), (1000, 1001), (4, 6)], 994, True),
+    (21, [tuple(range(1, 20))], 2, False),  # r = 2
+    (21, [tuple(range(2, 21))], 2, True),
+    (7, [(1, 2, 3)], 2, False),
+]
+
+
+@pytest.mark.parametrize("n, cycles, r, swap", LIFT_CASES)
+def test_run_sliced_lift_matches_per_point_lift(n, cycles, r, swap):
+    g = cyc(n, *cycles)
+    order, m, swapped = ncycle_relabelling(g)
+    assert (n - m, swapped) == (r, swap)
+    for sc, sd in itertools.product("+-", repeat=2):
+        C, D = parse_class_label(f"{n}:{sc}"), parse_class_label(f"{n}:{sd}")
+        assert cover_with_ncycles(g, C, D, seed=n) == reference_ncycle_cover(g, C, D, seed=n)
+
+
+def test_run_sliced_lift_matches_per_point_lift_on_seeded_sparse_g():
+    rng = random.Random(29)
+    branches = set()
+    for n in (9, 21, 101, 1001):
+        for _ in range(10):
+            points = rng.sample(range(1, n + 1), rng.randint(3, min(9, n - 2)))
+            g = _random_even_on(points, n, rng)
+            C = parse_class_label(f"{n}:{rng.choice('+-')}")
+            D = parse_class_label(f"{n}:{rng.choice('+-')}")
+            seed = rng.randrange(1000)
+            try:
+                c, d = cover_with_ncycles(g, C, D, seed=seed)
+            except NotCoverable:
+                continue
+            assert (c, d) == reference_ncycle_cover(g, C, D, seed)
+            _, m, swapped = ncycle_relabelling(g)
+            branches.add((n - m > 2, swapped))
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_sparse_call_shares_the_stripped_points_with_g():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -20,6 +22,8 @@ from ancover.permutations import (
     inverse_label,
     parse_class_label,
     parse_permutation,
+    _representative_words,
+    _walk,
 )
 from oracles import (
     an_orbit,
@@ -38,6 +42,7 @@ from oracles import (
     reference_from_cycles,
     reference_images,
     reference_parity,
+    reference_walk,
     run_python,
     support,
 )
@@ -101,6 +106,41 @@ def test_class_representative_examples():
     assert rep.images == (2, 3, 4, 5, 1)
     rep_m = class_representative(ClassLabel(Partition((5,)), "-"))
     assert rep_m == parse_permutation("(1,2,3,5,4)")
+
+
+def test_representative_words_are_the_representatives_cycles():
+    for n in range(2, 26):
+        for label in an_class_labels(n):
+            if label.is_split():
+                words = _representative_words(label)
+                assert [tuple(w) for w in words] == class_representative(label).cycles()
+
+
+# sha256 of the JSON of every class_representative(label).images, n <= 16,
+# as the representatives were first built (from_cycles and a conjugation).
+REPRESENTATIVES_DIGEST = "417252c46a76678747db1a6c914b39ccc6679409e09f9c1804c596b88547b6bf"
+
+
+def test_class_representatives_are_pinned():
+    reps = [class_representative(label).images for n in range(1, 17) for label in an_class_labels(n)]
+    assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == REPRESENTATIVES_DIGEST
+
+
+def test_walk_agrees_with_reference():
+    """The walk stops after a cycle through every point; it must still
+    report every cycle and fixed point of everything else."""
+    rng = random.Random(29)
+    for n in range(41):
+        cases = [list(range(1, n + 1)), [*range(2, n + 1), 1][:n]]
+        if n >= 2:
+            cases.append([*range(2, n), 1, n])  # an (n-1)-cycle, n fixed
+            word = rng.sample(range(1, n + 1), n)
+            cases.append(list(Permutation.from_cycles(n, [word]).images))
+        cases += [list(random_permutation(n, rng).images) for _ in range(5)]
+        for images in cases:
+            ref = reference_walk(images)
+            expected = ([c for c in ref if len(c) > 1], sum(len(c) == 1 for c in ref))
+            assert _walk(images) == expected, images
 
 
 def test_class_label_validation():
