@@ -384,22 +384,27 @@ def ncycle_relabelling(g: Permutation) -> tuple[list[int], int, bool]:
 
 def replay_ncycle_search(
     h: Permutation, C: ClassLabel, D: ClassLabel, seed: int
-) -> tuple[Permutation, Permutation]:
+) -> tuple[Permutation, Permutation, int, int]:
     """The residue search of cover_with_ncycles, trial by trial on
     Permutations: the first conjugate c of C's representative by a seeded
-    random even w whose cofactor c^-1 h lies in D."""
+    random even w whose cofactor d = c^-1 h lies in D; with c and d, the
+    number of trials and of those whose cofactor was a full cycle."""
     m = h.n
     rng = random.Random(seed)
     rep = class_representative(C).cycles()[0]
+    trials = full = 0
     while True:
+        trials += 1
         w = list(range(1, m + 1))
         rng.shuffle(w)
         if not is_even(Permutation(w)):
             w[0], w[1] = w[1], w[0]
         c = Permutation.from_cycles(m, [[w[a - 1] for a in rep]])
         d = c.inverse() * h
-        if [len(x) for x in d.cycles()] == [m] and an_class_of(d) == D:
-            return c, d
+        if [len(x) for x in d.cycles()] == [m]:
+            full += 1
+            if an_class_of(d) == D:
+                return c, d, trials, full
 
 
 def reference_ncycle_cover(
@@ -414,7 +419,7 @@ def reference_ncycle_cover(
     _, map_d = lift_sign_maps(m, n)
     base_c = ClassLabel(Partition((m,)), C.sign)
     base_d = ClassLabel(Partition((m,)), next(s for s in "+-" if map_d[s] == D.sign))
-    c_small, d_small = replay_ncycle_search(h, base_c, base_d, seed)
+    c_small, d_small, _, _ = replay_ncycle_search(h, base_c, base_d, seed)
     out = []
     for lifted in (ncycle_lift_c(c_small.cycles()[0], m, n), ncycle_lift_d(d_small.cycles()[0], m, n)):
         images = [0] * n

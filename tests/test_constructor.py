@@ -28,7 +28,6 @@ from ancover.permutations import (
     ClassLabel,
     Permutation,
     an_class_of,
-    class_representative,
     cycle_type,
     parse_class_label,
     parse_permutation,
@@ -44,6 +43,7 @@ from oracles import (
     rebuild,
     reference_ncycle_cover,
     replaced,
+    replay_ncycle_search,
     run_python,
     two_twos_deltas,
 )
@@ -571,7 +571,7 @@ def test_search_labels_only_full_cycle_cofactors(monkeypatch):
     and labels the cofactor only when that orbit is all of 1..m.  With g
     fixing at most one point the residue is g itself (m = n = 21, past the
     pre-check), so an_class_of runs once per full-cycle trial, replayed
-    here with Permutations, and once for each of the two lifted factors."""
+    on Permutations by the oracle, and once for each lifted factor."""
     import ancover.constructor
 
     n, seed = 21, 6
@@ -580,22 +580,7 @@ def test_search_labels_only_full_cycle_cofactors(monkeypatch):
     while sum(g(x) == x for x in range(1, n + 1)) > 1:
         g = random_even_permutation(n, rng)
     C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
-
-    trials = full = 0
-    rng = random.Random(seed)
-    rep = class_representative(C).cycles()[0]
-    while True:
-        trials += 1
-        w = list(range(1, n + 1))
-        rng.shuffle(w)
-        if not is_even(Permutation(w)):
-            w[0], w[1] = w[1], w[0]
-        c = Permutation.from_cycles(n, [[w[a - 1] for a in rep]])
-        d = c.inverse() * g
-        if [len(x) for x in d.cycles()] == [n]:
-            full += 1
-            if an_class_of(d) == D:
-                break
+    c, d, trials, full = replay_ncycle_search(g, C, D, seed)
 
     calls = []
     label = ancover.constructor.an_class_of
