@@ -690,7 +690,7 @@ LIFT_CASES = [
 @pytest.mark.parametrize("n, cycles, r, swap", LIFT_CASES)
 def test_run_sliced_lift_matches_per_point_lift(n, cycles, r, swap):
     g = cyc(n, *cycles)
-    order, m, swapped = ncycle_relabelling(g)
+    _, m, swapped = ncycle_relabelling(g)
     assert (n - m, swapped) == (r, swap)
     for sc, sd in itertools.product("+-", repeat=2):
         C, D = parse_class_label(f"{n}:{sc}"), parse_class_label(f"{n}:{sd}")
