@@ -52,7 +52,9 @@ permutation kernel as first written: a bijection check by sorting, a
 point-by-point cycle check, and a walk that builds every cycle and is run
 again in full for a parity.  The package validates with sets and counts
 cycles without building them; the tests check that both accept, reject
-and label the same inputs.
+and label the same inputs.  :func:`reference_representative` builds a
+class representative as first written, the "-" one by conjugating the
+"+" one with a transposition; the package writes both words directly.
 
 :func:`an_orbit` is the tests' one definition-level reference for
 A_n-conjugacy: the orbit of a permutation under conjugation by the
@@ -565,6 +567,22 @@ def reference_from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> tuple[int,
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a - 1] = b
     return reference_images(images)
+
+
+def reference_representative(label: ClassLabel) -> tuple[int, ...]:
+    """Images of the consecutive-fill representative, longest cycle
+    first; the "-" one is the "+" one conjugated by the transposition t
+    of the two largest points of its longest cycle."""
+    cycles, next_pt = [], 1
+    for length in label.cycle_type.parts:
+        cycles.append(range(next_pt, next_pt + length))
+        next_pt += length
+    g = reference_from_cycles(label.n, cycles)
+    if label.sign != "-":
+        return g
+    top = label.cycle_type.parts[0]
+    t = {top - 1: top, top: top - 1}
+    return tuple(t.get(g[t.get(x, x) - 1], g[t.get(x, x) - 1]) for x in range(1, label.n + 1))
 
 
 def reference_walk(images: Sequence[int]) -> list[list[int]]:

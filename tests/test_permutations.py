@@ -42,6 +42,7 @@ from oracles import (
     reference_from_cycles,
     reference_images,
     reference_parity,
+    reference_representative,
     reference_walk,
     run_python,
     support,
@@ -108,12 +109,16 @@ def test_class_representative_examples():
     assert rep_m == parse_permutation("(1,2,3,5,4)")
 
 
-def test_representative_words_are_the_representatives_cycles():
-    for n in range(2, 26):
+def test_representatives_match_the_conjugated_construction():
+    """The representative and its words, written directly, against the
+    "+" representative conjugated by a transposition, for every label
+    with n <= 25."""
+    for n in range(1, 26):
         for label in an_class_labels(n):
-            if label.is_split():
-                words = _representative_words(label)
-                assert [tuple(w) for w in words] == class_representative(label).cycles()
+            images = reference_representative(label)
+            assert class_representative(label).images == images, label
+            cycles = [c for c in reference_walk(images) if len(c) > 1]
+            assert _representative_words(label) == cycles, label
 
 
 # sha256 of the JSON of every class_representative(label).images, n <= 16,
