@@ -33,7 +33,6 @@ from ancover.characters import (
     AlgebraicValue,
     IrreducibleLabel,
     CharacterTable,
-    degree,
     hook_size,
     an_character_table,
 )

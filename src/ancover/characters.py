@@ -75,7 +75,6 @@ from ancover.combinatorics import (
     enumerate_partitions,
     frobenius_symbol,
     is_split_type,
-    transpose,
 )
 from ancover.permutations import ClassLabel, inverse_label
 
@@ -241,17 +240,6 @@ def mn_values(lams: Sequence[Partition], mu: Partition) -> list[int]:
     masks = [_abacus(lam.parts, mu.n) for lam in lams]
     ((_, values),) = _mn_rows(mu.n, masks, [tuple(sorted(mu.parts, reverse=True))])
     return values
-
-
-def degree(lam: Partition) -> int:
-    """Dimension of the irreducible S_n module, by the hook length formula."""
-    t = transpose(lam)
-    num = math.factorial(lam.n)
-    for i, row in enumerate(lam.parts):
-        for j in range(row):
-            hook = (row - j) + (t.parts[j] - i) - 1
-            num //= hook
-    return num
 
 
 def hook_size(lam: Partition) -> int | None:

@@ -30,6 +30,10 @@ class LimitExceeded(ValueError):
     """Input exceeds a configured size limit."""
 
 
+class VerificationFailed(ArithmeticError):
+    """A witness, a factorization or a brute-force count fails an invariant."""
+
+
 class Record:
     """Base of the package's value classes, without ``dataclasses``.
 

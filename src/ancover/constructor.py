@@ -29,10 +29,13 @@ the two label walks and the two bijection checks read every point.
 Neither re-checks what it has just built; every check on its outputs
 stays.  Permutations come from the int words or image lists made here,
 each through the one bijection check only, and each output is labelled
-by one walk.  The growth steps change one image list in place, so a call
-builds a fixed number of Permutations whatever its steps.  A search trial reads its cofactor c^-1 h through the image
-list of c^-1 along the orbit of 1 only, and forms, walks and labels it
-only when that orbit is a full cycle.
+by one walk.  Each packed delta is one image list to the end: its orbits
+to grow are walked on it and on gamma's list, and the growth steps change
+it in place, so a call that packs builds five Permutations of degree n
+(gamma, delta, delta_bar and their products with gamma) whatever its
+steps.  A search trial reads its cofactor c^-1 h through the image list
+of c^-1 along the orbit of 1 only, and forms, walks and labels it only
+when that orbit is a full cycle.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ancover.combinatorics import (
     Infeasible,
     Partition,
     Record,
-    TypedSubpartition,
+    VerificationFailed,
     decompose_subpartitions,
     phi,
     shrink_part,
@@ -62,10 +65,6 @@ from ancover.permutations import (
     cycle_type,
     splits_in_an,
 )
-
-
-class VerificationFailed(ArithmeticError):
-    """A witness, a factorization or a brute-force count fails an invariant."""
 
 
 def _check(ok: bool, what: str) -> None:
@@ -215,16 +214,14 @@ _SEQUENCES: dict[tuple[int, ...], tuple[ValidSequence, ValidSequence | None]] = 
 }
 
 
-def find_opposite_valid_sequences(
-    length: int, shape: Partition
-) -> tuple[ValidSequence, ValidSequence | None]:
-    """Valid sequences on [1, length] whose product with (1..length) has
+def find_opposite_valid_sequences(shape: Partition) -> tuple[ValidSequence, ValidSequence | None]:
+    """Valid sequences on [1, shape.n] whose product with (1..shape.n) has
     the given shape; the two are intertwined by an odd resequencing map.
 
     The pairs are tabulated; the 2,2 piece has no opposite partner.
     """
-    if length != shape.n or shape.parts not in _SEQUENCES:
-        raise ValueError(f"unsupported (length, shape) pair {(length, shape.parts)}")
+    if shape.parts not in _SEQUENCES:
+        raise ValueError(f"unsupported shape {shape.parts}")
     return _SEQUENCES[shape.parts]
 
 
@@ -246,15 +243,6 @@ def packing_word(plan: PackingPlan, sequences: Sequence[ValidSequence]) -> list[
     if free is not None:
         word.extend(range(free.b, free.a - 1, -1))
     return word
-
-
-def orbit_of(p: Permutation, x: int) -> frozenset[int]:
-    out = {x}
-    y = p(x)
-    while y != x:
-        out.add(y)
-        y = p(y)
-    return frozenset(out)
 
 
 def _rebuild_images(g: Sequence[int], d: list[int], x: int, y: int) -> None:
@@ -423,65 +411,52 @@ def _product_labels(
     return label, label_bar
 
 
-def _grow_targets(
-    pieces: Sequence[TypedSubpartition],
-    plans: Sequence[PackingPlan],
-    offsets: Sequence[int],
-    product: Permutation,
-) -> list[tuple[frozenset[int], int]]:
-    """Map each shrunken orbit to the part size it must grow back to."""
-    placed: dict[int, tuple[int, Interval]] = {}
-    for plan in plans:
-        for iv, di in zip(plan.subintervals, plan.demands):
-            placed[di] = (plan.host_index, iv)
-    targets: list[tuple[frozenset[int], int]] = []
-    for di, piece in enumerate(pieces):
-        big = [p for p in piece.parts.parts if shrink_part(p) != p]
-        if not big:
-            continue
-        host, iv = placed[di]
-        off = offsets[host]
-        interval = set(range(off + iv.a, off + iv.b + 1))
-        points = set(interval)
-        orbits: list[frozenset[int]] = []
-        while points:
-            orb = orbit_of(product, min(points))
-            _check(orb <= interval, "orbit leaves its subinterval")
-            points -= orb
-            orbits.append(orb)
-        grow = sorted((o for o in orbits if len(o) >= 4), key=min)
-        big.sort(reverse=True)
-        _check(len(grow) >= len(big), "missing seed orbits")
-        for orb, part in zip(grow, big):
-            targets.append((orb, part))
-    return targets
-
-
-def _run_rebuilds(
-    gamma: Permutation,
-    delta: Permutation,
-    targets: list[tuple[frozenset[int], int]],
+def _grow(
+    g: Sequence[int],
+    d: list[int],
+    spans: Sequence[tuple[range, list[int]]],
     pool: Sequence[int],
 ) -> tuple[Permutation, list[tuple[int, int]]]:
-    g, cur = (0, *gamma.images), [0, *delta.images]
+    """Grow each shrunken orbit of gamma*delta back to its part, changing
+    d in place; return delta and the steps (x, y) taken.  g and d are the
+    image lists of gamma and delta led by a 0.
+
+    Each span holds the points of one piece's subinterval and the parts
+    of 6 or more it grows back to, largest first; its orbits of 4 or more
+    points, in order of their least point, are paired with those parts.
+    """
+    work: list[tuple[set[int], int]] = []
+    for points, big in spans:
+        left = set(points)
+        grow: list[set[int]] = []
+        while left:
+            # orbits inside the span start at their least point, in order
+            x = min(left)
+            orb = {x}
+            y = g[d[x]]
+            while y != x:
+                orb.add(y)
+                y = g[d[y]]
+            _check(orb <= left, "orbit leaves its subinterval")
+            left -= orb
+            if len(orb) >= 4:
+                grow.append(orb)
+        _check(len(grow) >= len(big), "missing seed orbits")
+        work += zip(grow, big)
     log: list[tuple[int, int]] = []
-    work = [(set(orb), part) for orb, part in targets]
-    pool_iter = iter(pool)
-    while True:
-        deficits = [(part - len(orb)) // 2 for orb, part in work]
-        if not any(d > 0 for d in deficits):
+    while work:
+        # the orbit most steps short of its part, the least point first on ties
+        orb, part = max(work, key=lambda w: ((w[1] - len(w[0])) // 2, -min(w[0])))
+        if part - len(orb) < 2:
             break
-        idx = max(range(len(work)), key=lambda i: (deficits[i], -min(work[i][0])))
-        orb, part = work[idx]
-        x = min(p for p in orb if cur[p] != p and g[p] in orb)
-        try:
-            y = next(pool_iter)
-        except StopIteration:
+        x = min(p for p in orb if d[p] != p and g[p] in orb)
+        if len(log) == len(pool):
             raise Infeasible("free-space pool exhausted during rebuilding")
-        _rebuild_images(g, cur, x, y)
+        y = pool[len(log)]
+        _rebuild_images(g, d, x, y)
         orb.update({y, g[y]})
         log.append((x, y))
-    return (Permutation._from_ints(cur[1:]) if log else delta), log
+    return Permutation._from_ints(d[1:]), log
 
 
 def construct_witnesses(
@@ -523,15 +498,16 @@ def construct_witnesses(
     # A lone fixed point shrinks to the empty shape and packs nowhere.
     nontrivial = [p for p in pieces if phi(p).parts]
     shapes = [phi(p) for p in nontrivial]
-    seqs = [find_opposite_valid_sequences(shape.n, shape) for shape in shapes]
+    seqs = [find_opposite_valid_sequences(shape) for shape in shapes]
     # Only 2,2 has no opposite sequence; with nothing else it falls back.
     pivot = next((i for i, (_, sbar) in enumerate(seqs) if sbar is not None), None)
     if pivot is None:
         return _construct_two_twos_case(lam, mu, gamma, offsets, embeddings, seed)
     plans = greedy_pack(lam.parts, [shape.n for shape in shapes])
 
-    def build_delta(use_bar_at: int | None) -> Permutation:
-        words: list[list[int]] = []
+    def packed(use_bar_at: int | None) -> list[int]:
+        # the image list of delta led by a 0, one packing cycle per host
+        d = list(range(n + 1))
         for plan in plans:
             local: list[ValidSequence] = []
             for iv, di in zip(plan.subintervals, plan.demands):
@@ -539,21 +515,28 @@ def construct_witnesses(
                 chosen = sbar if (di == use_bar_at and sbar is not None) else s
                 local.append(chosen.shifted(iv.a - 1))
             off = offsets[plan.host_index]
-            words.append([p + off for p in packing_word(plan, local)])
-        return Permutation._from_words(n, words)
+            word = [p + off for p in packing_word(plan, local)]
+            for x, y in zip(word, word[1:] + word[:1]):
+                d[x] = y
+        return d
 
-    delta0 = build_delta(None)
-    delta_bar0 = build_delta(pivot)
+    d = packed(None)
+    d_bar = packed(pivot)
 
-    # Growth pool: even positions strictly below the top of each free run,
-    # so that {y, gamma(y)} pairs are disjoint and fixed by the products.
+    # The points of each growing piece's subinterval, with its parts to
+    # grow; and the growth pool: even positions strictly below the top of
+    # each free run, so that {y, gamma(y)} pairs are disjoint and fixed by
+    # the products.
+    spans: list[tuple[range, list[int]]] = []
     pool: list[int] = []
     for plan in plans:
-        free = plan.free
-        if free is None:
-            continue
         off = offsets[plan.host_index]
-        pool.extend(off + y for y in range(2, free.b) if y % 2 == 0)
+        for iv, di in zip(plan.subintervals, plan.demands):
+            big = sorted((p for p in nontrivial[di].parts.parts if shrink_part(p) != p), reverse=True)
+            if big:
+                spans.append((range(off + iv.a, off + iv.b + 1), big))
+        if plan.free is not None:
+            pool.extend(off + y for y in range(2, plan.free.b) if y % 2 == 0)
 
     needed = sum(p - shrink_part(p) for p in mu.parts) // 2
     if len(pool) < needed:
@@ -561,10 +544,9 @@ def construct_witnesses(
             f"free space supplies {len(pool)} growth pairs but {needed} are needed"
         )
 
-    targets = _grow_targets(nontrivial, plans, offsets, gamma * delta0)
-    delta, log = _run_rebuilds(gamma, delta0, targets, pool)
-    targets_bar = _grow_targets(nontrivial, plans, offsets, gamma * delta_bar0)
-    delta_bar, log_bar = _run_rebuilds(gamma, delta_bar0, targets_bar, pool)
+    g = (0, *gamma.images)
+    delta, log = _grow(g, d, spans, pool)
+    delta_bar, log_bar = _grow(g, d_bar, spans, pool)
 
     labels = _product_labels(lam, mu, gamma, delta, delta_bar, log, log_bar)
     return WitnessPair(

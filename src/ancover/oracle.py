@@ -43,8 +43,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from ancover.combinatorics import LimitExceeded, Partition
-from ancover.constructor import VerificationFailed
+from ancover.combinatorics import LimitExceeded, Partition, VerificationFailed
 from ancover.permutations import ClassLabel, Permutation, an_class_labels
 
 ORACLE_LIMIT = 9

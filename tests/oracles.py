@@ -73,6 +73,15 @@ written, with a Permutation built for every trial; the package forms each
 trial as swaps on an image list, and a test checks that both pick the
 same witnesses.
 
+:func:`reference_witnesses` is the packing route of
+:func:`~ancover.constructor.construct_witnesses` as first written, on
+Permutations: each packed delta and its product with gamma are built,
+the orbits to grow are found point by point with :func:`orbit_of`, and
+each growth step makes a new delta.  The package keeps each delta as one
+image list from packing to the end and walks the product on the two
+lists; a test checks that both give the same witnesses, rebuild logs and
+errors.
+
 :func:`broken_orthogonality` checks the column and the row orthogonality
 relations of a character table at definition level, from its
 ``AlgebraicValue`` cells with one Fraction sum per radicand.  The package
@@ -93,7 +102,7 @@ the public :func:`~ancover.characters.mn_values`; a failure raises the
 package's :class:`~ancover.characters.TableCheckFailed`, also under
 ``python -O``.
 
-:func:`cell`, :func:`an_degree`, :func:`surd_le`,
+:func:`cell`, :func:`degree`, :func:`an_degree`, :func:`surd_le`,
 :func:`abs_value_le_surd`, :func:`labels_of_type`, :func:`is_covered_by`,
 :func:`is_real_in_an`, :func:`packing_cycle`, :func:`identity`,
 :func:`is_even`, :func:`E_fraction`, :func:`support`, :func:`conjugate`,
@@ -124,10 +133,16 @@ from typing import Iterator, Sequence
 
 import ancover
 from ancover.combinatorics import (
+    Infeasible,
     LimitExceeded,
     Partition,
     SubpartitionKind,
+    VerificationFailed,
     centralizer_order,
+    decompose_subpartitions,
+    phi,
+    shrink_part,
+    transpose,
 )
 from ancover.bounds import EProfile, surd_sign
 from ancover.characters import (
@@ -136,11 +151,17 @@ from ancover.characters import (
     IrreducibleLabel,
     TableCheckFailed,
     an_character_table,
-    degree,
     mn_values,
 )
 from ancover.classalgebra import frobenius_count
-from ancover.constructor import PackingPlan, ValidSequence, _rebuild_images, packing_word
+from ancover.constructor import (
+    PackingPlan,
+    ValidSequence,
+    _rebuild_images,
+    find_opposite_valid_sequences,
+    greedy_pack,
+    packing_word,
+)
 from ancover.oracle import (
     ORACLE_LIMIT,
     _cycles,
@@ -664,6 +685,17 @@ def cell(table: CharacterTable, chi: IrreducibleLabel, cls: ClassLabel) -> Algeb
     return table.values[table.irreducibles.index(chi)][table.class_index(cls)]
 
 
+def degree(lam: Partition) -> int:
+    """Dimension of the irreducible S_n module, by the hook length formula."""
+    t = transpose(lam)
+    num = factorial(lam.n)
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            hook = (row - j) + (t.parts[j] - i) - 1
+            num //= hook
+    return num
+
+
 def an_degree(chi: IrreducibleLabel) -> int:
     d = degree(chi.partition)
     return d // 2 if chi.is_split() else d
@@ -850,6 +882,103 @@ def rebuild(gamma: Permutation, delta: Permutation, x: int, y: int) -> Permutati
     d = [0, *delta.images]
     _rebuild_images((0, *gamma.images), d, x, y)
     return Permutation(d[1:])
+
+
+def orbit_of(p: Permutation, x: int) -> frozenset[int]:
+    """The points of the cycle of p through x."""
+    out = {x}
+    y = p(x)
+    while y != x:
+        out.add(y)
+        y = p(y)
+    return frozenset(out)
+
+
+def reference_witnesses(
+    lam: Partition, mu: Partition, *, strict: bool = True, seed: int = 0
+) -> tuple[Permutation, Permutation, Permutation, tuple, tuple]:
+    """gamma, delta, delta_bar and the two rebuild logs of
+    :func:`~ancover.constructor.construct_witnesses` on valid (lam, mu),
+    the packing route as first written, on Permutations: each packed
+    delta is a Permutation, the orbits to grow are found by
+    :func:`orbit_of` on its product with gamma and paired piece by piece
+    with the piece's parts, largest first, and each growth step is one
+    :func:`rebuild`.  The 2,2 fallback comes from :func:`two_twos_deltas`.
+    Raises what the package raises, with the same message."""
+    n, k = lam.n, len(lam.parts)
+    if strict and mu.ones() < 8 * k + 9:
+        raise Infeasible(
+            f"mu has {mu.ones()} fixed points; the construction wants at least {8 * k + 9}"
+        )
+    offsets = [sum(lam.parts[:j]) for j in range(k)]
+    gamma = Permutation.from_cycles(
+        n, [range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1) for j in range(k)]
+    )
+    pieces = [p for p in decompose_subpartitions(mu) if phi(p).parts]
+    seqs = [find_opposite_valid_sequences(phi(p)) for p in pieces]
+    pivot = next((i for i, (_, sbar) in enumerate(seqs) if sbar is not None), None)
+    if pivot is None:
+        return (gamma, *two_twos_deltas(lam, seed), (), ())
+    plans = greedy_pack(lam.parts, [phi(p).n for p in pieces])
+    pool = []
+    for plan in plans:
+        if plan.free is not None:
+            pool += [offsets[plan.host_index] + y for y in range(2, plan.free.b, 2)]
+    needed = sum(p - shrink_part(p) for p in mu.parts) // 2
+    if len(pool) < needed:
+        raise Infeasible(f"free space supplies {len(pool)} growth pairs but {needed} are needed")
+    placed = {}
+    for plan in plans:
+        for iv, di in zip(plan.subintervals, plan.demands):
+            placed[di] = (offsets[plan.host_index], iv)
+    sides = []
+    for use_bar_at in (None, pivot):
+        words = []
+        for plan in plans:
+            local = [
+                seqs[di][1 if di == use_bar_at else 0].shifted(iv.a - 1)
+                for iv, di in zip(plan.subintervals, plan.demands)
+            ]
+            words.append([p + offsets[plan.host_index] for p in packing_word(plan, local)])
+        delta = Permutation.from_cycles(n, words)
+        product = gamma * delta
+        targets = []
+        for di, piece in enumerate(pieces):
+            big = sorted((p for p in piece.parts.parts if shrink_part(p) != p), reverse=True)
+            if not big:
+                continue
+            off, iv = placed[di]
+            interval = set(range(off + iv.a, off + iv.b + 1))
+            points, orbits = set(interval), []
+            while points:
+                orb = orbit_of(product, min(points))
+                if not orb <= interval:
+                    raise VerificationFailed("orbit leaves its subinterval")
+                points -= orb
+                orbits.append(orb)
+            grow = sorted((o for o in orbits if len(o) >= 4), key=min)
+            if len(grow) < len(big):
+                raise VerificationFailed("missing seed orbits")
+            targets += [(set(orb), part) for orb, part in zip(grow, big)]
+        log = []
+        pool_iter = iter(pool)
+        while True:
+            deficits = [(part - len(orb)) // 2 for orb, part in targets]
+            if not any(e > 0 for e in deficits):
+                break
+            i = max(range(len(targets)), key=lambda i: (deficits[i], -min(targets[i][0])))
+            orb = targets[i][0]
+            x = min(p for p in orb if delta(p) != p and gamma(p) in orb)
+            try:
+                y = next(pool_iter)
+            except StopIteration:
+                raise Infeasible("free-space pool exhausted during rebuilding")
+            delta = rebuild(gamma, delta, x, y)
+            orb.update({y, gamma(y)})
+            log.append((x, y))
+        sides.append((delta, tuple(log)))
+    (delta, log), (delta_bar, log_bar) = sides
+    return gamma, delta, delta_bar, log, log_bar
 
 
 def identity(n: int) -> Permutation:

@@ -13,7 +13,6 @@ from ancover.characters import (
     LimitExceeded,
     TableCheckFailed,
     an_character_table,
-    degree,
     hook_size,
     mn_values,
 )
@@ -24,6 +23,7 @@ from oracles import (
     an_degree,
     broken_orthogonality,
     cell,
+    degree,
     mn_cellwise,
     reference_column_sums,
     row_max_scan,

@@ -22,7 +22,6 @@ from ancover.constructor import (
     cover_with_ncycles,
     find_opposite_valid_sequences,
     greedy_pack,
-    orbit_of,
 )
 from ancover.permutations import (
     ClassLabel,
@@ -38,10 +37,12 @@ from oracles import (
     is_even,
     lift_sign_maps,
     ncycle_relabelling,
+    orbit_of,
     packing_cycle,
     random_even_permutation,
     rebuild,
     reference_ncycle_cover,
+    reference_witnesses,
     replaced,
     replay_ncycle_search,
     run_python,
@@ -83,15 +84,15 @@ def test_packing_plan_validates_shape():
 
 
 def test_tabulated_sequences_are_paper_values():
-    s, sbar = find_opposite_valid_sequences(4, Partition((2, 2)))
+    s, sbar = find_opposite_valid_sequences(Partition((2, 2)))
     assert s.terms == (4, 1, 2, 3) and sbar is None
-    s, sbar = find_opposite_valid_sequences(6, Partition((4, 2)))
+    s, sbar = find_opposite_valid_sequences(Partition((4, 2)))
     assert s.terms == (6, 1, 2, 4, 5, 3)
     assert sbar.terms == (6, 1, 3, 4, 5, 2)
-    s, sbar = find_opposite_valid_sequences(8, Partition((4, 4)))
+    s, sbar = find_opposite_valid_sequences(Partition((4, 4)))
     assert s.terms == (8, 1, 2, 4, 7, 5, 3, 6)
     assert sbar.terms == (8, 1, 2, 5, 7, 3, 6, 4)
-    s, sbar = find_opposite_valid_sequences(8, Partition((2, 2, 2, 2)))
+    s, sbar = find_opposite_valid_sequences(Partition((2, 2, 2, 2)))
     assert s.terms == (8, 1, 2, 7, 4, 5, 6, 3)
     assert sbar.terms == (8, 1, 3, 5, 6, 2, 7, 4)
 
@@ -109,7 +110,7 @@ def test_tabulated_sequences_are_paper_values():
     ],
 )
 def test_sequences_have_contracted_shape(length, shape):
-    s, sbar = find_opposite_valid_sequences(length, Partition(shape))
+    s, sbar = find_opposite_valid_sequences(Partition(shape))
     host = cyc(length, tuple(range(1, length + 1)))
     for seq in (s, sbar):
         if seq is None:
@@ -124,7 +125,7 @@ def test_sequences_have_contracted_shape(length, shape):
     [(5, (5,)), (6, (4, 2)), (7, (3, 1, 1, 1, 1)), (8, (2, 2, 2, 2)), (8, (4, 4)), (9, (3, 3, 3))],
 )
 def test_opposite_pairs_are_odd_intertwined(length, shape):
-    s, sbar = find_opposite_valid_sequences(length, Partition(shape))
+    s, sbar = find_opposite_valid_sequences(Partition(shape))
     images = [0] * length
     for a, b in zip(s.terms, sbar.terms):
         images[a - 1] = b
@@ -133,7 +134,7 @@ def test_opposite_pairs_are_odd_intertwined(length, shape):
 
 def test_unsupported_shape_rejected():
     with pytest.raises(ValueError):
-        find_opposite_valid_sequences(6, Partition((6,)))
+        find_opposite_valid_sequences(Partition((6,)))
 
 
 @pytest.mark.parametrize(
@@ -157,7 +158,7 @@ def test_odd_sequence_pairs_rederived_by_search(length, shape):
         if Permutation(images).parity() == 1:
             found = word
             break
-    s, sbar = find_opposite_valid_sequences(length, Partition(shape))
+    s, sbar = find_opposite_valid_sequences(Partition(shape))
     assert (s.terms, sbar.terms) == (first, found)
 
 
@@ -173,8 +174,8 @@ def test_valid_sequence_validation():
 
 def test_packing_cycle_paper_example():
     plan = greedy_pack((15,), (8, 4))[0]
-    _, s6bar = find_opposite_valid_sequences(8, Partition((2, 2, 2, 2)))
-    s5, _ = find_opposite_valid_sequences(4, Partition((2, 2)))
+    _, s6bar = find_opposite_valid_sequences(Partition((2, 2, 2, 2)))
+    s5, _ = find_opposite_valid_sequences(Partition((2, 2)))
     delta = packing_cycle(plan, [s6bar.shifted(7), s5.shifted(3)])
     assert delta == parse_permutation("(15,8,10,12,13,9,14,11,7,4,5,6,3,2,1)")
     assert cycle_type(delta).parts == (15,)
@@ -196,9 +197,7 @@ def test_packing_cycle_lemma_product():
         plan = greedy_pack((host,), tuple(demands))[0]
         seqs = []
         for iv, di in zip(plan.subintervals, plan.demands):
-            s, sbar = find_opposite_valid_sequences(
-                demands[di], Partition(shapes[demands[di]])
-            )
+            s, sbar = find_opposite_valid_sequences(Partition(shapes[demands[di]]))
             chosen = rng.choice([x for x in (s, sbar) if x is not None])
             seqs.append(chosen.shifted(iv.a - 1))
         delta = packing_cycle(plan, seqs)
@@ -217,7 +216,7 @@ def test_packing_cycle_lemma_product():
 def _rebuild_fixture():
     gamma = cyc(12, tuple(range(1, 13)))
     plan = greedy_pack((12,), (6,))[0]
-    s, _ = find_opposite_valid_sequences(6, Partition((4, 2)))
+    s, _ = find_opposite_valid_sequences(Partition((4, 2)))
     delta = packing_cycle(plan, [s.shifted(6)])
     prod = gamma * delta
     four = max((orbit_of(prod, p) for p in range(7, 13)), key=len)
@@ -343,6 +342,34 @@ def test_witnesses_match_pinned_digest():
         records.append(pair.to_json_dict())
     blob = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_witnesses_match_the_permutation_route(strict):
+    # Seeded instances as drawn, then with their moved parts doubled,
+    # which often leaves fewer fixed points than strict mode asks for or
+    # too little free space: every witness, rebuild log and error of the
+    # package equals the reference's.
+    def outcome(build, lam, mu, seed):
+        try:
+            out = build(lam, mu, strict=strict, seed=seed)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        if isinstance(out, tuple):
+            return out
+        return out.gamma, out.delta, out.delta_bar, out.rebuild_log, out.rebuild_log_bar
+
+    rng = random.Random(30)
+    kinds = set()
+    for seed in range(400):
+        lam, mu = random_construction_instance(rng)
+        moved = [p for p in mu.parts if p > 1]
+        doubled = sorted(moved * 2 + [1] * (lam.n - 2 * sum(moved)), reverse=True)
+        for m in [mu] + ([Partition(doubled)] if 2 * sum(moved) <= lam.n else []):
+            got = outcome(construct_witnesses, lam, m, seed)
+            assert got == outcome(reference_witnesses, lam, m, seed), (lam, m)
+            kinds.add(got[0] if len(got) == 2 else bool(got[3]))
+    assert kinds == {True, False, Infeasible}
 
 
 def test_witness_json_record():
@@ -607,11 +634,10 @@ def test_search_labels_only_full_cycle_cofactors(monkeypatch):
 def test_construction_builds_a_fixed_number_of_full_degree_permutations(
     monkeypatch, lam, mu, strict
 ):
-    """One construct_witnesses call builds gamma, the two packings, the
-    two packed products that locate the orbits to grow, and the two final
-    products: 7 Permutations of degree n, each through the one bijection
-    check, and one more grown delta for each side that takes growth steps,
-    however many steps it takes."""
+    """One construct_witnesses call builds gamma, delta, delta_bar and
+    the two products that _product_labels checks: 5 Permutations of
+    degree n, each through the one bijection check, however many growth
+    steps it takes.  The packed deltas stay image lists until grown."""
     lam, mu = Partition.from_text(lam), Partition.from_text(mu)
     built = []
     check = permutations._bijection
@@ -624,7 +650,7 @@ def test_construction_builds_a_fixed_number_of_full_degree_permutations(
     pair = construct_witnesses(lam, mu, strict=strict)
     monkeypatch.undo()
     pair.verify()
-    assert built == [lam.n] * (7 + bool(pair.rebuild_log) + bool(pair.rebuild_log_bar))
+    assert built == [lam.n] * 5
 
 
 def test_lift_sign_rule_matches_explicit_lifts():

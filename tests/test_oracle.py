@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ancover import combinatorics, oracle
 from ancover.combinatorics import LimitExceeded, Partition
 from ancover.combinatorics import enumerate_partitions
 from ancover.classalgebra import product_counts
@@ -525,3 +527,15 @@ def test_product_counts_match_stream_count_at_n_8_and_9(c, d):
     assert list(bins) == an_class_labels(C.n)
     for E, count in bins.items():
         assert count == stream_frobenius(C, D, class_representative(E)), (C, D, E)
+
+
+def test_oracle_imports_only_combinatorics_and_permutations():
+    # The oracle stays independent of the code it checks: of the package
+    # it reads only partitions and the Permutation type, and the
+    # VerificationFailed it raises is the class the constructor raises.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    ours = {m for m in modules if m.split(".")[0] == "ancover"}
+    assert ours == {"ancover.combinatorics", "ancover.permutations"}
+    assert oracle.VerificationFailed is combinatorics.VerificationFailed is VerificationFailed
