@@ -59,8 +59,6 @@ __version__ = "0.1.0"
 # package does not load that module.
 _BOUNDS_NAMES = frozenset(
     {
-        "EProfile",
-        "e_profile",
         "hook_bound",
         "prop24_certificate",
     }

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from ancover.characters import _squarefree_split
 from ancover.combinatorics import Record
-from ancover.permutations import Permutation
 
 
 class EvenOrSmallN(ValueError):
@@ -75,73 +74,6 @@ def surd_sign(terms: Sequence[tuple[Fraction, int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Orbit-size profile
-
-
-class EProfile(Record):
-    """Cumulative orbit counts and the weighted statistic they define.
-
-    ``counts[k-1]`` is the number of points lying in orbits of length at
-    most k; the defining property is n^(e_1+...+e_k) = counts[k-1] when
-    positive.  E = sum e_i / i is kept symbolically: every assertion made
-    about it reduces to integer inequalities on the counts.
-    """
-
-    __slots__ = ("n", "counts")
-
-    def __init__(self, n: int, counts: tuple[int, ...]):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if len(counts) != n:
-            raise ValueError(f"need {n} cumulative counts, got {len(counts)}")
-        if counts[-1] != n:
-            raise ValueError("every point has an orbit")
-        if any(a > b for a, b in zip(counts, counts[1:])):
-            raise ValueError("counts must be nondecreasing (each e_i is nonnegative)")
-        self._init(n, counts)
-
-    def short_orbit_cycles(self, M: int) -> int:
-        """Number of cycles (fixed points included) of length <= M."""
-        per_len = [0] * (self.n + 1)
-        prev = 0
-        for k, c in enumerate(self.counts, start=1):
-            per_len[k] = (c - prev) // k
-            prev = c
-        return sum(per_len[1 : M + 1])
-
-    def satisfies_short_orbit_hypothesis(self, M: int) -> bool:
-        return self.short_orbit_cycles(M) <= M
-
-    def check_short_orbit_bound(self, M: int) -> bool:
-        """Exact certificate that E <= log_n M^2 + 1/(M+1).
-
-        Chain: sum_{i<=M} e_i/i <= e_1+...+e_M = log_n counts[M-1] and
-        sum_{i>M} e_i/i <= (1 - log_n counts[M-1])/(M+1); both are
-        term-by-term consequences of e_i >= 0, so the data-dependent step
-        is counts[M-1] <= M^2, an integer inequality implied by the
-        hypothesis of at most M short cycles.
-        """
-        if not self.satisfies_short_orbit_hypothesis(M):
-            raise ValueError(f"hypothesis fails: more than {M} cycles of length <= {M}")
-        return self.counts[M - 1] <= M * M
-
-
-def e_profile(g: Permutation) -> EProfile:
-    """Orbit-size profile of a permutation on at least two points."""
-    if g.n < 2:
-        raise ValueError("need n >= 2")
-    per_len = [0] * (g.n + 1)
-    for cyc in g.cycles(include_fixed=True):
-        per_len[len(cyc)] += len(cyc)
-    counts = []
-    running = 0
-    for k in range(1, g.n + 1):
-        running += per_len[k]
-        counts.append(running)
-    return EProfile(g.n, tuple(counts))
-
-
-# ---------------------------------------------------------------------------
 # Hook-character bound
 
 
@@ -156,12 +88,16 @@ def hook_bound(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # The almost-derangement certificate
 
+# The odd n at which ``verify bounds`` checks the clauses and writes them
+# to its --table CSV.
+PROP24_RANGE = range(13, 202, 2)
+
 
 class Prop24Report(Record):
     """Exact clause values of the character-sum domination argument.
 
-    ``asserted`` is True for odd n >= 13 (the range the argument covers);
-    smaller odd n get values but no pass/fail force.
+    The argument covers odd n >= 13; smaller odd n get values but no
+    pass/fail force.
     """
 
     __slots__ = (
@@ -172,7 +108,6 @@ class Prop24Report(Record):
         "cube_ok",
         "mixed_term",
         "mixed_ok",
-        "asserted",
     )
 
     def __init__(
@@ -184,11 +119,8 @@ class Prop24Report(Record):
         cube_ok: bool,
         mixed_term: tuple[Fraction, Fraction],  # u + v*sqrt(n)
         mixed_ok: bool,
-        asserted: bool,
     ):
-        self._init(
-            n, hook_sum_value, hook_sum_ok, cube_term, cube_ok, mixed_term, mixed_ok, asserted
-        )
+        self._init(n, hook_sum_value, hook_sum_ok, cube_term, cube_ok, mixed_term, mixed_ok)
 
     def all_ok(self) -> bool:
         return self.hook_sum_ok and self.cube_ok and self.mixed_ok
@@ -204,8 +136,8 @@ class Prop24Report(Record):
 
 
 def prop24_certificate(n: int) -> Prop24Report:
-    """Evaluate the three clauses exactly.  They are claimed for odd
-    n >= 13, where ``suite_bounds`` checks them."""
+    """Evaluate the three clauses exactly at odd n >= 7.  They are claimed
+    for odd n >= 13; ``suite_bounds`` checks them on :data:`PROP24_RANGE`."""
     if n % 2 == 0 or n < 7:
         raise EvenOrSmallN(f"certificate needs odd n >= 7, got {n}")
     one = Fraction(1)
@@ -232,7 +164,7 @@ def prop24_certificate(n: int) -> Prop24Report:
     mixed_ok = surd_sign([(mixed_u - Fraction(1, 4), 1), (mixed_v, n)]) < 0
 
     return Prop24Report(
-        n, hook_sum, hook_ok, (cube_u, cube_v), cube_ok, (mixed_u, mixed_v), mixed_ok, n >= 13
+        n, hook_sum, hook_ok, (cube_u, cube_v), cube_ok, (mixed_u, mixed_v), mixed_ok
     )
 
 

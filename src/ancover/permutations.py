@@ -130,12 +130,10 @@ class Permutation(Record):
             inv[y - 1] = i + 1
         return Permutation._from_ints(inv)
 
-    def cycles(self, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, longest first."""
         out = [tuple(c) for c in _walk(self.images)[0]]
         out.sort(key=len, reverse=True)  # stable: ties stay ordered by minimum
-        if include_fixed:
-            out += [(x,) for x, y in enumerate(self.images, 1) if x == y]
         return out
 
     def cycle_type(self) -> Partition:

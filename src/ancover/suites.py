@@ -19,7 +19,7 @@ import math
 import random
 
 from ancover.bounds import (
-    e_profile,
+    PROP24_RANGE,
     hook_bound,
     prop24_certificate,
     prop24_monotone_decreasing,
@@ -36,7 +36,7 @@ from ancover.classalgebra import covering_number, covers, product_counts
 from ancover.combinatorics import Partition, enumerate_partitions, frobenius_symbol
 from ancover.constructor import construct_witnesses
 from ancover.oracle import ORACLE_LIMIT, brute_product_counts
-from ancover.permutations import ClassLabel, Permutation
+from ancover.permutations import ClassLabel
 
 
 def ncycle_pairs(n: int) -> list[tuple[ClassLabel, ClassLabel]]:
@@ -198,16 +198,16 @@ def suite_oracle_equiv() -> list[tuple[str, bool, str]]:
     return items
 
 
-def suite_bounds(seed=42, trials=10**4) -> list[tuple[str, bool, str]]:
+def suite_bounds() -> list[tuple[str, bool, str]]:
     """Certificates: the almost-derangement clauses on odd [13, 201],
-    hook-bound dominance for n <= 13, the degrees of the split
-    irreducibles of the A_n tables, and the short-orbit inequality on
-    random permutations."""
+    hook-bound dominance for n <= 13 and the degrees of the split
+    irreducibles of the A_n tables."""
     items = []
-    reports = [prop24_certificate(n) for n in range(13, 202, 2)]
+    reports = [prop24_certificate(n) for n in PROP24_RANGE]
     failed = [r.n for r in reports if not r.all_ok()]
     detail = f"a clause fails at n = {failed[0]}" if failed else "all clauses exact"
-    items.append(("prop24 odd n in [13,201]", not failed, detail))
+    first, last = PROP24_RANGE[0], PROP24_RANGE[-1]
+    items.append((f"prop24 odd n in [{first},{last}]", not failed, detail))
     items.append(
         (
             "prop24 weakly decreasing",
@@ -248,26 +248,6 @@ def suite_bounds(seed=42, trials=10**4) -> list[tuple[str, bool, str]]:
         )
     )
 
-    rng = random.Random(seed)
-    profile_ok = True
-    hyp_hits = 0
-    for _ in range(trials):
-        n = rng.randint(10, 200)
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        prof = e_profile(Permutation(images))
-        for M in (3, 5, 10):
-            if prof.satisfies_short_orbit_hypothesis(M):
-                hyp_hits += 1
-                if not prof.check_short_orbit_bound(M):
-                    profile_ok = False
-    items.append(
-        (
-            f"orbit-profile bound trials={trials}",
-            profile_ok,
-            f"{hyp_hits} (permutation, M) hypothesis hits",
-        )
-    )
     return items
 
 

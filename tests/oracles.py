@@ -105,11 +105,10 @@ package's :class:`~ancover.characters.TableCheckFailed`, also under
 :func:`cell`, :func:`degree`, :func:`an_degree`, :func:`surd_le`,
 :func:`abs_value_le_surd`, :func:`labels_of_type`, :func:`is_covered_by`,
 :func:`is_real_in_an`, :func:`packing_cycle`, :func:`identity`,
-:func:`is_even`, :func:`E_fraction`, :func:`support`, :func:`conjugate`,
-:func:`kappa`, :func:`random_permutation` and
-:func:`random_even_permutation` are small statements about table cells,
-degrees, surd bounds, coverage by a cycle type, reality, packing words,
-the identity, parity, the exact E of an orbit-size profile, moved points,
+:func:`is_even`, :func:`support`, :func:`conjugate`, :func:`kappa`,
+:func:`random_permutation` and :func:`random_even_permutation` are small
+statements about table cells, degrees, surd bounds, coverage by a cycle
+type, reality, packing words, the identity, parity, moved points,
 conjugation, cycles of length 3 mod 4 and seeded random permutations;
 only tests call them.
 
@@ -144,7 +143,7 @@ from ancover.combinatorics import (
     shrink_part,
     transpose,
 )
-from ancover.bounds import EProfile, surd_sign
+from ancover.bounds import surd_sign
 from ancover.characters import (
     AlgebraicValue,
     CharacterTable,
@@ -1022,36 +1021,6 @@ def random_even_permutation(n: int, rng: random.Random) -> Permutation:
         images[0], images[1] = images[1], images[0]
         g = Permutation(images)
     return g
-
-
-def E_fraction(profile: EProfile) -> Fraction | None:
-    """E of an orbit-size profile as an exact rational when every positive
-    count is a power of n, else None."""
-    total = Fraction(0)
-    prev = Fraction(0)
-    for k, c in enumerate(profile.counts, start=1):
-        if c == 0:
-            continue
-        e_sum = _log_n_exact(c, profile.n)
-        if e_sum is None:
-            return None
-        total += (e_sum - prev) / k
-        prev = e_sum
-    return total
-
-
-def _log_n_exact(c: int, n: int) -> Fraction | None:
-    """log_n(c) when c is an exact power of n, else None."""
-    if c == 1:
-        return Fraction(0)
-    if n <= 1:
-        return None
-    power = 0
-    x = 1
-    while x < c:
-        x *= n
-        power += 1
-    return Fraction(power) if x == c else None
 
 
 def replaced(record, **changes):

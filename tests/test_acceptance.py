@@ -154,7 +154,7 @@ def test_criterion_7_character_table_integrity():
 
 
 def test_criterion_8_bounds_certificates():
-    items = suite_bounds(seed=42, trials=10**4)
+    items = suite_bounds()
     _report("criterion 8", items)
 
 

@@ -222,6 +222,8 @@ def test_verify_split_coverage_report_without_split_types_says_not_checked(capsy
         (["split-coverage-report", "--n", "8", "--table", "{csv}"], "--table"),
         (["oracle-equiv", "--trials", "5"], "--trials"),
         (["oracle-equiv", "--seed", "1"], "--seed"),
+        (["bounds", "--trials", "5"], "--trials"),
+        (["bounds", "--seed", "1"], "--seed"),
     ],
 )
 def test_verify_option_the_suite_does_not_take_exits_2(capsys, tmp_path, argv, option):
@@ -236,10 +238,14 @@ def test_verify_option_the_suite_does_not_take_exits_2(capsys, tmp_path, argv, o
 @pytest.mark.parametrize("suite", ["oracle-equiv", "construction", "bounds", "gleason"])
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_verify_nonpositive_trials_exits_2(capsys, suite, trials):
-    # A suite run on no trials would print a vacuous PASS.
+    # A suite run on no trials would print a vacuous PASS; a suite without
+    # trials says so first.
     code, out, err = run(capsys, "verify", suite, "--trials", trials)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    if suite == "construction":
+        assert err == f"error: --trials must be positive, got {trials}\n"
+    else:
+        assert err == f"error: verify {suite} takes no --trials\n"
 
 
 def test_verify_malformed_n_exits_2(capsys):
@@ -309,10 +315,10 @@ def test_ncycles_nonpositive_budget_exits_2(capsys, budget):
     "argv",
     [
         ["table", "5", "--export", "{missing}/a5.json"],
-        ["verify", "bounds", "--trials", "1", "--table", "{missing}/clauses.csv"],
+        ["verify", "bounds", "--table", "{missing}/clauses.csv"],
         # An empty path is a path that cannot be opened, not a missing option.
         ["table", "5", "--export", ""],
-        ["verify", "bounds", "--trials", "1", "--table", ""],
+        ["verify", "bounds", "--table", ""],
     ],
 )
 def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
@@ -324,7 +330,7 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
 
 
 def test_unwritable_csv_path_exits_2_before_the_suite_runs(capsys, monkeypatch, tmp_path):
-    def never(seed=42, trials=10**4):
+    def never():
         raise AssertionError("the suite ran")
 
     monkeypatch.setitem(SUITES, "bounds", never)
@@ -384,9 +390,7 @@ def test_verify_ncycle_suites_at_odd_n_from_15_to_23(capsys):
 
 def test_bounds_suite_with_csv(capsys, tmp_path):
     csv = tmp_path / "clauses.csv"
-    code, out, _ = run(
-        capsys, "verify", "bounds", "--trials", "200", "--table", str(csv)
-    )
+    code, out, _ = run(capsys, "verify", "bounds", "--table", str(csv))
     assert code == 0
     header, *rows = csv.read_text().splitlines()
     assert header == "n,hook_sum,cube_term,mixed_term"
@@ -400,7 +404,6 @@ BOUNDS_GOLDEN = [
     "PASS hook bound dominance n<=13: exhaustive table scan",
     "PASS split degrees n in [5,24]: 4n * min chi(1) >= 2^n and prod arms! divides"
     " floor((n-1)/2)! over the + split irreducibles",
-    "PASS orbit-profile bound trials=10000: 28574 (permutation, M) hypothesis hits",
 ]
 
 
@@ -424,7 +427,7 @@ def test_bounds_suite_fails_on_a_split_degree_below_the_bound(capsys, monkeypatc
         return [1 if chi.is_split() else d for chi, d in zip(table.irreducibles, degrees(table))]
 
     monkeypatch.setattr(CharacterTable, "degrees", split_degrees_one)
-    code, out, _ = run(capsys, "verify", "bounds", "--trials", "1")
+    code, out, _ = run(capsys, "verify", "bounds")
     assert code == 1
     assert out.splitlines()[3].startswith("FAIL split degrees n in [5,24]: ")
     assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
@@ -441,9 +444,9 @@ def test_a_failed_prop24_clause_gives_a_fail_line_not_a_traceback(capsys, monkey
 
     monkeypatch.setattr(ancover.bounds, "surd_sign", clauses_fail_at_101)
     failed = "FAIL prop24 odd n in [13,201]: a clause fails at n = 101"
-    code, out, _ = run(capsys, "verify", "bounds", "--trials", "1")
+    code, out, _ = run(capsys, "verify", "bounds")
     assert code == 1 and out.splitlines()[0] == failed
-    code, out, _ = run(capsys, "verify", "bounds", "--trials", "1", "--json")
+    code, out, _ = run(capsys, "verify", "bounds", "--json")
     payload = json.loads(out)
     assert code == 1 and payload["passed"] is False
     assert [item["name"] for item in payload["items"] if not item["passed"]] == [

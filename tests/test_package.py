@@ -42,13 +42,13 @@ def test_import_loads_no_bounds_suites_or_cli():
         "gone = [n for n in ('greedy_pack', 'packing_cycle', 'rebuild',\n"
         "        'find_opposite_valid_sequences', 'an_degree', 'abs_value_le_surd',\n"
         "        'is_covered_by', 'is_real_in_an', 'class_size', 'an_character_value',\n"
-        "        'mn_value', 'kappa', 'amgm_report', 'min_split_degree_report', 'degree')\n"
+        "        'mn_value', 'kappa', 'amgm_report', 'min_split_degree_report', 'degree',\n"
+        "        'EProfile', 'e_profile')\n"
         "        if hasattr(ancover, n)]\n"
         "import ancover.bounds, ancover.characters, ancover.oracle, ancover.permutations\n"
         "gone += [n for m, n in ((ancover.oracle, 'brute_an_conjugate'),\n"
         "        (ancover.characters, 'parse_irreducible_label'),\n"
-        "        (ancover.Permutation, 'is_even'), (ancover.bounds.EProfile, 'E_fraction'),\n"
-        "        (ancover.bounds, '_log_n_exact')) if hasattr(m, n)]\n"
+        "        (ancover.Permutation, 'is_even')) if hasattr(m, n)]\n"
         "gone += [n for n in ('an_character_value', 'mn_value') if hasattr(ancover.characters, n)]\n"
         "gone += [n for n in ('conjugate', 'kappa', 'random_permutation',\n"
         "        'random_even_permutation') if hasattr(ancover.permutations, n)]\n"
@@ -65,11 +65,11 @@ def test_import_loads_no_bounds_suites_or_cli():
         "        (ancover.combinatorics.TypedSubpartition, 'size'),\n"
         "        (ancover.Permutation, 'identity')) if hasattr(m, n)]\n"
         "gone += [n for n in ('amgm_report', 'AmGmReport', 'min_split_degree_report',\n"
-        "        'SplitDegreeEntry', 'SplitDegreeReport', 'REPORT_LIMIT') if hasattr(ancover.bounds, n)]\n"
+        "        'SplitDegreeEntry', 'SplitDegreeReport', 'REPORT_LIMIT', 'EProfile', 'e_profile',\n"
+        "        'E_fraction', '_log_n_exact', 'e_float', 'E_float') if hasattr(ancover.bounds, n)]\n"
         "gone += [n for n in ('enumerate_distinct_partitions', 'self_conjugate_partitions',\n"
         "        'partition_from_diagonal_hooks') if hasattr(ancover.combinatorics, n)]\n"
-        "gone += [n for n in ('e_float', 'E_float') if hasattr(ancover.bounds.EProfile, n)]\n"
-        "gone += ['to_json_dict'] if hasattr(ancover.bounds.Prop24Report, 'to_json_dict') else []\n"
+        "gone += [n for n in ('to_json_dict', 'asserted') if hasattr(ancover.bounds.Prop24Report, n)]\n"
         "print(json.dumps([loaded, missing, gone]))\n"
     )
     proc = run_python("-c", code)
@@ -188,7 +188,6 @@ def _value_samples() -> list:
         PackingPlan(0, 5, (Interval(3, 5),), (0,)),
         ValidSequence((5, 1, 2, 3, 4)),
         construct_witnesses(ancover.Partition((13,)), ancover.Partition((7, 5, 1)), strict=False),
-        bounds.e_profile(ancover.Permutation([2, 1, 3])),
         bounds.prop24_certificate(7),
     ]
 
@@ -203,7 +202,7 @@ def test_value_classes_keep_the_dataclass_contract():
         if isinstance(c, type) and issubclass(c, Record) and c is not Record
     }
     assert {type(x) for x in samples} == value_classes
-    assert len(value_classes) == 14
+    assert len(value_classes) == 13
     # A ClassLabel and an IrreducibleLabel with equal fields: equal hashes,
     # unequal values (checked with every other pair below).
     assert samples[4]._fields() == samples[7]._fields()
