@@ -8,15 +8,17 @@ one cycle walk of the oracle's own, read from the definition of the ``+``
 class.  Validated :class:`Permutation` objects are built only where a
 public function returns them.
 
-One backtracking search, :func:`_search`, enumerates every permutation
+One backtracking search, :func:`_search`, enumerates the permutations
 of a cycle type and hands each to a leaf callback, which can stop it.
-It keeps the unused points as a linked list, so a node costs no scan of
-all n points, and in a pair search it also tracks the third factor's
-partial cycles, dropping a branch as soon as they can no longer form the
-target type: a cycle closed with no part of its length left, a chain
-longer than every unused part, or two chains joined when there are no
-more open chains than unused parts (a join takes one chain away for
-good, and a leaf needs the two counts equal).
+It keeps its choices as a linked list, so a node costs no scan of all n
+points.  Given the cycles of a fixed element x, it explores one point
+per orbit of the placed points' stabiliser in x's centralizer, each leaf
+weighing its even and odd conjugates.  In a pair search it also tracks
+the third factor's partial cycles, dropping a branch as soon as they can
+no longer form the target type: a cycle closed with no part of its
+length left, a chain longer than every unused part, or two chains joined
+when there are no more open chains than unused parts (a join takes one
+chain away for good, and a leaf needs the two counts equal).
 
 Both counts rest on the class equation: the pairs (c, d) in C x D with
 c d in E can be counted with any one element of C, D or E fixed.  Whole
@@ -24,12 +26,12 @@ products C D come from one pass over the smaller class, each product
 with one fixed element of the other class binned by its own walk
 (:func:`brute_product_counts`).  Single pair counts
 (:func:`brute_frobenius`) fix an element of whichever of C, D and the
-class E of g has the largest cycle type, run the search over the smaller
-of the other two and build the third factor alongside, dropping a branch
-as soon as its partial cycles leave the target type, so the cost follows
-the branches that can still succeed rather than the size of the
-enumerated class.  Class sizes come from the oracle's own centralizer
-formula.  Counts materialize and cache nothing but their bins.
+class E of g has the smallest cycle type, the largest centralizer, run
+the search over the smaller of the other two and build the third factor
+alongside, so the cost follows the orbits of branches that can still
+succeed rather than the size of the enumerated class.  Class sizes come
+from the oracle's own centralizer formula.  Counts materialize and cache
+nothing but their bins.
 
 The oracle counts; it does not decide whether two given permutations are
 A_n-conjugate.  The tests check the class labelling against a separate
@@ -50,32 +52,58 @@ ORACLE_LIMIT = 9
 
 Cofactor = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
-# leaf(p, q, word) -> whether to stop (None: go on); see _search.
-Leaf = Callable[[list[int], list[int] | None, list[int]], bool | None]
+# leaf(p, q, word, even, odd) -> whether to stop (None: go on); see _search.
+Leaf = Callable[[list[int], list[int] | None, list[int], int, int], bool | None]
+
+
+def _orbit_weight(length: int, m: int) -> tuple[int, int]:
+    """(even, odd): the points of m untouched x-cycles of this length that
+    an even and an odd h reach from the first one's first point, h a
+    rotation of that cycle (odd by an odd step of an even length) and then
+    a swap with the point's cycle (length transpositions).  Where an odd h
+    also fixes that point, its subtree is its own odd conjugate, and any
+    split of the orbit counts alike."""
+    if length % 2:
+        return length, (m - 1) * length
+    return length // 2 + (m - 1) * length, length // 2
 
 
 def _search(
-    parts: Sequence[int], n: int, leaf: Leaf, cofactor: Cofactor | None = None
+    parts: Sequence[int],
+    n: int,
+    leaf: Leaf,
+    cofactor: Cofactor | None = None,
+    cycles: list[list[int]] | None = None,
 ) -> bool:
-    """Call leaf(p, q, word) once for every permutation p of {1..n} with
-    cycle lengths parts; stop as soon as a call returns a true value, and
-    return whether one did.
+    """Call leaf(p, q, word, even, odd) for the permutations p of {1..n}
+    with cycle lengths parts; stop as soon as a call returns a true value,
+    and return whether one did.
 
-    p is built one value at a time: the least unused point leads the next
-    cycle, whose length is one of p's unused parts, and the cycle's other
-    points follow in increasing order of choice, so each permutation is
-    reached by exactly one branch.  The unused points are a doubly linked
-    list in increasing order (``nxt``/``prv`` over 0..n, headed by 0):
-    the lead is the least of them, so the choices for the other points of
-    its cycle are exactly the list, walked in order, each unlinked while
-    the search goes below it and linked back after; the next lead is
-    ``nxt[0]``.  The leaf gets the search's own lists,
-    live, indexed from 1 (entry 0 is unused); one that keeps p must copy
-    it.  p holds the images.  word holds the points of p's cycles, each
-    from its least point, longest cycle first: the search writes each
-    placed point into its slot, the cycle of length L after the slots of
-    every longer part.  When the parts are distinct, as they are whenever
-    the type splits, word is the word of :func:`_sign_matches`.
+    p is built one value at a time: a free point leads the next cycle,
+    whose length is one of p's unused parts, and its other points follow
+    in order of choice, so no permutation is reached twice.  The choices
+    are a doubly linked list (``nxt``/``prv`` over 0..n, headed by 0),
+    each unlinked while the search goes below it; the lead is ``nxt[0]``.
+    Without cycles the list holds every free point, and each p is a leaf
+    of weight (1, 0).  With the cycles of a permutation x, it holds the
+    free points of the touched x-cycles, those with a placed point, and
+    the first point of each length's first untouched cycle, whose placing
+    links in the rest of its cycle and the next such first point: one
+    point per orbit of the h in x's centralizer that fix every placed
+    point, as they fix each touched cycle pointwise and permute the
+    untouched ones of each length at will.  Conjugation by h maps the
+    leaves below p(a) = b onto those below p(a) = h(b) (q onto h q h^-1
+    when u and v are powers of x), flipping every split sign when h is
+    odd, so a leaf weighs the product of its choices' :func:`_orbit_weight`
+    as parity pairs: even for its conjugates with its split signs, odd
+    for those with every one flipped.
+
+    The leaf gets the search's own lists, live, indexed from 1; one that
+    keeps p must copy it.  p holds the images.  word holds the points of
+    p's cycles, each from its lead, longest cycle first, the cycle of
+    length L after the slots of every longer part.  When the parts are
+    distinct, as they are whenever the type splits, word is the word of
+    :func:`_sign_matches`.
 
     Without a cofactor, q is None.  With cofactor (u, v, target), u and v
     indexed from 1, each value p(a) = b also fixes q(u[b]) = v[a], so
@@ -92,17 +120,14 @@ def _search(
     chains, and slack falls by 1, or closes a chain into a cycle, using
     up one part, and slack stays.  A leaf has no open chain and, its
     closed cycles using up n points, no unused part, so slack 0; as slack
-    never rises, a join at 0 reaches no leaf.  Only the leaves with q of
-    exactly type target remain, in the order of the search without a
-    cofactor.
+    never rises, a join at 0 reaches no leaf, and the one choice that can
+    close is read off u^-1 (in a touched cycle, with cycles).  Only the
+    leaves with q of exactly type target remain, in the order of the
+    search without a cofactor.
     """
     p = [0] * (n + 1)
     q = None if cofactor is None else [0] * (n + 1)
     word = [0] * (n + 1)
-    # The free points, a circular doubly linked list headed by 0 in
-    # increasing order: nxt[0] is the least, and nxt of the last is 0.
-    nxt = [*range(1, n + 1), 0]
-    prv = [n, *range(n)]
     todo = [0] * (n + 1)
     for x in parts:
         todo[x] += 1
@@ -110,9 +135,27 @@ def _search(
     first_slot = [0] * (n + 1)
     for x in kinds:
         first_slot[x] = 1 + sum(y for y in parts if y > x)
+    # The first point of each x-cycle has its orbit weight and the ends of
+    # the block it opens, linked in order once and for all.
+    nxt, prv = [0] * (n + 1), [0] * (n + 1)
+    weight: list[tuple[int, int] | None] = [None] * (n + 1)
+    ends: list[tuple[int, int] | None] = [None] * (n + 1)
+    for i, cycle in enumerate(cycles or ()):
+        later = [c[0] for c in cycles[i + 1 :] if len(c) == len(cycle)]
+        block = cycle[1:] + later[:1]
+        weight[cycle[0]] = _orbit_weight(len(cycle), 1 + len(later))
+        ends[cycle[0]] = (block[0], block[-1]) if block else None
+        for y, z in zip(block, block[1:]):
+            nxt[y], prv[z] = z, y
+    # The first choices: every point, or each length's first cycle's first.
+    firsts = {len(c): c[0] for c in reversed(cycles)}.values() if cycles else range(1, n + 1)
+    chain = [0, *firsts]
+    for y, z in zip(chain, chain[1:] + [0]):
+        nxt[y], prv[z] = z, y
     pair = cofactor is not None
     if pair:
         u, v, target = cofactor
+        u_inv = sorted(range(n + 1), key=u.__getitem__)
         head = list(range(n + 1))
         tail = list(range(n + 1))
         size = [1] * (n + 1)
@@ -123,10 +166,9 @@ def _search(
         # Open q-chains (n single points at first) minus unused target parts.
         slack = n - len(target)
 
-    def place(lead: int, a: int, k: int, slot: int) -> bool:
-        # Choose p(a): a further point of the cycle led by lead, written to
-        # word[slot], while k > 0 are still to come, else lead itself,
-        # closing the cycle.
+    def place(lead: int, a: int, k: int, slot: int, even: int, odd: int) -> bool:
+        # Choose p(a), a further point of the cycle led by lead, written to
+        # word[slot], with k - 1 more to come; even and odd weigh the branch.
         nonlocal top, slack
         if pair:
             # q(u[b]) = y for every choice b.  y has no preimage under q
@@ -136,11 +178,15 @@ def _search(
             sy = size[y]
             # A join lowers slack, which a leaf needs at 0.
             cap = top if slack else 0
+        after, last = nxt[0], False
+        if pair and not slack:
+            # Only q(e) = y can pass: b = u^-1(e) if free (nxt[prv[b]] == b).
+            b = u_inv[e]
+            after, last = (b if nxt[prv[b]] == b else 0), True
         # The choice after b is read first, so that a cut can just continue.
-        after = nxt[0] if k else lead
         while after:
             b = after
-            after = nxt[b] if k else 0
+            after = 0 if last else nxt[b]
             if pair:
                 x = u[b]
                 s = head[x]
@@ -161,15 +207,19 @@ def _search(
                     slack -= 1
                 q[x] = y
             p[a] = b
-            if k:
-                word[slot] = b
-                c, d = prv[b], nxt[b]
-                nxt[c], prv[d] = d, c
-                if place(lead, b, k - 1, slot + 1):
-                    return True
-                nxt[c] = prv[d] = b
-            elif new_cycle():
+            word[slot] = b
+            c, d = prv[b], nxt[b]
+            nxt[c], prv[d] = d, c
+            ev, od = even, odd
+            w = weight[b]
+            if w:
+                ev, od = even * w[0] + odd * w[1], even * w[1] + odd * w[0]
+                if ends[b]:
+                    f, l = ends[b]
+                    nxt[c], prv[f], nxt[l], prv[d] = f, c, d, l
+            if (place if k > 1 else new_cycle)(lead, b, k - 1, slot + 1, ev, od):
                 return True
+            nxt[c] = prv[d] = b
             if pair:
                 if closed:
                     left[closed] += 1
@@ -179,23 +229,57 @@ def _search(
                     slack += 1
         return False
 
-    def new_cycle() -> bool:
+    def new_cycle(closing: int, a: int, k: int, slot: int, even: int, odd: int) -> bool:
+        # Close the cycle led by closing (0: none) at a, p(a) = closing with
+        # q(u[closing]) = v[a] under place's cuts; then lead the next one.
+        nonlocal top, slack
+        if pair and closing:
+            x, y = u[closing], v[a]
+            s, e, sy = head[x], tail[y], size[y]
+            if s == y:
+                if not left[sy]:
+                    return False
+                left[sy] -= 1
+                was_top = top
+                while top and not left[top]:
+                    top -= 1
+            else:
+                joined = size[s] + sy
+                if joined > (top if slack else 0):
+                    return False
+                tail[s], head[e], size[s] = e, s, joined
+                slack -= 1
+            q[x] = y
+        p[a] = closing
         lead = nxt[0]
         if not lead:
-            return bool(leaf(p, q, word))
-        d = nxt[lead]
-        nxt[0], prv[d] = d, 0
-        for length in kinds:
-            if todo[length]:
-                todo[length] -= 1
-                word[first_slot[length]] = lead
-                if place(lead, lead, length - 1, first_slot[length] + 1):
-                    return True
-                todo[length] += 1
-        nxt[0] = prv[d] = lead
+            if leaf(p, q, word, even, odd):
+                return True
+        else:
+            d = nxt[lead]
+            nxt[0], prv[d] = d, 0
+            if ends[lead]:
+                f, l = ends[lead]
+                nxt[0], prv[f], nxt[l], prv[d] = f, 0, d, l
+            for length in kinds:
+                if todo[length]:
+                    todo[length] -= 1
+                    slot = first_slot[length]
+                    word[slot] = lead
+                    if (place if length > 1 else new_cycle)(lead, lead, length - 1, slot + 1, even, odd):
+                        return True
+                    todo[length] += 1
+            nxt[0] = prv[d] = lead
+        if pair and closing:
+            if s == y:
+                left[sy] += 1
+                top = was_top
+            else:
+                tail[s], head[e], size[s] = x, y, joined - sy
+                slack += 1
         return False
 
-    return new_cycle()
+    return new_cycle(0, 0, 0, 0, 1, 0)
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:
@@ -340,9 +424,10 @@ def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
     read by the oracle's own walk, and by the class equation
     |E| N = |C| #{d in D : c0 d in E} = |D| #{c in C : c d0 in E} for
     any c0 in C and d0 in D, while fixing g counts the N pairs directly.
-    So the search fixes one element of the class of the largest S_n type
-    among C, D, E (E on a tie, then C) and enumerates the smaller of the
-    other two (see :func:`_fixed_count`).
+    So the search fixes one element of the class of the smallest S_n type
+    among C, D, E (E on a tie, then C), whose centralizer has the most
+    orbits to fold, and enumerates the smaller of the other two (see
+    :func:`_fixed_count`).
     """
     _check_degrees(C, D, g)
     E = _class_of(g.images)
@@ -350,7 +435,7 @@ def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
         return 0
     triple = (C, D, E)
     types = [_type_size(X.cycle_type.parts) for X in triple]
-    fixed = max((2, 0, 1), key=types.__getitem__)
+    fixed = min((2, 0, 1), key=types.__getitem__)
     a, b = (i for i in (0, 1, 2) if i != fixed)
     enumerated = a if _size(triple[a]) <= _size(triple[b]) else b
     return _fixed_count(triple, g.images, fixed, enumerated)
@@ -363,8 +448,8 @@ def _fixed_count(
     enumerated: int,
 ) -> int:
     """N(C, D, E) at g, an element of E, for triple (C, D, E): the search
-    enumerates triple[enumerated] with one element x of triple[fixed]
-    fixed (g itself for E, else the :func:`_representative`).
+    enumerates triple[enumerated] by the cycles of one element x of
+    triple[fixed] (g itself for E, else the :func:`_representative`).
 
     Each p determines the element of the third class by c d = e, and the
     search builds q = v p^-1 u^-1 alongside (see :func:`_search`): that
@@ -374,10 +459,11 @@ def _fixed_count(
     one.  Dropping a branch loses no pair: values are only ever added, so
     a closed cycle of q stays closed and an open chain only grows, and
     the unused parts of the target type only shrink.  The cuts give every
-    leaf's q exactly the third class's type, so a leaf counts when p's
-    split sign, read from the search's word, and the third element's,
-    read from one walk of q, both pass.  With F the fixed class the count
-    is |F| * leaves / |E|; a remainder raises :class:`VerificationFailed`.
+    leaf's q the third class's type.  p's split sign is read from the
+    search's word, the third element's from one walk of q; a leaf adds its
+    even weight when every split sign passes and its odd weight when all
+    fail.  With F the fixed class the count is |F| * weighted leaves /
+    |E|; a remainder raises :class:`VerificationFailed`.
     """
     n = len(g)
     x = g if fixed == 2 else _representative(triple[fixed])
@@ -395,14 +481,14 @@ def _fixed_count(
     inverted = fixed != 2
     count = 0
 
-    def leaf(p: list[int], q: list[int], word: list[int]) -> None:
+    def leaf(p: list[int], q: list[int], word: list[int], even: int, odd: int) -> None:
         nonlocal count
-        if _sign_matches(word, p_sign) and (
-            q_sign is None or _cofactor_sign(q, inverted) == q_sign
-        ):
-            count += 1
+        passes = {_sign_matches(word, p_sign)} if p_sign else set()
+        if q_sign:
+            passes.add(_cofactor_sign(q, inverted) == q_sign)
+        count += (False not in passes) * even + (True not in passes) * odd
 
-    _search(P.cycle_type.parts, n, leaf, (u, v, Q.cycle_type.parts))
+    _search(P.cycle_type.parts, n, leaf, (u, v, Q.cycle_type.parts), _cycles(x[1:]))
     F, E = triple[fixed], triple[2]
     out, rest = divmod(_size(F) * count, _size(E))
     if rest:
@@ -418,9 +504,11 @@ def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
     the class equation |E| N(C, D, E) = |Q| #{p in P : p r in E}: both
     count the pairs whose product lies in E, conjugation by A_n moves the
     element of Q to r and fixes the classes of P and E, and p r and r p
-    are conjugate.  So one search over P, with each p r classified by one
-    walk and the split sign read from its cycles' word, bins every E at
-    once.  A bin whose |Q| * count is not a multiple of |E| raises
+    are conjugate.  So one search over P, with r's cycles, bins every E at
+    once: each p r is classified by one walk, its split sign read from its
+    cycles' word, and takes p's even weight, and the other sign of a split
+    type its odd weight (of a split P, only the weight of p's own class).
+    A bin whose |Q| * count is not a multiple of |E| raises
     :class:`VerificationFailed`.
     """
     _check_degrees(C, D)
@@ -430,15 +518,17 @@ def brute_product_counts(C: ClassLabel, D: ClassLabel) -> dict[ClassLabel, int]:
     split = {E.cycle_type.parts for E in out if E.sign}
     bins: dict[tuple[tuple[int, ...], bool], int] = {}
 
-    def leaf(p: list[int], q: None, word: list[int]) -> None:
-        if not _sign_matches(word, p_sign):
-            return
+    def leaf(p: list[int], q: None, word: list[int], even: int, odd: int) -> None:
+        if p_sign:
+            even, odd = (even, 0) if _sign_matches(word, p_sign) else (0, odd)
         cycles = _cycles([p[y] for y in r])
         parts = _lengths(cycles)
-        key = (parts, parts in split and _split_sign(cycles) == "+")
-        bins[key] = bins.get(key, 0) + 1
+        splits = parts in split
+        plus = splits and _split_sign(cycles) == "+"
+        for key, count in ((parts, plus), even), ((parts, plus != splits), odd):
+            bins[key] = bins.get(key, 0) + count
 
-    _search(P.cycle_type.parts, C.n, leaf)
+    _search(P.cycle_type.parts, C.n, leaf, None, _cycles(r))
     label = {(E.cycle_type.parts, E.sign == "+"): E for E in out}
     for key, count in bins.items():
         E = label[key]

@@ -39,6 +39,11 @@ checks that both give the same factors on every branch of the lift.
 type or an A_n class with the search of :mod:`ancover.oracle`, reading
 split signs from the word it fills, up to the oracle's limit of n = 9.
 
+:func:`centralizer_stabiliser` lists, element by element, the
+permutations that commute with a given x and fix a given set of points:
+the group whose orbits the oracle's search explores one point at a time.
+The tests check the orbit weights of the search against it.
+
 :func:`stream_frobenius` is the brute-force pair count as a plain scan:
 it streams every element of the smaller class and tests each element and
 its cofactor with :func:`_member`, a class test that walks each split
@@ -1048,12 +1053,27 @@ def _elements(parts: tuple[int, ...], n: int, sign: str | None) -> Iterator[Perm
         raise LimitExceeded(f"n = {n} exceeds the oracle limit {ORACLE_LIMIT}")
     out: list[Permutation] = []
 
-    def leaf(p: list[int], q: None, word: list[int]) -> None:
+    def leaf(p: list[int], q: None, word: list[int], even: int, odd: int) -> None:
         if _sign_matches(word, sign):
             out.append(Permutation(p[1:]))
 
     _search(parts, n, leaf)
     return iter(out)
+
+
+def centralizer_stabiliser(x: Sequence[int], placed: set[int]) -> list[tuple[int, ...]]:
+    """The images of every permutation h of {1..n} with h x = x h that
+    fixes every point of placed, x given by its images: all of S_n,
+    filtered (n <= 7)."""
+    n = len(x)
+    if n > 7:
+        raise LimitExceeded(f"n = {n}: the filter scans all of S_n")
+    return [
+        h
+        for h in itertools.permutations(range(1, n + 1))
+        if all(h[x[i] - 1] == x[h[i] - 1] for i in range(n))
+        and all(h[t - 1] == t for t in placed)
+    ]
 
 
 def permutations_of_type(mu: Partition) -> Iterator[Permutation]:

@@ -13,7 +13,9 @@ from ancover.classalgebra import product_counts
 from ancover.constructor import VerificationFailed
 from ancover.oracle import (
     _cofactor_sign,
+    _cycles,
     _fixed_count,
+    _orbit_weight,
     _representative,
     _search,
     brute_frobenius,
@@ -29,6 +31,7 @@ from ancover.permutations import (
 )
 from oracles import (
     _member,
+    centralizer_stabiliser,
     conjugate,
     images_of_type,
     is_even,
@@ -36,6 +39,8 @@ from oracles import (
     orbit_classes,
     permutations_of_type,
     reference_cycle_type,
+    reference_parity,
+    reference_walk,
     run_python,
     stream_frobenius,
 )
@@ -105,14 +110,15 @@ def test_search_stops_at_the_first_true_leaf(paired, k):
     cofactor = (same, same, parts) if paired else None
     calls = []
 
-    def leaf(p, q, word):
+    def leaf(p, q, word, even, odd):
+        assert (even, odd) == (1, 0)
         calls.append(p[1:])
         return len(calls) == k
 
     assert _search(parts, n, leaf, cofactor) is True
     assert len(calls) == k
     calls.clear()
-    assert _search(parts, n, lambda p, q, word: calls.append(p[1:]), cofactor) is False
+    assert _search(parts, n, lambda p, q, word, *w: calls.append(p[1:]), cofactor) is False
     assert len(calls) == 20 == len(set(map(tuple, calls)))
 
 
@@ -122,27 +128,39 @@ def test_pair_search_leaves_are_the_filtered_plain_leaves_in_order(n):
     # length, a chain may grow no longer than the largest unused part, a
     # join of two chains needs more open chains than unused parts) may
     # drop only branches without a leaf: its leaves must be the plain
-    # search's, in order, with q = v p^-1 u^-1 of type Q.
+    # search's, in order and with their weights, with q = v p^-1 u^-1 of
+    # type Q.  Without cycles u and v are any permutations; with the
+    # cycles of x, which the search explores one centralizer orbit at a
+    # time, they are powers of x, as in _fixed_count.
     rng = random.Random(n)
     types = [mu.parts for mu in enumerate_partitions(n)]
-    for _ in range(3):
+    for trial in range(6):
         u, v = ([0, *rng.sample(range(1, n + 1), n)] for _ in range(2))
+        cycles = None
+        if trial >= 3:
+            x, cycles = u, _cycles(u[1:])
+            x_inv = [0, *(x.index(a) for a in range(1, n + 1))]
+            u, v = (rng.choice([x, x_inv, range(n + 1)]) for _ in range(2))
         for P in types:
             plain = []
 
-            def keep(p, q, word):
+            def keep(p, q, word, even, odd):
                 assert q is None
                 q = [0] * (n + 1)
                 for a in range(1, n + 1):
                     q[u[p[a]]] = v[a]
-                plain.append((p[:], q, word[:]))
+                plain.append((p[:], q, word[:], even, odd))
 
-            _search(P, n, keep)
+            _search(P, n, keep, None, cycles)
             for Q in types:
                 paired = []
-                _search(P, n, lambda p, q, word: paired.append((p[:], q[:], word[:])), (u, v, Q))
+
+                def keep_pair(p, q, word, even, odd):
+                    paired.append((p[:], q[:], word[:], even, odd))
+
+                _search(P, n, keep_pair, (u, v, Q), cycles)
                 expected = [leaf for leaf in plain if Permutation(leaf[1][1:]).cycle_type().parts == Q]
-                assert paired == expected, (P, Q, u, v)
+                assert paired == expected, (P, Q, u, v, cycles)
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
@@ -181,17 +199,17 @@ def test_every_pair_search_leaf_has_the_third_class_type(n, sample, monkeypatch)
     real = ancover.oracle._search
     targets, leaves = [], 0
 
-    def checked(parts, n, leaf, cofactor):
+    def checked(parts, n, leaf, cofactor, cycles):
         target = cofactor[2]
         targets.append(target)
 
-        def check(p, q, word):
+        def check(p, q, word, even, odd):
             nonlocal leaves
             assert reference_cycle_type(q[1:]).parts == target, (p, q, target)
             leaves += 1
-            return leaf(p, q, word)
+            return leaf(p, q, word, even, odd)
 
-        return real(parts, n, check, cofactor)
+        return real(parts, n, check, cofactor, cycles)
 
     monkeypatch.setattr(ancover.oracle, "_search", checked)
     triples = list(itertools.product(an_class_labels(n), repeat=3))
@@ -203,6 +221,81 @@ def test_every_pair_search_leaf_has_the_third_class_type(n, sample, monkeypatch)
             _fixed_count(triple, g, fixed, enumerated)
             assert targets.pop() == triple[3 - fixed - enumerated].cycle_type.parts
     assert leaves > 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_weights_count_the_stabiliser_of_the_placed_points(n):
+    # For x of every type and seeded sets T of placed points, S is the
+    # pointwise stabiliser of T in x's centralizer, built element by
+    # element.  S fixes every point of an x-cycle that meets T, and moves
+    # the first point b0 of the first untouched x-cycle of each length L
+    # over exactly the points of the m untouched L-cycles.  Where no odd
+    # element of S fixes b0, each point is reached by one parity, and the
+    # numbers of points reached by even and by odd elements are the
+    # search's weights; otherwise every point is reached by both, and the
+    # weights need only add up to the orbit.
+    rng = random.Random(f"orbit weights {n}")
+    fixers = set()
+    for mu in enumerate_partitions(n):
+        # x: the points 1..n in random order, cut into cycles of mu.
+        s = rng.sample(range(1, n + 1), n)
+        x = [0] * n
+        for i, length in enumerate(mu.parts):
+            cycle = s[sum(mu.parts[:i]) :][:length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                x[a - 1] = b
+        cycles = sorted(reference_walk(x), key=min)
+        for _ in range(6):
+            placed = set(rng.sample(range(1, n + 1), rng.randrange(n)))
+            group = centralizer_stabiliser(x, placed)
+            touched = [c for c in cycles if placed & set(c)]
+            assert all(h[y - 1] == y for h in group for c in touched for y in c)
+            for length in {len(c) for c in cycles if c not in touched}:
+                same = [c for c in cycles if c not in touched and len(c) == length]
+                b0 = same[0][0]
+                reached: dict[int, set[int]] = {}
+                for h in group:
+                    reached.setdefault(h[b0 - 1], set()).add(reference_parity(h))
+                assert sorted(reached) == sorted(y for c in same for y in c)
+                even, odd = _orbit_weight(length, len(same))
+                fixers.add(1 in reached[b0])
+                if 1 in reached[b0]:
+                    assert all(len(p) == 2 for p in reached.values())
+                    assert even + odd == len(reached)
+                else:
+                    assert all(len(p) == 1 for p in reached.values())
+                    parities = [p.pop() for p in reached.values()]
+                    assert (even, odd) == (parities.count(0), parities.count(1)), (mu, placed)
+    # From n = 3 on, some T leaves an odd element fixing b0, and some not.
+    assert fixers == ({False, True} if n >= 3 else {False})
+
+
+def test_every_orientation_matches_product_counts_at_n_8():
+    # A seeded sample at n = 8, where the centralizers have up to 8!
+    # elements and the orbits up to 8 points: each (fixed, enumerated)
+    # choice against the bins of brute_product_counts, with g a conjugate
+    # of E's representative by an even and by an odd permutation, which
+    # moves a split E to the other class.
+    rng = random.Random("orientations 8")
+    labels = an_class_labels(8)
+    checked = 0
+    for _ in range(40):
+        C, D = rng.choice(labels), rng.choice(labels)
+        bins = brute_product_counts(C, D)
+        E = rng.choice([E for E, count in bins.items() if count])
+        for parity in (0, 1):
+            s = list(range(1, 9))
+            rng.shuffle(s)
+            if reference_parity(s) != parity:
+                s[:2] = s[1], s[0]
+            g = conjugate(class_representative(E), Permutation(s))
+            F = E
+            if parity and E.is_split():
+                F = ClassLabel(E.cycle_type, "-" if E.sign == "+" else "+")
+            got = [_fixed_count((C, D, F), g.images, *o) for o in ORIENTATIONS]
+            assert got == [bins[F]] * 6, (C, D, F)
+            checked += bins[F] > 0
+    assert checked == 80
 
 
 def test_brute_frobenius_identity():
@@ -219,8 +312,9 @@ def test_brute_frobenius_a5_exception():
 
 
 def test_brute_frobenius_on_a_non_real_class():
-    # 5,3:+ is not real in A_8 and is smaller than 3,2,2,1, so the first call
-    # enumerates D and the second C.  A cofactor that dropped an inverse
+    # 3,2,2,1 has the smallest type, so an element of it is fixed, and the
+    # first call enumerates D and the second C; the third factor is in
+    # 5,3:+, which is not real in A_8.  A cofactor that dropped an inverse
     # would count pairs with 5,3:- instead: 60, not 140.
     C, D = parse_class_label("3,2,2,1"), parse_class_label("5,3:+")
     g = class_representative(D)
@@ -243,16 +337,16 @@ def test_brute_product_labels():
 
 def _counts_with_one_product_too_many():
     """brute_product_counts(3,1,1, 3,1,1) with the search reaching the
-    3-cycle (3,4,5) twice.  Its product with the oracle's element (1,2,3)
-    is a 5-cycle, so the 5-cycle bin is one too large, and 20 * bin is no
-    longer a multiple of 12."""
+    3-cycle (3,4,5) once more, with weight (1, 0).  Its product with the
+    oracle's element (1,2,3) is a 5-cycle, so one 5-cycle bin is one too
+    large, and 20 * bin is no longer a multiple of 12."""
     import ancover.oracle
 
     real = ancover.oracle._search
 
-    def one_more(parts, n, leaf, cofactor=None):
-        real(parts, n, leaf, cofactor)
-        leaf([0, 1, 2, 4, 5, 3], None, [0, 3, 4, 5, 1, 2])
+    def one_more(parts, n, leaf, cofactor=None, cycles=None):
+        real(parts, n, leaf, cofactor, cycles)
+        leaf([0, 1, 2, 4, 5, 3], None, [0, 3, 4, 5, 1, 2], 1, 0)
         return False
 
     ancover.oracle._search = one_more
@@ -313,8 +407,8 @@ def test_oracle_does_not_use_the_class_labelling(monkeypatch):
         monkeypatch.setattr(ancover.oracle, name, poisoned, raising=False)
     elems = list(iter_class(plus))
     assert len(elems) == 12 and plus_rep in elems
-    # g of type 2,2,1 (15 elements) fixes an element of the first class,
-    # so these two counts are |5:+| * leaves / |2,2,1|.
+    # g, of type 2,2,1 (15 elements), has the smallest type, so g itself
+    # is fixed and these two counts are the weighted leaves.
     g = Permutation.from_cycles(5, [(1, 2), (3, 4)])
     two_twos = parse_class_label("2,2,1")
     assert brute_frobenius(plus, plus, g) == expected[plus][two_twos] == 0
@@ -399,37 +493,38 @@ def test_odd_g_gives_zero_without_a_search(monkeypatch):
 
 
 def _frobenius_with_one_leaf_too_many():
-    """brute_frobenius(3,1,1, 3,1,1, (1 2)(3 4)) with the search calling
-    its last leaf twice.  The 2,2,1 class of g (15 elements) is the
-    smallest type, so an element of C (20 elements) is fixed and E is
-    enumerated; with the cofactor's class unsplit every leaf counts, and
-    20 * (leaves + 1) is no longer a multiple of 15."""
+    """brute_frobenius(2,2,1, 3,1,1, (1 2 3)) with the search calling its
+    last leaf twice.  C, of type 2,2,1 (15 elements), has the smallest
+    type, so an element of C is fixed and D enumerated (D and E, both
+    3,1,1, tie on size); neither D nor E splits, so every leaf adds both
+    its weights.  The 6 pairs come from 8 weighted leaves, and the last
+    leaf's weights (1, 1) again make 15 * 10, not a multiple of 20."""
     import ancover.oracle
 
     real = ancover.oracle._search
 
-    def one_more(parts, n, leaf, cofactor=None):
+    def one_more(parts, n, leaf, cofactor=None, cycles=None):
         last = []
 
-        def keep(p, q, word):
-            last[:] = [list(p), list(q), list(word)]
-            return leaf(p, q, word)
+        def keep(p, q, word, even, odd):
+            last[:] = [list(p), list(q), list(word), even, odd]
+            return leaf(p, q, word, even, odd)
 
-        real(parts, n, keep, cofactor)
+        real(parts, n, keep, cofactor, cycles)
         leaf(*last)
         return False
 
     ancover.oracle._search = one_more
     try:
-        C = parse_class_label("3,1,1")
-        return brute_frobenius(C, C, Permutation.from_cycles(5, [(1, 2), (3, 4)]))
+        C, D = parse_class_label("2,2,1"), parse_class_label("3,1,1")
+        return brute_frobenius(C, D, Permutation.from_cycles(5, [(1, 2, 3)]))
     finally:
         ancover.oracle._search = real
 
 
 def test_pair_count_raises_on_a_count_that_is_not_a_multiple():
-    C = parse_class_label("3,1,1")
-    assert brute_frobenius(C, C, Permutation.from_cycles(5, [(1, 2), (3, 4)])) > 0
+    C, D = parse_class_label("2,2,1"), parse_class_label("3,1,1")
+    assert brute_frobenius(C, D, Permutation.from_cycles(5, [(1, 2, 3)])) == 6
     with pytest.raises(VerificationFailed, match="not a multiple"):
         _frobenius_with_one_leaf_too_many()
 
