@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mod, mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from ancover.characters import CharacterTable, an_character_table
 from ancover.combinatorics import Partition, Record
@@ -117,18 +117,13 @@ def power_counts(
     return dict(zip(table.classes, _counts(table, factors, lambda: f"{C}^{m}")))
 
 
-class CoverageReport(Record, frozen=False):
+class CoverageReport(Record):
     """Which nontrivial classes are missing from the product set CD."""
 
     __slots__ = ("n", "C", "D", "uncovered")
 
-    def __init__(
-        self, n: int, C: ClassLabel, D: ClassLabel, uncovered: list[ClassLabel] | None = None
-    ):
-        self.n = n
-        self.C = C
-        self.D = D
-        self.uncovered = [] if uncovered is None else uncovered
+    def __init__(self, n: int, C: ClassLabel, D: ClassLabel, uncovered: Iterable[ClassLabel] = ()):
+        self._init(n, C, D, tuple(uncovered))
 
     @property
     def covered(self) -> bool:

@@ -51,22 +51,12 @@ class Record:
     - assigning or deleting an attribute raises ``AttributeError``;
     - ``copy`` and ``pickle`` restore the fields without ``__init__``.
 
-    ``class R(Record, frozen=False)`` keeps that of a plain ``@dataclass``
-    instead: fields can be assigned and instances are unhashable.
-
     Importing ``dataclasses`` loads ``inspect``, and each decorated class
     builds its methods with ``exec``; that was a third of the cost of
     ``import ancover``, which every command pays before any arithmetic.
     """
 
     __slots__ = ()
-
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):

@@ -280,7 +280,7 @@ def _rebuild_images(g: Sequence[int], d: list[int], x: int, y: int) -> None:
 # The full construction
 
 
-class WitnessPair(Record, frozen=False):
+class WitnessPair(Record):
     """Verified factorization witnesses.
 
     gamma, delta and delta_bar all have cycle type lam; gamma*delta and
@@ -317,17 +317,19 @@ class WitnessPair(Record, frozen=False):
         rebuild_log_bar: tuple[tuple[int, int], ...],
         seed: int | None = None,
     ):
-        self.lam = lam
-        self.mu = mu
-        self.gamma = gamma
-        self.delta = delta
-        self.delta_bar = delta_bar
-        self.product_label = product_label
-        self.product_label_bar = product_label_bar
-        self.embeddings = embeddings
-        self.rebuild_log = rebuild_log
-        self.rebuild_log_bar = rebuild_log_bar
-        self.seed = seed
+        self._init(
+            lam,
+            mu,
+            gamma,
+            delta,
+            delta_bar,
+            product_label,
+            product_label_bar,
+            embeddings,
+            rebuild_log,
+            rebuild_log_bar,
+            seed,
+        )
 
     def verify(self) -> None:
         """Raise VerificationFailed unless every stated invariant holds,
@@ -579,6 +581,12 @@ def _construct_two_twos_case(
         tuple(range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1))
         for j in range(1, len(lam.parts))
     ]
+    # For a split lam, delta's sign changes with the parity of word1 read as
+    # images alone: the other hosts' cycles, and their places in the label's
+    # word, are the same on every trial, and a rotation of an odd cycle's
+    # word is even.  The first delta built calibrates the sign of each
+    # parity; _product_labels labels both deltas, so a wrong rule fails.
+    sign_at: dict[int, str] = {}
     for _ in range(budget):
         pts = rng.sample(range(1, m + 1), 4)
         # d1 = gamma1^-1 * (pts[0], pts[1])(pts[2], pts[3]), as images
@@ -588,12 +596,17 @@ def _construct_two_twos_case(
         if not _is_full_cycle(d1):
             continue
         word1 = _walk(d1)[0][0]
+        parity = _cycle_count(word1) % 2
+        key = sign_at.get(parity) if want_both else None
+        if key in found:
+            continue
         # other hosts contribute inverse cycles so the product fixes them
         words = [word1] + [tuple(reversed(w)) for w in other_words]
         delta = Permutation._from_words(n, words)
-        key = an_class_of(delta).sign if want_both else None
-        if key not in found:
-            found[key] = delta
+        if want_both and not sign_at:
+            key = an_class_of(delta).sign
+            sign_at = {parity: key, 1 - parity: "-" if key == "+" else "+"}
+        found[key] = delta
         if len(found) == (2 if want_both else 1):
             break
     else:

@@ -10,15 +10,17 @@ public function returns them.
 
 One backtracking search, :func:`_search`, enumerates the permutations
 of a cycle type and hands each to a leaf callback, which can stop it.
-It keeps its choices as a linked list, so a node costs no scan of all n
-points.  Given the cycles of a fixed element x, it explores one point
+One step routine sets every value, a cycle's close included, and keeps
+the choices as a linked list, so a node costs no scan of all n points.
+Given the cycles of a fixed element x, the search explores one point
 per orbit of the placed points' stabiliser in x's centralizer, each leaf
-weighing its even and odd conjugates.  In a pair search it also tracks
-the third factor's partial cycles, dropping a branch as soon as they can
-no longer form the target type: a cycle closed with no part of its
-length left, a chain longer than every unused part, or two chains joined
-when there are no more open chains than unused parts (a join takes one
-chain away for good, and a leaf needs the two counts equal).
+weighing its even and odd conjugates.  In a pair search each step also
+extends the third factor's partial cycles, dropping the branch as soon
+as they can no longer form the target type: a cycle closed with no part
+of its length left, a chain longer than every unused part, or two
+chains joined when there are no more open chains than unused parts (a
+join takes one chain away for good, and a leaf needs the two counts
+equal).
 
 Both counts rest on the class equation: the pairs (c, d) in C x D with
 c d in E can be counted with any one element of C, D or E fixed.  Whole
@@ -79,11 +81,13 @@ def _search(
     with cycle lengths parts; stop as soon as a call returns a true value,
     and return whether one did.
 
-    p is built one value at a time: a free point leads the next cycle,
-    whose length is one of p's unused parts, and its other points follow
-    in order of choice, so no permutation is reached twice.  The choices
-    are a doubly linked list (``nxt``/``prv`` over 0..n, headed by 0),
-    each unlinked while the search goes below it; the lead is ``nxt[0]``.
+    p is built one value at a time.  ``next_cycle`` leads the next cycle,
+    of one of p's unused lengths, with the first free point, or calls the
+    leaf when none is left.  ``place`` sets the cycle's values in order:
+    p(a) = b for a free b while points are to come, so no permutation is
+    reached twice, then p(a) = lead, its one choice, closing the cycle.
+    The choices are a doubly linked list (``nxt``/``prv`` over 0..n,
+    headed by 0), each unlinked while the search goes below it.
     Without cycles the list holds every free point, and each p is a leaf
     of weight (1, 0).  With the cycles of a permutation x, it holds the
     free points of the touched x-cycles, those with a placed point, and
@@ -106,24 +110,25 @@ def _search(
     :func:`_sign_matches`.
 
     Without a cofactor, q is None.  With cofactor (u, v, target), u and v
-    indexed from 1, each value p(a) = b also fixes q(u[b]) = v[a], so
-    q = v p^-1 u^-1, its values are set one by one and every leaf has all
-    of them.  The partial q is kept as chains: ``head`` maps the end of
-    each chain to its start, ``tail`` the start to its end, and ``size``
-    the start to the number of points, all undone on backtrack.
-    A branch is dropped when the new value closes a q-cycle whose length
-    has no unused part left in target, joins a chain longer than every
-    unused part, or joins two chains while ``slack`` is 0.  ``slack`` is
-    the number of open chains (a point with no q-value yet and no
-    preimage is a chain of one) less the number of unused parts of
-    target; it starts at n - len(target).  A new value either joins two
-    chains, and slack falls by 1, or closes a chain into a cycle, using
-    up one part, and slack stays.  A leaf has no open chain and, its
-    closed cycles using up n points, no unused part, so slack 0; as slack
-    never rises, a join at 0 reaches no leaf, and the one choice that can
-    close is read off u^-1 (in a touched cycle, with cycles).  Only the
-    leaves with q of exactly type target remain, in the order of the
-    search without a cofactor.
+    indexed from 1, each value p(a) = b, a close included, also fixes
+    q(u[b]) = v[a] in ``place``'s one step, so q = v p^-1 u^-1, its
+    values are set one by one and every leaf has all of them.  The
+    partial q is kept as chains: ``head`` maps the end of each chain to
+    its start, ``tail`` the start to its end, and ``size`` the start to
+    the number of points, all undone on backtrack.  A branch is dropped
+    when the new value closes a q-cycle whose length has no unused part
+    left in target, joins a chain longer than every unused part, or joins
+    two chains while ``slack`` is 0.  ``slack`` is the number of open
+    chains (a point with no q-value yet and no preimage is a chain of
+    one) less the number of unused parts of target; it starts at
+    n - len(target).  A new value either joins two chains, and slack
+    falls by 1, or closes a chain into a cycle, using up one part, and
+    slack stays.  A leaf has no open chain and, its closed cycles using
+    up n points, no unused part, so slack 0; as slack never rises, a join
+    at 0 reaches no leaf, and the one choice that can close is read off
+    u^-1 (in a touched cycle, with cycles): one forced choice, like a
+    cycle's close.  Only the leaves with q of exactly type target remain,
+    in the order of the search without a cofactor.
     """
     p = [0] * (n + 1)
     q = None if cofactor is None else [0] * (n + 1)
@@ -167,8 +172,9 @@ def _search(
         slack = n - len(target)
 
     def place(lead: int, a: int, k: int, slot: int, even: int, odd: int) -> bool:
-        # Choose p(a), a further point of the cycle led by lead, written to
-        # word[slot], with k - 1 more to come; even and odd weigh the branch.
+        # Set p(a) in the cycle led by lead: a free point, written to
+        # word[slot], with k - 1 more to come, or at k = 0 the lead, which
+        # closes the cycle; even and odd weigh the branch.
         nonlocal top, slack
         if pair:
             # q(u[b]) = y for every choice b.  y has no preimage under q
@@ -179,7 +185,9 @@ def _search(
             # A join lowers slack, which a leaf needs at 0.
             cap = top if slack else 0
         after, last = nxt[0], False
-        if pair and not slack:
+        if not k:
+            after, last = lead, True
+        elif pair and not slack:
             # Only q(e) = y can pass: b = u^-1(e) if free (nxt[prv[b]] == b).
             b = u_inv[e]
             after, last = (b if nxt[prv[b]] == b else 0), True
@@ -207,19 +215,23 @@ def _search(
                     slack -= 1
                 q[x] = y
             p[a] = b
-            word[slot] = b
-            c, d = prv[b], nxt[b]
-            nxt[c], prv[d] = d, c
-            ev, od = even, odd
-            w = weight[b]
-            if w:
-                ev, od = even * w[0] + odd * w[1], even * w[1] + odd * w[0]
-                if ends[b]:
-                    f, l = ends[b]
-                    nxt[c], prv[f], nxt[l], prv[d] = f, c, d, l
-            if (place if k > 1 else new_cycle)(lead, b, k - 1, slot + 1, ev, od):
-                return True
-            nxt[c] = prv[d] = b
+            if not k:
+                if next_cycle(even, odd):
+                    return True
+            else:
+                word[slot] = b
+                c, d = prv[b], nxt[b]
+                nxt[c], prv[d] = d, c
+                ev, od = even, odd
+                w = weight[b]
+                if w:
+                    ev, od = even * w[0] + odd * w[1], even * w[1] + odd * w[0]
+                    if ends[b]:
+                        f, l = ends[b]
+                        nxt[c], prv[f], nxt[l], prv[d] = f, c, d, l
+                if place(lead, b, k - 1, slot + 1, ev, od):
+                    return True
+                nxt[c] = prv[d] = b
             if pair:
                 if closed:
                     left[closed] += 1
@@ -229,57 +241,29 @@ def _search(
                     slack += 1
         return False
 
-    def new_cycle(closing: int, a: int, k: int, slot: int, even: int, odd: int) -> bool:
-        # Close the cycle led by closing (0: none) at a, p(a) = closing with
-        # q(u[closing]) = v[a] under place's cuts; then lead the next one.
-        nonlocal top, slack
-        if pair and closing:
-            x, y = u[closing], v[a]
-            s, e, sy = head[x], tail[y], size[y]
-            if s == y:
-                if not left[sy]:
-                    return False
-                left[sy] -= 1
-                was_top = top
-                while top and not left[top]:
-                    top -= 1
-            else:
-                joined = size[s] + sy
-                if joined > (top if slack else 0):
-                    return False
-                tail[s], head[e], size[s] = e, s, joined
-                slack -= 1
-            q[x] = y
-        p[a] = closing
+    def next_cycle(even: int, odd: int) -> bool:
+        # Lead the next cycle with the first free point, or hand p, now
+        # whole, to the leaf.
         lead = nxt[0]
         if not lead:
-            if leaf(p, q, word, even, odd):
-                return True
-        else:
-            d = nxt[lead]
-            nxt[0], prv[d] = d, 0
-            if ends[lead]:
-                f, l = ends[lead]
-                nxt[0], prv[f], nxt[l], prv[d] = f, 0, d, l
-            for length in kinds:
-                if todo[length]:
-                    todo[length] -= 1
-                    slot = first_slot[length]
-                    word[slot] = lead
-                    if (place if length > 1 else new_cycle)(lead, lead, length - 1, slot + 1, even, odd):
-                        return True
-                    todo[length] += 1
-            nxt[0] = prv[d] = lead
-        if pair and closing:
-            if s == y:
-                left[sy] += 1
-                top = was_top
-            else:
-                tail[s], head[e], size[s] = x, y, joined - sy
-                slack += 1
+            return bool(leaf(p, q, word, even, odd))
+        d = nxt[lead]
+        nxt[0], prv[d] = d, 0
+        if ends[lead]:
+            f, l = ends[lead]
+            nxt[0], prv[f], nxt[l], prv[d] = f, 0, d, l
+        for length in kinds:
+            if todo[length]:
+                todo[length] -= 1
+                slot = first_slot[length]
+                word[slot] = lead
+                if place(lead, lead, length - 1, slot + 1, even, odd):
+                    return True
+                todo[length] += 1
+        nxt[0] = prv[d] = lead
         return False
 
-    return new_cycle(0, 0, 0, 0, 1, 0)
+    return next_cycle(1, 0)
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:

@@ -103,3 +103,59 @@ def test_a_run_off_on_every_operation_metric_is_flagged_but_does_not_change_the_
     # the fast parent run and the slow change run decide the wall_s claim
     assert bench_pairs.verdict(summary, "w", "wall_s").endswith("the claim is not met")
     assert bench_pairs.verdict(summary, "w", "setup_s").endswith("the claim is met")
+
+
+BOUNDED = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.05},
+]
+
+
+def test_each_metric_is_judged_against_its_bound_in_its_direction():
+    parent = [(1.0 + i / 100, 10.0 + i / 100) for i in range(10)]
+    # wall_s 20% worse and ops_per_s 4% worse: both inside their bounds
+    change = [(1.2 * w, 0.96 * o) for w, o in parent]
+    summary = bench_pairs.summarize(_runs(parent, change), BOUNDED)
+    w = summary["w"]
+    assert w["wall_s"]["within_bound"] and w["ops_per_s"]["within_bound"]
+    assert not w["wall_s"]["unresolved"] and not w["ops_per_s"]["unresolved"]
+    assert w["past_bound"] == [] and w["unresolved"] == []
+    assert bench_pairs.bounds_verdict(summary, "w") == "w: no regression past the bounds is shown"
+    # wall_s 30% worse, and fewer operations per second by 10%
+    change = [(1.3 * w, 0.9 * o) for w, o in parent]
+    summary = bench_pairs.summarize(_runs(parent, change), BOUNDED)
+    w = summary["w"]
+    assert not w["wall_s"]["within_bound"] and not w["ops_per_s"]["within_bound"]
+    assert w["past_bound"] == ["wall_s", "ops_per_s"]
+    text = bench_pairs.bounds_verdict(summary, "w")
+    assert text == (
+        "w: past their bound: wall_s (+30.0%), ops_per_s (-10.0%); "
+        "no regression past the bounds is not shown"
+    )
+    claim = bench_pairs.verdict(summary, "w", "ops_per_s")
+    assert "past their bound: wall_s (+30.0%), ops_per_s (-10.0%); " in claim
+    assert claim.endswith("the claim is not met")
+    # faster and more operations: nothing past a bound
+    change = [(0.5 * w, 2 * o) for w, o in parent]
+    assert bench_pairs.summarize(_runs(parent, change), BOUNDED)["w"]["past_bound"] == []
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_change_beats_every_run():
+    # parent wall_s from 1.0 to 1.9: quartile spread 0.45 over a median of 1.45
+    parent = [(1.0 + i / 10, 10.0) for i in range(10)]
+    change = [(w, 10.0) for w, _ in parent]
+    summary = bench_pairs.summarize(_runs(parent, change), BOUNDED)
+    w = summary["w"]
+    assert w["wall_s"]["within_bound"] and w["wall_s"]["unresolved"]
+    assert w["unresolved"] == ["wall_s"] and w["past_bound"] == []
+    assert bench_pairs.bounds_verdict(summary, "w") == (
+        "w: too widely spread to tell: wall_s; no regression past the bounds is not shown"
+    )
+    change = [(0.9, 10.0)] * 10  # every change run beats every parent run
+    assert bench_pairs.summarize(_runs(parent, change), BOUNDED)["w"]["unresolved"] == []
+    # different answers are never shown to be inside the bounds
+    same = [(1.0, 10.0)] * 10
+    summary = bench_pairs.summarize(_runs(same, same, digest_change="e"), BOUNDED)
+    assert bench_pairs.bounds_verdict(summary, "w") == (
+        "w: a run failed or the answers differ; no regression past the bounds is not shown"
+    )

@@ -629,6 +629,7 @@ def test_search_labels_only_full_cycle_cofactors(monkeypatch):
         ("25,11,7", "9,1x34", True),  # split lam, two growth steps each
         ("31,9", "11,1x29", True),  # split lam, three steps each
         ("21,21", "9,1x33", True),  # lam does not split
+        ("21", "2,2,1x17", True),  # the 2,2 fallback, split lam
     ],
 )
 def test_construction_builds_a_fixed_number_of_full_degree_permutations(

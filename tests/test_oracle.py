@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,31 @@ def test_every_pair_search_leaf_has_the_third_class_type(n, sample, monkeypatch)
             _fixed_count(triple, g, fixed, enumerated)
             assert targets.pop() == triple[3 - fixed - enumerated].cycle_type.parts
     assert leaves > 0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_pair_search_takes_no_step_once_a_join_has_spent_its_slack(n):
+    # slack never rises and a leaf needs it at 0, so a join at slack 0
+    # reaches no leaf: the cuts refuse it, at a cycle's close as at a free
+    # point, and every step of a pair search starts with slack >= 0.  A
+    # missed cut only costs work, so the leaves cannot show it; the step
+    # routine's own frames do, read through the profiler.
+    (step,) = [c for c in _search.__code__.co_consts if getattr(c, "co_name", None) == "place"]
+    slacks = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is step:
+            slacks.append(frame.f_locals["slack"])
+
+    sys.setprofile(profile)
+    try:
+        for triple in itertools.product(an_class_labels(n), repeat=3):
+            g = _representative(triple[2])
+            for fixed, enumerated in ORIENTATIONS:
+                _fixed_count(triple, g, fixed, enumerated)
+    finally:
+        sys.setprofile(None)
+    assert slacks and min(slacks) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))

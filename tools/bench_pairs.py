@@ -27,6 +27,15 @@ parent's quartile spread, with every run of W correct, none failed and
 equal answers digests on every pair.  Quartiles are rounded to five
 significant digits for display only.
 
+A change that claims no gain is judged by each metric's ``bound`` in
+``BENCHMARK.json``: it is ``within_bound`` when the change's median is
+no worse than the parent's by more than that share, in the metric's
+``better`` direction, and ``unresolved`` when the parent's quartile
+spread, over its median, is wider than the bound and not every change
+run beats every parent run.  Per workload, ``past_bound`` and
+``unresolved`` list those metrics, and the ``bounds`` verdicts, and the
+claim verdict of its workload, name them.
+
 A run that reads at least 20% off its own side's median on every metric
 of the timed operations (``OPERATION_METRICS``) is listed under
 ``flagged_runs`` and named in the verdict, which it does not change: one
@@ -153,8 +162,39 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "parent_spread": float(f"{q3 - q1:.5g}"),
                 "medians_apart": (p_med - c_med if lower else c_med - p_med) > q3 - q1,
             }
+            if "bound" in metric:
+                worse = (c_med - p_med if lower else p_med - c_med) / p_med
+                beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+                entry[name]["within_bound"] = worse <= metric["bound"]
+                entry[name]["unresolved"] = (q3 - q1) / p_med > metric["bound"] and not beats_all
+        bounded = [m["name"] for m in metrics if "bound" in m]
+        entry["past_bound"] = [m for m in bounded if not entry[m]["within_bound"]]
+        entry["unresolved"] = [m for m in bounded if entry[m]["unresolved"]]
         out[workload] = entry
     return out
+
+
+def bound_notes(w: dict) -> str:
+    """The clauses that name a workload's metrics past their bound or too
+    widely spread to tell; empty when there are none."""
+    past = ", ".join(f"{m} ({w[m]['median_change_pct']:+.1f}%)" for m in w.get("past_bound", ()))
+    return (f"past their bound: {past}; " if past else "") + (
+        f"too widely spread to tell: {', '.join(w['unresolved'])}; " if w.get("unresolved") else ""
+    )
+
+
+def bounds_verdict(summary: dict, workload: str) -> str:
+    """Whether every end-to-end metric of workload stays within its bound,
+    with every run correct, none failed and equal answers digests."""
+    w = summary[workload]
+    same = w["all_correct_none_failed"] and w["answers_digests_equal"]
+    held = same and not w["past_bound"] and not w["unresolved"]
+    return (
+        f"{workload}: "
+        + ("" if same else "a run failed or the answers differ; ")
+        + bound_notes(w)
+        + f"no regression past the bounds is {'shown' if held else 'not shown'}"
+    )
 
 
 def verdict(summary: dict, workload: str, metric: str) -> str:
@@ -173,6 +213,7 @@ def verdict(summary: dict, workload: str, metric: str) -> str:
             " median on every operation metric; "
             for f in w["flagged_runs"]
         )
+        + bound_notes(w)
         + f"the claim is {'met' if met else 'not met'}"
     )
 
@@ -225,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         workload, metric = args.claim_metric.split(":")
         record["verdict"] = verdict(summary, workload, metric)
         print(record["verdict"], file=sys.stderr)
+    record["bounds"] = {workload: bounds_verdict(summary, workload) for workload in summary}
+    print("\n".join(record["bounds"].values()), file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
