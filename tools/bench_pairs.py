@@ -177,9 +177,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 def bound_notes(w: dict) -> str:
     """The clauses that name a workload's metrics past their bound or too
     widely spread to tell; empty when there are none."""
-    past = ", ".join(f"{m} ({w[m]['median_change_pct']:+.1f}%)" for m in w.get("past_bound", ()))
+    past = ", ".join(f"{m} ({w[m]['median_change_pct']:+.1f}%)" for m in w["past_bound"])
     return (f"past their bound: {past}; " if past else "") + (
-        f"too widely spread to tell: {', '.join(w['unresolved'])}; " if w.get("unresolved") else ""
+        f"too widely spread to tell: {', '.join(w['unresolved'])}; " if w["unresolved"] else ""
     )
 
 
