@@ -28,8 +28,8 @@ products C D come from one pass over the smaller class, each product
 with one fixed element of the other class binned by its own walk
 (:func:`brute_product_counts`).  Single pair counts
 (:func:`brute_frobenius`) fix an element of whichever of C, D and the
-class E of g has the smallest cycle type, the largest centralizer, run
-the search over the smaller of the other two and build the third factor
+class E of g has the most distinct cycle lengths, run the search over
+the one of the other two with the fewest and build the third factor
 alongside, so the cost follows the orbits of branches that can still
 succeed rather than the size of the enumerated class.  Class sizes come
 from the oracle's own centralizer formula.  Counts materialize and cache
@@ -408,20 +408,20 @@ def brute_frobenius(C: ClassLabel, D: ClassLabel, g: Permutation) -> int:
     read by the oracle's own walk, and by the class equation
     |E| N = |C| #{d in D : c0 d in E} = |D| #{c in C : c d0 in E} for
     any c0 in C and d0 in D, while fixing g counts the N pairs directly.
-    So the search fixes one element of the class of the smallest S_n type
-    among C, D, E (E on a tie, then C), whose centralizer has the most
-    orbits to fold, and enumerates the smaller of the other two (see
-    :func:`_fixed_count`).
+    So the search fixes one element of the class with the most distinct
+    cycle lengths among C, D, E and enumerates the other with the fewest
+    (ties to E, then C, then D; see :func:`_fixed_count`): the enumerated
+    class tries every unused length at each cycle's lead, the third closes
+    a cycle only on an unused length, and the fixed one costs nothing.
     """
     _check_degrees(C, D, g)
     E = _class_of(g.images)
     if E is None:
         return 0
     triple = (C, D, E)
-    types = [_type_size(X.cycle_type.parts) for X in triple]
-    fixed = min((2, 0, 1), key=types.__getitem__)
-    a, b = (i for i in (0, 1, 2) if i != fixed)
-    enumerated = a if _size(triple[a]) <= _size(triple[b]) else b
+    kinds = [len(set(X.cycle_type.parts)) for X in triple]
+    fixed = max((2, 0, 1), key=kinds.__getitem__)
+    enumerated = min((i for i in (2, 0, 1) if i != fixed), key=kinds.__getitem__)
     return _fixed_count(triple, g.images, fixed, enumerated)
 
 
