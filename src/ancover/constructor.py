@@ -22,20 +22,19 @@ to a small base case, solving it by seeded random search, and lifting the
 factors back with one long cycle through the stripped points.  The signs
 of the base classes come from a parity rule (the c-lift keeps the split
 sign; the d-lift through r stripped points flips it iff r = 2 (mod 4)).
-Outside the search its interpreted work is O(moved points): the stripped
-points enter c and d as runs copied by slices from g's images, and only
-the two label walks and the two bijection checks read every point.
 
 Neither re-checks what it has just built; every check on its outputs
 stays.  Permutations come from the int words or image lists made here,
 each through the one bijection check only, and each output is labelled
-by one walk.  Each packed delta is one image list to the end: its orbits
-to grow are walked on it and on gamma's list, and the growth steps change
-it in place, so a call that packs builds five Permutations of degree n
-(gamma, delta, delta_bar and their products with gamma) whatever its
-steps.  A search trial reads its cofactor c^-1 h through the image list
-of c^-1 along the orbit of 1 only, and forms, walks and labels it only
-when that orbit is a full cycle.
+by one walk; an n-cycle's walk, from 1, is its bijection check too.  Each
+packed delta is one image list to the end: its orbits to grow are walked
+on it and on gamma's list, and the growth steps change it in place, so a
+call that packs builds five Permutations of degree n (gamma, delta,
+delta_bar and their products with gamma) whatever its steps.  A search
+trial makes the draws of ``random.shuffle`` on 1..m by ``getrandbits``
+itself, counting the parity per swap, and reads its cofactor c^-1 h
+along the orbit of 1 only, forming and labelling it only when that orbit
+is a full cycle.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import random
 from itertools import compress, count, islice
 from operator import eq, itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ancover.combinatorics import (
     Infeasible,
@@ -59,8 +58,7 @@ from ancover.permutations import (
     OddPermutation,
     Permutation,
     _cycle_count,
-    _representative_words,
-    _walk,
+    _full_cycle,
     an_class_of,
     cycle_type,
     splits_in_an,
@@ -71,6 +69,9 @@ def _check(ok: bool, what: str) -> None:
     """Raise VerificationFailed unless ok; unlike assert, kept under -O."""
     if not ok:
         raise VerificationFailed(what)
+
+
+_FLIP = {"+": "-", "-": "+"}  # the other class of a split type
 
 
 class HypothesisViolated(ValueError):
@@ -577,35 +578,30 @@ def _construct_two_twos_case(
     found: dict[str | None, Permutation] = {}
     want_both = splits_in_an(lam)
     budget = 200_000
-    other_words = [
-        tuple(range(offsets[j] + 1, offsets[j] + lam.parts[j] + 1))
-        for j in range(1, len(lam.parts))
-    ]
-    # For a split lam, delta's sign changes with the parity of word1 read as
-    # images alone: the other hosts' cycles, and their places in the label's
-    # word, are the same on every trial, and a rotation of an odd cycle's
-    # word is even.  The first delta built calibrates the sign of each
-    # parity; _product_labels labels both deltas, so a wrong rule fails.
-    sign_at: dict[int, str] = {}
+    # the other hosts carry inverse cycles, so that the product fixes them
+    tail = [y for o, p in zip(offsets[1:], lam.parts[1:]) for y in (o + p, *range(o + 1, o + p))]
+    # For a split lam, delta's sign changes with d1's split sign alone: the
+    # other hosts' cycles, and their places in the label's word, are the same
+    # on every trial, and a rotation of an odd cycle's word is even.  The
+    # first delta calibrates it; _product_labels labels both deltas.
+    sign_at: dict[str, str] = {}
     for _ in range(budget):
         pts = rng.sample(range(1, m + 1), 4)
         # d1 = gamma1^-1 * (pts[0], pts[1])(pts[2], pts[3]), as images
         a, b, c, e = (p - 1 for p in pts)
         d1 = gamma1_inv[:]
         d1[a], d1[b], d1[c], d1[e] = d1[b], d1[a], d1[e], d1[c]
-        if not _is_full_cycle(d1):
+        try:  # d1 is a bijection, so a refusal means it is not an m-cycle
+            sign = _full_cycle(d1)[1]
+        except ValueError:
             continue
-        word1 = _walk(d1)[0][0]
-        parity = _cycle_count(word1) % 2
-        key = sign_at.get(parity) if want_both else None
+        key = sign_at.get(sign) if want_both else None
         if key in found:
             continue
-        # other hosts contribute inverse cycles so the product fixes them
-        words = [word1] + [tuple(reversed(w)) for w in other_words]
-        delta = Permutation._from_words(n, words)
+        delta = Permutation._from_ints(d1 + tail)
         if want_both and not sign_at:
             key = an_class_of(delta).sign
-            sign_at = {parity: key, 1 - parity: "-" if key == "+" else "+"}
+            sign_at = {sign: key, _FLIP[sign]: _FLIP[key]}
         found[key] = delta
         if len(found) == (2 if want_both else 1):
             break
@@ -622,25 +618,25 @@ def _construct_two_twos_case(
 # n-cycle coverage of a concrete element
 
 
-def _cycle_images(word: Sequence[int]) -> list[int]:
-    """Image list of the cycle (word) through every point 1..len(word)."""
-    images = [0] * len(word)
-    prev = word[-1]
-    for x in word:
-        images[prev - 1] = x
-        prev = x
-    return images
-
-
-def _is_full_cycle(images: Sequence[int], then: Sequence[int] | None = None) -> bool:
-    """Whether these images, followed by those of ``then`` when given, form
-    one cycle through every point; only the orbit of 1 is walked, and the
-    composite is never built."""
-    x, length = images[0] if then is None else then[images[0] - 1], 1
-    while x != 1:
-        x = images[x - 1] if then is None else then[images[x - 1] - 1]
-        length += 1
-    return length == len(images)
+def _even_shuffles(seed: int, m: int) -> Iterator[list[int]]:
+    """Uniformly random even permutations of 1..m, as image lists: each is
+    ``random.Random(seed).shuffle`` of 1..m in turn, draw for draw, with
+    its first two entries swapped when it is odd."""
+    getrandbits = random.Random(seed).getrandbits
+    draws = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+    while True:
+        w = list(range(1, m + 1))
+        odd = False  # the parity of w, counted per swap
+        for i, k in draws:  # shuffle's j below i + 1, by rejection
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            if j != i:
+                w[i], w[j] = w[j], w[i]
+                odd = not odd
+        if odd:
+            w[0], w[1] = w[1], w[0]
+        yield w
 
 
 def _d_lift_flips_sign(r: int) -> bool:
@@ -691,9 +687,9 @@ def cover_with_ncycles(
     interpreted work is O(moved points): g is split by one comprehension,
     the stripped points are copied into c and d by slices of g's images,
     and c*d is compared with g by one gather.  The two Permutations of
-    degree n, c and d, are each checked once as a bijection and walked
-    once for their labels.  The search runs on lists of degree m (see
-    the module docstring for a trial).
+    degree n, c and d, are each built by one walk from 1, which proves it
+    an n-cycle and gives its split sign.  The search runs on lists of
+    degree m (see the module docstring for a trial).
     """
     from ancover.classalgebra import frobenius_count
 
@@ -743,30 +739,29 @@ def cover_with_ncycles(
     h_small = [rank[images[x - 1]] for x in res]
     if (m - _cycle_count(h_small)) % 2:
         raise ValueError("g must be even")
-    flip = {"+": "-", "-": "+"}
     base_c = ClassLabel(Partition((m,)), C.sign)
-    base_d = ClassLabel(Partition((m,)), flip[D.sign] if _d_lift_flips_sign(r) else D.sign)
+    base_d = ClassLabel(Partition((m,)), _FLIP[D.sign] if _d_lift_flips_sign(r) else D.sign)
 
     if m <= _PRECHECK_LIMIT:
         h_label = an_class_of(Permutation._from_ints(h_small))
         if frobenius_count(base_c, base_d, h_label) == 0:
             raise NotCoverable(f"{'base case ' if r else ''}{h_label} is not in {base_c} * {base_d}")
 
-    rng = random.Random(seed)
-    rep_word = _representative_words(base_c)[0]
-    for _ in range(budget):
-        # w: a uniformly random even permutation of 1..m, as a list of images
-        w = list(range(1, m + 1))
-        rng.shuffle(w)
-        if (m - _cycle_count(w)) % 2:
-            w[0], w[1] = w[1], w[0]
-        # the candidate w rep w^-1 is the cycle (w(a) for a in rep's word)
-        c_word = [w[a - 1] for a in rep_word]
-        c_inv = _cycle_images(c_word[::-1])
-        # the cofactor c^-1 h is formed only when it is a full cycle
-        if _is_full_cycle(h_small, c_inv):
+    for c_word in islice(_even_shuffles(seed, m), budget):
+        # c = w rep w^-1 is the cycle (w(a) for a in rep's word, 1..m for "+")
+        if C.sign == "-":  # the "-" word swaps its last two points
+            c_word[-2], c_word[-1] = c_word[-1], c_word[-2]
+        c_inv = [0] * m  # c^-1 sends each point of c's word to the one before
+        for x, y in zip(c_word, c_word[-1:] + c_word[:-1]):
+            c_inv[x - 1] = y
+        # the cofactor c^-1 h is formed only when the orbit of 1 is all of it
+        x, length = c_inv[h_small[0] - 1], 1
+        while x != 1:
+            x = c_inv[h_small[x - 1] - 1]
+            length += 1
+        if length == m:
             d_small = [c_inv[y - 1] for y in h_small]
-            if an_class_of(Permutation._from_ints(d_small)) == base_d:
+            if _full_cycle(d_small)[1] == base_d.sign:
                 break
     else:
         raise SearchBudgetExceeded(seed, budget)
@@ -787,7 +782,7 @@ def cover_with_ncycles(
         c_img[prev - 1], d_img[a - 1] = images[a - 1], prev
         prev = images[b - 1]
     c_img[prev - 1], d_img[res[d_small.index(m)] - 1] = after, prev
-    c, d = Permutation._from_ints(c_img), Permutation._from_ints(d_img)
+    (c, c_sign), (d, d_sign) = _full_cycle(c_img), _full_cycle(d_img)
     _check(itemgetter(*d.images)((0, *c.images)) == images, "lifted factorization must reproduce g")
-    _check(an_class_of(c) == C and an_class_of(d) == D, "lifted labels must match")
+    _check(c_sign == C.sign and d_sign == D.sign, "lifted labels must match")
     return c, d

@@ -3,15 +3,16 @@
 Products compose right to left: ``(a * b)(x) == a(b(x))``.  Degrees are
 explicit; operations on mismatched degrees raise instead of embedding
 silently, and :func:`embed` pads with fixed points when an embedding is
-wanted.  Every Permutation passes the one bijection check,
-:func:`_bijection`, behind three entry points: ``Permutation(...)``
+wanted.  A Permutation is checked as a bijection once, by
+:func:`_bijection` behind three entry points: ``Permutation(...)``
 converts each image with ``int()`` first, for outside input;
 ``Permutation._from_ints`` takes images the package built from ints, and
 ``Permutation._from_words`` disjoint int words it built, after one check
 that their points are distinct and within 1..n (``from_cycles`` converts
-outside cycles and delegates to it).  One walk, ``_walk``, gives the
-cycles and the fixed-point count that ``cycle_type`` and ``an_class_of``
-read; ``_cycle_count`` walks without building anything.
+outside cycles and delegates to it); or, for an n-cycle the package
+built, by the walk from 1 of :func:`_full_cycle`.  One walk, ``_walk``,
+gives the cycles and the fixed-point count that ``cycle_type`` and
+``an_class_of`` read; ``_cycle_count`` walks without building anything.
 
 An A_n class is named by its cycle type plus an optional sign.  A sign is
 present exactly when the type has pairwise distinct odd parts (the split
@@ -198,6 +199,25 @@ def _cycle_count(images: Sequence[int]) -> int:
             seen[x] = True
             x = img[x]
     return count
+
+
+def _full_cycle(images: Sequence[int]) -> tuple[Permutation, str]:
+    """The Permutation of int images that must form one cycle through 1..n,
+    and the split sign :func:`an_class_of` gives it at odd n.  With values
+    in 1..n, the walk from 1 first returns at step n just when they do."""
+    n, img, word = len(images), (0, *images), [1]
+    try:
+        x = img[1]
+        for _ in range(n - 1):
+            if x == 1:
+                break
+            word.append(x)
+            x = img[x]
+    except IndexError:  # a value above n
+        x = 0
+    if x != 1 or len(word) != n or min(images) < 1:
+        raise ValueError(f"not one cycle through 1..{n}")
+    return Permutation._trusted(img[1:]), "-" if (n - _cycle_count(word)) % 2 else "+"
 
 
 def cycle_type(g: Permutation) -> Partition:

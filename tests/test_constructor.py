@@ -15,8 +15,10 @@ from ancover.constructor import (
     OnlyTrivialKinds,
     PackingPlan,
     ValidSequence,
+    SearchBudgetExceeded,
     VerificationFailed,
     _d_lift_flips_sign,
+    _even_shuffles,
     _product_labels,
     construct_witnesses,
     cover_with_ncycles,
@@ -593,33 +595,119 @@ def test_bad_classes_are_refused_before_reading_g():
         cover_with_ncycles(odd, nine, nine)
 
 
+def _dense_21():
+    """A random even g of degree 21 fixing at most one point: the residue
+    is g itself (m = n = 21, past the pre-check)."""
+    rng = random.Random(2)
+    g = random_even_permutation(21, rng)
+    while sum(g(x) == x for x in range(1, 22)) > 1:
+        g = random_even_permutation(21, rng)
+    return g
+
+
 def test_search_labels_only_full_cycle_cofactors(monkeypatch):
     """A trial walks the orbit of 1 under its cofactor c^-1 h and forms
-    and labels the cofactor only when that orbit is all of 1..m.  With g
-    fixing at most one point the residue is g itself (m = n = 21, past the
-    pre-check), so an_class_of runs once per full-cycle trial, replayed
-    on Permutations by the oracle, and once for each lifted factor."""
+    and labels the cofactor only when that orbit is all of 1..m.  With the
+    residue g itself, _full_cycle runs once per full-cycle trial, replayed
+    on Permutations by the oracle, and once for each lifted factor, and
+    an_class_of not at all."""
     import ancover.constructor
 
     n, seed = 21, 6
-    rng = random.Random(2)
-    g = random_even_permutation(n, rng)
-    while sum(g(x) == x for x in range(1, n + 1)) > 1:
-        g = random_even_permutation(n, rng)
+    g = _dense_21()
     C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
     c, d, trials, full = replay_ncycle_search(g, C, D, seed)
 
-    calls = []
-    label = ancover.constructor.an_class_of
+    calls, labels = [], []
+    walk, label = ancover.constructor._full_cycle, ancover.constructor.an_class_of
 
-    def counting(h):
-        calls.append(h.n)
+    def counting_walk(images):
+        calls.append(len(images))
+        return walk(images)
+
+    def counting_label(h):
+        labels.append(h.n)
         return label(h)
 
-    monkeypatch.setattr(ancover.constructor, "an_class_of", counting)
+    monkeypatch.setattr(ancover.constructor, "_full_cycle", counting_walk)
+    monkeypatch.setattr(ancover.constructor, "an_class_of", counting_label)
     assert cover_with_ncycles(g, C, D, seed=seed) == (c, d)
     assert trials > full > 1
-    assert len(calls) == full + 2
+    assert len(calls) == full + 2 and labels == []
+
+
+@pytest.mark.parametrize("signs", ["+-", "-+", "--"])
+def test_search_spends_exactly_the_replayed_trials(signs):
+    """The budget counts trials: the oracle's replay needs `trials` of
+    them, so one fewer raises SearchBudgetExceeded and `trials` succeed."""
+    n, seed = 21, 6
+    g = _dense_21()
+    C, D = (parse_class_label(f"{n}:{s}") for s in signs)
+    c, d, trials, _ = replay_ncycle_search(g, C, D, seed)
+    assert trials > 1
+    with pytest.raises(SearchBudgetExceeded) as info:
+        cover_with_ncycles(g, C, D, seed=seed, budget=trials - 1)
+    assert (info.value.seed, info.value.trials) == (seed, trials - 1)
+    assert cover_with_ncycles(g, C, D, seed=seed, budget=trials) == (c, d)
+
+
+def test_trial_permutations_are_the_stdlib_shuffles():
+    """_even_shuffles makes the draws of random.shuffle itself: on every
+    odd m in 5..101 and 20 seeds, its first trials are the stdlib shuffles
+    of 1..m, each with its first two entries swapped when odd."""
+    for m in range(5, 102, 2):
+        for seed in range(20):
+            rng = random.Random(seed)
+            for w in itertools.islice(_even_shuffles(seed, m), 3):
+                want = list(range(1, m + 1))
+                rng.shuffle(want)
+                if not is_even(Permutation(want)):
+                    want[0], want[1] = want[1], want[0]
+                assert w == want, (m, seed)
+
+
+def test_mislifted_labels_fail_verification_under_optimize():
+    """With the d-lift's sign rule negated the search looks for d in the
+    wrong base class, and the final label check refuses the lifted d, also
+    under python -O."""
+    code = (
+        "import ancover.constructor as k\n"
+        "from ancover.permutations import Permutation, parse_class_label\n"
+        "rule = k._d_lift_flips_sign\n"
+        "k._d_lift_flips_sign = lambda r: not rule(r)\n"
+        "g = Permutation.from_cycles(23, [range(1, 22)])\n"
+        "C, D = parse_class_label('23:+'), parse_class_label('23:-')\n"
+        "try:\n"
+        "    k.cover_with_ncycles(g, C, D, seed=1)\n"
+        "except k.VerificationFailed as e:\n"
+        "    raise SystemExit(0 if str(e) == 'lifted labels must match' else repr(e))\n"
+        "raise SystemExit('a mislifted factorization passed')\n"
+    )
+    proc = run_python("-O", "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_full_cycle_refuses_other_image_lists_under_optimize():
+    """_full_cycle is the bijection check of the n-cycles it builds: two
+    cycles, a point outside 1..n or a walk that never returns to 1 raise
+    ValueError, never an IndexError, also under python -O."""
+    code = (
+        "from ancover.permutations import _full_cycle, an_class_of, Permutation\n"
+        "good = [3, 7, 5, 1, 2, 4, 6]\n"
+        "p, sign = _full_cycle(good)\n"
+        "if p != Permutation(good) or sign != an_class_of(p).sign:\n"
+        "    raise SystemExit(f'{p} {sign}')\n"
+        "bad = [[2, 3, 1, 5, 6, 7, 4], [3, 7, 0, 1, 2, 4, 6], [3, 7, 8, 1, 2, 4, 6],\n"
+        "       [2, 3, -4, 5, 6, 7, 1], [2, 3, 4, 5, 6, 7, 2], [1, 3, 4, 5, 6, 7, 2]]\n"
+        "for images in bad:\n"
+        "    try:\n"
+        "        _full_cycle(images)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {images}')\n"
+    )
+    proc = run_python("-O", "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -667,10 +755,14 @@ def test_lift_sign_rule_matches_explicit_lifts():
 def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypatch):
     """Outside the search a call's interpreted work is O(moved points),
     wherever they sit: the degree-n Permutations it builds are c and d,
-    each through the one bijection check, and the degree-n lists it walks
-    are theirs, one walk for each label; c*d is compared with g as an
-    image list.  The counts are the same at n = 501 and n = 1001."""
+    each built and walked once by _full_cycle, whose walk is also their
+    bijection check; no other degree-n list is checked or walked, and c*d
+    is compared with g as an image list.  The counts are the same at
+    n = 501 and n = 1001."""
+    import ancover.constructor
+
     check, walk = permutations._bijection, permutations._walk
+    full_cycle = ancover.constructor._full_cycle
     for n in (501, 1001):
         C, D = parse_class_label(f"{n}:+"), parse_class_label(f"{n}:-")
         for cycles in [
@@ -680,7 +772,7 @@ def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypat
             [(1, n), (250, 251)],
         ]:
             g = cyc(n, *cycles)
-            built, walked = [], []
+            built, walked, lifted = [], [], []
 
             def counting_check(images, built=built):
                 built.append(len(images))
@@ -690,12 +782,18 @@ def test_sparse_call_builds_a_fixed_number_of_full_degree_permutations(monkeypat
                 walked.append(len(images))
                 return walk(images)
 
+            def counting_full_cycle(images, lifted=lifted):
+                lifted.append(len(images))
+                return full_cycle(images)
+
             monkeypatch.setattr(permutations, "_bijection", counting_check)
             monkeypatch.setattr(permutations, "_walk", counting_walk)
+            monkeypatch.setattr(ancover.constructor, "_full_cycle", counting_full_cycle)
             c, d = cover_with_ncycles(g, C, D, seed=4)
             monkeypatch.undo()
             assert c * d == g
-            assert built.count(n) == walked.count(n) == 2, (n, cycles)
+            assert lifted.count(n) == 2, (n, cycles)
+            assert built.count(n) == walked.count(n) == 0, (n, cycles)
 
 
 # (n, cycles of g, r, swap): one case per branch of the lift.
